@@ -41,6 +41,9 @@ GAUGE_KEYS = frozenset(
         "resident",
         "staleness_p50",
         "staleness_p99",
+        "residual_restored_last",
+        "checkpoint_ms_last",
+        "checkpoint_bytes_last",
         "depth",
         "capacity",
         "replicas",

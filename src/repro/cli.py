@@ -268,21 +268,36 @@ def _cmd_store_checkpoint(args: argparse.Namespace) -> int:
 def _cmd_store_inspect(args: argparse.Namespace) -> int:
     from pathlib import Path
 
-    from .store.checkpoint import checkpoint_version, list_checkpoints
+    from .errors import StoreError
+    from .store.checkpoint import (
+        checkpoint_summary,
+        checkpoint_version,
+        list_checkpoints,
+    )
     from .store.wal import SEGMENT_PREFIX, SEGMENT_SUFFIX, scan_segment
 
     root = Path(args.root)
     if not root.exists():
         print(f"store directory not found: {root}", file=sys.stderr)
         return 1
-    checkpoint_rows = [
-        [p.name, str(checkpoint_version(p)), f"{p.stat().st_size:,}"]
-        for p in list_checkpoints(root / "checkpoints")
-    ]
+    checkpoint_rows = []
+    for p in list_checkpoints(root / "checkpoints"):
+        row = [p.name, str(checkpoint_version(p)), f"{p.stat().st_size:,}"]
+        try:
+            summary = checkpoint_summary(p)
+        except StoreError:
+            row += ["unreadable", "-", "-"]
+        else:
+            row.append(str(summary["format"]))
+            if "nnz" in summary:
+                row += [f"{summary['nnz']:,}", f"{summary['density']:.1%}"]
+            else:  # a format this build cannot restore
+                row += ["-", "-"]
+        checkpoint_rows.append(row)
     print(
         format_table(
-            ["checkpoint", "version", "bytes"],
-            checkpoint_rows or [["(none)", "-", "-"]],
+            ["checkpoint", "version", "bytes", "format", "nnz", "density"],
+            checkpoint_rows or [["(none)", "-", "-", "-", "-", "-"]],
             title=f"Checkpoints — {root}",
         )
     )
@@ -395,6 +410,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     from . import chaos
     from .api.gateway import Gateway
     from .api.http import GatewayRequestHandler, make_server
+    from .api.requests import CheckpointNow
     from .bench.gateway import workload_service
     from .chaos import FaultPlan
     from .cluster import ClusterGateway
@@ -530,8 +546,14 @@ def _cmd_serve(args: argparse.Namespace) -> int:
                 print(f"drain:    {admission.depth} request(s) abandoned")
         if service.store is not None and not service.store.failed:
             if service.store._batches_since_checkpoint > 0:
-                service.store.checkpoint(service)
-                print(f"store:    checkpointed at v{service.graph_version}")
+                # Through the gateway, never around it: handler threads
+                # are daemons, so an ingest may still be mid-batch here.
+                # The request queues behind it on the gateway lock; a
+                # direct store.checkpoint() would snapshot half a batch
+                # or race its own checkpoint for the one tmp name.
+                result = gateway.submit(CheckpointNow())
+                if result.error is None:
+                    print(f"store:    checkpointed at v{result.snapshot_version}")
             service.store.close()
         if cluster is not None:
             cluster.close(
@@ -539,8 +561,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             )
         if shards_gw is not None:
             if args.store is not None and shards_gw._batches_since_checkpoint:
-                from .api.requests import CheckpointNow
-
                 result = shards_gw.submit(CheckpointNow())
                 if result.error is None:
                     print(f"store:    checkpointed all shards at"

@@ -29,9 +29,9 @@ from ..graph.delta import CSRView
 from ..graph.digraph import DynamicDiGraph
 from ..graph.update import EdgeUpdate
 from .certify import CertifiedEntry, certified_top_k
-from .invariant import restore_invariant
+from .invariant import restore_states
 from .push_parallel import parallel_local_push
-from .state import PPRState
+from .state import PPRState, decode_states, encode_states
 from .stats import PushStats
 
 
@@ -125,16 +125,16 @@ class DynamicHubIndex:
     # maintenance
     # ------------------------------------------------------------------ #
 
-    def restore_applied(self, update: EdgeUpdate) -> None:
-        """Restore every hub vector's invariant for one *already-applied* update.
+    @property
+    def states(self) -> list[PPRState]:
+        """The maintained hub vectors, in hub order.
 
         The serving layer (:class:`repro.serve.PPRService`) mutates the
-        shared graph exactly once per update and then fans the restore out
-        to every consumer; this is the hub-index half of that fan-out.
-        ``self.graph`` must already reflect ``update``.
+        shared graph exactly once per update and repairs every consumer in
+        one :func:`~repro.core.invariant.restore_states` call; this is the
+        hub-index half of that fan-out.
         """
-        for state in self._states.values():
-            restore_invariant(state, self.graph, update, self.config.alpha)
+        return list(self._states.values())
 
     def reconverge(
         self,
@@ -170,12 +170,14 @@ class DynamicHubIndex:
         (restoration per hub); the per-hub pushes share one CSR snapshot
         (``snapshot`` when provided, else a fresh rebuild).
         """
-        touched: list[int] = []
-        for update in updates:
-            self.graph.apply(update)
-            self.restore_applied(update)
-            touched.append(update.u)
-        return self.reconverge(touched, snapshot=snapshot)
+        restore_states(
+            self.graph,
+            self.states,
+            updates,
+            self.config.alpha,
+            kernel=self.config.kernel,
+        )
+        return self.reconverge([update.u for update in updates], snapshot=snapshot)
 
     # ------------------------------------------------------------------ #
     # persistence codec
@@ -184,17 +186,14 @@ class DynamicHubIndex:
     def to_arrays(self) -> dict[str, np.ndarray]:
         """Serialize every hub vector to plain arrays (bit-exact).
 
-        Per-hub ``p``/``r`` arrays are concatenated with a ``lengths``
-        array (states may sit at different capacities), hubs in index
-        order. Rebuild with :meth:`from_arrays` against the same graph.
+        Hub ids in index order, then the sparse vector encoding of
+        :func:`~repro.core.state.encode_states`. Rebuild with
+        :meth:`from_arrays` against the same graph.
         """
-        states = list(self._states.values())
         return {
-            "hubs": np.fromiter(self._states, dtype=np.int64, count=len(states)),
-            "lengths": np.array([len(s.p) for s in states], dtype=np.int64),
-            "p": np.concatenate([s.p for s in states]) if states else np.empty(0),
-            "r": np.concatenate([s.r for s in states]) if states else np.empty(0),
+            "hubs": np.fromiter(self._states, dtype=np.int64, count=len(self._states)),
             "batches": np.int64(self.batches_processed),
+            **encode_states(self.states),
         }
 
     @classmethod
@@ -210,25 +209,13 @@ class DynamicHubIndex:
         run — so the rebuilt index is bit-identical to the serialized one.
         ``graph`` must be the graph version the vectors were saved at.
         """
+        hubs = arrays["hubs"].tolist()
+        if not hubs:
+            raise ConfigError("at least one hub is required")
         index = cls.__new__(cls)
         index.config = config or PPRConfig()
         index.graph = graph
-        index._states = {}
-        offset = 0
-        for hub, length in zip(
-            arrays["hubs"].tolist(), arrays["lengths"].tolist()
-        ):
-            state = PPRState.from_arrays(
-                {
-                    "source": np.int64(hub),
-                    "p": arrays["p"][offset : offset + length],
-                    "r": arrays["r"][offset : offset + length],
-                }
-            )
-            offset += length
-            index._states[hub] = state
-        if not index._states:
-            raise ConfigError("at least one hub is required")
+        index._states = dict(zip(hubs, decode_states(hubs, arrays)))
         index.batches_processed = int(arrays["batches"])
         return index
 

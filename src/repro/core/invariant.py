@@ -15,12 +15,21 @@ where ``dout_after`` is the out-degree *after* the update is applied (this
 matches the recurrence delta_j = d_{j-1}/d_j in the paper's Lemma 3).
 Deleting ``u``'s last out-edge is the one case the formula cannot express
 (``dout_after = 0``); Eq. 2 then directly pins ``R_s(u)``.
+
+:func:`restore_invariant` is the single-update oracle. Every maintained
+consumer (service residents, hub vectors, trackers) repairs whole batches
+through :func:`restore_states`, which under the compiled kernel mode
+applies the graph mutations in one pass and then repairs each state with
+one call into ``_push.c`` — bit-identical to looping the oracle.
 """
 
 from __future__ import annotations
 
 from collections.abc import Iterable, Sequence
 
+import numpy as np
+
+from ..config import KernelConfig
 from ..graph.digraph import DynamicDiGraph
 from ..graph.update import EdgeUpdate
 from .state import PPRState
@@ -58,6 +67,72 @@ def restore_invariant(
     return delta
 
 
+def restore_states(
+    graph: DynamicDiGraph,
+    states: Sequence[PPRState],
+    updates: Iterable[EdgeUpdate],
+    alpha: float,
+    *,
+    kernel: KernelConfig | None = None,
+) -> np.ndarray:
+    """Apply a batch to ``graph`` and restore Eq. 2 on every state.
+
+    The one batch ``RestoreInvariant`` entry point (Section 3.1: Algorithm
+    1, k times). The graph is mutated exactly once per update however many
+    states share it. Returns the per-update signed residual changes as a
+    ``(len(states), k)`` array; row ``i`` is what looping
+    :func:`restore_invariant` over ``states[i]`` would have returned.
+
+    ``kernel`` (``PPRConfig.kernel``; ``None`` defers to ``REPRO_KERNEL``)
+    selects how states are repaired. Compiled: one pass applies the
+    mutations and records ``u, v, op, dout_after`` plus the running
+    capacity requirement, then each state takes one call into
+    ``_push.c``. Otherwise the oracle runs per update per state. The two
+    agree bit for bit — values, array lengths, and Δ.
+
+    If the graph rejects an update mid-batch, the states are repaired for
+    the prefix that did apply before the error propagates, so Eq. 2 keeps
+    holding against the partially-updated graph.
+    """
+    from ..kernels import compiled_restore, selected_library
+
+    library, _ = selected_library(kernel)
+    if library is None:
+        columns = []
+        for update in updates:
+            graph.apply(update)
+            columns.append(
+                [restore_invariant(state, graph, update, alpha) for state in states]
+            )
+        return np.array(columns, dtype=np.float64).reshape(len(columns), len(states)).T
+
+    rows: list[tuple[int, int, int, int]] = []  # (u, v, op, dout_after)
+    # ensure_capacity doubles, so one jump to the final requirement is not
+    # the oracle's growth sequence: replay every requirement that exceeds
+    # the ones before it (the rest are no-ops in the oracle too).
+    growth: list[int] = []
+    required = 0
+    try:
+        for update in updates:
+            graph.apply(update)
+            u, v, op = update
+            rows.append((u, v, op, graph.out_degree(u)))
+            need = max(graph.capacity, u + 1, v + 1)
+            if need > required:
+                required = need
+                growth.append(need)
+    finally:
+        deltas = np.empty((len(states), len(rows)), dtype=np.float64)
+        if rows:
+            batch = np.ascontiguousarray(np.array(rows, dtype=np.int64).T)
+            for state, row in zip(states, deltas):
+                if required > len(state.p):
+                    for need in growth:
+                        state.ensure_capacity(need)
+                compiled_restore(library, state, alpha, batch, required, row)
+    return deltas
+
+
 def apply_and_restore(
     graph: DynamicDiGraph,
     states: Sequence[PPRState],
@@ -67,11 +142,10 @@ def apply_and_restore(
     """Apply ``update`` to ``graph`` then restore every state's invariant.
 
     The graph is mutated exactly once even when many personalization
-    sources share it (the multi-source tracker and the theory checks in
-    :mod:`repro.core.analysis` rely on this).
+    sources share it (the theory checks in :mod:`repro.core.analysis`
+    rely on this).
     """
-    graph.apply(update)
-    return [restore_invariant(state, graph, update, alpha) for state in states]
+    return restore_states(graph, states, [update], alpha)[:, 0].tolist()
 
 
 def restore_batch(
@@ -79,21 +153,21 @@ def restore_batch(
     state: PPRState,
     updates: Iterable[EdgeUpdate],
     alpha: float,
+    *,
+    kernel: KernelConfig | None = None,
 ) -> tuple[list[int], float]:
-    """Apply a whole batch (Section 3.1: ``RestoreInvariant`` k times).
+    """Apply a whole batch for one state (:func:`restore_states` on one).
 
     Returns ``(touched_vertices, total_absolute_residual_change)``. The
     touched list seeds the push frontier: after a converged previous step
     only vertices whose residual was modified can exceed ``epsilon``.
     """
-    touched: list[int] = []
+    updates = list(updates)
+    deltas = restore_states(graph, [state], updates, alpha, kernel=kernel)[0]
     total_change = 0.0
-    for update in updates:
-        graph.apply(update)
-        delta = restore_invariant(state, graph, update, alpha)
-        touched.append(update.u)
+    for delta in deltas.tolist():  # sequential, like the per-update loop
         total_change += abs(delta)
-    return touched, total_change
+    return [update.u for update in updates], total_change
 
 
 def invariant_violation(

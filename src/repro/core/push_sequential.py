@@ -116,7 +116,9 @@ def cpu_base_update(
     """
     batch = BatchStats(sequential_push=SequentialPushStats())
     for update in updates:
-        touched, change = restore_batch(graph, state, [update], config.alpha)
+        touched, change = restore_batch(
+            graph, state, [update], config.alpha, kernel=config.kernel
+        )
         batch.restore.merge(RestoreStats(1, change))
         batch.sequential_push.merge(
             sequential_local_push(state, graph, config, seeds=touched)
@@ -132,7 +134,9 @@ def cpu_seq_update(
 ) -> BatchStats:
     """CPU-Seq (Section 5.1): batch restore, then one sequential push."""
     batch = BatchStats(sequential_push=SequentialPushStats())
-    touched, change = restore_batch(graph, state, updates, config.alpha)
+    touched, change = restore_batch(
+        graph, state, updates, config.alpha, kernel=config.kernel
+    )
     batch.restore.merge(RestoreStats(len(updates), change))
     batch.sequential_push.merge(
         sequential_local_push(state, graph, config, seeds=touched)

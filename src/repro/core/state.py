@@ -7,10 +7,14 @@ estimation bias: whenever the invariant holds and ``max |r| <= eps``,
 ``|p[v] - pi_v(s)| <= eps`` for every vertex.
 
 The arrays are dense, indexed by vertex id, and grow amortized as the
-dynamic graph introduces new ids.
+dynamic graph introduces new ids. On disk they are sparse:
+:func:`encode_states`/:func:`decode_states` is the one persistence codec
+for state vectors (service residents and hub vectors alike).
 """
 
 from __future__ import annotations
+
+from collections.abc import Sequence
 
 import numpy as np
 
@@ -99,36 +103,6 @@ class PPRState:
         return [(int(v), float(self.p[v])) for v in idx]
 
     # ------------------------------------------------------------------ #
-    # persistence codec
-    # ------------------------------------------------------------------ #
-
-    def to_arrays(self) -> dict[str, np.ndarray]:
-        """Serialize to plain arrays (float64 bit patterns preserved).
-
-        The arrays are returned at their *exact* current length — capacity
-        padding included — so a restored state continues the same growth
-        trajectory (array length feeds tie-breaking in ``argpartition``
-        and the doubling schedule of :meth:`ensure_capacity`).
-        """
-        return {
-            "source": np.int64(self.source),
-            "p": self.p.copy(),
-            "r": self.r.copy(),
-        }
-
-    @classmethod
-    def from_arrays(cls, arrays: dict[str, np.ndarray]) -> "PPRState":
-        """Rebuild a state serialized by :meth:`to_arrays` bit-exactly."""
-        p = np.asarray(arrays["p"], dtype=np.float64)
-        r = np.asarray(arrays["r"], dtype=np.float64)
-        if p.shape != r.shape:
-            raise ConfigError(f"p/r shape mismatch: {p.shape} vs {r.shape}")
-        state = cls(int(arrays["source"]), len(p))
-        state.p[:] = p
-        state.r[:] = r
-        return state
-
-    # ------------------------------------------------------------------ #
     # copies / comparison
     # ------------------------------------------------------------------ #
 
@@ -158,3 +132,83 @@ class PPRState:
             f"PPRState(source={self.source}, capacity={len(self.p)},"
             f" |r|_inf={self.residual_linf():.3e})"
         )
+
+
+# ---------------------------------------------------------------------- #
+# persistence codec
+# ---------------------------------------------------------------------- #
+
+
+def _encode_vectors(
+    vectors: Sequence[np.ndarray], index_dtype: type
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``(per-vector counts, indices, values)`` of the non-zero *bit patterns*."""
+    indices = [
+        np.flatnonzero(np.ascontiguousarray(vec, np.float64).view(np.int64))
+        for vec in vectors
+    ]
+    counts = np.array([len(idx) for idx in indices], dtype=np.int64)
+    if not indices:
+        return counts, np.empty(0, dtype=index_dtype), np.empty(0, dtype=np.float64)
+    values = np.concatenate([vec[idx] for vec, idx in zip(vectors, indices)])
+    return counts, np.concatenate(indices).astype(index_dtype), values
+
+
+def encode_states(states: Sequence[PPRState]) -> dict[str, np.ndarray]:
+    """Serialize many states' vectors sparsely and bit-exactly.
+
+    A converged vector is mostly zeros (≈ 11 % non-zero at ε = 1e-5 on the
+    serving workloads), so the encoding costs O(nnz), not O(capacity):
+    per vector, the indices and values of the entries whose **bit
+    pattern** is non-zero — selecting on bits, not on value, keeps
+    ``-0.0`` — plus per-vector counts. ``lengths`` records each state's
+    *exact* array length, capacity padding included, so a restored state
+    continues the same growth trajectory (array length feeds tie-breaking
+    in ``argpartition`` and the doubling schedule of
+    :meth:`PPRState.ensure_capacity`). Sources are not included.
+    """
+    lengths = np.array([len(state.p) for state in states], dtype=np.int64)
+    fits_int32 = lengths.max(initial=0) <= np.iinfo(np.int32).max
+    index_dtype = np.int32 if fits_int32 else np.int64
+    out = {"lengths": lengths}
+    for name in ("p", "r"):
+        counts, indices, values = _encode_vectors(
+            [getattr(state, name) for state in states], index_dtype
+        )
+        out[f"{name}_nnz"] = counts
+        out[f"{name}_idx"] = indices
+        out[f"{name}_val"] = values
+    return out
+
+
+def decode_states(
+    sources: Sequence[int], arrays: dict[str, np.ndarray]
+) -> list[PPRState]:
+    """Rebuild the states serialized by :func:`encode_states` bit-exactly.
+
+    Raises :class:`ValueError` when the arrays are inconsistent with each
+    other (counts that do not add up, a length too short for its source).
+    """
+    lengths = arrays["lengths"].tolist()
+    if len(lengths) != len(sources):
+        raise ValueError(f"{len(sources)} sources but {len(lengths)} vector lengths")
+    states = []
+    for source, length in zip(sources, lengths):
+        state = PPRState(int(source), length)
+        if len(state.p) != length:
+            raise ValueError(f"vector length {length} cannot hold source {source}")
+        states.append(state)
+    for name in ("p", "r"):
+        counts = arrays[f"{name}_nnz"]
+        indices, values = arrays[f"{name}_idx"], arrays[f"{name}_val"]
+        if len(counts) != len(states) or not (
+            int(counts.sum()) == len(indices) == len(values)
+        ):
+            raise ValueError(f"sparse {name} vectors: counts do not match the data")
+        offset = 0
+        for state, count in zip(states, counts.tolist()):
+            getattr(state, name)[indices[offset : offset + count]] = values[
+                offset : offset + count
+            ]
+            offset += count
+    return states

@@ -26,7 +26,7 @@ from ..graph.delta import DEFAULT_OVERLAY_THRESHOLD, CSRView, DeltaCSRGraph
 from ..graph.digraph import DynamicDiGraph
 from ..graph.update import EdgeUpdate
 from .groundtruth import ground_truth_ppr, max_estimate_error
-from .invariant import invariant_violation, restore_invariant
+from .invariant import invariant_violation, restore_batch, restore_states
 from .push_parallel import parallel_local_push
 from .push_sequential import sequential_local_push
 from .state import PPRState
@@ -189,13 +189,13 @@ class DynamicPPRTracker:
         when given, the tracker installs it instead of rebuilding its own.
         """
         start = clock.now()
-        touched: list[int] = []
-        change = 0.0
-        for update in updates:
-            self.graph.apply(update)
-            delta = restore_invariant(self.state, self.graph, update, self.config.alpha)
-            touched.append(update.u)
-            change += abs(delta)
+        touched, change = restore_batch(
+            self.graph,
+            self.state,
+            updates,
+            self.config.alpha,
+            kernel=self.config.kernel,
+        )
         if snapshot is not None:
             self._csr_dirty = True
             self.set_snapshot(snapshot)
@@ -286,12 +286,14 @@ class MultiSourceTracker:
         (a view of the graph *after* this batch) to skip the rebuild when
         an outer layer already maintains one.
         """
-        touched: list[int] = []
-        for update in updates:
-            self.graph.apply(update)
-            for state in self.states.values():
-                restore_invariant(state, self.graph, update, self.config.alpha)
-            touched.append(update.u)
+        restore_states(
+            self.graph,
+            list(self.states.values()),
+            updates,
+            self.config.alpha,
+            kernel=self.config.kernel,
+        )
+        touched = [update.u for update in updates]
         if snapshot is None and self.config.backend is not Backend.PURE:
             snapshot = CSRGraph.from_digraph(self.graph)
         return {

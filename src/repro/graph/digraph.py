@@ -16,11 +16,33 @@ The mutable substrate under every algorithm in this library. Design goals:
 from __future__ import annotations
 
 from collections.abc import Iterable, Iterator
+from itertools import chain
 
 import numpy as np
 
 from ..errors import EdgeError, VertexError
 from .update import EdgeOp, EdgeUpdate
+
+
+def adjacency_triples(adjacency: dict[int, dict[int, int]]) -> np.ndarray:
+    """``(row, neighbor, multiplicity)`` int64 triples in nested dict order.
+
+    The order-exact dump of one adjacency direction, built by
+    ``np.fromiter`` over chained dict views instead of one Python tuple
+    per distinct edge (a checkpoint pays this on the ingest ack path).
+    """
+    rows = adjacency.values()
+    lens = np.fromiter(map(len, rows), dtype=np.int64, count=len(adjacency))
+    total = int(lens.sum())
+    triples = np.empty((total, 3), dtype=np.int64)
+    triples[:, 0] = np.repeat(
+        np.fromiter(adjacency, dtype=np.int64, count=len(adjacency)), lens
+    )
+    triples[:, 1] = np.fromiter(chain.from_iterable(rows), dtype=np.int64, count=total)
+    triples[:, 2] = np.fromiter(
+        chain.from_iterable(map(dict.values, rows)), dtype=np.int64, count=total
+    )
+    return triples
 
 
 class DynamicDiGraph:
@@ -311,17 +333,10 @@ class DynamicDiGraph:
         vectorized push) identical across a save/load cycle. The durable
         checkpoint format (:mod:`repro.store`) depends on this.
         """
-        vertices = np.fromiter(self._out, dtype=np.int64, count=len(self._out))
-        out_rows = [
-            (u, v, c) for u, nbrs in self._out.items() for v, c in nbrs.items()
-        ]
-        in_rows = [
-            (v, u, c) for v, nbrs in self._in.items() for u, c in nbrs.items()
-        ]
         return {
-            "vertices": vertices,
-            "out_edges": np.array(out_rows, dtype=np.int64).reshape(-1, 3),
-            "in_edges": np.array(in_rows, dtype=np.int64).reshape(-1, 3),
+            "vertices": np.fromiter(self._out, dtype=np.int64, count=len(self._out)),
+            "out_edges": adjacency_triples(self._out),
+            "in_edges": adjacency_triples(self._in),
         }
 
     @classmethod

@@ -1,7 +1,9 @@
 """Runtime-selected push kernels: compiled C fast path, numpy oracle.
 
 Every push engine that runs on CSR arrays (``Backend.NUMPY``) routes its
-per-phase loop through :func:`kernel_phase`, which picks between
+per-phase loop through :func:`kernel_phase`, and every batch
+``RestoreInvariant`` (:func:`repro.core.invariant.restore_states`) asks
+:func:`selected_library` for the same library; both pick between
 
 * the **compiled** kernel — ``_push.c`` built on demand (:mod:`.build`)
   and driven through ctypes (:mod:`.compiled`); and
@@ -32,14 +34,16 @@ from ..core.stats import PushStats
 from ..errors import BackendError
 from ..graph.delta import CSRView
 from .build import build_library
-from .compiled import KernelLibrary, compiled_phase
+from .compiled import KernelLibrary, compiled_phase, compiled_restore
 
 __all__ = [
+    "compiled_restore",
     "describe",
     "kernel_phase",
     "load_library",
     "reset",
     "selected_backend",
+    "selected_library",
 ]
 
 #: (compiler, cache_dir) -> (KernelLibrary | None, reason). Process-wide:
@@ -92,10 +96,28 @@ def load_library(
     return library, reason
 
 
-def _kernel_config(config: PPRConfig | None) -> KernelConfig:
-    if config is not None and config.kernel is not None:
-        return config.kernel
-    return KernelConfig.from_env()
+def selected_library(
+    kernel: KernelConfig | None = None,
+) -> tuple[KernelLibrary | None, str]:
+    """The library the selection allows: ``(library | None, reason)``.
+
+    ``kernel`` is ``PPRConfig.kernel``; ``None`` defers to ``REPRO_KERNEL``.
+    ``None`` for the library means "run the numpy oracle" — by
+    configuration, or as the ``auto`` fallback. Raises
+    :class:`BackendError` when the selection *forces* the compiled kernel
+    and none is available.
+    """
+    kernel = kernel or KernelConfig.from_env()
+    if kernel.mode is KernelMode.NUMPY:
+        return None, "forced by configuration"
+    library, reason = load_library(kernel)
+    if library is not None:
+        return library, reason
+    if kernel.mode is KernelMode.COMPILED:
+        raise BackendError(
+            f"REPRO_KERNEL=compiled but the kernel is unavailable: {reason}"
+        )
+    return None, f"fallback: {reason}"
 
 
 def selected_backend(config: PPRConfig | None = None) -> tuple[str, str]:
@@ -104,22 +126,13 @@ def selected_backend(config: PPRConfig | None = None) -> tuple[str, str]:
     Raises :class:`BackendError` when the selection *forces* the compiled
     kernel and none is available.
     """
-    kernel = _kernel_config(config)
-    if kernel.mode is KernelMode.NUMPY:
-        return "numpy", "forced by configuration"
-    library, reason = load_library(kernel)
-    if library is not None:
-        return "compiled", reason
-    if kernel.mode is KernelMode.COMPILED:
-        raise BackendError(
-            f"REPRO_KERNEL=compiled but the kernel is unavailable: {reason}"
-        )
-    return "numpy", f"fallback: {reason}"
+    library, reason = selected_library(config.kernel if config else None)
+    return ("compiled" if library is not None else "numpy"), reason
 
 
 def describe(config: PPRConfig | None = None) -> dict[str, str]:
     """Selection summary for smoke scripts and ``repro kernel-bench``."""
-    kernel = _kernel_config(config)
+    kernel = (config.kernel if config else None) or KernelConfig.from_env()
     try:
         backend, reason = selected_backend(config)
     except BackendError as exc:
@@ -136,19 +149,12 @@ def kernel_phase(
     stats: PushStats,
 ) -> str:
     """Run one sign phase through the selected kernel; returns the one used."""
-    kernel = _kernel_config(config)
-    if kernel.mode is not KernelMode.NUMPY:
-        library, reason = load_library(kernel)
-        if library is None:
-            if kernel.mode is KernelMode.COMPILED:
-                raise BackendError(
-                    f"REPRO_KERNEL=compiled but the kernel is unavailable: {reason}"
-                )
-        elif getattr(csr, "prefetch_rows", None) is None:
-            arrays = getattr(csr, "kernel_arrays", None)
-            if arrays is not None and compiled_phase(
-                library, state, arrays(), phase, config, seeds, stats
-            ):
-                return "compiled"
+    library, _ = selected_library(config.kernel)
+    if library is not None and getattr(csr, "prefetch_rows", None) is None:
+        arrays = getattr(csr, "kernel_arrays", None)
+        if arrays is not None and compiled_phase(
+            library, state, arrays(), phase, config, seeds, stats
+        ):
+            return "compiled"
     vectorized_phase(state, csr, phase, config, seeds, stats)
     return "numpy"

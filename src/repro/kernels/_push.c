@@ -34,7 +34,7 @@
 
 #include <stdint.h>
 
-#define REPRO_KERNEL_ABI 1
+#define REPRO_KERNEL_ABI 2
 
 int64_t repro_kernel_abi(void) { return REPRO_KERNEL_ABI; }
 
@@ -183,4 +183,46 @@ int64_t repro_push_iteration(
         for (k = 0; k < n_out; k++) enqueued_mask[out_next[k]] = 0;
     }
     return n_out;
+}
+
+/* Batch RestoreInvariant (Algorithm 1, k times) for ONE state: the scalar-C
+ * twin of repro.core.invariant.restore_invariant looped over a batch whose
+ * graph mutations were already applied and recorded (u, v, op, and u's
+ * out-degree right after each update). Updates run sequentially -- a later
+ * update of the same u reads the r[u] an earlier one wrote -- and every
+ * expression keeps the oracle's operand order, including the `+ indicator`
+ * add of 0.0 and the dangling branch (dout_after == 0: Eq. 2 pins r[u]).
+ * The caller has already grown p/r to cover every id, replaying the
+ * oracle's ensure_capacity sequence. delta_out[j] is the signed residual
+ * change of update j (Lemma 3's Delta_s(u) contribution).
+ */
+void repro_restore_batch(
+    const double *p,
+    double *r,
+    int64_t source,
+    double alpha,
+    const int64_t *u,
+    const int64_t *v,
+    const int64_t *op,          /* +1 insert, -1 delete */
+    const int64_t *dout_after,
+    int64_t count,
+    double *delta_out           /* [count] */
+) {
+    int64_t j;
+    for (j = 0; j < count; j++) {
+        int64_t uu = u[j];
+        double indicator = (uu == source) ? alpha : 0.0;
+        double delta;
+        if (dout_after[j] == 0) {
+            double new_r = (indicator - p[uu]) / alpha;
+            delta = new_r - r[uu];
+            r[uu] = new_r;
+        } else {
+            double numerator =
+                (1.0 - alpha) * p[v[j]] - p[uu] - alpha * r[uu] + indicator;
+            delta = (double)op[j] * numerator / (alpha * (double)dout_after[j]);
+            r[uu] += delta;
+        }
+        delta_out[j] = delta;
+    }
 }

@@ -1,4 +1,4 @@
-"""ctypes bindings and the phase driver for the compiled push backend.
+"""ctypes bindings and the drivers for the compiled push/restore backend.
 
 :func:`compiled_phase` mirrors :func:`repro.core.push_vectorized.vectorized_phase`
 iteration for iteration. The C kernel (``_push.c``) only does neighbor
@@ -8,6 +8,10 @@ with array *reductions* — the frontier self-updates ``p += alpha*w`` /
 in numpy here so summation order (and therefore every bit of the result)
 matches the oracle. See the header comment of ``_push.c`` for the full
 bit-identity contract.
+
+:func:`compiled_restore` is the batch ``RestoreInvariant`` twin of
+:func:`repro.core.invariant.restore_invariant`: one call repairs one state
+for a whole applied batch (see :func:`repro.core.invariant.restore_states`).
 """
 
 from __future__ import annotations
@@ -62,6 +66,20 @@ _ARGTYPES = [
     _PTR,  # token_io
 ]
 
+#: repro_restore_batch's exact parameter list; keep in lockstep with _push.c.
+_RESTORE_ARGTYPES = [
+    _PTR,  # p
+    _PTR,  # r
+    _I64,  # source
+    _F64,  # alpha
+    _PTR,  # u
+    _PTR,  # v
+    _PTR,  # op
+    _PTR,  # dout_after
+    _I64,  # count
+    _PTR,  # delta_out
+]
+
 
 class KernelLibrary:
     """One loaded ``_push`` shared library."""
@@ -80,6 +98,9 @@ class KernelLibrary:
         cdll.repro_push_iteration.restype = _I64
         cdll.repro_push_iteration.argtypes = _ARGTYPES
         self._iteration = cdll.repro_push_iteration
+        cdll.repro_restore_batch.restype = None
+        cdll.repro_restore_batch.argtypes = _RESTORE_ARGTYPES
+        self._restore = cdll.repro_restore_batch
 
 
 class _Scratch:
@@ -279,3 +300,44 @@ def compiled_phase(
             if rounds > config.max_iterations:
                 raise ConvergenceError(rounds, state.residual_linf())
     return True
+
+
+def compiled_restore(
+    lib: KernelLibrary,
+    state: PPRState,
+    alpha: float,
+    batch: np.ndarray,
+    cover: int,
+    deltas: np.ndarray,
+) -> None:
+    """Repair ``state`` for one applied batch; per-update Δ lands in ``deltas``.
+
+    ``batch`` is a C-contiguous ``(4, k)`` int64 array whose rows are
+    ``u``, ``v``, ``op`` (±1) and ``dout_after``, every id below ``cover``;
+    ``deltas`` is contiguous float64 of length ``k``. ``state`` must
+    already cover ``cover`` ids (the caller replays the oracle's capacity
+    growth); the kernel indexes unchecked, so that is verified here.
+    """
+    for vector in (state.p, state.r):
+        if (
+            vector.dtype != np.float64
+            or not vector.flags.c_contiguous
+            or len(vector) < cover
+        ):
+            raise ValueError(
+                f"state vector (dtype {vector.dtype}, length {len(vector)}) is not"
+                f" a contiguous float64 array covering {cover} ids"
+            )
+    u, v, op, dout_after = batch
+    lib._restore(
+        state.p.ctypes.data,
+        state.r.ctypes.data,
+        state.source,
+        alpha,
+        u.ctypes.data,
+        v.ctypes.data,
+        op.ctypes.data,
+        dout_after.ctypes.data,
+        batch.shape[1],
+        deltas.ctypes.data,
+    )

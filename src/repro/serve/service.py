@@ -59,7 +59,7 @@ from ..config import (
 )
 from ..core.certify import CertifiedEntry, certified_top_k, error_bound
 from ..core.hub_index import DynamicHubIndex
-from ..core.invariant import restore_invariant
+from ..core.invariant import restore_states
 from ..core.push_parallel import parallel_local_push
 from ..core.state import PPRState
 from ..core.stats import PushStats
@@ -141,6 +141,15 @@ class ServiceMetrics:
     snapshot_consolidations: int = 0
     updates_ingested: int = 0
     batches_ingested: int = 0
+    #: Residual mass ``RestoreInvariant`` moved — ``Σ|Δ|`` over every
+    #: update and every maintained vector, the quantity Lemma 3 bounds:
+    #: lifetime total and the last batch's.
+    residual_restored: float = 0.0
+    residual_restored_last: float = 0.0
+    #: Mirrors of the attached store's checkpoint counters (0 without one).
+    checkpoints_written: int = 0
+    checkpoint_ms_last: float = 0.0
+    checkpoint_bytes_last: int = 0
     staleness_samples: list[int] = field(default_factory=list, repr=False)
     query_seconds: list[float] = field(default_factory=list, repr=False)
 
@@ -158,6 +167,11 @@ class ServiceMetrics:
             del self.staleness_samples[: self.MAX_SAMPLES // 2]
         if len(self.query_seconds) > self.MAX_SAMPLES:
             del self.query_seconds[: self.MAX_SAMPLES // 2]
+
+    def record_restore(self, restored: float) -> None:
+        """Count one batch's restored residual mass (``Σ|Δ|``)."""
+        self.residual_restored += restored
+        self.residual_restored_last = restored
 
     def staleness_percentile(self, q: float) -> float:
         """The ``q``-th percentile of per-query arrival staleness.
@@ -198,6 +212,11 @@ class ServiceMetrics:
             "admission_batches": self.admission_batches,
             "updates_ingested": self.updates_ingested,
             "batches_ingested": self.batches_ingested,
+            "residual_restored": self.residual_restored,
+            "residual_restored_last": self.residual_restored_last,
+            "checkpoints_written": self.checkpoints_written,
+            "checkpoint_ms_last": self.checkpoint_ms_last,
+            "checkpoint_bytes_last": self.checkpoint_bytes_last,
             "snapshot_rebuilds": self.snapshot_rebuilds,
             "snapshot_delta_applies": self.snapshot_delta_applies,
             "snapshot_consolidations": self.snapshot_consolidations,
@@ -631,17 +650,19 @@ class PPRService:
         """
         updates = list(updates)
         with obs.span("engine.ingest", updates=len(updates)):
-            touched: list[int] = []
             residents = self.cache.entries()
-            for update in updates:
-                self.graph.apply(update)
-                for entry in residents:
-                    restore_invariant(
-                        entry.state, self.graph, update, self.config.alpha
-                    )
-                if self.hub_index is not None:
-                    self.hub_index.restore_applied(update)
-                touched.append(update.u)
+            states = [entry.state for entry in residents]
+            if self.hub_index is not None:
+                states += self.hub_index.states
+            deltas = restore_states(
+                self.graph,
+                states,
+                updates,
+                self.config.alpha,
+                kernel=self.config.kernel,
+            )
+            self._metrics.record_restore(float(np.abs(deltas).sum()))
+            touched = [update.u for update in updates]
             touched_set = set(touched)
             for entry in residents:
                 entry.pending_seeds.update(touched_set)
@@ -1004,6 +1025,10 @@ class PPRService:
         self._metrics.resident = len(self.cache)
         self._metrics.cold_admissions = self.pool.admissions
         self._metrics.admission_batches = self.pool.batches
+        if self.store is not None:
+            self._metrics.checkpoints_written = self.store.checkpoints_written
+            self._metrics.checkpoint_ms_last = self.store.checkpoint_ms_last
+            self._metrics.checkpoint_bytes_last = self.store.checkpoint_bytes_last
         return self._metrics
 
     def __repr__(self) -> str:

@@ -41,6 +41,7 @@ from typing import Any
 import numpy as np
 
 from ..errors import ClusterError, ConfigError, EdgeError, VertexError
+from ..graph.digraph import adjacency_triples
 from ..graph.update import EdgeOp, EdgeUpdate
 from .partitioner import Partitioner, partitioner_from_manifest
 
@@ -367,9 +368,6 @@ class ShardGraph:
         manifest, making the payload self-describing for recovery.
         """
         capacity = self.capacity
-        in_rows = [
-            (v, u, c) for v, nbrs in self._in.items() for u, c in nbrs.items()
-        ]
         meta = {
             "shard": self.shard_id,
             "shards": self.partitioner.num_shards,
@@ -384,7 +382,7 @@ class ShardGraph:
             "present": self._present[:capacity].copy(),
             "dout": self._dout[:capacity].copy(),
             "din": self._din[:capacity].copy(),
-            "in_edges": np.array(in_rows, dtype=np.int64).reshape(-1, 3),
+            "in_edges": adjacency_triples(self._in),
         }
 
     @classmethod

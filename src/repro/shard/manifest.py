@@ -48,21 +48,10 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Any
 
-import numpy as np
-
 from ..config import RefreshPolicy, StoreConfig
-from ..core.state import PPRState
 from ..errors import StoreError
 from ..obs import clock
-from ..serve.cache import ResidentSource
-from ..store.checkpoint import (
-    CHECKPOINT_FORMAT,
-    _parse_ppr_config,
-    _parse_serve_config,
-    checkpoint_version,
-    config_fingerprint,
-    list_checkpoints,
-)
+from ..store.checkpoint import Checkpoint, latest_checkpoint, read_checkpoint
 from ..store.store import StateStore
 from ..store.wal import WriteAheadLog
 from .graph import ShardGraph
@@ -178,137 +167,31 @@ def read_manifest(root: PathLike) -> ShardManifest:
 # ---------------------------------------------------------------------- #
 
 
-@dataclass
-class ShardCheckpoint:
-    """One decoded per-shard checkpoint, ready to restore a ShardService.
-
-    The npz layout is exactly :func:`repro.store.checkpoint.write_checkpoint`'s
-    (that writer is generic over ``service.graph.to_arrays()``); only the
-    ``graph_*`` keys differ — they hold a :class:`ShardGraph` slice.
-    """
-
-    path: Path
-    version: int
-    updates_ingested: int
-    batches_ingested: int
-    config: Any
-    serve: Any
-    fingerprint: str
-    graph: ShardGraph
-    residents: list[ResidentSource]
-
-
 def read_shard_checkpoint(
     path: PathLike, partitioner: Partitioner | None = None
-) -> ShardCheckpoint:
+) -> Checkpoint:
     """Load and validate one per-shard checkpoint file.
 
-    Mirrors :func:`repro.store.checkpoint.read_checkpoint`; the graph is
-    rebuilt through :meth:`ShardGraph.from_arrays` (self-describing via
-    the embedded ``graph_meta`` JSON, cross-checked against
-    ``partitioner`` when given). Shard checkpoints never carry a hub
-    tier — :class:`ShardService` refuses to build one.
+    :func:`repro.store.checkpoint.read_checkpoint` with the graph rebuilt
+    through :meth:`ShardGraph.from_arrays` (self-describing via the
+    embedded ``graph_meta`` JSON, cross-checked against ``partitioner``
+    when given). Shard checkpoints never carry a hub tier —
+    :class:`ShardService` refuses to build one.
     """
-    path = Path(path)
-    if not path.exists():
-        raise StoreError(f"checkpoint not found: {path}")
-    try:
-        with np.load(path, allow_pickle=False) as data:
-            arrays = {key: data[key] for key in data.files}
-    except Exception as exc:  # zip/CRC/format damage
-        raise StoreError(f"unreadable checkpoint {path.name}: {exc}") from exc
-    try:
-        fmt = int(arrays["format"])
-        if fmt != CHECKPOINT_FORMAT:
-            raise StoreError(
-                f"{path.name}: unsupported checkpoint format {fmt}"
-                f" (this build reads {CHECKPOINT_FORMAT})"
-            )
-        config = _parse_ppr_config(str(arrays["ppr_config"]))
-        serve = _parse_serve_config(str(arrays["serve_config"]))
-        fingerprint = str(arrays["fingerprint"])
-        if fingerprint != config_fingerprint(config, serve):
-            raise StoreError(f"{path.name}: configuration fingerprint mismatch")
-        if int(arrays["has_hubs"]):
-            raise StoreError(
-                f"{path.name}: shard checkpoints cannot carry a hub tier"
-            )
-        graph = ShardGraph.from_arrays(
-            {
-                key[len("graph_") :]: value
-                for key, value in arrays.items()
-                if key.startswith("graph_")
-            },
-            partitioner=partitioner,
-        )
-        residents: list[ResidentSource] = []
-        state_offset = 0
-        pending_offset = 0
-        for i, source in enumerate(arrays["sources"].tolist()):
-            length = int(arrays["resident_lengths"][i])
-            state = PPRState.from_arrays(
-                {
-                    "source": np.int64(source),
-                    "p": arrays["resident_p"][state_offset : state_offset + length],
-                    "r": arrays["resident_r"][state_offset : state_offset + length],
-                }
-            )
-            state_offset += length
-            n_pending = int(arrays["pending_lengths"][i])
-            seeds = set(
-                arrays["pending"][pending_offset : pending_offset + n_pending].tolist()
-            )
-            pending_offset += n_pending
-            version, reflected, queries = arrays["resident_meta"][i].tolist()
-            residents.append(
-                ResidentSource(
-                    state=state,
-                    version=version,
-                    updates_reflected=reflected,
-                    pending_seeds=seeds,
-                    queries=queries,
-                )
-            )
-        return ShardCheckpoint(
-            path=path,
-            version=int(arrays["graph_version"]),
-            updates_ingested=int(arrays["updates_ingested"]),
-            batches_ingested=int(arrays["batches_ingested"]),
-            config=config,
-            serve=serve,
-            fingerprint=fingerprint,
-            graph=graph,
-            residents=residents,
-        )
-    except StoreError:
-        raise
-    except Exception as exc:  # missing keys, shape mismatches, bad enums
-        raise StoreError(f"corrupt checkpoint {path.name}: {exc}") from exc
-
-
-def latest_shard_checkpoint(
-    directory: PathLike, partitioner: Partitioner | None = None
-) -> ShardCheckpoint | None:
-    """The newest per-shard checkpoint that loads and validates, or None.
-
-    Damaged newer candidates are skipped, same policy as
-    :func:`repro.store.checkpoint.latest_checkpoint`.
-    """
-    candidates = list_checkpoints(directory)
-    errors: list[str] = []
-    for path in reversed(candidates):
-        try:
-            return read_shard_checkpoint(path, partitioner)
-        except StoreError as exc:
-            errors.append(str(exc))
-    if errors:
+    checkpoint = read_checkpoint(
+        path,
+        decode_graph=lambda arrays: ShardGraph.from_arrays(
+            arrays, partitioner=partitioner
+        ),
+    )
+    if checkpoint.hub_arrays is not None:
         raise StoreError(
-            "no readable checkpoint; all candidates damaged: " + "; ".join(errors)
+            f"{checkpoint.path.name}: shard checkpoints cannot carry a hub tier"
         )
-    return None
+    return checkpoint
 
 
-def restore_shard_service(checkpoint: ShardCheckpoint) -> ShardService:
+def restore_shard_service(checkpoint: Checkpoint) -> ShardService:
     """Materialize a :class:`ShardService` from one decoded checkpoint."""
     return ShardService.restore(
         graph=checkpoint.graph,
@@ -368,7 +251,9 @@ def recover_shard(
     root = Path(root)
     if not root.exists():
         raise StoreError(f"shard store directory not found: {root}")
-    checkpoint = latest_shard_checkpoint(root / "checkpoints", partitioner)
+    checkpoint = latest_checkpoint(
+        root / "checkpoints", lambda path: read_shard_checkpoint(path, partitioner)
+    )
     if checkpoint is None:
         raise StoreError(
             f"no checkpoint under {root} — the shard store never saw an"

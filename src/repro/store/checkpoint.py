@@ -1,8 +1,8 @@
 """Versioned binary checkpoints of a running :class:`~repro.serve.PPRService`.
 
-A checkpoint is one compressed ``.npz`` (the same numpy container
-``graph/io.py`` uses for edge arrays) holding everything the serving
-layer maintains at a graph version:
+A checkpoint is one uncompressed ``.npz`` (numpy's zip container, members
+stored, each CRC-checked on read) holding everything the serving layer
+maintains at a graph version:
 
 * the dynamic graph, serialized *order-exactly*
   (:meth:`~repro.graph.digraph.DynamicDiGraph.to_arrays`) so rebuilt CSR
@@ -10,16 +10,21 @@ layer maintains at a graph version:
   push — are bit-identical;
 * every resident :class:`~repro.core.state.PPRState` with its
   bookkeeping (convergence version, staleness counter, pending lazy-push
-  seeds, query count) in LRU→MRU order;
-* the hub index vectors (:meth:`~repro.core.hub_index.DynamicHubIndex.to_arrays`);
+  seeds, query count) in LRU→MRU order, the vectors sparse and bit-exact
+  (:func:`~repro.core.state.encode_states`: a checkpoint costs what is
+  non-zero, not ``capacity × residents``);
+* the hub index vectors (:meth:`~repro.core.hub_index.DynamicHubIndex.to_arrays`,
+  same vector codec);
 * serve metadata: graph version, ingest counters, and a fingerprint of
   the :class:`~repro.config.PPRConfig`/:class:`~repro.config.ServeConfig`
   pair (recovery refuses to resume under a different configuration —
   ε or α drift would silently break the freshness contract).
 
 Files are named ``checkpoint-<version>.npz`` and written atomically
-(tmp file + fsync + rename), so a crash mid-checkpoint leaves the
-previous checkpoint untouched and the torn file unreadable-but-ignored.
+(tmp file + fsync + rename + directory fsync), so a crash mid-checkpoint
+leaves the previous checkpoint untouched and at most a ``.tmp`` behind,
+which the next :class:`~repro.store.store.StateStore` on the directory
+sweeps (:func:`sweep_stale_tmp`).
 """
 
 from __future__ import annotations
@@ -28,8 +33,10 @@ import hashlib
 import json
 import os
 import re
+from collections.abc import Callable
 from dataclasses import dataclass
 from pathlib import Path
+from typing import Any
 
 import numpy as np
 
@@ -44,7 +51,7 @@ from ..config import (
     SnapshotStrategy,
 )
 from ..core.hub_index import DynamicHubIndex
-from ..core.state import PPRState
+from ..core.state import decode_states, encode_states
 from ..errors import StoreError
 from ..graph.digraph import DynamicDiGraph
 from ..serve.cache import ResidentSource
@@ -55,9 +62,12 @@ PathLike = str | os.PathLike
 #: Bumped when the npz layout changes incompatibly.
 #: 2: serve-config fingerprint covers snapshot/hub-refresh knobs;
 #:    deferred lazy hub-refresh seeds (``hubs_pending``) serialized.
-CHECKPOINT_FORMAT = 2
+#: 3: resident and hub vectors sparse (indices + values of the non-zero
+#:    bit patterns, per-vector counts); container no longer deflated.
+CHECKPOINT_FORMAT = 3
 
 _NAME_RE = re.compile(r"^checkpoint-(\d{12})\.npz$")
+_TMP_SUFFIX = ".tmp"
 
 
 def checkpoint_name(version: int) -> str:
@@ -162,15 +172,8 @@ def write_checkpoint(directory: PathLike, service: PPRService) -> Path:
         [(e.version, e.updates_reflected, e.queries) for e in residents],
         dtype=np.int64,
     ).reshape(-1, 3)
-    arrays["resident_lengths"] = np.array(
-        [len(e.state.p) for e in residents], dtype=np.int64
-    )
-    arrays["resident_p"] = (
-        np.concatenate([e.state.p for e in residents]) if residents else np.empty(0)
-    )
-    arrays["resident_r"] = (
-        np.concatenate([e.state.r for e in residents]) if residents else np.empty(0)
-    )
+    for key, value in encode_states([e.state for e in residents]).items():
+        arrays[f"resident_{key}"] = value
     pending = [np.array(sorted(e.pending_seeds), dtype=np.int64) for e in residents]
     arrays["pending_lengths"] = np.array([len(p) for p in pending], dtype=np.int64)
     arrays["pending"] = (
@@ -189,9 +192,9 @@ def write_checkpoint(directory: PathLike, service: PPRService) -> Path:
     )
 
     final = directory / checkpoint_name(service.graph_version)
-    tmp = directory / (final.name + ".tmp")
+    tmp = directory / (final.name + _TMP_SUFFIX)
     with open(tmp, "wb") as fh:
-        np.savez_compressed(fh, **arrays)
+        np.savez(fh, **arrays)
         fh.flush()
         os.fsync(fh.fileno())
     # The crash-during-checkpoint window: the tmp file is durable but the
@@ -200,7 +203,30 @@ def write_checkpoint(directory: PathLike, service: PPRService) -> Path:
     # recovery must tolerate (tests/test_store.py exercises this site).
     chaos.check("checkpoint.rename", version=service.graph_version)
     os.replace(tmp, final)
+    # Make the rename itself durable before the caller unlinks the WAL
+    # segments this checkpoint covers: without it a power loss can keep
+    # the unlinks in wal/ and lose the new name in checkpoints/.
+    fsync_directory(directory)
     return final
+
+
+def fsync_directory(directory: PathLike) -> None:
+    """Flush a directory's entries (renames, creations) to stable storage."""
+    fd = os.open(directory, os.O_RDONLY)
+    try:
+        os.fsync(fd)
+    finally:
+        os.close(fd)
+
+
+def sweep_stale_tmp(directory: PathLike) -> None:
+    """Delete ``checkpoint-*.npz.tmp`` left by a crash before the rename.
+
+    Called when a store is opened: a store directory has one writer, so
+    any tmp present then belongs to a dead one.
+    """
+    for path in Path(directory).glob("checkpoint-*.npz" + _TMP_SUFFIX):
+        path.unlink()
 
 
 # ---------------------------------------------------------------------- #
@@ -219,7 +245,9 @@ class Checkpoint:
     config: PPRConfig
     serve: ServeConfig
     fingerprint: str
-    graph: DynamicDiGraph
+    #: A :class:`DynamicDiGraph`, or whatever ``decode_graph`` built (the
+    #: sharded tier checkpoints :class:`~repro.shard.graph.ShardGraph` slices).
+    graph: Any
     residents: list[ResidentSource]
     hub_arrays: dict[str, np.ndarray] | None
     hub_pending: list[int]
@@ -233,8 +261,24 @@ class Checkpoint:
         return len(self.hub_arrays["hubs"]) if self.hub_arrays else 0
 
 
-def read_checkpoint(path: PathLike) -> Checkpoint:
+def _prefixed(arrays: dict[str, np.ndarray], prefix: str) -> dict[str, np.ndarray]:
+    return {
+        key[len(prefix) :]: value
+        for key, value in arrays.items()
+        if key.startswith(prefix)
+    }
+
+
+def read_checkpoint(
+    path: PathLike,
+    *,
+    decode_graph: Callable[[dict[str, np.ndarray]], Any] = DynamicDiGraph.from_arrays,
+) -> Checkpoint:
     """Load and validate one checkpoint file.
+
+    ``decode_graph`` rebuilds the graph from the ``graph_*`` arrays (prefix
+    stripped); the writer is generic over ``service.graph.to_arrays()``,
+    so the sharded tier passes its own decoder.
 
     Raises :class:`StoreError` on any structural problem — unreadable
     container, unknown format, missing keys, or a fingerprint that does
@@ -260,49 +304,31 @@ def read_checkpoint(path: PathLike) -> Checkpoint:
         fingerprint = str(arrays["fingerprint"])
         if fingerprint != config_fingerprint(config, serve):
             raise StoreError(f"{path.name}: configuration fingerprint mismatch")
-        graph = DynamicDiGraph.from_arrays(
-            {
-                "vertices": arrays["graph_vertices"],
-                "out_edges": arrays["graph_out_edges"],
-                "in_edges": arrays["graph_in_edges"],
-            }
+        states = decode_states(
+            arrays["sources"].tolist(), _prefixed(arrays, "resident_")
         )
+        pending = arrays["pending"]
+        pending_ends = np.cumsum(arrays["pending_lengths"]).tolist()
+        if len(pending_ends) != len(states) or (
+            pending_ends and pending_ends[-1] != len(pending)
+        ):
+            raise ValueError("pending seed counts do not match the data")
         residents: list[ResidentSource] = []
-        state_offset = 0
-        pending_offset = 0
-        for i, source in enumerate(arrays["sources"].tolist()):
-            length = int(arrays["resident_lengths"][i])
-            state = PPRState.from_arrays(
-                {
-                    "source": np.int64(source),
-                    "p": arrays["resident_p"][state_offset : state_offset + length],
-                    "r": arrays["resident_r"][state_offset : state_offset + length],
-                }
-            )
-            state_offset += length
-            n_pending = int(arrays["pending_lengths"][i])
-            seeds = set(
-                arrays["pending"][pending_offset : pending_offset + n_pending].tolist()
-            )
-            pending_offset += n_pending
-            version, reflected, queries = arrays["resident_meta"][i].tolist()
+        pending_start = 0
+        for state, meta, pending_end in zip(
+            states, arrays["resident_meta"].tolist(), pending_ends, strict=True
+        ):
+            version, reflected, queries = meta
             residents.append(
                 ResidentSource(
                     state=state,
                     version=version,
                     updates_reflected=reflected,
-                    pending_seeds=seeds,
+                    pending_seeds=set(pending[pending_start:pending_end].tolist()),
                     queries=queries,
                 )
             )
-        hub_arrays = None
-        if int(arrays["has_hubs"]):
-            hub_arrays = {
-                key[len("hub_") :]: value
-                for key, value in arrays.items()
-                if key.startswith("hub_")
-            }
-        hub_pending = arrays["hubs_pending"].tolist()
+            pending_start = pending_end
         return Checkpoint(
             path=path,
             version=int(arrays["graph_version"]),
@@ -311,15 +337,41 @@ def read_checkpoint(path: PathLike) -> Checkpoint:
             config=config,
             serve=serve,
             fingerprint=fingerprint,
-            graph=graph,
+            graph=decode_graph(_prefixed(arrays, "graph_")),
             residents=residents,
-            hub_arrays=hub_arrays,
-            hub_pending=hub_pending,
+            hub_arrays=(
+                _prefixed(arrays, "hub_") if int(arrays["has_hubs"]) else None
+            ),
+            hub_pending=arrays["hubs_pending"].tolist(),
         )
     except StoreError:
         raise
     except Exception as exc:  # missing keys, shape mismatches, bad enums
         raise StoreError(f"corrupt checkpoint {path.name}: {exc}") from exc
+
+
+def checkpoint_summary(path: PathLike) -> dict[str, float]:
+    """``format`` plus, when readable, vector ``nnz`` and ``density``.
+
+    For ``repro store-inspect``: reads only the count arrays, decodes
+    nothing, and reports the format of files this build cannot restore.
+    """
+    try:
+        with np.load(path, allow_pickle=False) as data:
+            summary: dict[str, float] = {"format": int(data["format"])}
+            if summary["format"] != CHECKPOINT_FORMAT:
+                return summary
+            cells = nnz = 0
+            for prefix in ("resident_", "hub_"):
+                if prefix + "lengths" in data.files:
+                    cells += 2 * int(data[prefix + "lengths"].sum())
+                    nnz += int(data[prefix + "p_nnz"].sum())
+                    nnz += int(data[prefix + "r_nnz"].sum())
+    except Exception as exc:
+        raise StoreError(f"unreadable checkpoint {Path(path).name}: {exc}") from exc
+    summary["nnz"] = nnz
+    summary["density"] = nnz / cells if cells else 0.0
+    return summary
 
 
 def list_checkpoints(directory: PathLike) -> list[Path]:
@@ -331,7 +383,10 @@ def list_checkpoints(directory: PathLike) -> list[Path]:
     return sorted(found, key=checkpoint_version)
 
 
-def latest_checkpoint(directory: PathLike) -> Checkpoint | None:
+def latest_checkpoint(
+    directory: PathLike,
+    read: Callable[[Path], Checkpoint] = read_checkpoint,
+) -> Checkpoint | None:
     """The newest checkpoint that loads and validates, or ``None``.
 
     Damaged newer checkpoints are skipped (with their error preserved on
@@ -342,7 +397,7 @@ def latest_checkpoint(directory: PathLike) -> Checkpoint | None:
     errors: list[str] = []
     for path in reversed(candidates):
         try:
-            return read_checkpoint(path)
+            return read(path)
         except StoreError as exc:
             errors.append(str(exc))
     if errors:

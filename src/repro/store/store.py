@@ -30,9 +30,11 @@ from typing import TYPE_CHECKING
 from ..config import StoreConfig
 from ..graph.update import EdgeUpdate
 from ..errors import StoreError
+from ..obs import clock
 from .checkpoint import (
     checkpoint_version,
     list_checkpoints,
+    sweep_stale_tmp,
     write_checkpoint,
 )
 from .wal import SegmentScan, WriteAheadLog
@@ -102,9 +104,16 @@ class StateStore:
         self.wal_dir = self.root / "wal"
         self.checkpoint_dir = self.root / "checkpoints"
         self.checkpoint_dir.mkdir(exist_ok=True)
+        # This handle is now the directory's one writer: a tmp file here
+        # is a dead owner's crash between tmp-write and rename.
+        sweep_stale_tmp(self.checkpoint_dir)
         self.wal = WriteAheadLog(self.wal_dir, fsync=self.config.fsync)
         self._batches_since_checkpoint = 0
         self.checkpoints_written = 0
+        #: Wall time (write + WAL compaction + pruning) and file size of
+        #: the last checkpoint this handle wrote; the stats surface.
+        self.checkpoint_ms_last = 0.0
+        self.checkpoint_bytes_last = 0
         #: Write-authority term stamped into every WAL frame; the cluster
         #: tier bumps it on the store's new owner at each failover.
         self.epoch = 0
@@ -153,16 +162,19 @@ class StateStore:
         """Write a checkpoint now, then compact the log and old checkpoints.
 
         Order matters for crash safety: the checkpoint is durably in
-        place (atomic rename) *before* any WAL segment or older
-        checkpoint is deleted, so every instant in time has a consistent
-        recovery path.
+        place (atomic rename, then an fsync of ``checkpoints/``) *before*
+        any WAL segment or older checkpoint is deleted, so every instant
+        in time — power loss included — has a consistent recovery path.
         """
+        start = clock.now()
         path = write_checkpoint(self.checkpoint_dir, service)
         self.wal.rotate()
         self.wal.drop_segments_covered_by(service.graph_version)
         self._prune_checkpoints()
         self._batches_since_checkpoint = 0
         self.checkpoints_written += 1
+        self.checkpoint_bytes_last = path.stat().st_size
+        self.checkpoint_ms_last = 1e3 * (clock.now() - start)
         return path
 
     def _prune_checkpoints(self) -> None:

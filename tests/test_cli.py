@@ -2,9 +2,25 @@
 
 from __future__ import annotations
 
+import os
+import re
+import signal
+import subprocess
+import sys
+import threading
+import time
+from pathlib import Path
+
+import numpy as np
 import pytest
 
+from repro.api import HttpClient
 from repro.cli import build_parser, main
+from repro.core.invariant import check_invariant
+from repro.errors import ReproError
+from repro.store.recovery import recover
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 class TestParser:
@@ -78,6 +94,10 @@ class TestStoreCommands:
         out = capsys.readouterr().out
         assert "Checkpoints" in out and "WAL segments" in out
         assert "checkpoint-" in out
+        # Per checkpoint: the layout version and how sparse the vectors are.
+        assert {"format", "nnz", "density"} <= set(out.split())
+        rows = [line.split() for line in out.splitlines() if "checkpoint-0" in line]
+        assert rows and all(row[3] == "3" and row[5].endswith("%") for row in rows)
         # slides=4, interval=3: one batch lives in the WAL tail, clean.
         assert "wal-" in out and "clean" in out
 
@@ -126,3 +146,101 @@ class TestStoreCommands:
     def test_store_checkpoint_requires_root(self):
         with pytest.raises(SystemExit):
             build_parser().parse_args(["store-checkpoint", "youtube"])
+
+
+class TestServeShutdown:
+    """``repro serve``'s drain must not race the requests it is draining."""
+
+    RESIDENTS = 48
+    SLOW_BATCH = 24000
+
+    def _spawn(self, store: Path, log: Path) -> subprocess.Popen:
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            [str(SRC)] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else [])
+        )
+        # The Python oracle repairs 24000 updates x 48 residents in well
+        # over a second; serve_forever notices a shutdown request within
+        # its 0.5 s poll, so the drain starts while the batch is applying.
+        env["REPRO_KERNEL"] = "numpy"
+        return subprocess.Popen(
+            [sys.executable, "-u", "-m", "repro", "serve", "youtube",
+             "--port", "0", "--store", str(store)],
+            env=env,
+            stdout=open(log, "wb"),
+            stderr=subprocess.STDOUT,
+            stdin=subprocess.DEVNULL,
+        )
+
+    def _wait_listening(self, proc: subprocess.Popen, log: Path) -> str:
+        deadline = time.monotonic() + 60
+        while time.monotonic() < deadline:
+            match = re.search(r"listening on (http://[\d.]+:\d+)", log.read_text())
+            if match:
+                return match.group(1)
+            assert proc.poll() is None, log.read_text()
+            time.sleep(0.02)
+        raise AssertionError(f"server never listened:\n{log.read_text()}")
+
+    def test_sigterm_during_a_slow_ingest_checkpoints_the_acked_version(
+        self, tmp_path
+    ):
+        """SIGTERM lands while an ingest is mid-batch on a handler thread.
+        The shutdown checkpoint must queue behind it on the gateway lock —
+        not snapshot half a batch, and not race the ingest's own
+        checkpoint for the one tmp name — so the process exits 0 and the
+        store recovers to exactly the acknowledged version."""
+        store, log = tmp_path / "store", tmp_path / "server.log"
+        proc = self._spawn(store, log)
+        try:
+            client = HttpClient(self._wait_listening(proc, log))
+            health = client.healthz()
+            n, edges_before = health["num_vertices"], health["num_edges"]
+            client.query_many(
+                [{"op": "top_k", "source": s, "k": 5} for s in range(self.RESIDENTS)]
+            )
+            rng = np.random.default_rng(5)
+            pairs = [
+                [int(u), int(v)]
+                for u, v in rng.integers(0, n, size=(self.SLOW_BATCH + 8, 2))
+                if u != v
+            ]
+            # One acknowledged batch first: the drain only checkpoints a
+            # store that has something new to checkpoint.
+            first, slow = pairs[:8], pairs[8:]
+            assert client.ingest(first)["snapshot_version"] == 1
+
+            acked: list[int] = []
+
+            def slow_ingest() -> None:
+                try:
+                    acked.append(client.ingest(slow)["snapshot_version"])
+                except (OSError, ReproError):
+                    pass  # the socket may die with the process; then no ack
+
+            writer = threading.Thread(target=slow_ingest)
+            writer.start()
+            time.sleep(0.15)  # the batch is now being applied
+            proc.send_signal(signal.SIGTERM)
+            writer.join(timeout=60)
+            assert proc.wait(timeout=60) == 0, log.read_text()
+        finally:
+            if proc.poll() is None:
+                proc.kill()
+                proc.wait()
+        output = log.read_text()
+        assert "Traceback" not in output, output
+        assert "shutting down (SIGTERM)" in output
+
+        result = recover(store, attach=False)
+        service = result.service
+        # The drain waited for the batch, so it is durable whether or not
+        # its handler (a daemon thread) got the ack out before exit.
+        assert service.graph_version == 2
+        assert acked in ([2], []), output
+        # Whole batches only: a checkpoint cut mid-batch would hold a
+        # prefix of the slow one (and vectors repaired for that prefix).
+        assert service.graph.num_edges == edges_before + len(first) + len(slow)
+        assert not list((store / "checkpoints").glob("*.tmp"))
+        entry = service.cache.entries()[-1]
+        assert check_invariant(entry.state, service.graph, service.config.alpha)

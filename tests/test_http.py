@@ -271,6 +271,28 @@ class TestMetricsEndpoint:
         assert "repro_latency_p999_s" not in samples
         assert all(name.startswith("repro_") for name in samples)
 
+    def test_write_path_signals_reach_stats_and_metrics(self, live, tmp_path):
+        """Residual mass restored per batch (Lemma 3's quantity) and the
+        store's checkpoint cost, on both stats surfaces."""
+        from repro import StateStore, StoreConfig
+
+        server, http, service = live
+        service.attach_store(
+            StateStore(tmp_path, StoreConfig(root=str(tmp_path), checkpoint_interval=1))
+        )
+        http.query({"op": "top_k", "source": 0, "k": 3})
+        http.ingest([[0, 1], [5, 0]])
+        stats = http.stats()["stats"]
+        assert stats["checkpoints_written"] == 2  # baseline + the batch's
+        assert stats["checkpoint_bytes_last"] > 0 and stats["checkpoint_ms_last"] > 0
+        assert stats["residual_restored_last"] > 0
+        samples = scrape(server)
+        assert samples["repro_checkpoints_written_total"] == 2
+        assert samples["repro_checkpoint_bytes_last"] == stats["checkpoint_bytes_last"]
+        assert samples["repro_checkpoint_ms_last"] == stats["checkpoint_ms_last"]
+        assert samples["repro_residual_restored_last"] == stats["residual_restored_last"]
+        assert samples["repro_residual_restored_total"] == stats["residual_restored"]
+
     def test_latency_is_a_cumulative_histogram_per_stage(self, live):
         server, http, _ = live
         http.query({"op": "top_k", "source": 0, "k": 3})

@@ -12,7 +12,10 @@ The runtime-selection contracts:
 3. both kernels produce bit-identical states on the same inputs (the
    exhaustive random-graph version lives in
    ``tests/test_kernel_properties.py``; here one deterministic case
-   guards the plumbing).
+   guards the plumbing);
+4. the batch ``RestoreInvariant`` entry point obeys the same selection:
+   the forced-``numpy`` and no-compiler paths loop the Python oracle, a
+   forced ``compiled`` without a compiler raises.
 """
 
 from __future__ import annotations
@@ -20,11 +23,21 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro import Backend, DynamicDiGraph, PPRConfig, PPRState, PushVariant
+from repro import (
+    Backend,
+    DynamicDiGraph,
+    EdgeOp,
+    EdgeUpdate,
+    PPRConfig,
+    PPRState,
+    PushVariant,
+)
 from repro import kernels
 from repro.config import KernelConfig, KernelMode
+from repro.core import invariant
+from repro.core.invariant import restore_batch, restore_invariant, restore_states
 from repro.core.push_parallel import parallel_local_push
-from repro.errors import BackendError, ConfigError
+from repro.errors import BackendError, ConfigError, EdgeError
 from tests.conftest import random_graph
 
 #: A compiler flag both load paths agree is unusable.
@@ -182,3 +195,107 @@ class TestDispatch:
         )
         assert np.array_equal(compiled.p, oracle.p)
         assert np.array_equal(compiled.r, oracle.r)
+
+
+class TestBatchRestoreSelection:
+    """``restore_states`` picks its repair loop by the kernel mode."""
+
+    EDGES = [(0, 1), (1, 2), (2, 0), (2, 3), (3, 0)]
+    #: Duplicate u, u == source, 3's last out-edge deleted, a new id (9).
+    BATCH = [
+        EdgeUpdate(0, 2, EdgeOp.INSERT),
+        EdgeUpdate(0, 3, EdgeOp.INSERT),
+        EdgeUpdate(3, 0, EdgeOp.DELETE),
+        EdgeUpdate(9, 1, EdgeOp.INSERT),
+        EdgeUpdate(0, 2, EdgeOp.DELETE),
+    ]
+
+    def _converged(self):
+        graph = DynamicDiGraph(self.EDGES)
+        states = [PPRState.initial(s, graph.capacity) for s in (0, 3)]
+        for state in states:
+            parallel_local_push(state, graph, push_config())
+        return graph, states
+
+    def _run(self, kernel):
+        graph, states = self._converged()
+        deltas = restore_states(graph, states, self.BATCH, 0.2, kernel=kernel)
+        return graph, states, deltas
+
+    def _oracle(self):
+        graph, states = self._converged()
+        deltas = []
+        for update in self.BATCH:
+            graph.apply(update)
+            deltas.append([restore_invariant(s, graph, update, 0.2) for s in states])
+        return graph, states, np.array(deltas).T
+
+    def _assert_matches_oracle(self, result):
+        graph, states, deltas = result
+        oracle_graph, oracle_states, oracle_deltas = self._oracle()
+        assert graph == oracle_graph
+        assert np.array_equal(deltas, oracle_deltas)
+        for state, expected in zip(states, oracle_states):
+            assert len(state.p) == len(expected.p)
+            assert np.array_equal(state.p, expected.p)
+            assert np.array_equal(state.r, expected.r)
+
+    def _count_oracle_calls(self, monkeypatch):
+        calls = []
+        real = invariant.restore_invariant
+
+        def counting(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(invariant, "restore_invariant", counting)
+        return calls
+
+    def test_numpy_mode_loops_the_python_oracle(self, monkeypatch):
+        calls = self._count_oracle_calls(monkeypatch)
+        result = self._run(KernelConfig(mode=KernelMode.NUMPY))
+        assert len(calls) == 2 * len(self.BATCH)
+        monkeypatch.undo()
+        self._assert_matches_oracle(result)
+
+    def test_auto_without_a_compiler_falls_back_to_the_oracle(self, monkeypatch):
+        calls = self._count_oracle_calls(monkeypatch)
+        result = self._run(KernelConfig(mode=KernelMode.AUTO, compiler=BOGUS_CC))
+        assert len(calls) == 2 * len(self.BATCH)
+        monkeypatch.undo()
+        self._assert_matches_oracle(result)
+
+    def test_forced_compiled_without_a_compiler_raises(self):
+        with pytest.raises(BackendError):
+            self._run(KernelConfig(mode=KernelMode.COMPILED, compiler=BOGUS_CC))
+
+    @needs_compiled
+    def test_compiled_mode_never_calls_the_python_oracle(self, monkeypatch):
+        calls = self._count_oracle_calls(monkeypatch)
+        result = self._run(KernelConfig(mode=KernelMode.COMPILED))
+        assert calls == []
+        monkeypatch.undo()
+        self._assert_matches_oracle(result)
+
+    def test_env_selection_reaches_the_restore(self, monkeypatch):
+        monkeypatch.setenv("REPRO_KERNEL", "numpy")
+        calls = self._count_oracle_calls(monkeypatch)
+        self._run(None)
+        assert len(calls) == 2 * len(self.BATCH)
+
+    @pytest.mark.parametrize(
+        "kernel",
+        [
+            KernelConfig(mode=KernelMode.NUMPY),
+            pytest.param(KernelConfig(mode=KernelMode.COMPILED), marks=needs_compiled),
+        ],
+    )
+    def test_rejected_update_leaves_the_applied_prefix_repaired(self, kernel):
+        graph = DynamicDiGraph(self.EDGES)
+        state = PPRState.initial(0, graph.capacity)
+        parallel_local_push(state, graph, push_config())
+        bad = self.BATCH[:2] + [EdgeUpdate(1, 3, EdgeOp.DELETE)] + self.BATCH[2:]
+        with pytest.raises(EdgeError):
+            restore_batch(graph, state, bad, 0.2, kernel=kernel)
+        assert graph.has_edge(0, 3) and graph.has_edge(3, 0)  # prefix only
+        assert invariant.check_invariant(state, graph, 0.2)

@@ -11,7 +11,12 @@ compares raw arrays after every stage:
    bitwise at every batch boundary;
 3. frontier order-insensitivity: a permuted seed set must not change the
    compiled kernel's result (the frontier is sorted/deduplicated before
-   the per-edge loop, so iteration order is canonical).
+   the per-edge loop, so iteration order is canonical);
+4. batch ``RestoreInvariant``: ``restore_states`` under the compiled
+   kernel against the per-update ``restore_invariant`` oracle on random
+   batches — duplicate ``u``, ``u == source``, deleting a vertex's last
+   out-edge, ids past the arrays' capacity, undirected (reversed) pairs,
+   hub vectors — ``p``, ``r``, array *lengths* and the returned Δ.
 
 These run in CI's differential-oracle job with the extension built; on a
 host with no C compiler the whole module skips (there is nothing to
@@ -37,7 +42,8 @@ from repro import (
 )
 from repro import kernels
 from repro.config import KernelConfig, KernelMode
-from repro.core.invariant import restore_invariant
+from repro.core.hub_index import DynamicHubIndex
+from repro.core.invariant import restore_invariant, restore_states
 
 pytestmark = pytest.mark.skipif(
     kernels.load_library()[0] is None,
@@ -165,3 +171,116 @@ def test_seed_order_cannot_change_the_answer(case, source, seed_order):
         parallel_local_push(state, graph, config, seeds=seeds)
         results.append(state)
     assert_bit_identical(*results)
+
+
+# ---------------------------------------------------------------------- #
+# 4: batch RestoreInvariant, compiled vs the per-update oracle
+# ---------------------------------------------------------------------- #
+
+#: Ids a batch may introduce: far enough past N_VERTICES that one batch
+#: can outgrow a state's arrays more than once (doubling: 12 -> 24 -> 48).
+MAX_NEW_ID = 60
+
+
+@st.composite
+def restore_case(draw, max_updates=24):
+    """(initial edges, batch) over a multigraph, deletes only of live copies.
+
+    Biased toward the cases the C loop must get right: an update may reuse
+    the previous ``u`` (sequential dependence through ``r[u]``), delete
+    the edge just inserted (often ``u``'s last out-edge), name a brand-new
+    id, or be followed by its reverse (an undirected update).
+    """
+    edges = draw(graph_edges())
+    live: dict[tuple[int, int], int] = {}
+    for edge in edges:
+        live[edge] = live.get(edge, 0) + 1
+    updates: list[EdgeUpdate] = []
+    for _ in range(draw(st.integers(1, max_updates))):
+        present = sorted(e for e, c in live.items() if c > 0)
+        if present and draw(st.booleans()):
+            u, v = draw(st.sampled_from(present))
+            step = EdgeUpdate(u, v, EdgeOp.DELETE)
+        else:
+            u = (
+                updates[-1].u
+                if updates and draw(st.booleans())
+                else draw(st.integers(0, MAX_NEW_ID))
+            )
+            v = draw(st.integers(0, MAX_NEW_ID).filter(lambda x: x != u))
+            step = EdgeUpdate(u, v, EdgeOp.INSERT)
+        pair = [step]
+        reverse = step.reversed()
+        if step.is_insert or live.get((reverse.u, reverse.v), 0) > 0:
+            if draw(st.booleans()):
+                pair.append(reverse)
+        for update in pair:
+            key = (update.u, update.v)
+            live[key] = live.get(key, 0) + int(update.op)
+            updates.append(update)
+    return edges, updates
+
+
+def converged_states(graph, sources, config):
+    """One pushed state per source, at *different* array lengths."""
+    states = []
+    for extra, source in enumerate(sources):
+        state = PPRState.initial(source, max(graph.capacity, source + 1) + 5 * extra)
+        parallel_local_push(state, graph, config)
+        states.append(state)
+    return states
+
+
+def assert_same_bits(left: np.ndarray, right: np.ndarray) -> None:
+    # Lengths and bit patterns: array_equal alone treats -0.0 == 0.0.
+    assert left.shape == right.shape
+    np.testing.assert_array_equal(left.view(np.int64), right.view(np.int64))
+
+
+@given(
+    case=restore_case(),
+    sources=st.lists(
+        st.integers(0, N_VERTICES - 1), min_size=1, max_size=3, unique=True
+    ),
+)
+def test_batch_restore_matches_the_per_update_oracle(case, sources):
+    edges, updates = case
+    config = config_for(PushVariant.OPT, NUMPY)
+
+    oracle_graph = DynamicDiGraph(edges)
+    oracle_states = converged_states(oracle_graph, sources, config)
+    oracle_deltas = np.empty((len(sources), len(updates)))
+    for j, update in enumerate(updates):
+        oracle_graph.apply(update)
+        for i, state in enumerate(oracle_states):
+            oracle_deltas[i, j] = restore_invariant(
+                state, oracle_graph, update, config.alpha
+            )
+
+    for kernel in (COMPILED, NUMPY):
+        graph = DynamicDiGraph(edges)
+        states = converged_states(graph, sources, config)
+        deltas = restore_states(graph, states, updates, config.alpha, kernel=kernel)
+        assert graph == oracle_graph
+        assert_same_bits(deltas, oracle_deltas)
+        for state, expected in zip(states, oracle_states):
+            assert_same_bits(state.p, expected.p)
+            assert_same_bits(state.r, expected.r)
+
+
+@given(case=restore_case(max_updates=12))
+def test_hub_vectors_restore_bit_identically(case):
+    edges, updates = case
+    indexes = []
+    for kernel in (COMPILED, NUMPY):
+        graph = DynamicDiGraph(edges)
+        index = DynamicHubIndex(
+            graph, num_hubs=2, config=config_for(PushVariant.OPT, kernel)
+        )
+        index.apply_batch(updates)
+        indexes.append(index)
+    compiled, oracle = indexes
+    assert compiled.hubs == oracle.hubs
+    for left, right in zip(compiled.states, oracle.states):
+        assert_same_bits(left.p, right.p)
+        assert_same_bits(left.r, right.r)

@@ -273,6 +273,89 @@ class TestStateStore:
         assert versions == sorted(versions)
         assert versions[-1] == service.graph_version
 
+    def test_checkpoint_dir_is_fsynced_before_the_wal_is_compacted(
+        self, tmp_path, monkeypatch
+    ):
+        """Power-loss ordering: the rename in ``checkpoints/`` must be on
+        disk before any unlink in ``wal/`` — else the unlinks can outlive
+        the name of the checkpoint that made them safe."""
+        import os
+
+        from repro.store import checkpoint as checkpoint_module
+
+        service = _service()
+        store = StateStore(
+            tmp_path, StoreConfig(root=str(tmp_path), checkpoint_interval=100)
+        )
+        service.attach_store(store)
+        service.ingest(insertions([(0, 7)]))
+
+        events: list[str] = []
+        real_fsync, real_replace = os.fsync, os.replace
+        directories = {
+            os.stat(store.checkpoint_dir).st_ino: "fsync checkpoints/",
+            os.stat(store.wal_dir).st_ino: "fsync wal/",
+        }
+
+        def fsync(fd):
+            events.append(directories.get(os.fstat(fd).st_ino, "fsync file"))
+            real_fsync(fd)
+
+        def replace(src, dst):
+            events.append("rename")
+            real_replace(src, dst)
+
+        def recording(name):
+            real = getattr(WriteAheadLog, name)
+
+            def method(self, *args):
+                events.append(name)
+                return real(self, *args)
+
+            return method
+
+        monkeypatch.setattr(checkpoint_module.os, "fsync", fsync)
+        monkeypatch.setattr(checkpoint_module.os, "replace", replace)
+        for name in ("rotate", "drop_segments_covered_by"):
+            monkeypatch.setattr(WriteAheadLog, name, recording(name))
+        store.checkpoint(service)
+        assert events[:4] == ["fsync file", "rename", "fsync checkpoints/", "rotate"]
+        assert "drop_segments_covered_by" in events[4:]
+
+    def test_opening_a_store_sweeps_crashed_checkpoint_tmps(self, tmp_path):
+        service = _service()
+        store = StateStore(tmp_path, StoreConfig(root=str(tmp_path)))
+        service.attach_store(store)
+        store.close()
+        stale = store.checkpoint_dir / "checkpoint-000000000009.npz.tmp"
+        stale.write_bytes(b"a crash between tmp-write and rename")
+        keep = store.checkpoint_dir / "notes.tmp"
+        keep.write_bytes(b"not ours")
+
+        reopened = StateStore(tmp_path, StoreConfig(root=str(tmp_path)))
+        assert not stale.exists()
+        assert keep.exists()
+        assert [c.version for c in reopened.status().checkpoints] == [0]
+
+    def test_checkpoint_counters_reach_the_service_metrics(self, tmp_path):
+        service = _service()
+        assert service.metrics().to_dict()["checkpoints_written"] == 0
+        store = StateStore(
+            tmp_path, StoreConfig(root=str(tmp_path), checkpoint_interval=1)
+        )
+        service.attach_store(store)
+        service.query_many([0, 1])
+        service.ingest(insertions([(0, 7), (3, 9)]))
+        stats = service.metrics().to_dict()
+        newest = store.status().checkpoints[-1]
+        assert stats["checkpoints_written"] == 2
+        assert stats["checkpoint_bytes_last"] == newest.size_bytes
+        assert stats["checkpoint_ms_last"] > 0
+        # Σ|Δ| of the batch over residents and hub vectors (Lemma 3's
+        # quantity): the last batch is also the lifetime total here.
+        assert stats["residual_restored_last"] > 0
+        assert stats["residual_restored"] == stats["residual_restored_last"]
+
     def test_serve_config_auto_attaches_store(self, tmp_path):
         root = tmp_path / "auto"
         rng = np.random.default_rng(2)
@@ -457,6 +540,8 @@ class TestCrashRecovery:
                 break  # the process is gone: no close(), no cleanup
         assert died_at == 6
         chaos.reset()
+        torn = [p.name for p in (tmp_path / "checkpoints").glob("*.tmp")]
+        assert torn == ["checkpoint-000000000006.npz.tmp"]
 
         # The torn tmp file is ignored; the newest *named* checkpoint is
         # still v3, and the WAL tail replays v4..v6 on top of it.
@@ -470,6 +555,9 @@ class TestCrashRecovery:
             assert (
                 recovered.query(s, 10).entries == reference.query(s, 10).entries
             )
+        # The next owner of the directory clears the dead one's tmp file.
+        recover(tmp_path, attach=True).service.store.close()
+        assert not list((tmp_path / "checkpoints").glob("*.tmp"))
 
     def test_matching_config_accepted(self, tmp_path):
         _, version = self._twin_runs(tmp_path)

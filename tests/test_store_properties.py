@@ -6,10 +6,14 @@ Round-trip laws the store's crash-recovery guarantee rests on:
 2. any sequence of batches written to a WAL is read back exactly — and
    truncating the file at *any* byte length still yields an intact
    prefix of whole records (torn tails never corrupt earlier frames);
-3. any :class:`PPRState` (including denormals, huge magnitudes, negative
-   residuals) survives ``to_arrays``/``from_arrays`` bit-for-bit;
+3. any set of :class:`PPRState` vectors (``-0.0``, subnormals, huge
+   magnitudes, all-zero vectors, states at different capacities, no
+   states at all) survives the sparse vector codec bit-for-bit — and so
+   does a whole checkpoint file (hubs on/off, pending seeds), while a
+   format-2 or truncated file is refused with :class:`StoreError`;
 4. any reachable :class:`DynamicDiGraph` survives its codec with dict
-   iteration order — hence CSR layout — preserved exactly;
+   iteration order — hence CSR layout — preserved exactly, and the
+   vectorised dump is array-equal to the tuple-building one it replaced;
 5. a full checkpoint of a service rebuilt from random update batches
    restores states that replay to bit-identical answers.
 """
@@ -17,10 +21,13 @@ Round-trip laws the store's crash-recovery guarantee rests on:
 from __future__ import annotations
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro import DynamicDiGraph, PPRState
+from repro.core.state import decode_states, encode_states
+from repro.errors import StoreError
 from repro.graph.csr import CSRGraph
 from repro.graph.update import EdgeOp, EdgeUpdate
 from repro.store.wal import (
@@ -109,25 +116,182 @@ def test_wal_write_read_and_arbitrary_truncation(tmp_path_factory, batches, data
 # ---------------------------------------------------------------------- #
 
 
-@given(
-    source=st.integers(0, 30),
-    values=st.lists(st.tuples(finite_floats, finite_floats), max_size=40),
+#: Mostly exact zeros (a converged vector is sparse), salted with the
+#: values a value-based ``!= 0`` test or a lossy codec would mangle.
+vector_entries = st.one_of(
+    st.just(0.0),
+    st.just(0.0),
+    st.sampled_from([-0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e300]),
+    finite_floats,
 )
-def test_ppr_state_codec_bit_exact(source, values):
-    state = PPRState(source, capacity=max(len(values), source + 1))
-    for i, (p, r) in enumerate(values):
-        state.p[i] = p
-        state.r[i] = r
-    clone = PPRState.from_arrays(state.to_arrays())
+
+state_specs = st.lists(
+    st.tuples(
+        st.integers(0, 30),
+        st.lists(st.tuples(vector_entries, vector_entries), max_size=40),
+    ),
+    max_size=5,
+)
+
+
+def _bits(vector: np.ndarray) -> np.ndarray:
+    return vector.view(np.uint64)
+
+
+def assert_states_bit_identical(clone: PPRState, state: PPRState) -> None:
     assert clone.source == state.source
     assert clone.capacity == state.capacity
     # Bitwise, not just numeric, equality (covers -0.0 and denormals).
-    assert np.array_equal(
-        clone.p.view(np.uint64), state.p.view(np.uint64)
+    assert np.array_equal(_bits(clone.p), _bits(state.p))
+    assert np.array_equal(_bits(clone.r), _bits(state.r))
+
+
+@given(state_specs)
+def test_sparse_state_codec_bit_exact(specs):
+    states = []
+    for source, values in specs:  # different capacities, possibly all-zero
+        state = PPRState(source, capacity=max(len(values), source + 1))
+        for i, (p, r) in enumerate(values):
+            state.p[i] = p
+            state.r[i] = r
+        states.append(state)
+    arrays = encode_states(states)
+    # What is stored is what is non-zero *as bits*: -0.0 kept, 0.0 dropped.
+    assert int(arrays["p_nnz"].sum()) == sum(
+        int(np.count_nonzero(_bits(s.p))) for s in states
     )
-    assert np.array_equal(
-        clone.r.view(np.uint64), state.r.view(np.uint64)
+    clones = decode_states([s.source for s in states], arrays)
+    assert len(clones) == len(states)
+    for clone, state in zip(clones, states):
+        assert_states_bit_identical(clone, state)
+
+
+@given(state_specs.filter(bool), st.data())
+def test_sparse_state_codec_rejects_inconsistent_counts(specs, data):
+    states = [PPRState(source, capacity=len(values)) for source, values in specs]
+    arrays = encode_states(states)
+    key = data.draw(st.sampled_from(["p_nnz", "r_nnz"]))
+    arrays[key] = arrays[key] + 1
+    with pytest.raises(ValueError):
+        decode_states([s.source for s in states], arrays)
+
+
+def _salted_service(hubs: bool, residents: list[int], salt: list[float], pending: bool):
+    """A small service whose vectors carry ``salt`` at arbitrary slots."""
+    from repro import Backend, PPRConfig, PPRService, ServeConfig
+
+    base = [(u, (u + 1) % N_VERTICES) for u in range(N_VERTICES)] + [(0, 5), (5, 0)]
+    service = PPRService(
+        DynamicDiGraph(base),
+        PPRConfig(epsilon=1e-4, backend=Backend.NUMPY, workers=4),
+        ServeConfig(cache_capacity=4, num_hubs=2 if hubs else 0),
     )
+    if residents:
+        service.query_many(residents)
+    if pending:  # LAZY refresh: the touched vertices stay pending seeds
+        service.ingest([EdgeUpdate(1, 7, EdgeOp.INSERT), EdgeUpdate(40, 2, EdgeOp.INSERT)])
+    vectors = [e.state for e in service.cache.entries()]
+    if service.hub_index is not None:
+        vectors += service.hub_index.states
+    for i, value in enumerate(salt):
+        for j, state in enumerate(vectors):
+            state.p[(i + j) % len(state.p)] = value
+            state.r[(3 * i + j) % len(state.r)] = value
+    return service
+
+
+@given(
+    hubs=st.booleans(),
+    residents=st.lists(st.integers(0, N_VERTICES - 1), max_size=3, unique=True),
+    salt=st.lists(vector_entries, max_size=6),
+    pending=st.booleans(),
+)
+@settings(max_examples=20, deadline=None)
+def test_checkpoint_file_roundtrip_bit_exact(
+    tmp_path_factory, hubs, residents, salt, pending
+):
+    from repro.store.checkpoint import (
+        CHECKPOINT_FORMAT,
+        checkpoint_summary,
+        read_checkpoint,
+        restore_service,
+        write_checkpoint,
+    )
+
+    service = _salted_service(hubs, residents, salt, pending)
+    path = write_checkpoint(tmp_path_factory.mktemp("ckpt"), service)
+    restored = restore_service(read_checkpoint(path))
+
+    assert restored.graph_version == service.graph_version
+    assert restored.resident_sources() == service.resident_sources()  # LRU order
+    for clone, entry in zip(restored.cache.entries(), service.cache.entries()):
+        assert_states_bit_identical(clone.state, entry.state)
+        assert clone.pending_seeds == entry.pending_seeds
+        assert (clone.version, clone.updates_reflected, clone.queries) == (
+            entry.version,
+            entry.updates_reflected,
+            entry.queries,
+        )
+    assert restored.hubs == service.hubs
+    if hubs:
+        for clone, state in zip(restored.hub_index.states, service.hub_index.states):
+            assert_states_bit_identical(clone, state)
+
+    summary = checkpoint_summary(path)
+    assert summary["format"] == CHECKPOINT_FORMAT
+    vectors = [e.state for e in service.cache.entries()]
+    vectors += service.hub_index.states if hubs else []
+    assert summary["nnz"] == sum(
+        int(np.count_nonzero(_bits(v))) for s in vectors for v in (s.p, s.r)
+    )
+
+
+@given(st.data())
+@settings(max_examples=20, deadline=None)
+def test_truncated_checkpoint_is_refused(tmp_path_factory, data):
+    from repro.store.checkpoint import read_checkpoint, write_checkpoint
+
+    service = _salted_service(True, [0, 3], [-0.0, 5e-324], True)
+    path = write_checkpoint(tmp_path_factory.mktemp("ckpt"), service)
+    blob = path.read_bytes()
+    path.write_bytes(blob[: data.draw(st.integers(0, len(blob) - 1))])
+    with pytest.raises(StoreError):
+        read_checkpoint(path)
+
+
+def test_format_2_checkpoint_is_refused(tmp_path):
+    """A file of the previous (dense, deflated) layout: unsupported, not misread."""
+    from repro.store.checkpoint import (
+        checkpoint_name,
+        checkpoint_summary,
+        latest_checkpoint,
+        read_checkpoint,
+        write_checkpoint,
+    )
+
+    service = _salted_service(False, [0], [], False)
+    current = write_checkpoint(tmp_path, service)
+    with np.load(current) as data:
+        arrays = {key: data[key] for key in data.files}
+    state = service.cache.entries()[0].state
+    for key in [k for k in arrays if k.startswith("resident_")]:
+        del arrays[key]
+    arrays.update(
+        format=np.int64(2),
+        resident_meta=np.zeros((1, 3), dtype=np.int64),
+        resident_lengths=np.array([len(state.p)]),
+        resident_p=state.p,
+        resident_r=state.r,
+    )
+    old = tmp_path / checkpoint_name(7)
+    with open(old, "wb") as fh:
+        np.savez_compressed(fh, **arrays)
+
+    with pytest.raises(StoreError, match="unsupported checkpoint format 2"):
+        read_checkpoint(old)
+    assert checkpoint_summary(old) == {"format": 2}
+    # Recovery skips it like any damaged candidate and falls back.
+    assert latest_checkpoint(tmp_path).path == current
 
 
 # ---------------------------------------------------------------------- #
@@ -151,6 +315,36 @@ def test_graph_codec_roundtrip_preserves_csr_layout(updates):
         assert np.array_equal(a.indptr, b.indptr)
         assert np.array_equal(a.indices, b.indices)  # order-exact blocks
         assert np.array_equal(a.dout, b.dout)
+
+
+def _reference_to_arrays(graph: DynamicDiGraph) -> dict[str, np.ndarray]:
+    """The tuple-building dump ``DynamicDiGraph.to_arrays`` used to be."""
+    out_rows = [
+        (u, v, c) for u, nbrs in graph._out.items() for v, c in nbrs.items()
+    ]
+    in_rows = [
+        (v, u, c) for v, nbrs in graph._in.items() for u, c in nbrs.items()
+    ]
+    return {
+        "vertices": np.fromiter(graph._out, dtype=np.int64, count=len(graph._out)),
+        "out_edges": np.array(out_rows, dtype=np.int64).reshape(-1, 3),
+        "in_edges": np.array(in_rows, dtype=np.int64).reshape(-1, 3),
+    }
+
+
+@given(st.one_of(st.just([]), applied_update_sequences()))
+def test_vectorised_graph_dump_equals_the_tuple_reference(updates):
+    graph = DynamicDiGraph()
+    graph.add_vertex(3)  # an isolated vertex: a row with no triples
+    for update in updates:  # a multigraph: parallel edges, emptied rows
+        graph.apply(update)
+    arrays = graph.to_arrays()
+    reference = _reference_to_arrays(graph)
+    assert arrays.keys() == reference.keys()
+    for key, expected in reference.items():
+        assert arrays[key].dtype == expected.dtype
+        assert arrays[key].shape == expected.shape
+        assert np.array_equal(arrays[key], expected)
 
 
 # ---------------------------------------------------------------------- #
