@@ -11,7 +11,7 @@ import pytest
 
 from repro.bench.figures import fig5_throughput
 from repro.bench.harness import Approach, run_approach
-from repro.bench.workloads import WorkloadSpec, default_config, prepare_workload
+from repro.graph.workloads import WorkloadSpec, default_config, prepare_workload
 
 from .conftest import emit
 

@@ -15,7 +15,8 @@ from __future__ import annotations
 import pytest
 
 from repro.api.requests import BatchQuery, Consistency, TopKQuery
-from repro.bench.gateway import gateway_benchmark, workload_service
+from repro.bench.gateway import gateway_benchmark
+from repro.serve import workload_service
 
 from .conftest import RESULTS_DIR
 

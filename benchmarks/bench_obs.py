@@ -17,7 +17,7 @@ import pytest
 from repro import obs
 from repro.api.client import Client
 from repro.bench.cluster import available_cores
-from repro.bench.gateway import workload_service
+from repro.serve import workload_service
 from repro.bench.obs import obs_benchmark
 from repro.config import ObsConfig
 

@@ -15,7 +15,7 @@ from __future__ import annotations
 import pytest
 
 from repro.bench.serving import serving_benchmark
-from repro.bench.workloads import WorkloadSpec, default_config, prepare_workload
+from repro.graph.workloads import WorkloadSpec, default_config, prepare_workload
 from repro.config import Backend, ServeConfig
 from repro.serve import PPRService
 

@@ -18,7 +18,7 @@ from pathlib import Path
 import pytest
 
 from repro.bench.figures import FigureResult
-from repro.bench.workloads import WorkloadSpec, default_config, prepare_workload
+from repro.graph.workloads import WorkloadSpec, default_config, prepare_workload
 from repro.config import Backend, PPRConfig, PushVariant
 from repro.core.invariant import restore_invariant
 from repro.core.tracker import DynamicPPRTracker

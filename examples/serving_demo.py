@@ -18,7 +18,7 @@ Docs: docs/serving.md
 from __future__ import annotations
 
 from repro.bench.serving import topk_matches
-from repro.bench.workloads import WorkloadSpec, default_config, prepare_workload
+from repro.graph.workloads import WorkloadSpec, default_config, prepare_workload
 from repro.config import Backend, ServeConfig
 from repro.core.certify import certified_top_k
 from repro.core.push_parallel import parallel_local_push

@@ -11,7 +11,7 @@ Run:  python examples/streaming_throughput.py
 from __future__ import annotations
 
 from repro.bench import Approach, WorkloadSpec, prepare_workload, run_approach
-from repro.bench.workloads import default_config
+from repro.graph.workloads import default_config
 from repro.utils.tables import format_table
 
 

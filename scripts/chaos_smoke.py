@@ -39,7 +39,7 @@ sys.path.insert(0, str(REPO / "src"))
 
 from repro.api.http import HttpClient  # noqa: E402
 from repro.api.resilience import RetryPolicy  # noqa: E402
-from repro.bench.gateway import workload_service  # noqa: E402
+from repro.serve import workload_service  # noqa: E402
 from repro.chaos import Fault, FaultKind, FaultPlan  # noqa: E402
 
 DATASET = "youtube"

@@ -5,7 +5,7 @@ subprocess, waits for ``/v1/healthz``, requests a certified top-k over
 the socket, and asserts it is **bit-for-bit identical** (vertex ids and
 float estimates) to the answer the embedded :class:`repro.api.Client`
 produces for the same snapshot version — the service bootstrap
-(:func:`repro.bench.gateway.workload_service`) is deterministic, so two
+(:func:`repro.serve.workload_service`) is deterministic, so two
 processes built from the same arguments must serve the same floats.
 Also exercises the 4xx paths: malformed JSON, unknown route, unknown op.
 
@@ -28,7 +28,7 @@ REPO = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(REPO / "src"))
 
 from repro.api.http import HttpClient  # noqa: E402
-from repro.bench.gateway import workload_service  # noqa: E402
+from repro.serve import workload_service  # noqa: E402
 from repro.errors import RequestError, VertexError  # noqa: E402
 
 DATASET = "youtube"

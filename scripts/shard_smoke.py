@@ -30,7 +30,7 @@ REPO = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(REPO / "src"))
 
 from repro.api.http import HttpClient  # noqa: E402
-from repro.bench.gateway import workload_service  # noqa: E402
+from repro.serve import workload_service  # noqa: E402
 
 DATASET = "youtube"
 PORT = 8713

@@ -7,6 +7,7 @@ benchmark (:mod:`repro.bench.serving`); see :mod:`repro.cli` and
 ``docs/architecture.md`` for the figure-to-module mapping.
 """
 
+from ..graph.workloads import PreparedWorkload, WorkloadSpec, prepare_workload
 from .figures import (
     FigureResult,
     fig4_optimizations,
@@ -20,7 +21,6 @@ from .figures import (
 from .harness import Approach, ApproachResult, run_approach
 from .load import LoadBenchResult, load_benchmark
 from .serving import ServingBenchResult, serving_benchmark, topk_matches
-from .workloads import PreparedWorkload, WorkloadSpec, prepare_workload
 
 __all__ = [
     "Approach",

@@ -24,8 +24,8 @@ from ..core.push_sequential import cpu_base_update, cpu_seq_update, sequential_l
 from ..core.push_parallel import parallel_local_push
 from ..core.state import PPRState
 from ..core.tracker import DynamicPPRTracker
+from ..graph.workloads import WorkloadSpec, default_config, prepare_workload
 from .figures import FigureResult
-from .workloads import WorkloadSpec, default_config, prepare_workload
 
 
 def ablation_parallel_loss(

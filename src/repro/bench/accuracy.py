@@ -20,9 +20,9 @@ from ..baselines.montecarlo import IncrementalMonteCarloPPR
 from ..config import Backend
 from ..core.groundtruth import ground_truth_ppr, max_estimate_error
 from ..core.tracker import DynamicPPRTracker
+from ..graph.workloads import WorkloadSpec, default_config, prepare_workload
 from ..parallel.cost_model import CPUCostModel, MonteCarloCostModel
 from .figures import FigureResult
-from .workloads import WorkloadSpec, default_config, prepare_workload
 
 
 def accuracy_study(

@@ -38,11 +38,11 @@ from ..api.responses import IngestResult, TopKResult
 from ..chaos import Fault, FaultKind, FaultPlan
 from ..cluster import PPRCluster
 from ..config import ClusterConfig, StoreConfig
+from ..serve import workload_service
 from ..store import StateStore
 from ..obs import clock
 from ..utils.rng import ensure_rng
 from ..utils.tables import format_table
-from .gateway import workload_service
 from .serving import _query_mix
 
 

@@ -27,6 +27,7 @@ only means anything with enough cores to park the replicas on, so
 from __future__ import annotations
 
 import os
+from ..graph.workloads import WorkloadSpec, prepare_workload
 from ..obs import clock
 from dataclasses import dataclass
 
@@ -45,11 +46,10 @@ from ..api.requests import (
 from ..api.responses import TopKResult
 from ..cluster import PPRCluster
 from ..config import ApiConfig, ClusterConfig
+from ..serve import workload_service
 from ..utils.rng import ensure_rng
 from ..utils.tables import format_table
-from .gateway import workload_service
 from .serving import _query_mix
-from .workloads import WorkloadSpec, prepare_workload
 
 
 def available_cores() -> int:

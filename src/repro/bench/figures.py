@@ -13,11 +13,11 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from ..config import PushVariant
+from ..graph.workloads import PreparedWorkload, WorkloadSpec, default_config, prepare_workload
 from ..parallel.cost_model import CPUCostModel, GPUCostModel
 from ..parallel.simulator import profile_cpu, profile_gpu
 from ..utils.tables import format_table
 from .harness import Approach, ApproachResult, run_approach
-from .workloads import PreparedWorkload, WorkloadSpec, default_config, prepare_workload
 
 #: Datasets in the paper's presentation order.
 ALL_DATASETS = ("youtube", "pokec", "livejournal", "orkut", "twitter")

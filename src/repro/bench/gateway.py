@@ -14,15 +14,11 @@ which is exactly what coalescing exploits.
 Answers must be **bit-identical** across the two arms (same engine, same
 deterministic trace — the scheduler is not allowed to change results,
 only their cost); the acceptance bar is coalesced dispatch >= 2x faster.
-
-This module also hosts :func:`workload_service`, the deterministic
-dataset-analog service bootstrap shared by ``repro serve``, the CI
-gateway smoke, and this benchmark — determinism is what lets CI assert
-the HTTP front-end's answers equal the embedded client's bit-for-bit.
 """
 
 from __future__ import annotations
 
+from ..graph.workloads import WorkloadSpec, prepare_workload
 from ..obs import clock
 from dataclasses import dataclass
 
@@ -37,46 +33,11 @@ from ..api.requests import (
     TopKQuery,
 )
 from ..api.responses import TopKResult
-from ..config import ApiConfig, Backend, PPRConfig, ServeConfig
-from ..serve import PPRService
+from ..config import ApiConfig
+from ..serve import workload_service
 from ..utils.rng import ensure_rng
 from ..utils.tables import format_table
 from .serving import _query_mix
-from .workloads import PreparedWorkload, WorkloadSpec, default_config, prepare_workload
-
-
-def workload_service(
-    dataset: str,
-    *,
-    epsilon: float = 1e-5,
-    workers: int = 40,
-    cache_capacity: int = 64,
-    admission_batch: int = 16,
-    num_hubs: int = 0,
-    top_k: int = 10,
-    config: PPRConfig | None = None,
-) -> tuple[PPRService, PreparedWorkload]:
-    """A deterministic service over a dataset analog's initial window.
-
-    Same spec, same service, bit-for-bit — two processes building from
-    the same arguments serve identical certified answers, which is the
-    property the gateway CI smoke asserts across the HTTP boundary.
-    """
-    prepared = prepare_workload(WorkloadSpec(dataset=dataset))
-    cfg = config or default_config(epsilon=epsilon).with_(
-        backend=Backend.NUMPY, workers=workers
-    )
-    service = PPRService(
-        prepared.initial_graph(),
-        cfg,
-        ServeConfig(
-            cache_capacity=cache_capacity,
-            admission_batch=admission_batch,
-            num_hubs=num_hubs,
-            top_k=top_k,
-        ),
-    )
-    return service, prepared
 
 
 @dataclass

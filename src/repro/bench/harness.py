@@ -11,6 +11,7 @@ kernels separately).
 from __future__ import annotations
 
 import enum
+from ..graph.workloads import PreparedWorkload
 from ..obs import clock
 from dataclasses import dataclass, field
 
@@ -30,7 +31,6 @@ from ..parallel.cost_model import (
     LigraCostModel,
     MonteCarloCostModel,
 )
-from .workloads import PreparedWorkload
 
 
 class Approach(enum.Enum):

@@ -11,8 +11,7 @@ The experiment behind ``python -m repro kernel-bench`` and
 2. **bootstrap flatness** — attaching a replica to a published
    shared-memory snapshot (:mod:`repro.graph.shm` +
    ``PPRService.from_shared_snapshot``) costs ~the same as the graph
-   grows 4x in edges, while the legacy eager ``from_graph_arrays``
-   bootstrap grows linearly. Attach maps named segments and defers dict
+   grows 4x in edges. Attach maps named segments and defers dict
    materialization; nothing it does on the bootstrap path is O(m).
 3. **certified equivalence** — certified top-k answers are bit-identical
    between the compiled and numpy kernels at every consistency level
@@ -46,10 +45,10 @@ from ..core.push_parallel import parallel_local_push
 from ..core.tracker import DynamicPPRTracker
 from ..graph import DynamicDiGraph, SharedArrayBundle, rmat_graph
 from ..graph.csr import CSRGraph
+from ..graph.workloads import WorkloadSpec, default_config, prepare_workload
 from ..kernels import describe, load_library
 from ..serve.service import PPRService
 from ..utils.tables import format_table
-from .workloads import WorkloadSpec, default_config, prepare_workload
 
 #: The acceptance bar for the compiled kernel (single-thread, twitter).
 SPEEDUP_BAR = 5.0
@@ -69,10 +68,8 @@ class KernelBenchResult:
     numpy_seconds: float
     compiled_seconds: float | None
     push_matched: bool
-    #: One row per scale: (multiplier, num_edges, attach_s, eager_s).
-    bootstrap_rows: list[tuple[int, int, float, float]] = field(
-        default_factory=list
-    )
+    #: One row per scale: (multiplier, num_edges, attach_s).
+    bootstrap_rows: list[tuple[int, int, float]] = field(default_factory=list)
     certified_matched: bool = True
     certified_answers: int = 0
 
@@ -94,13 +91,6 @@ class KernelBenchResult:
         first, last = self.bootstrap_rows[0][2], self.bootstrap_rows[-1][2]
         return last / first if first else float("inf")
 
-    @property
-    def eager_ratio(self) -> float:
-        if len(self.bootstrap_rows) < 2:
-            return 1.0
-        first, last = self.bootstrap_rows[0][3], self.bootstrap_rows[-1][3]
-        return last / first if first else float("inf")
-
     def table(self) -> str:
         speed = f"{self.speedup:.1f}x" if self.speedup else "n/a"
         compiled = (
@@ -119,20 +109,14 @@ class KernelBenchResult:
                 f"{self.certified_matched} ({self.certified_answers} answers)",
             ),
         ]
-        for mult, m, attach_s, eager_s in self.bootstrap_rows:
+        for mult, m, attach_s in self.bootstrap_rows:
             rows.append(
                 (
                     f"bootstrap {mult}x ({m:,} edges)",
-                    f"attach {attach_s * 1e3:.2f} ms"
-                    f"  eager {eager_s * 1e3:.1f} ms",
+                    f"attach {attach_s * 1e3:.2f} ms",
                 )
             )
-        rows.append(
-            (
-                "bootstrap growth (attach vs eager)",
-                f"{self.bootstrap_ratio:.2f}x vs {self.eager_ratio:.1f}x",
-            )
-        )
+        rows.append(("bootstrap growth (attach)", f"{self.bootstrap_ratio:.2f}x"))
         return format_table(
             ("metric", "value"),
             rows,
@@ -208,16 +192,14 @@ def bootstrap_benchmark(
     growth: tuple[int, ...] = GROWTH,
     seed: int = 7,
     rounds: int = 5,
-) -> list[tuple[int, int, float, float]]:
-    """Replica bootstrap cost as the snapshot grows: attach vs eager.
+) -> list[tuple[int, int, float]]:
+    """Replica bootstrap cost as the snapshot grows.
 
     For each multiplier, publishes one shared-memory snapshot of an RMAT
     graph with ``mult * base_edges`` edges and times (best of ``rounds``)
-
-    * ``PPRService.from_shared_snapshot`` — the zero-copy attach path;
-    * ``PPRService.from_graph_arrays`` — the legacy eager rebuild.
+    ``PPRService.from_shared_snapshot`` — the zero-copy attach path.
     """
-    out: list[tuple[int, int, float, float]] = []
+    out: list[tuple[int, int, float]] = []
     for mult in growth:
         edges = rmat_graph(4_000 * mult, base_edges * mult, rng=seed)
         primary = PPRService(DynamicDiGraph.from_edge_array(edges))
@@ -233,15 +215,12 @@ def bootstrap_benchmark(
         )
         try:
             descriptor = bundle.descriptor
-            attach_s = eager_s = float("inf")
+            attach_s = float("inf")
             for _ in range(rounds):
                 start = time.perf_counter()
                 PPRService.from_shared_snapshot(descriptor)
                 attach_s = min(attach_s, time.perf_counter() - start)
-                start = time.perf_counter()
-                PPRService.from_graph_arrays(arrays)
-                eager_s = min(eager_s, time.perf_counter() - start)
-            out.append((mult, primary.graph.num_edges, attach_s, eager_s))
+            out.append((mult, primary.graph.num_edges, attach_s))
         finally:
             bundle.unlink()
             bundle.close()

@@ -34,9 +34,9 @@ from ..api.gateway import Gateway
 from ..api.requests import BatchQuery, Stats
 from ..config import ApiConfig
 from ..load import LoadReport, LoadSpec, PhaseSpec, knee_sweep, measure_saturation
+from ..serve import workload_service
 from ..utils.tables import format_table
 from .cluster import available_cores
-from .gateway import workload_service
 
 #: Knee-curve sample points as fractions of measured saturation.
 DEFAULT_FRACTIONS = (0.25, 0.5, 1.0, 1.5, 2.0)

@@ -26,9 +26,9 @@ from ..api.client import Client
 from ..api.requests import Consistency
 from ..config import ObsConfig
 from ..obs import clock
+from ..serve import workload_service
 from ..utils.rng import ensure_rng
 from ..utils.tables import format_table
-from .gateway import workload_service
 from .serving import _query_mix
 
 

@@ -18,6 +18,7 @@ reports how much faster the store path gets there.
 
 from __future__ import annotations
 
+from ..graph.workloads import WorkloadSpec, default_config, prepare_workload
 from ..obs import clock
 from dataclasses import dataclass
 from pathlib import Path
@@ -30,7 +31,6 @@ from ..serve import PPRService
 from ..store.recovery import RecoveryResult, recover
 from ..store.store import StateStore
 from ..utils.tables import format_table
-from .workloads import WorkloadSpec, default_config, prepare_workload
 
 
 def warm_mix(graph, num_sources: int) -> list[int]:

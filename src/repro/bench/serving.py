@@ -19,6 +19,7 @@ final graph.
 
 from __future__ import annotations
 
+from ..graph.workloads import WorkloadSpec, default_config, prepare_workload
 from ..obs import clock
 from dataclasses import dataclass, field
 
@@ -33,7 +34,6 @@ from ..graph.csr import CSRGraph
 from ..serve import PPRService, ServiceMetrics
 from ..utils.rng import ensure_rng
 from ..utils.tables import format_table
-from .workloads import WorkloadSpec, default_config, prepare_workload
 
 
 def topk_matches(

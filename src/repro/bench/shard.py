@@ -44,14 +44,14 @@ from ..api.requests import (
 )
 from ..api.responses import TopKResult
 from ..config import ApiConfig, RefreshPolicy, ShardConfig
+from ..graph.workloads import WorkloadSpec, prepare_workload
+from ..serve import workload_service
 from ..shard import PPRShards, ShardGraph
 from ..shard.partitioner import HashPartitioner
 from ..utils.rng import ensure_rng
 from ..utils.tables import format_table
 from .cluster import _contract_honored, _pairs_identical, available_cores
-from .gateway import workload_service
 from .serving import _query_mix
-from .workloads import WorkloadSpec, prepare_workload
 
 
 @dataclass

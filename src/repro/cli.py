@@ -14,12 +14,6 @@ Commands
 ``serve-bench <dataset> [--sources N] [--slides N] [--queries N]``
     Benchmark the multi-query serving layer (:mod:`repro.serve`) against
     per-query from-scratch recomputation; see ``docs/serving.md``.
-``ingest-bench <dataset> [--slides N] [--sources N] [--tiny]``
-    Race delta-CSR snapshots against per-batch full rebuilds on the
-    ingest hot path (Fig-8 batch-size sweep, queries included); exits
-    nonzero unless the delta path wins with bit-identical answers.
-    ``--tiny`` runs the single-batch-size CI smoke; see
-    ``docs/performance.md``.
 ``store-checkpoint <dataset> --root DIR [--slides N] [--sources N]``
     Stream a workload through a *persisted* service (WAL + checkpoints
     under ``--root``) and record its served top-k answers for later
@@ -128,7 +122,7 @@ from .bench.figures import (
     fig10_scalability,
 )
 from .bench.serving import serving_benchmark
-from .bench.workloads import WorkloadSpec, default_config, prepare_workload
+from .graph.workloads import WorkloadSpec, default_config, prepare_workload
 from .config import Backend
 from .core.certify import certified_top_k, convergence_report
 from .core.tracker import DynamicPPRTracker
@@ -368,40 +362,6 @@ def _cmd_store_recover(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_ingest_bench(args: argparse.Namespace) -> int:
-    from .bench.ingest import ingest_benchmark
-
-    if args.tiny:
-        # CI smoke: one small batch size, few slides — asserts the delta
-        # path beats the rebuild path with bit-identical answers, without
-        # the full sweep's runtime.
-        fractions: tuple[float, ...] = (0.001,)
-        slides = min(args.slides, 3)
-        bar = 1.0
-    else:
-        fractions = (0.01, 0.001, 0.0001)
-        slides = args.slides
-        bar = 3.0
-    result = ingest_benchmark(
-        args.dataset,
-        batch_fractions=fractions,
-        num_slides=slides,
-        num_sources=args.sources,
-        k=args.k,
-        epsilon=args.epsilon,
-        workers=args.workers,
-    )
-    print(result.table())
-    row = result.smallest_batch_row
-    ok = result.all_match and row.speedup >= bar
-    print(
-        f"smallest batch ({row.batch_size}): {row.speedup:.1f}x"
-        f" (bar {bar:.0f}x) — answers"
-        f" {'bit-identical' if result.all_match else 'MISMATCH'}"
-    )
-    return 0 if ok else 1
-
-
 def _cmd_serve(args: argparse.Namespace) -> int:
     import signal
     import threading
@@ -411,10 +371,11 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     from .api.gateway import Gateway
     from .api.http import GatewayRequestHandler, make_server
     from .api.requests import CheckpointNow
-    from .bench.gateway import workload_service
+    from .serve import workload_service
     from .chaos import FaultPlan
     from .cluster import ClusterGateway
     from .config import ApiConfig, ClusterConfig, ObsConfig, StoreConfig
+    from .errors import ClusterError, GraphError
     from .kernels import describe
     from .store.store import StateStore
 
@@ -469,31 +430,37 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     api_config = ApiConfig(host=args.host, port=args.port, obs=obs_config)
     cluster = None
     shards_gw = None
-    if args.shards > 0:
-        from .config import ShardConfig
-        from .shard import ShardedGateway
+    try:
+        if args.shards > 0:
+            from .config import ShardConfig
+            from .shard import ShardedGateway
 
-        # Each shard persists under --store/shard-NN/ with a coordinator
-        # manifest; the fault plan installed above rides the shard specs.
-        shards_gw = ShardedGateway(
-            service.graph,
-            ShardConfig(shards=args.shards),
-            api_config,
-            ppr=service.config,
-            serve=service.serve.with_(store=None),
-            store_root=args.store,
-        )
-        gateway = shards_gw
-        if args.store is not None:
-            print(f"store:    {args.store} (per-shard WAL + checkpoints,"
-                  " coordinator manifest)")
-    elif args.replicas > 0:
-        cluster = ClusterGateway(
-            service, ClusterConfig(replicas=args.replicas), api_config
-        )
-        gateway = cluster
-    else:
-        gateway = Gateway(service, api_config)
+            # Each shard persists under --store/shard-NN/ with a coordinator
+            # manifest; the fault plan installed above rides the shard specs.
+            shards_gw = ShardedGateway(
+                service.graph,
+                ShardConfig(shards=args.shards),
+                api_config,
+                ppr=service.config,
+                serve=service.serve.with_(store=None),
+                store_root=args.store,
+            )
+            gateway = shards_gw
+            if args.store is not None:
+                print(f"store:    {args.store} (per-shard WAL + checkpoints,"
+                      " coordinator manifest)")
+        elif args.replicas > 0:
+            cluster = ClusterGateway(
+                service, ClusterConfig(replicas=args.replicas), api_config
+            )
+            gateway = cluster
+        else:
+            gateway = Gateway(service, api_config)
+    except (ClusterError, GraphError) as exc:
+        # Workers bootstrap from shared memory only: a host that cannot
+        # provide the segment (or spawn the tier) is an operator error.
+        print(f"error [{exc.code}]: {exc}", file=sys.stderr)
+        return 2
     if args.verbose:
         GatewayRequestHandler.log_traffic = True
     server = make_server(gateway)
@@ -923,22 +890,6 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--workers", type=int, default=40)
     serve.set_defaults(func=_cmd_serve_bench)
 
-    ingest = sub.add_parser(
-        "ingest-bench",
-        help="race delta-CSR snapshots against per-batch full rebuilds",
-    )
-    ingest.add_argument("dataset", choices=sorted(DATASETS))
-    ingest.add_argument("--slides", type=int, default=5)
-    ingest.add_argument("--sources", type=int, default=4)
-    ingest.add_argument("--k", type=int, default=10)
-    ingest.add_argument("--epsilon", type=float, default=1e-5)
-    ingest.add_argument("--workers", type=int, default=40)
-    ingest.add_argument(
-        "--tiny",
-        action="store_true",
-        help="single small batch size, few slides (the CI smoke mode)",
-    )
-    ingest.set_defaults(func=_cmd_ingest_bench)
 
     serve_http = sub.add_parser(
         "serve", help="run the typed-gateway HTTP front-end"

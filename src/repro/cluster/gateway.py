@@ -82,6 +82,7 @@ from ..api.responses import (
 from ..api.scheduling import ReadRun, plan_schedule, scatter_run_results
 from ..chaos import FaultKind
 from ..config import (
+    WORKER_START,
     ApiConfig,
     CatchUpPolicy,
     ClusterConfig,
@@ -95,6 +96,7 @@ from ..errors import (
     ReproError,
     StoreError,
 )
+from ..graph.shm import SnapshotPublisher, sweep_stale
 from ..obs import clock
 from ..store.wal import pack_record
 from . import messages
@@ -102,7 +104,6 @@ from .replica import ReplicaSpec, replica_main
 
 if TYPE_CHECKING:
     from ..api.client import Client
-    from ..graph.shm import SnapshotPublisher
     from ..serve.service import PPRService
 
 
@@ -227,7 +228,10 @@ class ClusterGateway:
             if service._gateway is None
             else service.gateway
         )
-        self._ctx = multiprocessing.get_context(self.cluster.start_method)
+        self._ctx = multiprocessing.get_context(WORKER_START)
+        # Reap segments a SIGKILLed predecessor left behind (the way
+        # StateStore sweeps stale checkpoint temporaries at open).
+        sweep_stale()
         self._lock = threading.RLock()
         self._ticket = 0
         self._rotor = 0
@@ -259,9 +263,9 @@ class ClusterGateway:
             CircuitBreaker(self.cluster.breaker_failures, self.cluster.breaker_cooldown)
             for _ in range(self.cluster.replicas)
         ]
-        #: Versioned shared-memory snapshot registry (lazy; one bundle per
+        #: Versioned shared-memory snapshot registry (one bundle per
         #: published graph version, superseded versions unlinked).
-        self._publisher: "SnapshotPublisher | None" = None
+        self._publisher = SnapshotPublisher(tag="cluster")
         self.replicas: list[ReplicaHandle] = []
         try:
             for index in range(self.cluster.replicas):
@@ -276,46 +280,20 @@ class ClusterGateway:
 
     def _spec(self, index: int, *, from_store: bool) -> ReplicaSpec:
         service = self.service
-        serve = service.serve.with_(store=None)
-        # The coordinator's installed fault plan rides every spec; the
-        # worker re-installs it fresh (zeroed counters, replica-scoped).
-        plan = chaos.INJECTOR.plan
         if from_store:
             assert service.store is not None
-            return ReplicaSpec(
-                replica_id=index,
-                config=service.config,
-                serve=serve,
-                graph_arrays=None,
-                hubs=tuple(service.hubs),
-                graph_version=service.graph_version,
-                store_root=str(service.store.root),
-                obs=self.config.obs,
-                chaos=plan,
-            )
-        if self.cluster.shared_memory:
-            return ReplicaSpec(
-                replica_id=index,
-                config=service.config,
-                serve=serve,
-                graph_arrays=None,
-                hubs=tuple(service.hubs),
-                graph_version=service.graph_version,
-                store_root=None,
-                graph_shm=self._publish_snapshot(),
-                obs=self.config.obs,
-                chaos=plan,
-            )
         return ReplicaSpec(
             replica_id=index,
             config=service.config,
-            serve=serve,
-            graph_arrays=service.graph.to_arrays(),
+            serve=service.serve.with_(store=None),
             hubs=tuple(service.hubs),
             graph_version=service.graph_version,
-            store_root=None,
+            store_root=str(service.store.root) if from_store else None,
+            graph_shm=None if from_store else self._publish_snapshot(),
             obs=self.config.obs,
-            chaos=plan,
+            # The coordinator's installed fault plan rides every spec; the
+            # worker re-installs it fresh (zeroed counters, replica-scoped).
+            chaos=chaos.INJECTOR.plan,
         )
 
     def _publish_snapshot(self) -> dict[str, Any]:
@@ -328,10 +306,6 @@ class ClusterGateway:
         Re-publishing the current version returns the existing descriptor
         without copying anything.
         """
-        if self._publisher is None:
-            from ..graph.shm import SnapshotPublisher
-
-            self._publisher = SnapshotPublisher(tag="cluster")
         service = self.service
         version = service.graph_version
         if self._publisher.current_version == version:
@@ -441,9 +415,7 @@ class ClusterGateway:
                     handle.close(
                         timeout=max(0.1, min(5.0, limit - clock.now()))
                     )
-            if self._publisher is not None:
-                self._publisher.close()
-                self._publisher = None
+            self._publisher.close()
 
     def __enter__(self) -> "ClusterGateway":
         return self

@@ -11,10 +11,11 @@ ran), reads are answered by the replica's own
 
 A replica bootstraps one of two ways (:class:`ReplicaSpec`):
 
-* **from arrays** — the primary's order-exact
-  :meth:`~repro.graph.digraph.DynamicDiGraph.to_arrays` snapshot, so the
-  rebuilt adjacency iteration (and every CSR snapshot derived from it)
-  is bit-identical to the primary's;
+* **from shared memory** — the primary's order-exact
+  :meth:`~repro.graph.digraph.DynamicDiGraph.to_arrays` snapshot plus
+  its consolidated CSR, attached by name (:mod:`repro.graph.shm`), so
+  the adjacency iteration (and every CSR snapshot derived from it) is
+  bit-identical to the primary's;
 * **from the store** — :func:`repro.store.recovery.recover_service` over
   the primary's durable state (newest checkpoint + WAL-tail replay).
   This is the respawn path: the WAL is written before any write is
@@ -47,27 +48,22 @@ from . import messages
 class ReplicaSpec:
     """Everything a worker process needs to build its replica.
 
-    ``graph_arrays``, ``graph_shm`` and ``store_root`` are mutually
-    exclusive bootstrap modes; ``serve`` always arrives with
-    ``store=None`` (the primary owns durability — replicas must never
-    double-log the WAL).
+    ``graph_shm`` and ``store_root`` are mutually exclusive bootstrap
+    modes; ``serve`` always arrives with ``store=None`` (the primary owns
+    durability — replicas must never double-log the WAL).
     """
 
     replica_id: int
     config: PPRConfig
     serve: ServeConfig
-    #: Order-exact graph snapshot (``DynamicDiGraph.to_arrays``), or None
-    #: when bootstrapping from shared memory or the store.
-    graph_arrays: dict[str, Any] | None
     #: Explicit hub ids of the primary's hub tier (empty = no hub tier).
     hubs: tuple[int, ...]
-    #: Graph version the ``graph_arrays``/``graph_shm`` snapshot is at.
+    #: Graph version the ``graph_shm`` snapshot is at.
     graph_version: int
-    #: Store directory to recover from instead (the respawn path).
+    #: Store directory to recover from (the respawn path).
     store_root: str | None = None
     #: Shared-memory snapshot descriptor (:mod:`repro.graph.shm`): the
-    #: worker attaches the named segment instead of unpickling arrays —
-    #: the zero-copy bootstrap mode (``ClusterConfig.shared_memory``).
+    #: worker attaches the named segment, zero-copy.
     graph_shm: dict[str, Any] | None = None
     #: Tracing/profiling knobs, mirrored from the coordinator's ApiConfig
     #: so replica-side spans are sampled exactly like the front door's.
@@ -78,14 +74,9 @@ class ReplicaSpec:
     chaos: FaultPlan | None = None
 
     def __post_init__(self) -> None:
-        modes = sum(
-            source is not None
-            for source in (self.graph_arrays, self.graph_shm, self.store_root)
-        )
-        if modes != 1:
+        if (self.graph_shm is None) == (self.store_root is None):
             raise ClusterError(
-                "a ReplicaSpec needs exactly one of"
-                " graph_arrays/graph_shm/store_root"
+                "a ReplicaSpec needs exactly one of graph_shm/store_root"
             )
         if self.serve.store is not None:
             raise ClusterError("replica ServeConfig must not carry a store")
@@ -97,16 +88,8 @@ def build_replica_service(spec: ReplicaSpec) -> PPRService:
         from ..store.recovery import recover_service
 
         return recover_service(spec.store_root, attach=False)
-    if spec.graph_shm is not None:
-        return PPRService.from_shared_snapshot(
-            spec.graph_shm,
-            config=spec.config,
-            serve=spec.serve,
-            hubs=list(spec.hubs) if spec.hubs else None,
-            graph_version=spec.graph_version,
-        )
-    return PPRService.from_graph_arrays(
-        spec.graph_arrays,
+    return PPRService.from_shared_snapshot(
+        spec.graph_shm,
         config=spec.config,
         serve=spec.serve,
         hubs=list(spec.hubs) if spec.hubs else None,

@@ -24,6 +24,11 @@ DEFAULT_ALPHA = 0.15
 #: Error threshold default; the paper sweeps 1e-5 .. 1e-10 (Table 2).
 DEFAULT_EPSILON = 1e-5
 
+#: :mod:`multiprocessing` context of every worker tier (replicas, shards).
+#: ``fork`` keeps worker start O(1) in the library's import cost and is
+#: what the shared-memory bootstrap and the chaos plans are tested under.
+WORKER_START = "fork"
+
 
 class PushVariant(enum.Enum):
     """The four parallel-push variants of the paper's Table 3.
@@ -63,14 +68,10 @@ class Backend(enum.Enum):
     ``NUMPY``
         Vectorized execution (``np.add.at`` plays the role of atomic adds)
         with worker-count-sized scheduling chunks. Used by benchmarks.
-    ``MULTIPROCESS``
-        Real OS-process BSP execution (demonstration; the GIL prevents
-        shared-memory thread parallelism in pure Python).
     """
 
     PURE = "pure"
     NUMPY = "numpy"
-    MULTIPROCESS = "multiprocess"
 
 
 class KernelMode(enum.Enum):
@@ -217,26 +218,6 @@ class StoreConfig:
     def with_(self, **changes: Any) -> "StoreConfig":
         """Return a copy with the given fields replaced."""
         return replace(self, **changes)
-
-
-class SnapshotStrategy(enum.Enum):
-    """How the serving layer derives the shared CSR view after a batch.
-
-    ``REBUILD``
-        Rebuild a frozen :class:`repro.graph.csr.CSRGraph` from the
-        dynamic graph whenever the version moves — O(n + m) per batch,
-        independent of batch size (the pre-delta behaviour).
-    ``DELTA``
-        Layer the batch as a row overlay on the previous snapshot
-        (:class:`repro.graph.delta.DeltaCSRGraph`) and consolidate into a
-        fresh base only when the overlay exceeds
-        ``snapshot_overlay_threshold`` — amortized cost proportional to
-        the *change*, not the graph. Bit-identical answers to ``REBUILD``
-        (the overlay is order-exact; see ``docs/performance.md``).
-    """
-
-    REBUILD = "rebuild"
-    DELTA = "delta"
 
 
 class HubRefresh(enum.Enum):
@@ -467,9 +448,6 @@ class ClusterConfig:
         How many times a crashed replica may be respawned before the
         cluster gives up and raises (guards against a poison batch
         crash-looping a worker).
-    start_method:
-        :mod:`multiprocessing` start method (``fork`` is the fast path on
-        Linux; ``spawn`` re-imports the library per worker).
     spawn_timeout_s / response_timeout_s:
         How long to wait for a worker's hello handshake / a dispatched
         read before declaring the replica dead.
@@ -477,13 +455,6 @@ class ClusterConfig:
         Dispatch idempotent non-FRESH single reads to a second replica
         as well and take the first answer — latency insurance against a
         slow or wedged owner, at the cost of duplicated read work.
-    shared_memory:
-        Bootstrap replicas from a named shared-memory snapshot
-        (:mod:`repro.graph.shm`) instead of pickling the full graph
-        dump through each worker's pipe. Workers attach the published
-        segment by name — zero-copy, so spawn cost stays O(1) in the
-        graph size. Disable to force the legacy pipe bootstrap (e.g. on
-        hosts without ``/dev/shm``).
     breaker_failures / breaker_cooldown:
         Per-replica circuit breaker: consecutive failures before the
         replica is ejected from the read rotation, and denied requests
@@ -498,11 +469,9 @@ class ClusterConfig:
     placement: PlacementPolicy = PlacementPolicy.HASHED
     catch_up: CatchUpPolicy = CatchUpPolicy.PIPELINED
     max_respawns: int = 3
-    start_method: str = "fork"
     spawn_timeout_s: float = 60.0
     response_timeout_s: float = 300.0
     hedge_reads: bool = False
-    shared_memory: bool = True
     breaker_failures: int = 3
     breaker_cooldown: int = 8
 
@@ -520,11 +489,6 @@ class ClusterConfig:
         if self.max_respawns < 0:
             raise ConfigError(
                 f"max_respawns must be >= 0, got {self.max_respawns}"
-            )
-        if self.start_method not in ("fork", "spawn", "forkserver"):
-            raise ConfigError(
-                "start_method must be one of fork/spawn/forkserver,"
-                f" got {self.start_method!r}"
             )
         if self.spawn_timeout_s <= 0 or self.response_timeout_s <= 0:
             raise ConfigError("cluster timeouts must be > 0")
@@ -578,9 +542,6 @@ class ShardConfig:
     max_respawns:
         How many times a crashed shard may be respawned before the
         gateway gives up and raises.
-    start_method:
-        :mod:`multiprocessing` start method (``fork`` is the fast path
-        on Linux).
     spawn_timeout_s / response_timeout_s:
         How long to wait for a worker's hello handshake / a dispatched
         frame before declaring the shard dead.
@@ -588,12 +549,6 @@ class ShardConfig:
         Bound on the in-memory ring of recent write frames the
         coordinator keeps for catching up a respawned shard without a
         store (a storeless gateway keeps the full history instead).
-    shared_memory:
-        Publish the seed graph snapshot as a named shared-memory
-        segment (:mod:`repro.graph.shm`) that every shard worker
-        attaches and slices locally, instead of pickling the full dump
-        through each worker's pipe. Disable to force the legacy pipe
-        bootstrap.
 
     See ``docs/sharding.md`` for placement, the frontier-exchange
     protocol, and the recovery manifest.
@@ -602,11 +557,9 @@ class ShardConfig:
     shards: int = 2
     partitioner: PartitionerKind = PartitionerKind.HASH
     max_respawns: int = 3
-    start_method: str = "fork"
     spawn_timeout_s: float = 60.0
     response_timeout_s: float = 300.0
     history_frames: int = 512
-    shared_memory: bool = True
 
     def __post_init__(self) -> None:
         if not 1 <= self.shards <= 64:
@@ -618,11 +571,6 @@ class ShardConfig:
         if self.max_respawns < 0:
             raise ConfigError(
                 f"max_respawns must be >= 0, got {self.max_respawns}"
-            )
-        if self.start_method not in ("fork", "spawn", "forkserver"):
-            raise ConfigError(
-                "start_method must be one of fork/spawn/forkserver,"
-                f" got {self.start_method!r}"
             )
         if self.spawn_timeout_s <= 0 or self.response_timeout_s <= 0:
             raise ConfigError("shard timeouts must be > 0")
@@ -678,14 +626,6 @@ class ServeConfig:
         :class:`HubRefresh`); irrelevant when ``num_hubs`` is 0.
     top_k:
         Default ranking depth returned by queries.
-    snapshot:
-        How the per-version shared CSR view is derived (see
-        :class:`SnapshotStrategy`). ``DELTA`` keeps ingest cost
-        proportional to batch size; answers are bit-identical either way.
-    snapshot_overlay_threshold:
-        ``DELTA`` only: consolidate the overlay into a fresh frozen base
-        once it holds more than this fraction of the base's edges
-        (see ``docs/performance.md`` for tuning guidance).
     store:
         Durable-state-store configuration (:class:`StoreConfig`); ``None``
         keeps the service purely in-memory. When set, the service attaches
@@ -701,8 +641,6 @@ class ServeConfig:
     num_hubs: int = 0
     hub_refresh: HubRefresh = HubRefresh.EAGER
     top_k: int = 10
-    snapshot: SnapshotStrategy = SnapshotStrategy.DELTA
-    snapshot_overlay_threshold: float = 0.25
     store: "StoreConfig | None" = None
 
     def __post_init__(self) -> None:
@@ -724,15 +662,6 @@ class ServeConfig:
             )
         if self.top_k < 1:
             raise ConfigError(f"top_k must be >= 1, got {self.top_k}")
-        if not isinstance(self.snapshot, SnapshotStrategy):
-            raise ConfigError(
-                f"snapshot must be a SnapshotStrategy, got {self.snapshot!r}"
-            )
-        if not 0.0 < self.snapshot_overlay_threshold:
-            raise ConfigError(
-                "snapshot_overlay_threshold must be > 0,"
-                f" got {self.snapshot_overlay_threshold}"
-            )
         if self.store is not None and not isinstance(self.store, StoreConfig):
             raise ConfigError(f"store must be a StoreConfig, got {self.store!r}")
 
@@ -776,7 +705,6 @@ class PPRConfig:
     workers: int = 40
     max_iterations: int = 1_000_000
     kernel: "KernelConfig | None" = None
-    extras: dict[str, Any] = field(default_factory=dict, compare=False)
 
     def __post_init__(self) -> None:
         if not 0.0 < self.alpha < 1.0:

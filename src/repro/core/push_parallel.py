@@ -43,7 +43,7 @@ from collections.abc import Iterable, Sequence
 
 from .. import obs
 from ..config import Backend, Phase, PPRConfig
-from ..errors import BackendError, ConvergenceError
+from ..errors import ConvergenceError
 from ..graph.csr import CSRGraph
 from ..graph.delta import CSRView
 from ..graph.digraph import DynamicDiGraph
@@ -210,11 +210,11 @@ def parallel_local_push(
     """Run the parallel local push to convergence (``max |r| <= epsilon``).
 
     Dispatches on ``config.backend``: the pure reference engine works
-    directly on the dynamic graph; the numpy and multiprocess engines
-    require (or build) a snapshot of the *current* graph — either a
+    directly on the dynamic graph; the numpy engine requires (or
+    builds) a snapshot of the *current* graph — either a
     frozen :class:`CSRGraph` or a delta overlay view
     (:class:`~repro.graph.delta.DeltaCSRGraph`); both satisfy the narrow
-    degree/neighbors-array interface the engines consume. Seeds restrict
+    degree/neighbors-array interface the engine consumes. Seeds restrict
     the initial frontier scan — pass the vertices touched by
     restore-invariant.
     """
@@ -234,28 +234,16 @@ def parallel_local_push(
         # The snapshot must cover the source id even when the source is an
         # isolated vertex the graph has not seen yet.
         min_capacity = max(graph.capacity, state.source + 1)
-        if config.backend is Backend.NUMPY:
-            # kernel_phase picks the compiled C kernel or the vectorized
-            # numpy oracle per REPRO_KERNEL / config.kernel (bit-identical
-            # either way; see repro.kernels).
-            from ..kernels import kernel_phase
+        # kernel_phase picks the compiled C kernel or the vectorized
+        # numpy oracle per REPRO_KERNEL / config.kernel (bit-identical
+        # either way; see repro.kernels).
+        from ..kernels import kernel_phase
 
-            snapshot = (
-                csr if csr is not None else CSRGraph.from_digraph(graph, min_capacity)
-            )
-            state.ensure_capacity(snapshot.num_vertices)
-            used = kernel_phase(state, snapshot, Phase.POS, config, seeds, stats)
-            kernel_phase(state, snapshot, Phase.NEG, config, seeds, stats)
-            span.set(iterations=stats.num_iterations, kernel=used)
-            return stats
-        if config.backend is Backend.MULTIPROCESS:
-            from ..parallel.multiproc import multiprocess_push
-
-            snapshot = (
-                csr if csr is not None else CSRGraph.from_digraph(graph, min_capacity)
-            )
-            state.ensure_capacity(snapshot.num_vertices)
-            stats = multiprocess_push(state, snapshot, config, seeds=seeds, stats=stats)
-            span.set(iterations=stats.num_iterations)
-            return stats
-        raise BackendError(f"unsupported backend: {config.backend!r}")
+        snapshot = (
+            csr if csr is not None else CSRGraph.from_digraph(graph, min_capacity)
+        )
+        state.ensure_capacity(snapshot.num_vertices)
+        used = kernel_phase(state, snapshot, Phase.POS, config, seeds, stats)
+        kernel_phase(state, snapshot, Phase.NEG, config, seeds, stats)
+        span.set(iterations=stats.num_iterations, kernel=used)
+        return stats

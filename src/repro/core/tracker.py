@@ -19,10 +19,10 @@ from collections.abc import Iterable, Sequence
 
 import numpy as np
 
-from ..config import Backend, PPRConfig, SnapshotStrategy
+from ..config import Backend, PPRConfig
 from ..errors import ConfigError
 from ..graph.csr import CSRGraph
-from ..graph.delta import DEFAULT_OVERLAY_THRESHOLD, CSRView, DeltaCSRGraph
+from ..graph.delta import CSRView, advance_view
 from ..graph.digraph import DynamicDiGraph
 from ..graph.update import EdgeUpdate
 from .groundtruth import ground_truth_ppr, max_estimate_error
@@ -52,13 +52,6 @@ class DynamicPPRTracker:
         push — this is how the CPU-Seq baseline is expressed at this
         level. (CPU-Base additionally pushes after every single update;
         see :func:`repro.core.push_sequential.cpu_base_update`.)
-    snapshot_strategy:
-        How the tracker's CSR view advances across batches:
-        ``REBUILD`` (default) rebuilds from the graph when dirty;
-        ``DELTA`` layers each batch as a
-        :class:`~repro.graph.delta.DeltaCSRGraph` overlay on the previous
-        view (O(batch) instead of O(m)), consolidating at
-        ``overlay_threshold``. Answers are bit-identical either way.
 
     Examples
     --------
@@ -77,19 +70,14 @@ class DynamicPPRTracker:
         config: PPRConfig | None = None,
         *,
         sequential: bool = False,
-        snapshot_strategy: SnapshotStrategy = SnapshotStrategy.REBUILD,
-        overlay_threshold: float = DEFAULT_OVERLAY_THRESHOLD,
     ) -> None:
         self.config = config or PPRConfig()
         self.graph = graph
         self.sequential = sequential
-        self.snapshot_strategy = snapshot_strategy
-        self.overlay_threshold = overlay_threshold
         if not graph.has_vertex(source):
             graph.add_vertex(source)
         self.state = PPRState.initial(source, graph.capacity)
         self._csr: CSRView | None = None
-        self._csr_dirty = True
         self.batches_processed = 0
         self.updates_processed = 0
         self.initial_stats = self._push(seeds=[source])
@@ -119,33 +107,19 @@ class DynamicPPRTracker:
     # ------------------------------------------------------------------ #
 
     def _snapshot(self) -> CSRView:
-        if self._csr is None or self._csr_dirty:
+        if self._csr is None:
             self._csr = CSRGraph.from_digraph(self.graph)
-            self._csr_dirty = False
         return self._csr
 
     def _advance_snapshot(self, updates: Sequence[EdgeUpdate]) -> None:
         """Move the CSR view past ``updates`` (already applied to the graph).
 
-        ``DELTA`` strategy with a clean view: layer the batch as a row
-        overlay (consolidating past ``overlay_threshold``); otherwise
-        mark the view dirty so the next push rebuilds it.
+        The view advances as a delta overlay
+        (:func:`~repro.graph.delta.advance_view`, O(batch) instead of
+        O(m)); with no view yet the next push builds one from the graph.
         """
-        if (
-            self.snapshot_strategy is SnapshotStrategy.DELTA
-            and self.config.backend is not Backend.PURE
-            and self._csr is not None
-            and not self._csr_dirty
-        ):
-            view = self._csr
-            if not isinstance(view, DeltaCSRGraph):
-                view = DeltaCSRGraph.wrap(view)
-            view = view.apply_updates(self.graph, updates)
-            if view.should_consolidate(self.overlay_threshold):
-                view = view.consolidated()
-            self._csr = view
-        else:
-            self._csr_dirty = True
+        if self._csr is not None:
+            self._csr, _ = advance_view(self._csr, self.graph, updates)
 
     def set_snapshot(self, csr: CSRView) -> None:
         """Install an externally-built CSR snapshot of the *current* graph.
@@ -156,7 +130,6 @@ class DynamicPPRTracker:
         """
         csr.ensure_covers(self.graph.capacity)
         self._csr = csr
-        self._csr_dirty = False
 
     def _push(self, seeds: Iterable[int] | None) -> BatchStats:
         batch = BatchStats()
@@ -197,7 +170,7 @@ class DynamicPPRTracker:
             kernel=self.config.kernel,
         )
         if snapshot is not None:
-            self._csr_dirty = True
+            self._csr = None  # a rejected snapshot must not leave a stale view
             self.set_snapshot(snapshot)
         else:
             self._advance_snapshot(updates)

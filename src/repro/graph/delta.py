@@ -101,8 +101,8 @@ class DeltaCSRGraph:
     :meth:`in_neighbors`, :meth:`in_degree`, :meth:`in_degrees`,
     :meth:`ensure_covers`), so it can stand in for a
     :class:`~repro.graph.csr.CSRGraph` everywhere a snapshot is shared —
-    the vectorized push, the multiprocess backend, the Ligra baseline,
-    admission pools and hub re-convergence.
+    the vectorized push, the Ligra baseline, admission pools and hub
+    re-convergence.
 
     Views are persistent (apply methods return a *new* view sharing the
     base and row arrays), so an in-flight consumer of the previous
@@ -490,3 +490,23 @@ class DeltaCSRGraph:
 #: ``in_degree(s)`` and ``ensure_covers``. Either the frozen CSR or a
 #: delta overlay view satisfies it.
 CSRView = CSRGraph | DeltaCSRGraph
+
+
+def advance_view(
+    view: CSRView, graph: DynamicDiGraph, updates: Sequence[EdgeUpdate]
+) -> tuple[DeltaCSRGraph, bool]:
+    """The snapshot lineage step: ``view`` moved past one applied batch.
+
+    ``view`` must cover ``graph`` as it was *before* ``updates`` (which
+    the graph already reflects). The batch is layered as a row overlay
+    and, once the overlay outgrows :data:`DEFAULT_OVERLAY_THRESHOLD`,
+    consolidated into a fresh frozen base. Returns the new view and
+    whether it was consolidated. Every maintained snapshot — the serving
+    layer's and the tracker's — advances through here.
+    """
+    if not isinstance(view, DeltaCSRGraph):
+        view = DeltaCSRGraph.wrap(view)
+    view = view.apply_updates(graph, updates)
+    if view.should_consolidate():
+        return view.consolidated(), True
+    return view, False

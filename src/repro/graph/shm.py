@@ -98,7 +98,12 @@ class SharedArrayBundle:
         tag: str = "snap",
         meta: dict[str, Any] | None = None,
     ) -> "SharedArrayBundle":
-        """Copy ``arrays`` into a fresh named segment (the only copy ever)."""
+        """Copy ``arrays`` into a fresh named segment (the only copy ever).
+
+        Raises :class:`~repro.errors.GraphError` naming the requested
+        size when the host cannot provide the segment (no ``/dev/shm``,
+        ``ENOSPC``); a failed copy unlinks the segment before re-raising.
+        """
         packed = {k: np.ascontiguousarray(v) for k, v in arrays.items()}
         layout: dict[str, tuple[str, tuple[int, ...], int]] = {}
         offset = 0
@@ -114,13 +119,28 @@ class SharedArrayBundle:
                 break
             except FileExistsError:  # pragma: no cover - token collision
                 continue
+            except OSError as exc:  # no /dev/shm, ENOSPC, RLIMIT
+                raise GraphError(
+                    f"cannot allocate a {size:,}-byte shared-memory segment"
+                    f" for {tag!r}: {exc}"
+                ) from exc
         if shm is None:  # pragma: no cover - 16 collisions in a row
             raise GraphError("could not allocate a unique shared-memory name")
-        for key, arr in packed.items():
-            _, shape, off = layout[key]
-            view = np.ndarray(shape, dtype=arr.dtype, buffer=shm.buf, offset=off)
-            view[...] = arr
-            del view
+        try:
+            for key, arr in packed.items():
+                _, shape, off = layout[key]
+                # No named view: nothing may export shm.buf past this call,
+                # or the close() below (and in the caller) would refuse.
+                np.copyto(
+                    np.ndarray(shape, dtype=arr.dtype, buffer=shm.buf, offset=off),
+                    arr,
+                )
+        except BaseException:
+            # Nobody holds the name yet: a segment left behind here would
+            # outlive the process.
+            shm.unlink()
+            shm.close()
+            raise
         return cls(shm, layout, meta or {}, owner=True)
 
     @classmethod

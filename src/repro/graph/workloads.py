@@ -20,9 +20,9 @@ import numpy as np
 
 from ..config import PPRConfig
 from ..errors import ConfigError
-from ..graph.datasets import dataset_edges, get_spec
-from ..graph.digraph import DynamicDiGraph
-from ..graph.stream import SlidingWindow, random_permutation_stream
+from .datasets import dataset_edges, get_spec
+from .digraph import DynamicDiGraph
+from .stream import SlidingWindow, random_permutation_stream
 from ..utils.rng import ensure_rng
 
 

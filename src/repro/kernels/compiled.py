@@ -110,7 +110,7 @@ class _Scratch:
     per-chunk clearing; the other buffers are maintained all-zero by the
     kernel itself (it re-clears exactly the entries it set). One scratch
     per process is enough: engines run a push under the service lock, and
-    the multiprocess backend forks workers with their own copy.
+    forked replica/shard workers each get their own copy.
     """
 
     __slots__ = (

@@ -1,4 +1,4 @@
-"""Simulated parallel hardware: cost models, profiling, multiprocess backend.
+"""Simulated parallel hardware: cost models and profiling.
 
 The paper runs on a 40-core Xeon (CilkPlus) and a GTX TITAN X (CUDA);
 neither true shared-memory threading (GIL) nor a GPU is available to a
@@ -15,7 +15,6 @@ from .cost_model import (
     MonteCarloCostModel,
 )
 from .metrics import ProfilingReport
-from .multiproc import multiprocess_push
 from .simulator import profile_cpu, profile_gpu
 
 __all__ = [
@@ -24,7 +23,6 @@ __all__ = [
     "LigraCostModel",
     "MonteCarloCostModel",
     "ProfilingReport",
-    "multiprocess_push",
     "profile_cpu",
     "profile_gpu",
 ]

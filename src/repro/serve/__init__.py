@@ -16,7 +16,13 @@ and see ``docs/serving.md`` for the design.
 
 from .cache import ResidentSource, SourceCache
 from .pool import AdmissionPool
-from .service import PPRService, ServedQuery, ServedScore, ServiceMetrics
+from .service import (
+    PPRService,
+    ServedQuery,
+    ServedScore,
+    ServiceMetrics,
+    workload_service,
+)
 
 __all__ = [
     "AdmissionPool",
@@ -26,4 +32,5 @@ __all__ = [
     "ServedScore",
     "ServiceMetrics",
     "SourceCache",
+    "workload_service",
 ]

@@ -9,10 +9,8 @@ state. The service owns
   is applied to it exactly once;
 * a *versioned* CSR snapshot shared by every push that version triggers
   (resident refreshes, cold admissions, hub re-convergence) — advanced
-  per batch as a :class:`~repro.graph.delta.DeltaCSRGraph` overlay under
-  the default :attr:`~repro.config.SnapshotStrategy.DELTA` strategy
-  (O(batch) per ingest, amortized consolidation), or rebuilt lazily at
-  most once per batch under ``REBUILD``;
+  per batch as a :class:`~repro.graph.delta.DeltaCSRGraph` overlay
+  (O(batch) per ingest, amortized consolidation);
 * a :class:`~repro.serve.cache.SourceCache` of resident per-source states
   with LRU eviction;
 * an :class:`~repro.serve.pool.AdmissionPool` that admits cold sources in
@@ -55,7 +53,6 @@ from ..config import (
     PPRConfig,
     RefreshPolicy,
     ServeConfig,
-    SnapshotStrategy,
 )
 from ..core.certify import CertifiedEntry, certified_top_k, error_bound
 from ..core.hub_index import DynamicHubIndex
@@ -66,10 +63,16 @@ from ..core.stats import PushStats
 from ..obs import clock
 from ..errors import ConfigError, VertexError
 from ..graph.csr import CSRGraph
-from ..graph.delta import CSRView, DeltaCSRGraph
+from ..graph.delta import CSRView, DeltaCSRGraph, advance_view
 from ..graph.digraph import DynamicDiGraph
 from ..graph.stream import WindowSlide
 from ..graph.update import EdgeUpdate
+from ..graph.workloads import (
+    PreparedWorkload,
+    WorkloadSpec,
+    default_config,
+    prepare_workload,
+)
 from .cache import ResidentSource, SourceCache
 from .pool import AdmissionPool
 
@@ -413,34 +416,6 @@ class PPRService:
         return service
 
     @classmethod
-    def from_graph_arrays(
-        cls,
-        arrays: dict[str, np.ndarray],
-        *,
-        config: PPRConfig | None = None,
-        serve: ServeConfig | None = None,
-        hubs: Sequence[int] | None = None,
-        graph_version: int = 0,
-    ) -> "PPRService":
-        """Build a fresh replica of a service from order-exact graph arrays.
-
-        The replica-bootstrap path of the cluster tier
-        (:mod:`repro.cluster`): ``arrays`` come from the primary's
-        :meth:`~repro.graph.digraph.DynamicDiGraph.to_arrays`, whose
-        order-exact round trip guarantees the rebuilt graph's adjacency
-        iteration — and therefore every CSR snapshot and vectorized push
-        this service runs — is bit-identical to the primary's. The new
-        service starts at ``graph_version`` with an empty resident cache;
-        passing the primary's ``hubs`` rebuilds (and re-converges) the
-        same hub tier.
-        """
-        service = cls(
-            DynamicDiGraph.from_arrays(arrays), config, serve, hubs=hubs
-        )
-        service.graph_version = graph_version
-        return service
-
-    @classmethod
     def from_shared_snapshot(
         cls,
         descriptor: dict,
@@ -452,17 +427,22 @@ class PPRService:
     ) -> "PPRService":
         """Build a replica by *attaching* a published shared-memory snapshot.
 
-        The zero-copy sibling of :meth:`from_graph_arrays`: ``descriptor``
-        names a :class:`~repro.graph.shm.SharedArrayBundle` published by
-        the coordinator (order-exact graph arrays, plus — when present —
-        the consolidated CSR arrays of the same version). The graph is
-        built *lazily* (scalars from the bundle's meta, adjacency dicts
-        deferred) and the CSR is installed directly over the shared
-        arrays, so bootstrap cost is independent of the graph size:
-        nothing is copied until an ingest or a dict-walking code path
-        actually needs the adjacency. Answers remain bit-identical to a
-        :meth:`from_graph_arrays` replica — the shared CSR is the same
-        order-exact consolidation a local rebuild would produce.
+        The replica-bootstrap path of the cluster tier
+        (:mod:`repro.cluster`): ``descriptor`` names a
+        :class:`~repro.graph.shm.SharedArrayBundle` published by the
+        coordinator — the primary's order-exact
+        :meth:`~repro.graph.digraph.DynamicDiGraph.to_arrays` dump, plus
+        (when present) the consolidated CSR arrays of the same version.
+        The graph is built *lazily* (scalars from the bundle's meta,
+        adjacency dicts deferred) and the CSR is installed directly over
+        the shared arrays, so bootstrap cost is independent of the graph
+        size: nothing is copied until an ingest or a dict-walking code
+        path actually needs the adjacency. The new service starts at
+        ``graph_version`` with an empty resident cache; passing the
+        primary's ``hubs`` rebuilds (and re-converges) the same hub tier.
+        Answers are bit-identical to the primary's — the round trip
+        preserves adjacency iteration order, and the shared CSR is the
+        same order-exact consolidation a local rebuild would produce.
 
         The attached bundle is pinned on the service (``_shm_bundle``) so
         the mapping outlives every numpy view handed out.
@@ -496,10 +476,9 @@ class PPRService:
     # ------------------------------------------------------------------ #
 
     def _snapshot(self) -> CSRView | None:
-        """The shared CSR view of the current graph version (lazy rebuild).
+        """The shared CSR view of the current graph version.
 
-        Under :attr:`~repro.config.SnapshotStrategy.DELTA` the view is
-        normally advanced incrementally by :meth:`ingest`
+        Normally advanced incrementally by :meth:`ingest`
         (:meth:`_advance_snapshot`); the full rebuild here is the cold
         start and the fallback when the version chain was broken.
         """
@@ -507,45 +486,34 @@ class PPRService:
             return None
         if self._csr is None or self._csr_version != self.graph_version:
             with obs.span("snapshot.rebuild", version=self.graph_version):
-                csr = CSRGraph.from_digraph(self.graph)
-                if self.serve.snapshot is SnapshotStrategy.DELTA:
-                    self._csr = DeltaCSRGraph.wrap(csr)
-                else:
-                    self._csr = csr
+                self._csr = DeltaCSRGraph.wrap(CSRGraph.from_digraph(self.graph))
                 self._csr_version = self.graph_version
                 self._metrics.snapshot_rebuilds += 1
         return self._csr
 
-    def _advance_snapshot(self, updates: Sequence[EdgeUpdate]) -> bool:
+    def _advance_snapshot(self, updates: Sequence[EdgeUpdate]) -> None:
         """Derive the new version's view from the previous one, if possible.
 
         The delta hot path: when the cached view covers the *previous*
         version, layer this batch's row overlay on it (O(batch), not
-        O(m)) and consolidate once the overlay outgrows
-        ``serve.snapshot_overlay_threshold``. Returns whether the view
-        now covers the current version.
+        O(m)), consolidating once the overlay outgrows its threshold
+        (:func:`~repro.graph.delta.advance_view`). Otherwise the next
+        :meth:`_snapshot` rebuilds.
         """
         if (
-            self.serve.snapshot is not SnapshotStrategy.DELTA
-            or self.config.backend is Backend.PURE
+            self.config.backend is Backend.PURE
             or self._csr is None
             or self._csr_version != self.graph_version - 1
         ):
-            return False
+            return
         with obs.span("snapshot.advance", updates=len(updates)) as span:
-            view = self._csr
-            if not isinstance(view, DeltaCSRGraph):
-                view = DeltaCSRGraph.wrap(view)
-            view = view.apply_updates(self.graph, updates)
-            if view.should_consolidate(self.serve.snapshot_overlay_threshold):
-                view = view.consolidated()
+            self._csr, consolidated = advance_view(self._csr, self.graph, updates)
+            self._csr_version = self.graph_version
+            if consolidated:
                 self._metrics.snapshot_consolidations += 1
                 span.set(consolidated=True)
             else:
                 self._metrics.snapshot_delta_applies += 1
-            self._csr = view
-            self._csr_version = self.graph_version
-        return True
 
     def shared_snapshot_arrays(self) -> dict[str, np.ndarray]:
         """The current version's CSR as flat arrays for shm publication.
@@ -561,13 +529,8 @@ class PPRService:
         if view is None:
             return {}
         if isinstance(view, DeltaCSRGraph):
-            flat = view.consolidate()
-            self._csr = (
-                DeltaCSRGraph.wrap(flat)
-                if self.serve.snapshot is SnapshotStrategy.DELTA
-                else flat
-            )
-            view = flat
+            view = view.consolidate()
+            self._csr = DeltaCSRGraph.wrap(view)
         return {
             "csr_indptr": view.indptr,
             "csr_indices": view.indices,
@@ -902,11 +865,7 @@ class PPRService:
                 grew = True
         if not grew:
             return
-        if (
-            self._csr is not None
-            and self._csr_version == self.graph_version
-            and self.serve.snapshot is SnapshotStrategy.DELTA
-        ):
+        if self._csr is not None and self._csr_version == self.graph_version:
             # Registering vertices adds no adjacency: pad the overlay's
             # dense arrays instead of invalidating the whole snapshot.
             view = self._csr
@@ -1037,3 +996,37 @@ class PPRService:
             f" version={self.graph_version}, n={self.graph.num_vertices},"
             f" m={self.graph.num_edges}, hubs={len(self.hubs)})"
         )
+
+
+def workload_service(
+    dataset: str,
+    *,
+    epsilon: float = 1e-5,
+    workers: int = 40,
+    cache_capacity: int = 64,
+    admission_batch: int = 16,
+    num_hubs: int = 0,
+    top_k: int = 10,
+    config: PPRConfig | None = None,
+) -> tuple[PPRService, PreparedWorkload]:
+    """A deterministic service over a dataset analog's initial window.
+
+    Same spec, same service, bit-for-bit — two processes building from
+    the same arguments serve identical certified answers, which is the
+    property the gateway CI smoke asserts across the HTTP boundary.
+    """
+    prepared = prepare_workload(WorkloadSpec(dataset=dataset))
+    cfg = config or default_config(epsilon=epsilon).with_(
+        backend=Backend.NUMPY, workers=workers
+    )
+    service = PPRService(
+        prepared.initial_graph(),
+        cfg,
+        ServeConfig(
+            cache_capacity=cache_capacity,
+            admission_batch=admission_batch,
+            num_hubs=num_hubs,
+            top_k=top_k,
+        ),
+    )
+    return service, prepared

@@ -78,6 +78,7 @@ from ..api.responses import (
 from ..api.scheduling import ReadRun, plan_schedule, scatter_run_results
 from ..chaos import FaultKind
 from ..config import (
+    WORKER_START,
     ApiConfig,
     Backend,
     PPRConfig,
@@ -94,6 +95,7 @@ from ..errors import (
     ReproError,
 )
 from ..graph.digraph import DynamicDiGraph
+from ..graph.shm import SharedArrayBundle, sweep_stale
 from ..obs import clock
 from ..store.wal import pack_record
 from . import messages
@@ -251,7 +253,10 @@ class ShardedGateway:
         self.store_config = None
         if store_root is not None:
             self.store_config = store_config or StoreConfig(root=str(store_root))
-        self._ctx = multiprocessing.get_context(self.shard.start_method)
+        self._ctx = multiprocessing.get_context(WORKER_START)
+        # Reap segments a SIGKILLed predecessor left behind (the way
+        # StateStore sweeps stale checkpoint temporaries at open).
+        sweep_stale()
         self._lock = threading.RLock()
         self._ticket = 0
         self.counters: Counter[str] = Counter()
@@ -281,21 +286,12 @@ class ShardedGateway:
             self._history: Any = deque(maxlen=self.shard.history_frames)
         else:
             self._history = []
-        self._seed_arrays: dict[str, Any] | None = graph.to_arrays()
         #: Shared-memory publication of the seed snapshot: one named
-        #: segment every worker attaches and slices, instead of pickling
-        #: the full dump down each spawn pipe.
-        self._seed_bundle = None
-        self._seed_shm: dict[str, Any] | None = None
-        if self.shard.shared_memory:
-            from ..graph.shm import SharedArrayBundle
-
-            self._seed_bundle = SharedArrayBundle.create(
-                self._seed_arrays, tag="shard-seed"
-            )
-            self._seed_shm = self._seed_bundle.descriptor
-            # The segment is the seed's home now; keep no private copy.
-            self._seed_arrays = None
+        #: segment every worker attaches and slices — the only copy the
+        #: coordinator keeps (None on a gateway recovered from stores).
+        self._seed_bundle: SharedArrayBundle | None = SharedArrayBundle.create(
+            graph.to_arrays(), tag="shard-seed"
+        )
         self._batches_since_checkpoint = 0
         #: Per-shard relay counters (the /v1/metrics satellite surface).
         self.exchange_rounds = [0] * self.shard.shards
@@ -337,12 +333,11 @@ class ShardedGateway:
             config=self.ppr,
             serve=self.serve,
             partitioner_manifest=self.partitioner.to_manifest(),
-            graph_arrays=None if recover else self._seed_arrays,
             graph_version=0,
             store_root=store_root,
             store_config=store_config,
             recover=recover,
-            graph_shm=None if recover else self._seed_shm,
+            graph_shm=None if recover else self._seed_bundle.descriptor,
             obs=self.config.obs,
             chaos=chaos.INJECTOR.plan,
         )
@@ -486,7 +481,6 @@ class ShardedGateway:
                 self._seed_bundle.unlink()
                 self._seed_bundle.close()
                 self._seed_bundle = None
-                self._seed_shm = None
 
     def __enter__(self) -> "ShardedGateway":
         return self
@@ -1435,7 +1429,8 @@ class ShardedGateway:
         self.partitioner = partitioner
         self.store_root = store_root
         self.store_config = store_config or StoreConfig(root=str(store_root))
-        self._ctx = multiprocessing.get_context(self.shard.start_method)
+        self._ctx = multiprocessing.get_context(WORKER_START)
+        sweep_stale()
         self._lock = threading.RLock()
         self._ticket = 0
         self.counters = Counter()
@@ -1455,9 +1450,7 @@ class ShardedGateway:
         from collections import deque
 
         self._history = deque(maxlen=self.shard.history_frames)
-        self._seed_arrays = None
         self._seed_bundle = None
-        self._seed_shm = None
         self._batches_since_checkpoint = 0
         self.exchange_rounds = [0] * self.shard.shards
         self.frontier_bytes = [0] * self.shard.shards

@@ -43,6 +43,7 @@ from ..api.responses import ErrorInfo
 from ..chaos import FaultPlan
 from ..config import ObsConfig, PPRConfig, ServeConfig, StoreConfig
 from ..errors import ClusterError
+from ..graph.shm import SharedArrayBundle
 from ..store.store import StateStore
 from ..store.wal import pack_record, unpack_record
 from . import messages
@@ -56,12 +57,11 @@ from .service import ShardService
 class ShardSpec:
     """Everything a worker process needs to build its shard.
 
-    ``graph_arrays`` (an order-exact full-graph snapshot from
-    :meth:`~repro.graph.digraph.DynamicDiGraph.to_arrays`, sliced
-    locally by the partitioner), ``graph_shm`` (the same snapshot
-    attached from a named shared-memory segment — zero pickling per
-    worker) and ``recover`` (rebuild from this shard's own store) are
-    mutually exclusive bootstrap modes.
+    ``graph_shm`` (an order-exact full-graph snapshot from
+    :meth:`~repro.graph.digraph.DynamicDiGraph.to_arrays`, attached from
+    a named shared-memory segment and sliced locally by the partitioner)
+    and ``recover`` (rebuild from this shard's own store) are mutually
+    exclusive bootstrap modes.
     """
 
     shard_id: int
@@ -70,10 +70,7 @@ class ShardSpec:
     serve: ServeConfig
     #: ``Partitioner.to_manifest()`` payload — rebuilt identically here.
     partitioner_manifest: dict[str, Any]
-    #: Full-graph snapshot to slice, or None when recovering or
-    #: attaching shared memory.
-    graph_arrays: dict[str, Any] | None
-    #: Graph version the ``graph_arrays``/``graph_shm`` snapshot is at.
+    #: Graph version the ``graph_shm`` snapshot is at.
     graph_version: int
     #: This shard's own store directory (None = no durability).
     store_root: str | None = None
@@ -83,8 +80,7 @@ class ShardSpec:
     #: Rebuild from ``store_root`` (newest checkpoint + WAL tail).
     recover: bool = False
     #: Shared-memory snapshot descriptor (:mod:`repro.graph.shm`): the
-    #: worker attaches the published seed segment and slices it locally
-    #: (``ShardConfig.shared_memory``).
+    #: worker attaches the published seed segment and slices it locally.
     graph_shm: dict[str, Any] | None = None
     obs: ObsConfig = field(default_factory=ObsConfig)
     chaos: FaultPlan | None = None
@@ -94,18 +90,12 @@ class ShardSpec:
             raise ClusterError(
                 f"shard_id {self.shard_id} outside [0, {self.shards})"
             )
-        if self.recover:
-            if self.store_root is None:
-                raise ClusterError("a recovering ShardSpec needs store_root")
-        elif self.graph_arrays is None and self.graph_shm is None:
+        if self.recover == (self.graph_shm is not None):
             raise ClusterError(
-                "a ShardSpec needs graph_arrays or graph_shm unless"
-                " recover=True"
+                "a ShardSpec needs exactly one of graph_shm/recover=True"
             )
-        if self.graph_arrays is not None and self.graph_shm is not None:
-            raise ClusterError(
-                "graph_arrays and graph_shm are mutually exclusive"
-            )
+        if self.recover and self.store_root is None:
+            raise ClusterError("a recovering ShardSpec needs store_root")
         if self.serve.store is not None:
             raise ClusterError("shard ServeConfig must not carry a store")
 
@@ -125,23 +115,16 @@ def build_shard_service(spec: ShardSpec) -> ShardService:
             store_config=spec.store_config,
         )
         return result.service
-    if spec.graph_shm is not None:
-        from ..graph.shm import SharedArrayBundle
-
-        # Attach, slice, detach: from_full_arrays copies everything it
-        # keeps, so the mapping can be dropped as soon as the slice is
-        # built — a shard holds only its own rows, never the full dump.
-        bundle = SharedArrayBundle.attach(spec.graph_shm)
-        try:
-            graph = ShardGraph.from_full_arrays(
-                bundle.arrays(), partitioner, spec.shard_id
-            )
-        finally:
-            bundle.close()
-    else:
+    # Attach, slice, detach: from_full_arrays copies everything it
+    # keeps, so the mapping can be dropped as soon as the slice is
+    # built — a shard holds only its own rows, never the full dump.
+    bundle = SharedArrayBundle.attach(spec.graph_shm)
+    try:
         graph = ShardGraph.from_full_arrays(
-            spec.graph_arrays, partitioner, spec.shard_id
+            bundle.arrays(), partitioner, spec.shard_id
         )
+    finally:
+        bundle.close()
     store = None
     if spec.store_root is not None:
         store = StateStore(spec.store_root, spec.store_config)

@@ -48,7 +48,6 @@ from ..config import (
     PushVariant,
     RefreshPolicy,
     ServeConfig,
-    SnapshotStrategy,
 )
 from ..core.hub_index import DynamicHubIndex
 from ..core.state import decode_states, encode_states
@@ -64,7 +63,9 @@ PathLike = str | os.PathLike
 #:    deferred lazy hub-refresh seeds (``hubs_pending``) serialized.
 #: 3: resident and hub vectors sparse (indices + values of the non-zero
 #:    bit patterns, per-vector counts); container no longer deflated.
-CHECKPOINT_FORMAT = 3
+#: 4: serve-config block lost the snapshot-strategy/threshold keys (one
+#:    snapshot lineage; ``ServeConfig`` no longer has the fields).
+CHECKPOINT_FORMAT = 4
 
 _NAME_RE = re.compile(r"^checkpoint-(\d{12})\.npz$")
 _TMP_SUFFIX = ".tmp"
@@ -110,8 +111,6 @@ def _serve_config_json(serve: ServeConfig) -> str:
             "num_hubs": serve.num_hubs,
             "hub_refresh": serve.hub_refresh.value,
             "top_k": serve.top_k,
-            "snapshot": serve.snapshot.value,
-            "snapshot_overlay_threshold": serve.snapshot_overlay_threshold,
         },
         sort_keys=True,
     )
@@ -128,7 +127,6 @@ def _parse_serve_config(payload: str) -> ServeConfig:
     data = json.loads(payload)
     data["refresh"] = RefreshPolicy(data["refresh"])
     data["hub_refresh"] = HubRefresh(data["hub_refresh"])
-    data["snapshot"] = SnapshotStrategy(data["snapshot"])
     return ServeConfig(**data)
 
 

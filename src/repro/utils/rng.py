@@ -31,8 +31,7 @@ def ensure_rng(rng: RngLike = None) -> np.random.Generator:
 def spawn_rngs(rng: RngLike, count: int) -> list[np.random.Generator]:
     """Split one generator into ``count`` independent child generators.
 
-    Used by the multiprocessing backend and the Monte-Carlo baseline so
-    that parallel workers draw from non-overlapping streams.
+    Lets parallel workers draw from non-overlapping streams.
     """
     if count < 0:
         raise ValueError(f"count must be >= 0, got {count}")

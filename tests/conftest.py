@@ -83,6 +83,26 @@ def random_graph(
     return DynamicDiGraph(map(tuple, edges.tolist()))
 
 
+def rebuilt_view_after(graph, batch):
+    """``CSRGraph.from_digraph`` of ``graph`` as it will be after ``batch``.
+
+    The reference view of every delta-lineage bit-identity test, built
+    from an order-preserving copy so the live graph is left for the
+    consumer under test to mutate.
+    """
+    from repro.graph import CSRGraph
+
+    after = graph.copy()
+    after.apply_batch(batch)
+    return CSRGraph.from_digraph(after)
+
+
+def ingest_from_rebuild(service, batch):
+    """Ingest ``batch`` through the ``ingest(snapshot=...)`` hook, so the
+    service pushes on a freshly built frozen CSR and never on an overlay."""
+    return service.ingest(batch, snapshot=rebuilt_view_after(service.graph, batch))
+
+
 def all_variant_configs(
     alpha: float = 0.2, epsilon: float = 1e-4, workers: int = 4
 ) -> list[PPRConfig]:

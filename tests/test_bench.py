@@ -15,7 +15,7 @@ from repro.bench.figures import (
     fig10_scalability,
 )
 from repro.bench.harness import Approach, run_approach, speedup_table
-from repro.bench.workloads import (
+from repro.graph.workloads import (
     WorkloadSpec,
     default_config,
     prepare_workload,

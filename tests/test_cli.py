@@ -97,7 +97,7 @@ class TestStoreCommands:
         # Per checkpoint: the layout version and how sparse the vectors are.
         assert {"format", "nnz", "density"} <= set(out.split())
         rows = [line.split() for line in out.splitlines() if "checkpoint-0" in line]
-        assert rows and all(row[3] == "3" and row[5].endswith("%") for row in rows)
+        assert rows and all(row[3] == "4" and row[5].endswith("%") for row in rows)
         # slides=4, interval=3: one batch lives in the WAL tail, clean.
         assert "wal-" in out and "clean" in out
 

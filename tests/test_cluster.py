@@ -69,18 +69,30 @@ def cluster():
 
 
 class TestReplicaSpec:
-    def test_exactly_one_bootstrap_mode(self):
+    #: A descriptor's shape is all the spec validates; nothing attaches it.
+    SHM = {"segment": "repro-shm-0-test-0", "layout": {}, "meta": {}}
+
+    def _spec(self, service, **sources):
+        return ReplicaSpec(
+            replica_id=0,
+            config=service.config,
+            serve=service.serve,
+            hubs=(),
+            graph_version=0,
+            **sources,
+        )
+
+    def test_either_bootstrap_source_alone_is_accepted(self, tmp_path):
+        service = fresh_service()
+        assert self._spec(service, graph_shm=self.SHM).store_root is None
+        assert self._spec(service, store_root=str(tmp_path)).graph_shm is None
+
+    def test_exactly_one_bootstrap_source(self, tmp_path):
         service = fresh_service()
         with pytest.raises(ClusterError):
-            ReplicaSpec(
-                replica_id=0,
-                config=service.config,
-                serve=service.serve,
-                graph_arrays=None,
-                hubs=(),
-                graph_version=0,
-                store_root=None,
-            )
+            self._spec(service)
+        with pytest.raises(ClusterError):
+            self._spec(service, graph_shm=self.SHM, store_root=str(tmp_path))
 
     def test_replica_serve_config_must_not_carry_a_store(self, tmp_path):
         service = fresh_service()
@@ -89,9 +101,9 @@ class TestReplicaSpec:
                 replica_id=0,
                 config=service.config,
                 serve=service.serve.with_(store=StoreConfig(root=str(tmp_path))),
-                graph_arrays=service.graph.to_arrays(),
                 hubs=(),
                 graph_version=0,
+                graph_shm=self.SHM,
             )
 
 

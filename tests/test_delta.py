@@ -305,7 +305,7 @@ def test_vectorized_push_identical_on_overlay_view(variant):
     assert np.array_equal(a.r, b.r)
 
 
-def test_overlay_view_pickles_for_the_multiprocess_engine():
+def test_overlay_view_pickles():
     g = small_graph()
     view = DeltaCSRGraph.wrap(CSRGraph.from_digraph(g))
     view = apply_and_advance(g, view, insertions([(3, 0)]))

@@ -10,9 +10,9 @@ The laws the ingest hot path rests on (see ``docs/performance.md``):
 2. the sliding-window variant maintained by
    :meth:`~repro.graph.stream.SlidingWindow.delta_snapshot` equals the
    full ``snapshot()`` rebuild at every slide;
-3. a :class:`~repro.serve.PPRService` serving under the ``DELTA``
-   snapshot strategy answers every ``certified_top_k`` query
-   **bit-identically** to one serving under ``REBUILD``.
+3. a :class:`~repro.serve.PPRService` advancing its delta lineage
+   answers every ``certified_top_k`` query **bit-identically** to one
+   handed a fresh ``CSRGraph.from_digraph`` view every batch.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.config import Backend, PPRConfig, ServeConfig, SnapshotStrategy
+from repro.config import Backend, PPRConfig, ServeConfig
 from repro.graph import (
     CSRGraph,
     DeltaCSRGraph,
@@ -30,6 +30,7 @@ from repro.graph import (
 )
 from repro.graph.update import EdgeOp, EdgeUpdate
 from repro.serve import PPRService
+from tests.conftest import ingest_from_rebuild
 
 N_VERTICES = 14
 
@@ -115,25 +116,21 @@ def test_window_delta_snapshot_equals_rebuild(
 
 @given(applied_update_batches(max_batches=4, max_batch=6), st.data())
 @settings(max_examples=15, deadline=None)
-def test_served_answers_bit_identical_under_both_strategies(batches, data):
+def test_served_answers_bit_identical_to_rebuilt_views(batches, data):
     config = PPRConfig(backend=Backend.NUMPY, epsilon=1e-3, workers=4)
 
-    def serve(strategy: SnapshotStrategy) -> list[list[tuple[int, float]]]:
+    def serve(ingest) -> list[list[tuple[int, float]]]:
         graph = DynamicDiGraph([(0, 1), (1, 2), (2, 0), (3, 0)])
-        service = PPRService(
-            graph,
-            config,
-            ServeConfig(cache_capacity=4, snapshot=strategy),
-        )
+        service = PPRService(graph, config, ServeConfig(cache_capacity=4))
         sources = [0, 2]
         service.query_many(sources)
         answers = []
         for batch in batches:
-            service.ingest(batch)
+            ingest(service, batch)
             for s in sources:
                 served = service.query(s, 5)
                 answers.append([(e.vertex, e.estimate) for e in served.entries])
         return answers
 
     # Identical float bits, not just identical rankings.
-    assert serve(SnapshotStrategy.REBUILD) == serve(SnapshotStrategy.DELTA)
+    assert serve(ingest_from_rebuild) == serve(PPRService.ingest)

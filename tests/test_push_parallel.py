@@ -7,7 +7,6 @@ import pytest
 
 from repro import (
     Backend,
-    BackendError,
     ConvergenceError,
     DynamicDiGraph,
     PPRConfig,
@@ -201,17 +200,6 @@ class TestErrorPaths:
         config = PPRConfig(alpha=0.5, epsilon=1e-9, max_iterations=1)
         state = PPRState.initial(1, paper_graph.capacity)
         with pytest.raises(ConvergenceError):
-            parallel_local_push(state, paper_graph, config, seeds=[1])
-
-    def test_multiprocess_rejects_eager(self, paper_graph):
-        config = PPRConfig(
-            alpha=0.5,
-            epsilon=0.1,
-            variant=PushVariant.OPT,
-            backend=Backend.MULTIPROCESS,
-        )
-        state = PPRState.initial(1, paper_graph.capacity)
-        with pytest.raises(BackendError):
             parallel_local_push(state, paper_graph, config, seeds=[1])
 
 

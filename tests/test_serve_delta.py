@@ -2,9 +2,9 @@
 
 The service-level contracts layered on :mod:`repro.graph.delta`:
 
-* ``SnapshotStrategy.DELTA`` advances the shared view incrementally
-  (counted by the new metrics) and serves answers bit-identical to
-  ``REBUILD``;
+* ingest advances the shared view incrementally (counted by the
+  snapshot metrics) and serves answers bit-identical to a service
+  handed a fresh ``CSRGraph.from_digraph`` view every batch;
 * registering new vertices pads the overlay instead of invalidating it;
 * ``ServeConfig.hub_refresh = LAZY`` defers hub re-convergence to the
   next hub query, stays ε-correct, and survives checkpoint/recovery with
@@ -21,7 +21,6 @@ from repro.config import (
     HubRefresh,
     PPRConfig,
     ServeConfig,
-    SnapshotStrategy,
     StoreConfig,
 )
 from repro.errors import ConfigError
@@ -32,6 +31,7 @@ from repro.core.tracker import DynamicPPRTracker
 from repro.serve import PPRService
 from repro.store.recovery import recover
 from repro.store.store import StateStore
+from tests.conftest import ingest_from_rebuild, rebuilt_view_after
 
 NUMPY_CONFIG = PPRConfig(epsilon=1e-5, backend=Backend.NUMPY, workers=4)
 
@@ -66,15 +66,13 @@ def _scripted_batches(seed: int = 7, count: int = 6):
 
 
 # ---------------------------------------------------------------------- #
-# delta snapshot strategy in the service
+# delta snapshot lineage in the service
 # ---------------------------------------------------------------------- #
 
 
-class TestDeltaStrategy:
+class TestDeltaLineage:
     def test_ingest_advances_without_rebuilds(self):
-        service = PPRService(
-            _graph(), NUMPY_CONFIG, ServeConfig(snapshot=SnapshotStrategy.DELTA)
-        )
+        service = PPRService(_graph(), NUMPY_CONFIG)
         service.query(0)  # cold start builds the base (1 rebuild)
         for batch in _scripted_batches():
             service.ingest(batch)
@@ -84,58 +82,45 @@ class TestDeltaStrategy:
         assert m.snapshot_delta_applies + m.snapshot_consolidations == 6
         assert "delta snapshots" in m.describe()
 
-    def test_rebuild_strategy_rebuilds_every_version(self):
-        service = PPRService(
-            _graph(), NUMPY_CONFIG, ServeConfig(snapshot=SnapshotStrategy.REBUILD)
-        )
+    def test_overlay_consolidates_past_the_threshold(self):
+        service = PPRService(_graph(), NUMPY_CONFIG)
         service.query(0)
-        for batch in _scripted_batches(count=3):
+        for batch in _scripted_batches():
             service.ingest(batch)
-            service.query(0)
+            view = service._csr
+            assert isinstance(view, DeltaCSRGraph)
+            assert not view.should_consolidate()  # never left over the bar
         m = service.metrics()
-        assert m.snapshot_rebuilds == 4
-        assert m.snapshot_delta_applies == 0
+        # ~33 overlay entries per batch against a 220-edge base: every
+        # second batch outgrows the 25 % threshold and folds into the base.
+        assert m.snapshot_delta_applies == 3
+        assert m.snapshot_consolidations == 3
+        assert m.snapshot_rebuilds == 1
 
-    def test_overlay_threshold_controls_consolidation(self):
-        def consolidations(threshold: float) -> int:
-            service = PPRService(
-                _graph(),
-                NUMPY_CONFIG,
-                ServeConfig(
-                    snapshot=SnapshotStrategy.DELTA,
-                    snapshot_overlay_threshold=threshold,
-                ),
-            )
-            service.query(0)
-            for batch in _scripted_batches():
-                service.ingest(batch)
-            return service.metrics().snapshot_consolidations
-
-        assert consolidations(1e-9) == 6  # every batch outgrows the overlay
-        assert consolidations(1e9) == 0  # nothing ever does
-
-    def test_answers_bit_identical_to_rebuild(self):
-        def run(strategy):
-            service = PPRService(
-                _graph(), NUMPY_CONFIG, ServeConfig(snapshot=strategy)
-            )
+    def test_answers_bit_identical_to_rebuilt_views(self):
+        def run(ingest):
+            service = PPRService(_graph(), NUMPY_CONFIG)
             sources = [0, 5, 11]
             service.query_many(sources)
             out = []
             for batch in _scripted_batches():
-                service.ingest(batch)
+                ingest(service, batch)
                 for s in sources:
                     out.append(
                         [(e.vertex, e.estimate) for e in service.query(s).entries]
                     )
-            return out
+            return out, service.metrics()
 
-        assert run(SnapshotStrategy.REBUILD) == run(SnapshotStrategy.DELTA)
+        delta, delta_metrics = run(PPRService.ingest)
+        rebuilt, rebuilt_metrics = run(ingest_from_rebuild)
+        assert delta == rebuilt
+        # The two arms really took different paths to the same bits.
+        assert delta_metrics.snapshot_delta_applies > 0
+        assert rebuilt_metrics.snapshot_delta_applies == 0
+        assert rebuilt_metrics.snapshot_consolidations == 0
 
     def test_new_vertex_registration_pads_the_overlay(self):
-        service = PPRService(
-            _graph(), NUMPY_CONFIG, ServeConfig(snapshot=SnapshotStrategy.DELTA)
-        )
+        service = PPRService(_graph(), NUMPY_CONFIG)
         service.query(0)
         service.ingest(_scripted_batches(count=1)[0])
         rebuilds = service.metrics().snapshot_rebuilds
@@ -148,9 +133,7 @@ class TestDeltaStrategy:
         edges = rmat_graph(64, 500, rng=5)
         window = SlidingWindow(edges, batch_size=6)
         graph = DynamicDiGraph(map(tuple, window.initial_edges.tolist()))
-        service = PPRService(
-            graph, NUMPY_CONFIG, ServeConfig(snapshot=SnapshotStrategy.DELTA)
-        )
+        service = PPRService(graph, NUMPY_CONFIG)
         source = int(window.initial_edges[0, 0])
         service.query(source)
         for _ in range(3):
@@ -243,38 +226,29 @@ class TestLazyHubRefresh:
 
 
 # ---------------------------------------------------------------------- #
-# tracker delta strategy
+# tracker delta lineage
 # ---------------------------------------------------------------------- #
 
 
-def test_tracker_delta_strategy_matches_rebuild_bitwise():
-    def run(strategy):
-        tracker = DynamicPPRTracker(
-            _graph(), 0, NUMPY_CONFIG, snapshot_strategy=strategy
-        )
+def test_tracker_delta_lineage_matches_rebuilt_views_bitwise():
+    def run(rebuilt: bool):
+        tracker = DynamicPPRTracker(_graph(), 0, NUMPY_CONFIG)
         for batch in _scripted_batches():
-            tracker.apply_batch(batch)
+            snapshot = rebuilt_view_after(tracker.graph, batch) if rebuilt else None
+            tracker.apply_batch(batch, snapshot=snapshot)
         return tracker.state
 
-    a = run(SnapshotStrategy.REBUILD)
-    b = run(SnapshotStrategy.DELTA)
+    a = run(rebuilt=True)
+    b = run(rebuilt=False)
     assert np.array_equal(a.p, b.p)
     assert np.array_equal(a.r, b.r)
 
 
-def test_tracker_delta_keeps_overlay_view():
-    tracker = DynamicPPRTracker(
-        _graph(),
-        0,
-        NUMPY_CONFIG,
-        snapshot_strategy=SnapshotStrategy.DELTA,
-        overlay_threshold=1e9,
-    )
-    for batch in _scripted_batches(count=3):
-        tracker.apply_batch(batch)
+def test_tracker_keeps_overlay_view():
+    tracker = DynamicPPRTracker(_graph(), 0, NUMPY_CONFIG)
+    tracker.apply_batch(_scripted_batches(count=1)[0])
     assert isinstance(tracker._csr, DeltaCSRGraph)
     assert tracker._csr.overlay_rows > 0
-    assert not tracker._csr_dirty
 
 
 # ---------------------------------------------------------------------- #
@@ -282,22 +256,10 @@ def test_tracker_delta_keeps_overlay_view():
 # ---------------------------------------------------------------------- #
 
 
-@pytest.mark.parametrize(
-    "kwargs",
-    [
-        {"snapshot": "delta"},
-        {"snapshot_overlay_threshold": 0.0},
-        {"snapshot_overlay_threshold": -1.0},
-        {"hub_refresh": "lazy"},
-    ],
-)
-def test_serve_config_rejects_bad_delta_knobs(kwargs):
+def test_serve_config_rejects_bad_hub_refresh():
     with pytest.raises(ConfigError):
-        ServeConfig(**kwargs)
+        ServeConfig(hub_refresh="lazy")
 
 
-def test_serve_config_delta_defaults():
-    cfg = ServeConfig()
-    assert cfg.snapshot is SnapshotStrategy.DELTA
-    assert cfg.hub_refresh is HubRefresh.EAGER
-    assert cfg.snapshot_overlay_threshold == 0.25
+def test_serve_config_hub_refresh_default():
+    assert ServeConfig().hub_refresh is HubRefresh.EAGER

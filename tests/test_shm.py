@@ -21,6 +21,8 @@ adjacency dicts, and materializes them order-exactly on the first write.
 
 from __future__ import annotations
 
+import errno
+import glob
 import os
 import pickle
 from multiprocessing import shared_memory
@@ -49,6 +51,10 @@ EDGES = [(1, 0), (2, 0), (2, 1), (0, 2), (3, 1), (4, 3), (1, 4), (3, 0)]
 
 def segment_exists(name: str) -> bool:
     return os.path.exists(f"/dev/shm/{name}")
+
+
+def _no_space(*args, **kwargs):
+    raise OSError(errno.ENOSPC, "No space left on device")
 
 
 @pytest.fixture
@@ -112,6 +118,36 @@ class TestSharedArrayBundle:
         bundle.close()
         with pytest.raises(FileNotFoundError):
             SharedArrayBundle.attach(descriptor)
+
+    def test_unallocatable_segment_raises_typed_error_naming_the_size(
+        self, graph_arrays, monkeypatch
+    ):
+        monkeypatch.setattr(shared_memory, "SharedMemory", _no_space)
+        with pytest.raises(GraphError, match=r"[\d,]+-byte shared-memory") as info:
+            SharedArrayBundle.create(graph_arrays, tag="full")
+        assert "No space left on device" in str(info.value)
+        assert isinstance(info.value.__cause__, OSError)
+
+    @pytest.mark.parametrize("tier", ["--replicas", "--shards"])
+    def test_serve_exits_with_code_and_message_not_a_traceback(
+        self, tier, monkeypatch, capsys
+    ):
+        from repro.cli import main
+
+        monkeypatch.setattr(shared_memory, "SharedMemory", _no_space)
+        assert main(["serve", "youtube", "--port", "0", tier, "2"]) == 2
+        err = capsys.readouterr().err
+        assert "error [GRAPH]" in err and "No space left on device" in err
+
+    def test_failed_copy_unlinks_the_segment(self, graph_arrays, monkeypatch):
+        def refuse(dst, src):
+            raise MemoryError("copy refused")
+
+        monkeypatch.setattr(np, "copyto", refuse)
+        with pytest.raises(MemoryError):
+            SharedArrayBundle.create(graph_arrays, tag="copyfail")
+        leaked = glob.glob(f"/dev/shm/{SEGMENT_PREFIX}-{os.getpid()}-copyfail-*")
+        assert leaked == []
 
     def test_empty_arrays_still_roundtrip(self):
         arrays = {"empty": np.zeros(0, dtype=np.int64)}
@@ -204,6 +240,20 @@ class TestSweepStale:
         assert name in removed
         assert not segment_exists(name)
 
+    @pytest.mark.parametrize("tier", ["cluster", "shard"])
+    def test_gateway_construction_sweeps_a_dead_coordinators_segments(self, tier):
+        name = f"{SEGMENT_PREFIX}-999999999-orphan-{tier}"
+        shared_memory.SharedMemory(create=True, size=64, name=name).close()
+        assert segment_exists(name)
+        if tier == "cluster":
+            fleet = PPRCluster(
+                PPRService(DynamicDiGraph(EDGES)), ClusterConfig(replicas=1)
+            )
+        else:
+            fleet = PPRShards(DynamicDiGraph(EDGES), ShardConfig(shards=1))
+        with fleet:
+            assert not segment_exists(name)
+
     def test_live_pid_segment_is_kept(self, graph_arrays):
         with SharedArrayBundle.create(graph_arrays, tag="live") as bundle:
             assert bundle.name not in sweep_stale()
@@ -285,52 +335,44 @@ class TestLazyBootstrap:
 
 
 class TestServingTiersOverSharedMemory:
-    def test_cluster_shm_bootstrap_matches_pipe_bootstrap(self):
-        def run(shared: bool):
-            service = PPRService(DynamicDiGraph(EDGES), serve=ServeConfig())
-            answers = []
-            config = ClusterConfig(replicas=2, shared_memory=shared)
-            with PPRCluster(service, config) as cluster:
-                for source in (0, 1, 2, 3):
-                    r = cluster.gateway.submit(
-                        TopKQuery(source=source, k=4, consistency=FRESH)
-                    )
-                    assert r.ok
-                    answers.append([(e.vertex, e.estimate) for e in r.entries])
-            return answers
+    @staticmethod
+    def _answers(gateway, sources):
+        answers = []
+        for source in sources:
+            r = gateway.submit(TopKQuery(source=source, k=4, consistency=FRESH))
+            assert r.ok
+            answers.append([(e.vertex, e.estimate) for e in r.entries])
+        return answers
 
-        assert run(True) == run(False)
+    def test_cluster_shm_bootstrap_matches_single_process(self):
+        sources = (0, 1, 2, 3)
+        single = PPRService(DynamicDiGraph(EDGES), serve=ServeConfig())
+        service = PPRService(DynamicDiGraph(EDGES), serve=ServeConfig())
+        with PPRCluster(service, ClusterConfig(replicas=2)) as cluster:
+            assert self._answers(cluster.gateway, sources) == self._answers(
+                single.gateway, sources
+            )
 
     def test_cluster_close_unlinks_published_segments(self):
         service = PPRService(DynamicDiGraph(EDGES), serve=ServeConfig())
-        config = ClusterConfig(replicas=2, shared_memory=True)
-        with PPRCluster(service, config) as cluster:
+        with PPRCluster(service, ClusterConfig(replicas=2)) as cluster:
             publisher = cluster.gateway._publisher
-            assert publisher is not None
             names = [
                 publisher.descriptor(v)["segment"] for v in publisher.versions()
             ]
             assert names and all(segment_exists(n) for n in names)
         assert all(not segment_exists(n) for n in names)
 
-    def test_shard_shm_seed_matches_pipe_seed(self):
-        def run(shared: bool):
-            answers = []
-            config = ShardConfig(shards=2, shared_memory=shared)
-            with PPRShards(DynamicDiGraph(EDGES), config) as fleet:
-                for source in (0, 1, 4):
-                    r = fleet.gateway.submit(
-                        TopKQuery(source=source, k=4, consistency=FRESH)
-                    )
-                    assert r.ok
-                    answers.append([(e.vertex, e.estimate) for e in r.entries])
-            return answers
-
-        assert run(True) == run(False)
+    def test_shard_shm_seed_matches_single_process(self):
+        sources = (0, 1, 4)
+        single = PPRService(DynamicDiGraph(EDGES), serve=ServeConfig())
+        with PPRShards(DynamicDiGraph(EDGES), ShardConfig(shards=2)) as fleet:
+            assert self._answers(fleet.gateway, sources) == self._answers(
+                single.gateway, sources
+            )
 
     def test_shard_close_unlinks_the_seed_segment(self):
-        config = ShardConfig(shards=2, shared_memory=True)
-        with PPRShards(DynamicDiGraph(EDGES), config) as fleet:
-            name = fleet.gateway._seed_shm["segment"]
+        with PPRShards(DynamicDiGraph(EDGES), ShardConfig(shards=2)) as fleet:
+            name = fleet.gateway._seed_bundle.name
             assert segment_exists(name)
         assert not segment_exists(name)

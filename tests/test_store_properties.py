@@ -10,7 +10,7 @@ Round-trip laws the store's crash-recovery guarantee rests on:
    magnitudes, all-zero vectors, states at different capacities, no
    states at all) survives the sparse vector codec bit-for-bit — and so
    does a whole checkpoint file (hubs on/off, pending seeds), while a
-   format-2 or truncated file is refused with :class:`StoreError`;
+   format-2, format-3 or truncated file is refused with :class:`StoreError`;
 4. any reachable :class:`DynamicDiGraph` survives its codec with dict
    iteration order — hence CSR layout — preserved exactly, and the
    vectorised dump is array-equal to the tuple-building one it replaced;
@@ -291,6 +291,32 @@ def test_format_2_checkpoint_is_refused(tmp_path):
         read_checkpoint(old)
     assert checkpoint_summary(old) == {"format": 2}
     # Recovery skips it like any damaged candidate and falls back.
+    assert latest_checkpoint(tmp_path).path == current
+
+
+def test_format_3_checkpoint_is_refused(tmp_path):
+    """A parent-build file: same vector layout, a config block this build's
+    ``ServeConfig`` no longer accepts — refused on the format, never parsed."""
+    from repro.store.checkpoint import (
+        checkpoint_name,
+        checkpoint_summary,
+        latest_checkpoint,
+        read_checkpoint,
+        write_checkpoint,
+    )
+
+    service = _salted_service(False, [0], [], False)
+    current = write_checkpoint(tmp_path, service)
+    with np.load(current) as data:
+        arrays = {key: data[key] for key in data.files}
+    arrays.update(format=np.int64(3))
+    old = tmp_path / checkpoint_name(7)
+    with open(old, "wb") as fh:
+        np.savez(fh, **arrays)
+
+    with pytest.raises(StoreError, match="unsupported checkpoint format 3"):
+        read_checkpoint(old)
+    assert checkpoint_summary(old) == {"format": 3}
     assert latest_checkpoint(tmp_path).path == current
 
 
