@@ -66,6 +66,23 @@ def wait_healthy(base: str, deadline_s: float = 90.0) -> None:
     raise SystemExit(f"server on {base} never became healthy")
 
 
+def fetch_finished_trace(http: HttpClient, trace_id: str) -> list[dict]:
+    """The trace's spans, once its root has closed (bounded at 2 s).
+
+    The handler thread closes ``http.respond`` and ``http.request`` only
+    after the body is on the wire, so the response can reach this client
+    before its own trace is complete.
+    """
+    give_up = time.monotonic() + 2.0
+    while True:
+        spans = http.trace(trace_id)
+        if any(span["name"] == "http.request" for span in spans):
+            return spans
+        if time.monotonic() > give_up:
+            return spans  # the layer assertion below reports what is missing
+        time.sleep(0.02)
+
+
 def main() -> int:
     from repro.kernels import describe
 
@@ -111,7 +128,7 @@ def main() -> int:
         trace_id = body.get("trace_id")
         assert trace_id, f"batch response carried no trace_id: {body.keys()}"
 
-        spans = http.trace(trace_id)
+        spans = fetch_finished_trace(http, trace_id)
         names = {span["name"] for span in spans}
         missing = REQUIRED_SPANS - names
         assert not missing, (

@@ -90,41 +90,20 @@ RESPONSE_FOR: dict[type[ApiRequest], type[ApiResponse]] = {
 }
 
 
-class Gateway:
-    """Typed request/response front door of one :class:`PPRService`.
+class GatewayFront:
+    """The front door every gateway shares: ``submit`` and ``submit_many``.
 
-    Parameters
-    ----------
-    service:
-        The serving engine to front. The gateway becomes its single
-        entry point; the engine's legacy methods delegate back here.
-    config:
-        Gateway knobs (:class:`repro.config.ApiConfig`): read-coalescing
-        width, bind address for the HTTP front-end, defaults.
-
-    Examples
-    --------
-    >>> from repro import DynamicDiGraph, PPRService
-    >>> from repro.api import TopKQuery
-    >>> service = PPRService(DynamicDiGraph([(1, 0), (2, 0), (0, 1)]))
-    >>> response = service.gateway.submit(TopKQuery(source=0, k=2))
-    >>> response.ok and response.vertices[0] == 0
-    True
+    The single-process :class:`Gateway` and the two multi-process
+    gateways (:class:`repro.workers.WorkerGateway`) differ in *how* a
+    request executes, not in how it is admitted, failed, or scheduled.
+    A subclass provides :meth:`execute` (one request, typed errors
+    raised), :meth:`_execute_run` (one coalesced read run), the
+    :attr:`head_version` failures are stamped with, and a re-entrant
+    ``_lock``; this class turns those into the protocol edge.
     """
 
-    def __init__(self, service: "PPRService", config: ApiConfig | None = None) -> None:
-        self.service = service
+    def __init__(self, config: ApiConfig | None = None) -> None:
         self.config = config or ApiConfig()
-        # One engine, one scheduler: a directly-constructed gateway becomes
-        # the service's own (so the compatibility shims route through it,
-        # not through a second lazily-created one); if the service already
-        # has a gateway, share its lock so serialization still holds across
-        # both front doors.
-        if service._gateway is None:
-            service._gateway = self
-            self._lock = threading.RLock()
-        else:
-            self._lock = service._gateway._lock
         #: Per-op request counts plus scheduler counters (stats surface).
         self.counters: Counter[str] = Counter()
         #: Bounded-queue backpressure gate; None when admission_queue == 0.
@@ -133,15 +112,24 @@ class Gateway:
             if self.config.admission_queue
             else None
         )
-        # Install the observability config process-wide — but only when it
-        # actually asks for something, so a default-configured gateway
-        # never clobbers a tracer someone else already set up.
-        if self.config.obs.enabled or self.config.obs.export_path:
-            obs.configure(self.config.obs)
 
-    # ------------------------------------------------------------------ #
-    # single-request paths
-    # ------------------------------------------------------------------ #
+    @property
+    def head_version(self) -> int:
+        """Newest acknowledged graph version (stamped on failures)."""
+        raise NotImplementedError
+
+    def execute(self, request: ApiRequest) -> ApiResponse:
+        """Execute one request, raising typed errors (the embedded path)."""
+        raise NotImplementedError
+
+    def _execute_run(
+        self,
+        requests: Sequence[ApiRequest],
+        run: ReadRun,
+        responses: list[ApiResponse | None],
+    ) -> None:
+        """Answer one coalesced read run into ``responses``."""
+        raise NotImplementedError
 
     def submit(self, request: ApiRequest) -> ApiResponse:
         """Execute one request; failures become error-carrying responses.
@@ -173,8 +161,102 @@ class Gateway:
             shape = RESPONSE_FOR.get(type(request), ApiResponse)
             return shape.failure(
                 ErrorInfo.from_exception(exc),
-                snapshot_version=self.service.graph_version,
+                snapshot_version=self.head_version,
             )
+
+    def submit_many(
+        self, requests: Sequence[ApiRequest], *, coalesce: bool | None = None
+    ) -> list[ApiResponse]:
+        """Run a request sequence in order, coalescing reads between writes.
+
+        Writes (:attr:`~repro.api.requests.ApiRequest.is_write`) execute
+        at their arrival position — a read never observes a version its
+        predecessor writes had not produced, nor one a successor write
+        already advanced. Between writes, maximal runs of
+        :class:`~repro.api.requests.TopKQuery` sharing ``(k,
+        consistency)`` are answered by **one** batched call
+        (:meth:`_execute_run`): repeated sources are deduplicated (one
+        certify answers all duplicates bit-identically — with the
+        gateway lock held there is no intervening write, so the
+        duplicate answers are the ones per-request dispatch would have
+        produced) and cold sources are admitted together in
+        shared-snapshot push batches. A multi-process gateway splits the
+        run into per-worker chunks that execute concurrently; routing is
+        by ownership, so its answers are bit-identical to the
+        single-process scheduler's for the same trace. Responses come
+        back in request order.
+
+        The barrier/coalescing policy itself lives in
+        :mod:`repro.api.scheduling`, so every gateway plans identical
+        steps for identical traffic.
+        """
+        if coalesce is None:
+            coalesce = self.config.coalesce_reads
+        with self._lock:  # one atomic schedule; RLock keeps submit() happy
+            responses: list[ApiResponse | None] = [None] * len(requests)
+            steps = plan_schedule(
+                requests, coalesce=coalesce, max_batch=self.config.max_batch
+            )
+            for step in steps:
+                if isinstance(step, ReadRun):
+                    self._execute_run(requests, step, responses)
+                else:
+                    responses[step.position] = self.submit(requests[step.position])
+            return [r for r in responses if r is not None]
+
+
+class Gateway(GatewayFront):
+    """Typed request/response front door of one :class:`PPRService`.
+
+    Parameters
+    ----------
+    service:
+        The serving engine to front. The gateway becomes its single
+        entry point; the engine's legacy methods delegate back here.
+    config:
+        Gateway knobs (:class:`repro.config.ApiConfig`): read-coalescing
+        width, bind address for the HTTP front-end, defaults.
+
+    Examples
+    --------
+    >>> from repro import DynamicDiGraph, PPRService
+    >>> from repro.api import TopKQuery
+    >>> service = PPRService(DynamicDiGraph([(1, 0), (2, 0), (0, 1)]))
+    >>> response = service.gateway.submit(TopKQuery(source=0, k=2))
+    >>> response.ok and response.vertices[0] == 0
+    True
+    """
+
+    def __init__(self, service: "PPRService", config: ApiConfig | None = None) -> None:
+        super().__init__(config)
+        self.service = service
+        # One engine, one scheduler: a directly-constructed gateway becomes
+        # the service's own (so the compatibility shims route through it,
+        # not through a second lazily-created one); if the service already
+        # has a gateway, share its lock so serialization still holds across
+        # both front doors.
+        if service._gateway is None:
+            service._gateway = self
+            self._lock = threading.RLock()
+        else:
+            self._lock = service._gateway._lock
+        # Install the observability config process-wide — but only when it
+        # actually asks for something, so a default-configured gateway
+        # never clobbers a tracer someone else already set up.
+        if self.config.obs.enabled or self.config.obs.export_path:
+            obs.configure(self.config.obs)
+
+    # ------------------------------------------------------------------ #
+    # single-request paths
+    # ------------------------------------------------------------------ #
+
+    # Bound on this class too: tools that wrap ``Gateway.submit`` (the
+    # benchmark's tracer) look the name up in the class's own namespace.
+    submit = GatewayFront.submit
+
+    @property
+    def head_version(self) -> int:
+        return self.service.graph_version
 
     def execute(self, request: ApiRequest) -> ApiResponse:
         """Execute one request, raising typed errors (the embedded path)."""
@@ -312,44 +394,7 @@ class Gateway:
     # scheduling: mixed read/write traffic
     # ------------------------------------------------------------------ #
 
-    def submit_many(
-        self, requests: Sequence[ApiRequest], *, coalesce: bool | None = None
-    ) -> list[ApiResponse]:
-        """Run a request sequence in order, coalescing reads between writes.
-
-        Writes (:attr:`~repro.api.requests.ApiRequest.is_write`) execute
-        at their arrival position — a read never observes a version its
-        predecessor writes had not produced, nor one a successor write
-        already advanced. Between writes, maximal runs of
-        :class:`~repro.api.requests.TopKQuery` sharing ``(k,
-        consistency)`` are answered by **one** batched engine call:
-        repeated sources are deduplicated (one certify answers all
-        duplicates bit-identically — with the gateway lock held there is
-        no intervening write, so the duplicate answers are the ones
-        per-request dispatch would have produced) and cold sources are
-        admitted together in shared-snapshot push batches. Responses come
-        back in request order.
-
-        The barrier/coalescing policy itself lives in
-        :mod:`repro.api.scheduling`, shared with the replicated
-        :class:`~repro.cluster.gateway.ClusterGateway` so both schedulers
-        plan identical steps for identical traffic.
-        """
-        if coalesce is None:
-            coalesce = self.config.coalesce_reads
-        with self._lock:  # one atomic schedule; RLock keeps submit() happy
-            responses: list[ApiResponse | None] = [None] * len(requests)
-            steps = plan_schedule(
-                requests, coalesce=coalesce, max_batch=self.config.max_batch
-            )
-            for step in steps:
-                if isinstance(step, ReadRun):
-                    self._coalesce_run(requests, step, responses)
-                else:
-                    responses[step.position] = self.submit(requests[step.position])
-            return [r for r in responses if r is not None]
-
-    def _coalesce_run(
+    def _execute_run(
         self,
         requests: Sequence[ApiRequest],
         run: ReadRun,

@@ -1,12 +1,10 @@
 """The shared request-scheduling policy of every gateway front door.
 
-:meth:`repro.api.gateway.Gateway.submit_many` and
-:meth:`repro.cluster.gateway.ClusterGateway.submit_many` must agree on
-*when* requests may be reordered or merged — writes are barriers, and
+:meth:`repro.api.gateway.GatewayFront.submit_many` — the one scheduler
+of the single-process, replicated and sharded gateways — decides here
+*when* requests may be reordered or merged: writes are barriers, and
 only maximal runs of same-shaped top-k reads between them coalesce into
-one batched engine call. This module is that policy, extracted so the
-single-process and replicated schedulers share one implementation
-instead of drifting apart:
+one batched call. This module is that policy:
 
 * :func:`plan_schedule` — turn a request sequence into an ordered list
   of :class:`Single` / :class:`ReadRun` steps (pure, no engine access);

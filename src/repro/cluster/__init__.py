@@ -19,13 +19,12 @@ and see ``docs/cluster.md`` for topology, routing, and the failure
 model.
 """
 
-from .gateway import ClusterGateway, PPRCluster, ReplicaHandle
+from .gateway import ClusterGateway, PPRCluster
 from .replica import ReplicaSpec, build_replica_service, replica_main
 
 __all__ = [
     "ClusterGateway",
     "PPRCluster",
-    "ReplicaHandle",
     "ReplicaSpec",
     "build_replica_service",
     "replica_main",

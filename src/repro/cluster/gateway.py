@@ -46,19 +46,14 @@ single-process one on the same trace.
 
 from __future__ import annotations
 
-import multiprocessing
-import threading
-from collections import Counter
 from collections.abc import Sequence
 from typing import TYPE_CHECKING, Any
 
 from .. import chaos, obs
-from ..api.admission import AdmissionController
-from ..api.gateway import RESPONSE_FOR, Gateway
+from ..api.gateway import Gateway
 from ..api.requests import (
     ApiRequest,
     BatchQuery,
-    Deadline,
     Health,
     HubQuery,
     IngestBatch,
@@ -69,120 +64,36 @@ from ..api.requests import (
     TopKQuery,
 )
 from ..api.resilience import CircuitBreaker
-from ..api.responses import (
-    ApiResponse,
-    BatchResult,
-    ErrorInfo,
-    HealthResult,
-    PrefetchResult,
-    ReadyResult,
-    StatsResult,
-    TopKResult,
-)
-from ..api.scheduling import ReadRun, plan_schedule, scatter_run_results
+from ..api.responses import ApiResponse, HealthResult, ReadyResult, StatsResult
 from ..chaos import FaultKind
 from ..config import (
-    WORKER_START,
     ApiConfig,
     CatchUpPolicy,
     ClusterConfig,
     ConsistencyLevel,
     PlacementPolicy,
 )
-from ..errors import (
-    ClusterError,
-    DeadlineError,
-    OverloadError,
-    ReproError,
-    StoreError,
-)
-from ..graph.shm import SnapshotPublisher, sweep_stale
+from ..errors import ClusterError, StoreError
+from ..graph.shm import SnapshotPublisher
 from ..obs import clock
 from ..store.wal import pack_record
+from ..workers import (
+    RESPONSES,
+    DeadlineExpired,
+    WorkerDied,
+    WorkerFleet,
+    WorkerGateway,
+    WorkerHandle,
+    accept_responses,
+)
 from . import messages
 from .replica import ReplicaSpec, replica_main
 
 if TYPE_CHECKING:
-    from ..api.client import Client
     from ..serve.service import PPRService
 
 
-class _ReplicaDied(Exception):
-    """Internal control flow: the worker at ``index`` stopped answering."""
-
-
-class _DeadlineExpired(Exception):
-    """Internal control flow: a request's deadline lapsed mid-await.
-
-    Distinct from :class:`_ReplicaDied` because the remedy differs: the
-    worker may be perfectly healthy (just slow, or wedged under SIGSTOP),
-    but its in-flight ticket has been abandoned — the replica must be
-    replaced so a late ``RESPONSES`` frame cannot poison the next await
-    on the same pipe.
-    """
-
-
-class ReplicaHandle:
-    """Coordinator-side view of one worker process."""
-
-    def __init__(
-        self, spec: ReplicaSpec, ctx: multiprocessing.context.BaseContext
-    ) -> None:
-        self.spec = spec
-        self.conn, child = ctx.Pipe(duplex=True)
-        self.process = ctx.Process(
-            target=replica_main,
-            args=(spec, child),
-            name=f"ppr-replica-{spec.replica_id}",
-            daemon=True,
-        )
-        self.process.start()
-        child.close()
-        #: Highest graph version this replica has acknowledged applying.
-        self.applied_version = -1
-        #: Reads/chunks dispatched to this replica (stats surface).
-        self.dispatched = 0
-        #: Tickets whose answers nobody is waiting for anymore (hedged
-        #: reads that lost the race, deadline-abandoned dispatches):
-        #: their late RESPONSES frames are absorbed, not protocol errors.
-        self.abandoned: set[int] = set()
-
-    def alive(self) -> bool:
-        return self.process.is_alive()
-
-    def send(self, frame: tuple) -> None:
-        try:
-            self.conn.send(frame)
-        except (OSError, ValueError) as exc:
-            raise _ReplicaDied(str(exc)) from exc
-        # Under fork, siblings spawned later inherit this pipe's fds, so
-        # a write into a dead worker can succeed silently instead of
-        # raising EPIPE. A liveness check narrows that window; `_await`'s
-        # poll loop is the guaranteed backstop.
-        if not self.process.is_alive():
-            raise _ReplicaDied(f"{self.process.name} is not alive")
-
-    def close(self, *, terminate: bool = False, timeout: float = 5.0) -> None:
-        """Join the worker; ``terminate`` kills it outright (no wait).
-
-        The forced path uses SIGKILL, not SIGTERM: a worker wedged under
-        SIGSTOP is still ``is_alive()`` yet never processes SIGTERM
-        (stopped processes leave catchable signals pending), so the old
-        terminate-then-join dance stalled two full join timeouts exactly
-        when a fast replacement mattered most. SIGKILL takes effect
-        regardless of stop state. ``timeout`` bounds each join (graceful
-        shutdown passes its remaining drain budget).
-        """
-        if terminate and self.process.is_alive():
-            self.process.kill()
-        self.process.join(timeout=timeout)
-        if self.process.is_alive():
-            self.process.kill()
-            self.process.join(timeout=timeout)
-        self.conn.close()
-
-
-class ClusterGateway:
+class ClusterGateway(WorkerGateway):
     """Replicated drop-in for :class:`~repro.api.gateway.Gateway`.
 
     Parameters
@@ -214,36 +125,25 @@ class ClusterGateway:
     True
     """
 
+    tier = "cluster"
+    noun = "replica"
+    crash_event = "replica-crashed"
+
     def __init__(
         self,
         service: "PPRService",
         cluster: ClusterConfig | None = None,
         config: ApiConfig | None = None,
     ) -> None:
-        self.service = service
         self.cluster = cluster or ClusterConfig()
-        self.config = config or ApiConfig()
+        super().__init__(config, replica_main, self.cluster.max_respawns)
+        self.service = service
         self.primary = (
             Gateway(service, self.config)
             if service._gateway is None
             else service.gateway
         )
-        self._ctx = multiprocessing.get_context(WORKER_START)
-        # Reap segments a SIGKILLed predecessor left behind (the way
-        # StateStore sweeps stale checkpoint temporaries at open).
-        sweep_stale()
-        self._lock = threading.RLock()
-        self._ticket = 0
         self._rotor = 0
-        self.counters: Counter[str] = Counter()
-        #: Bounded-queue backpressure gate; None when admission_queue == 0.
-        self.admission: AdmissionController | None = (
-            AdmissionController(self.config.admission_queue)
-            if self.config.admission_queue
-            else None
-        )
-        self._respawn_counts: dict[int, int] = {}
-        self._closed = False
         #: Write-authority term; bumped at every failover and stamped
         #: into every WAL frame shipped under the new primary.
         self.epoch = 0
@@ -253,9 +153,8 @@ class ClusterGateway:
         #: True once the embedded engine has been retired (chaos kill or
         #: fenced store) — the next write triggers a failover.
         self._embedded_dead = False
-        #: Acknowledged head version: the newest version an acked write
-        #: produced. Tracks ``service.graph_version`` while the embedded
-        #: engine is primary, then the promoted replica's acked writes.
+        # ``_head`` tracks ``service.graph_version`` while the embedded
+        # engine is primary, then the promoted replica's acked writes.
         self._head = service.graph_version
         #: APPLY frames held back by a DELAY fault, per replica index.
         self._delayed: dict[int, tuple] = {}
@@ -266,7 +165,8 @@ class ClusterGateway:
         #: Versioned shared-memory snapshot registry (one bundle per
         #: published graph version, superseded versions unlinked).
         self._publisher = SnapshotPublisher(tag="cluster")
-        self.replicas: list[ReplicaHandle] = []
+        #: The worker handles (``group.revive`` swaps entries in place).
+        self.replicas: list[WorkerHandle] = self.group.handles
         try:
             for index in range(self.cluster.replicas):
                 self.replicas.append(self._spawn(index))
@@ -321,25 +221,10 @@ class ClusterGateway:
             },
         )
 
-    def _spawn(self, index: int, *, from_store: bool = False) -> ReplicaHandle:
-        handle = ReplicaHandle(self._spec(index, from_store=from_store), self._ctx)
-        deadline = clock.now() + self.cluster.spawn_timeout_s
-        try:
-            while not handle.conn.poll(0.05):
-                if clock.now() > deadline or not handle.alive():
-                    raise ClusterError(
-                        f"replica {index} never completed its spawn handshake"
-                    )
-            tag, version = handle.conn.recv()
-        except (EOFError, OSError) as exc:
-            handle.close(terminate=True)
-            raise ClusterError(f"replica {index} died during spawn: {exc}") from exc
-        except ClusterError:
-            handle.close(terminate=True)
-            raise
-        if tag != messages.HELLO:
-            handle.close(terminate=True)
-            raise ClusterError(f"replica {index} sent {tag!r} instead of hello")
+    def _spawn(self, index: int, *, from_store: bool = False) -> WorkerHandle:
+        handle, version = self.group.spawn(
+            index, self._spec(index, from_store=from_store)
+        )
         if version != self._head:
             # A store bootstrap under a lax fsync policy can land behind
             # head; an order-exact snapshot of the live primary cannot.
@@ -350,22 +235,14 @@ class ClusterGateway:
                 f"replica {index} came up at v{version},"
                 f" acked head is at v{self._head}"
             )
-        handle.applied_version = version
         return handle
 
-    def _revive(self, index: int) -> None:
-        """Replace a dead replica, recovering from the store when attached.
+    def respawn(self, index: int) -> WorkerHandle:
+        """Build a dead replica's replacement (``WorkerGroup.revive`` hook).
 
-        The respawn budget is tracked *per replica slot*: a poison batch
-        crash-looping one worker exhausts that slot's budget, while
-        unrelated transient deaths of other replicas keep their own.
+        Recovers from the store when one is attached, else from an
+        order-exact snapshot of the embedded primary.
         """
-        count = self._respawn_counts.get(index, 0) + 1
-        if count > self.cluster.max_respawns:
-            raise ClusterError(
-                f"replica {index} died and its respawn budget"
-                f" ({self.cluster.max_respawns}) is exhausted"
-            )
         if self._primary_index is not None and self.service.store is None:
             # Post-failover without a store there is nothing to rebuild
             # from: the retired embedded engine is behind the forwarded
@@ -380,378 +257,114 @@ class ClusterGateway:
             # epoch), so the next write must run a fresh failover.
             self._primary_index = None
             obs.event("primary.lost", replica=index, epoch=self.epoch)
-        self._respawn_counts[index] = count
-        obs.event("replica-crashed", replica=index, respawn=count)
-        with obs.span("cluster.respawn", replica=index):
-            self.replicas[index].close(terminate=True)
-            self.replicas[index] = self._spawn(
-                index, from_store=self.service.store is not None
-            )
-        self.counters["respawns"] += 1
+        return self._spawn(index, from_store=self.service.store is not None)
 
     def close(self, *, deadline_s: float | None = None) -> None:
-        """Drain and stop every worker (idempotent).
-
-        A clean drain: each live replica gets a ``SHUTDOWN`` frame and
-        acknowledges with ``BYE`` after finishing whatever frame it was
-        serving; stragglers are terminated after a grace period.
-        ``deadline_s`` bounds the whole drain (graceful shutdown) — past
-        it, remaining workers get SIGKILL joins with a minimal timeout.
-        """
         with self._lock:
-            if self._closed:
-                return
-            self._closed = True
-            limit = clock.now() + deadline_s if deadline_s is not None else None
-            for handle in self.replicas:
-                try:
-                    handle.send((messages.SHUTDOWN,))
-                except _ReplicaDied:
-                    pass
-            for handle in self.replicas:
-                if limit is None:
-                    handle.close()
-                else:
-                    handle.close(
-                        timeout=max(0.1, min(5.0, limit - clock.now()))
-                    )
+            super().close(deadline_s=deadline_s)
             self._publisher.close()
 
-    def __enter__(self) -> "ClusterGateway":
-        return self
-
-    def __exit__(self, *exc: object) -> None:
-        self.close()
-
     # ------------------------------------------------------------------ #
-    # channel plumbing
+    # channel policy: acks, barrier, hedging, breakers
     # ------------------------------------------------------------------ #
 
-    def _next_ticket(self) -> int:
-        self._ticket += 1
-        return self._ticket
-
-    def _absorb(self, handle: ReplicaHandle, frame: tuple) -> tuple | None:
-        """Consume bookkeeping frames; return frames the caller must handle."""
-        tag = frame[0]
-        if tag == messages.APPLIED:
-            handle.applied_version = max(handle.applied_version, frame[1])
-            obs.ingest_spans(frame[2])
-            return None
-        if tag == messages.SYNCED:
-            handle.applied_version = max(handle.applied_version, frame[2])
-            return frame
-        if tag == messages.RESPONSES and frame[1] in handle.abandoned:
-            # A hedged read's losing answer, or a deadline-abandoned
-            # dispatch finally finishing: keep the version/span
-            # bookkeeping, drop the payload.
-            handle.abandoned.discard(frame[1])
-            handle.applied_version = max(handle.applied_version, frame[3])
-            obs.ingest_spans(frame[4])
-            return None
-        return frame
-
-    def _drain_acks(self) -> None:
-        """Opportunistically absorb pending APPLIED acks (non-blocking)."""
-        for handle in self.replicas:
-            try:
-                while handle.conn.poll(0):
-                    frame = handle.conn.recv()
-                    self._absorb(handle, frame)
-            except (EOFError, OSError):
-                continue  # detected for real at the next dispatch
-
-    def _await(
-        self, index: int, ticket: int, deadline: Deadline | None = None
-    ) -> list[ApiResponse]:
-        """Block until replica ``index`` answers ``ticket``; absorb acks.
-
-        Bounded by *both* clocks: the cluster's response timeout (a wedged
-        worker is treated as dead) and the request's own ``deadline`` when
-        it carries one — an overdue answer is worthless, so the wait fails
-        fast with :class:`_DeadlineExpired` instead of burning the full
-        response timeout.
-        """
+    def on_frame(self, index: int, frame: tuple) -> bool:
+        """Absorb ``APPLIED`` acks whichever await happens to read them."""
+        if frame[0] != messages.APPLIED:
+            return False
         handle = self.replicas[index]
-        timeout_at = clock.now() + self.cluster.response_timeout_s
-        with obs.span("cluster.await", replica=index):
-            return self._await_loop(handle, index, ticket, deadline, timeout_at)
+        handle.applied_version = max(handle.applied_version, frame[1])
+        obs.ingest_spans(frame[2])
+        return True
 
-    def _await_loop(
-        self,
-        handle: ReplicaHandle,
-        index: int,
-        ticket: int,
-        deadline: Deadline | None,
-        timeout_at: float,
-    ) -> list[ApiResponse]:
-        while True:
-            try:
-                if not handle.conn.poll(0.05):
-                    if not handle.alive():
-                        raise _ReplicaDied(f"replica {index} exited")
-                    now = clock.now()
-                    if deadline is not None and deadline.expired(now):
-                        raise _DeadlineExpired(index)
-                    if now > timeout_at:
-                        raise _ReplicaDied(f"replica {index} timed out")
-                    continue
-                frame = handle.conn.recv()
-            except (EOFError, OSError) as exc:
-                raise _ReplicaDied(str(exc)) from exc
-            frame = self._absorb(handle, frame)
-            if frame is None:
-                continue
-            if frame[0] == messages.RESPONSES and frame[1] == ticket:
-                handle.applied_version = max(handle.applied_version, frame[3])
-                obs.ingest_spans(frame[4])
-                return list(frame[2])
-            if frame[0] in (messages.SYNCED, messages.BYE):
-                continue
-            raise ClusterError(
-                f"replica {index} broke protocol: got {frame[0]!r}"
-                f" while awaiting ticket {ticket}"
-            )
+    def on_outcome(self, index: int, ok: bool) -> None:
+        """Feed the replica's circuit breaker: a death or expired deadline
+        counts as a failure, a served answer closes it again."""
+        if ok:
+            self.breakers[index].record_success()
+        else:
+            self.breakers[index].record_failure()
+
+    def _before_read(self, index: int, request: ApiRequest) -> None:
+        if not self._is_fresh(request):
+            return
+        if not self.has_primary:
+            # No write authority exists, so "fresh as of now" is not a
+            # promise anyone can keep. The typed 503 is the promotion
+            # window's only degradation: ANY/BOUNDED reads keep serving.
+            raise ClusterError("FRESH reads unavailable: no primary (failover pending)")
+        if self.cluster.catch_up is CatchUpPolicy.BARRIER:
+            self._barrier(index)
 
     def _barrier(self, index: int) -> None:
         """Explicit catch-up: wait until the replica acks head version."""
         handle = self.replicas[index]
         if handle.applied_version >= self._head:
             return
-        ticket = self._next_ticket()
-        handle.send((messages.SYNC, ticket))
-        deadline = clock.now() + self.cluster.response_timeout_s
         with obs.span("cluster.barrier", replica=index):
-            while handle.applied_version < self._head:
-                try:
-                    if not handle.conn.poll(0.05):
-                        if not handle.alive() or clock.now() > deadline:
-                            raise _ReplicaDied(f"replica {index} failed its barrier")
-                        continue
-                    self._absorb(handle, handle.conn.recv())
-                except (EOFError, OSError) as exc:
-                    raise _ReplicaDied(str(exc)) from exc
+            # Raw send/await, not a round: a death here is the enclosing
+            # read's death, and that round owns the revive-and-retry.
+            ticket = self.group.send(index, lambda t: (messages.SYNC, t))
+            reply = self.group.await_reply(index, messages.SYNCED, ticket)
+        handle.applied_version = max(handle.applied_version, reply[2])
+        if handle.applied_version < self._head:
+            raise WorkerDied(f"replica {index} failed its barrier")
 
-    def _dispatch(
-        self,
-        index: int,
-        requests: Sequence[ApiRequest],
-        *,
-        coalesce: bool,
-        fresh: bool,
-    ) -> int:
-        """Ship a read chunk to one replica; returns the ticket to await."""
-        if fresh and not self.has_primary:
-            # No write authority exists, so "fresh as of now" is not a
-            # promise anyone can keep. The typed 503 is the promotion
-            # window's only degradation: ANY/BOUNDED reads keep serving.
-            raise ClusterError(
-                "FRESH reads unavailable: no primary (failover pending)"
-            )
-        if fresh and self.cluster.catch_up is CatchUpPolicy.BARRIER:
-            self._barrier(index)
-        ticket = self._next_ticket()
-        handle = self.replicas[index]
-        ctx = obs.current()
-        if ctx is not None:
-            # Replica-side spans join this request's trace: the context
-            # rides each request as a pickled instance attribute.
-            for request in requests:
-                obs.attach(request, ctx)
-        handle.send((messages.REQUESTS, ticket, tuple(requests), coalesce))
-        handle.dispatched += 1
-        return ticket
-
-    def _dispatch_single(self, index: int, request: ApiRequest) -> ApiResponse:
-        """One read on one replica, with crash detection and one retry.
-
-        Outcomes feed the replica's circuit breaker: a death or expired
-        deadline counts as a failure, a served answer closes it again.
-        """
-        fresh = self._is_fresh(request)
-        deadline = getattr(request, "deadline", None)
+    def _read_one(self, index: int, request: ApiRequest) -> ApiResponse:
         if (
             self.cluster.hedge_reads
-            and not fresh
+            and not self._is_fresh(request)
             and len(self.replicas) > 1
             and isinstance(request, (TopKQuery, ScoreQuery))
         ):
-            return self._hedged_single(index, request)
-        try:
-            ticket = self._dispatch(index, [request], coalesce=False, fresh=fresh)
-            response = self._await(index, ticket, deadline)[0]
-        except _DeadlineExpired:
-            self.breakers[index].record_failure()
-            raise self._abandon(index, deadline) from None
-        except _ReplicaDied:
-            self.breakers[index].record_failure()
-            return self._retry_single(index, request, fresh)
-        self.breakers[index].record_success()
-        return response
+            return self._hedged(index, request)
+        return super()._read_one(index, request)
 
-    def _abandon(self, index: int, deadline: Deadline | None) -> DeadlineError:
-        """Replace a replica whose in-flight ticket was abandoned.
-
-        The worker may still answer the abandoned ticket eventually; a
-        late ``RESPONSES`` frame on the same pipe would break the next
-        await's protocol check. Respawning swaps in a fresh pipe (and,
-        if the worker was wedged under SIGSTOP, a live process), so
-        deadline expiry degrades exactly one request. Returns the typed
-        error for the caller to raise.
-        """
-        self._revive(index)
-        assert deadline is not None
-        return deadline.to_error()
-
-    def _retry_single(
-        self, index: int, request: ApiRequest, fresh: bool
-    ) -> ApiResponse:
-        """Revive replica ``index`` and re-run one request on it.
-
-        The retry lands on the *respawned* replica — recovered from the
-        store (or re-snapshotted from the primary) at head version — so
-        the answer is still a correct answer at its stated snapshot
-        version, merely cold where the dead replica was warm. A second
-        death surfaces as the typed :class:`~repro.errors.ClusterError`
-        (never the internal control-flow exception).
-        """
-        deadline = getattr(request, "deadline", None)
-        if deadline is not None and deadline.expired():
-            # No point re-running work nobody is waiting for; the revive
-            # already happened (or happens now) so the slot stays healthy.
-            self._revive(index)
-            raise deadline.to_error()
-        self._revive(index)
-        try:
-            ticket = self._dispatch(index, [request], coalesce=False, fresh=fresh)
-            response = self._await(index, ticket, deadline)[0]
-        except _DeadlineExpired:
-            self.breakers[index].record_failure()
-            raise self._abandon(index, deadline) from None
-        except _ReplicaDied as exc:
-            self.breakers[index].record_failure()
-            raise ClusterError(
-                f"replica {index} died twice serving one request"
-            ) from exc
-        self.breakers[index].record_success()
-        return response
-
-    def _hedged_single(self, index: int, request: ApiRequest) -> ApiResponse:
+    def _hedged(self, index: int, request: ApiRequest) -> ApiResponse:
         """Dispatch an idempotent read to two replicas; first answer wins.
 
-        The loser's ticket joins its handle's ``abandoned`` set so the
-        late answer is absorbed as bookkeeping rather than tripping the
-        protocol check. If one of the pair dies the race degrades to a
-        plain await on the survivor; if both die, the normal
-        revive-and-retry path takes over on the owner.
+        The loser's ticket is abandoned so its late answer is absorbed as
+        bookkeeping. If one of the pair dies the race degrades to a plain
+        await on the survivor; if both die, the normal revive-and-retry
+        path takes over on the owner.
         """
         backup = self._route((index + 1) % len(self.replicas))
-        deadline = getattr(request, "deadline", None)
-        ctx = obs.current()
-        if ctx is not None:
-            obs.attach(request, ctx)
+        deadline = request.deadline
         racers: dict[int, int] = {}  # replica index -> ticket
         for i in dict.fromkeys((index, backup)):
             try:
-                ticket = self._next_ticket()
-                handle = self.replicas[i]
-                handle.send((messages.REQUESTS, ticket, (request,), False))
-                handle.dispatched += 1
-                racers[i] = ticket
-            except _ReplicaDied:
-                self.breakers[i].record_failure()
-        if not racers:
-            return self._retry_single(index, request, False)
-        self.counters["reads_hedged"] += 1
-        timeout_at = clock.now() + self.cluster.response_timeout_s
-        with obs.span("cluster.hedge", owner=index, racers=len(racers)):
-            while racers:
-                now = clock.now()
-                if deadline is not None and deadline.expired(now):
-                    for i, ticket in racers.items():
-                        self.replicas[i].abandoned.add(ticket)
-                        self.breakers[i].record_failure()
-                    raise deadline.to_error()
-                if now > timeout_at:
-                    break
-                for i, ticket in list(racers.items()):
-                    handle = self.replicas[i]
-                    try:
-                        if not handle.conn.poll(0.01):
-                            if not handle.alive():
-                                raise _ReplicaDied(f"replica {i} exited")
-                            continue
-                        frame = self._absorb(handle, handle.conn.recv())
-                    except _ReplicaDied:
-                        self.breakers[i].record_failure()
-                        del racers[i]
-                        continue
-                    except (EOFError, OSError):
-                        self.breakers[i].record_failure()
-                        del racers[i]
-                        continue
-                    if frame is None or frame[0] in (messages.SYNCED, messages.BYE):
-                        continue
-                    if frame[0] == messages.RESPONSES and frame[1] == ticket:
-                        handle.applied_version = max(
-                            handle.applied_version, frame[3]
-                        )
-                        obs.ingest_spans(frame[4])
-                        self.breakers[i].record_success()
-                        for loser, lost in racers.items():
-                            if loser != i:
-                                self.replicas[loser].abandoned.add(lost)
-                        return frame[2][0]
-                    raise ClusterError(
-                        f"replica {i} broke protocol: got {frame[0]!r}"
-                        f" while awaiting hedged ticket {ticket}"
-                    )
-        # Both racers died or the response timeout lapsed: abandon any
-        # survivors' tickets and fall back to revive-and-retry.
-        for i, ticket in racers.items():
-            self.replicas[i].abandoned.add(ticket)
-        return self._retry_single(index, request, False)
-
-    def _scatter(
-        self, per_replica: dict[int, ApiRequest], fresh: bool
-    ) -> dict[int, ApiResponse]:
-        """One request per replica, dispatched concurrently.
-
-        Every request is shipped before any answer is awaited, so the
-        replicas compute in parallel; a replica that dies is revived and
-        its request retried once on the fresh worker.
-        """
-        tickets: dict[int, int] = {}
-        results: dict[int, ApiResponse] = {}
-        for index, request in per_replica.items():
-            try:
-                tickets[index] = self._dispatch(
-                    index, [request], coalesce=False, fresh=fresh
-                )
-            except _ReplicaDied:
-                results[index] = self._retry_single(index, request, fresh)
-        for index, request in per_replica.items():
-            if index in results:
-                continue
-            try:
-                results[index] = self._await(
-                    index, tickets[index], getattr(request, "deadline", None)
-                )[0]
-            except _DeadlineExpired:
-                raise self._abandon(
-                    index, getattr(request, "deadline", None)
-                ) from None
-            except _ReplicaDied:
-                results[index] = self._retry_single(index, request, fresh)
-        return results
+                racers[i] = self.group.send(i, self._read(i, request))
+            except WorkerDied:
+                self.on_outcome(i, False)
+        if racers:
+            self.counters["reads_hedged"] += 1
+            started = list(racers)
+            won: tuple[int, tuple] | None = None
+            expired = False
+            with obs.span("cluster.hedge", owner=index, racers=len(racers)):
+                try:
+                    won = self.group.await_first(racers, RESPONSES, deadline)
+                except DeadlineExpired:
+                    expired = True
+                except WorkerDied:
+                    pass  # every racer died, or the response timeout lapsed
+            for i in started:
+                if expired or i not in racers:  # overdue, or died mid-race
+                    self.on_outcome(i, False)
+            if won is not None:
+                del racers[won[0]]
+            self.group.abandon(racers)  # the loser's — or, failing, everyone's
+            if expired:
+                raise deadline.to_error()
+            if won is not None:
+                self.on_outcome(won[0], True)
+                return accept_responses(self.replicas[won[0]], won[1])[0]
+        return super()._read_one(index, request)
 
     @staticmethod
     def _is_fresh(request: ApiRequest) -> bool:
         consistency = getattr(request, "consistency", None)
-        return (
-            consistency is not None
-            and consistency.level is ConsistencyLevel.FRESH
-        )
+        return consistency is not None and consistency.level is ConsistencyLevel.FRESH
 
     # ------------------------------------------------------------------ #
     # routing
@@ -806,106 +419,18 @@ class ClusterGateway:
     # the typed protocol
     # ------------------------------------------------------------------ #
 
-    def submit(self, request: ApiRequest) -> ApiResponse:
-        """Execute one request; failures become error-carrying responses.
-
-        With :attr:`~repro.config.ApiConfig.admission_queue` set, the
-        request first passes the bounded admission gate (same policy as
-        the single-process gateway): past its priority class's depth
-        threshold it is shed with stable code ``OVERLOAD``.
-        """
-        try:
-            if self.admission is not None:
-                self.admission.admit(request)
-                try:
-                    return self.execute(request)
-                finally:
-                    self.admission.release()
-            return self.execute(request)
-        except ReproError as exc:
-            self.counters["errors"] += 1
-            if isinstance(exc, OverloadError):
-                self.counters["shed"] += 1
-            elif isinstance(exc, DeadlineError):
-                self.counters["deadline_exceeded"] += 1
-            shape = RESPONSE_FOR.get(type(request), ApiResponse)
-            return shape.failure(
-                ErrorInfo.from_exception(exc),
-                snapshot_version=self._head,
-            )
-
-    def execute(self, request: ApiRequest) -> ApiResponse:
-        """Execute one request, raising typed errors (the embedded path).
-
-        Latency lands in the ``cluster.<op>`` stage histograms (distinct
-        from the primary gateway's ``request.<op>`` stages, so replicated
-        and single-process timings never mix); a sampled request's
-        coordinator work is wrapped in a ``gateway.execute`` span with
-        ``tier="cluster"``.
-        """
-        queued = clock.now()
-        with self._lock:
-            waited = clock.now() - queued
-            obs.observe("queue.wait", waited)
-            source = getattr(request, "source", None)
-            ctx = obs.trace_of(request)
-            if ctx is None:
-                with obs.measured(f"cluster.{request.op}", source=source):
-                    return self._execute(request)
-            with obs.activate(ctx):
-                obs.record_span(
-                    "queue.wait", start=queued, duration=waited, observe=False
-                )
-                with obs.span("gateway.execute", op=request.op, tier="cluster"):
-                    with obs.measured(
-                        f"cluster.{request.op}",
-                        trace_id=ctx.trace_id,
-                        source=source,
-                    ):
-                        return self._execute(request)
-
-    def _execute(self, request: ApiRequest) -> ApiResponse:
-        with self._lock:
-            if self._closed:
-                raise ClusterError("cluster gateway is closed")
-            try:
-                return self._execute_routed(request)
-            except (_ReplicaDied, _DeadlineExpired) as exc:
-                # Backstop: the retry paths convert these; anything that
-                # still escapes must not reach HTTP clients as internal
-                # control flow.
-                raise ClusterError(
-                    f"replica failure escaped the retry path: {exc}"
-                ) from exc
-            except (EOFError, BrokenPipeError, ConnectionError) as exc:
-                # A replica pipe breaking mid-request is a cluster
-                # failure (stable code CLUSTER, HTTP 503), never a raw
-                # EOFError/BrokenPipeError to the caller.
-                raise ClusterError(
-                    f"replica channel broke mid-request: {exc}"
-                ) from exc
-
     def _execute_routed(self, request: ApiRequest) -> ApiResponse:
-        self._drain_acks()
-        self.counters[request.op] += 1
-        # Under the lock, so queueing on a busy coordinator counts
-        # against the budget (matching the single-process gateway).
-        deadline = getattr(request, "deadline", None)
-        if deadline is not None and deadline.expired():
-            raise deadline.to_error()
+        # Replicas ack shipped deltas whenever they get to them; absorb
+        # what has arrived on every request, so a write-only stream (which
+        # never awaits) cannot fill a pipe with unread acks.
+        self.group.drain()
         if isinstance(request, IngestBatch):
             return self._execute_ingest(request)
-        if isinstance(request, TopKQuery):
-            return self._dispatch_single(
-                self._route(self._owner(request.source)), request
-            )
-        if isinstance(request, ScoreQuery):
-            return self._dispatch_single(
-                self._route(self._owner(request.source)), request
-            )
+        if isinstance(request, (TopKQuery, ScoreQuery)):
+            return self._read_one(self._route(self._owner(request.source)), request)
         if isinstance(request, HubQuery):
             self._rotor = (self._rotor + 1) % len(self.replicas)
-            return self._dispatch_single(self._route(self._rotor), request)
+            return self._read_one(self._route(self._rotor), request)
         if isinstance(request, BatchQuery):
             return self._execute_batch(request)
         if isinstance(request, Prefetch):
@@ -923,7 +448,7 @@ class ClusterGateway:
     def _admin_execute(self, request: ApiRequest) -> ApiResponse:
         """Run an administrative request on the current write authority."""
         if self._primary_index is not None:
-            return self._dispatch_single(self._primary_index, request)
+            return self._read_one(self._primary_index, request)
         if self._embedded_dead:
             raise ClusterError(
                 f"no primary available for {request.op!r} (failover pending)"
@@ -1015,7 +540,7 @@ class ClusterGateway:
             kind = fault.kind if fault is not None else None
             try:
                 if kind is FaultKind.ERROR:
-                    raise _ReplicaDied(
+                    raise WorkerDied(
                         fault.message or "injected pipe failure at cluster.ship"
                     )
                 if kind is FaultKind.DROP:
@@ -1033,9 +558,9 @@ class ClusterGateway:
                     handle.send(delayed)
                 if kind is FaultKind.DUP:
                     handle.send((messages.APPLY, frame, ctx))
-            except _ReplicaDied:
+            except WorkerDied:
                 # The respawn bootstraps at head, delta included.
-                self._revive(index)
+                self.group.revive(index)
 
     def _forward_ingest(self, request: IngestBatch) -> ApiResponse:
         """Apply a write on the promoted primary replica.
@@ -1047,31 +572,27 @@ class ClusterGateway:
         and rebuilt, a fresh failover picks a new primary, and the write
         is retried exactly once.
         """
+        deadline = getattr(request, "deadline", None)
         for attempt in range(2):
             if self._primary_index is None:
                 self._failover()
             index = self._primary_index
-            handle = self.replicas[index]
-            ticket = self._next_ticket()
             ctx = obs.current()
-            if ctx is not None:
-                obs.attach(request, ctx)
-            try:
-                handle.send((messages.INGEST, ticket, request, ctx))
-                response = self._await(
-                    index, ticket, getattr(request, "deadline", None)
-                )[0]
-            except _DeadlineExpired:
-                raise self._abandon(
-                    index, getattr(request, "deadline", None)
-                ) from None
-            except _ReplicaDied:
-                if attempt == 0:
-                    self._revive(index)  # also clears _primary_index
-                    continue
-                raise ClusterError(
-                    "promoted primary died twice applying one write"
-                ) from None
+            obs.attach(request, ctx)
+            reply = self.group.call(
+                index,
+                lambda ticket: (messages.INGEST, ticket, request, ctx),
+                RESPONSES,
+                deadline,
+                retry=False,
+            )
+            if reply is None:
+                if attempt:
+                    raise ClusterError("promoted primary died twice applying one write")
+                # Rebuilt, but demoted: the next pass fails over afresh.
+                self.group.revive(index)
+                continue
+            response = accept_responses(self.replicas[index], reply)[0]
             if response.error is None:
                 self._head = max(self._head, response.snapshot_version)
                 frame = pack_record(
@@ -1098,7 +619,7 @@ class ClusterGateway:
         shipped to the other replicas, so a delta that died with the old
         primary's pipes still reaches the whole fleet.
         """
-        self._drain_acks()
+        self.group.drain()
         store = self.service.store
         candidates = sorted(
             (
@@ -1121,22 +642,24 @@ class ClusterGateway:
                 epoch=self.epoch,
                 applied_version=handle.applied_version,
             )
-            try:
-                with obs.span("cluster.failover", replica=index, epoch=self.epoch):
-                    ticket = self._next_ticket()
-                    handle.send(
-                        (
-                            messages.PROMOTE,
-                            ticket,
-                            self.epoch,
-                            str(store.root) if store is not None else None,
-                            store.config if store is not None else None,
-                        )
-                    )
-                    version, replayed = self._await_promoted(index, ticket)
-            except (ClusterError, _ReplicaDied) as exc:
-                errors.append(f"replica {index}: {exc}")
+            with obs.span("cluster.failover", replica=index, epoch=self.epoch):
+                reply = self.group.call(
+                    index,
+                    lambda ticket: (
+                        messages.PROMOTE,
+                        ticket,
+                        self.epoch,
+                        str(store.root) if store is not None else None,
+                        store.config if store is not None else None,
+                    ),
+                    messages.PROMOTED,
+                    retry=False,
+                )
+            if reply is None:
+                errors.append(f"replica {index}: died mid-promotion")
                 continue
+            _, _, version, replayed, spans = reply
+            obs.ingest_spans(spans)
             self._primary_index = index
             handle.applied_version = max(handle.applied_version, version)
             self._head = max(self._head, version)
@@ -1145,120 +668,7 @@ class ClusterGateway:
             for frame in replayed:
                 self._ship_frame(frame, ctx, exclude=index)
             return
-        raise ClusterError(
-            "failover failed on every candidate: " + "; ".join(errors)
-        )
-
-    def _await_promoted(self, index: int, ticket: int) -> tuple[int, list[bytes]]:
-        """Wait for the PROMOTED handshake (bounded by response timeout)."""
-        handle = self.replicas[index]
-        timeout_at = clock.now() + self.cluster.response_timeout_s
-        while True:
-            try:
-                if not handle.conn.poll(0.05):
-                    if not handle.alive():
-                        raise _ReplicaDied(f"replica {index} died mid-promotion")
-                    if clock.now() > timeout_at:
-                        raise _ReplicaDied(f"replica {index} promotion timed out")
-                    continue
-                frame = handle.conn.recv()
-            except (EOFError, OSError) as exc:
-                raise _ReplicaDied(str(exc)) from exc
-            frame = self._absorb(handle, frame)
-            if frame is None:
-                continue
-            if frame[0] == messages.PROMOTED and frame[1] == ticket:
-                obs.ingest_spans(frame[4])
-                return frame[2], list(frame[3])
-            if frame[0] in (messages.SYNCED, messages.RESPONSES, messages.BYE):
-                # Stale answers to abandoned tickets may still be in
-                # flight; promotion must not trip over them.
-                continue
-            raise ClusterError(
-                f"replica {index} broke protocol: got {frame[0]!r}"
-                f" while awaiting promotion ticket {ticket}"
-            )
-
-    # -- reads --------------------------------------------------------- #
-
-    def _execute_batch(self, request: BatchQuery) -> BatchResult:
-        start = clock.now()
-        chunks = self._partition(request.sources)
-        fresh = self._is_fresh(request)
-        by_position: dict[int, TopKResult] = {}
-        source_positions: dict[int, list[int]] = {}
-        for position, source in enumerate(request.sources):
-            source_positions.setdefault(source, []).append(position)
-        cursor = {source: 0 for source in source_positions}
-        for _, chunk_sources, chunk_results in self._run_chunks(
-            chunks, request, fresh
-        ):
-            for source, result in zip(chunk_sources, chunk_results):
-                assert isinstance(result, TopKResult)
-                positions = source_positions[source]
-                by_position[positions[cursor[source]]] = result
-                cursor[source] += 1
-        results = tuple(by_position[i] for i in range(len(request.sources)))
-        return BatchResult(
-            results=results,
-            snapshot_version=self._head,
-            staleness=max((r.staleness for r in results), default=0),
-            wall_time_s=clock.now() - start,
-        )
-
-    def _run_chunks(
-        self,
-        chunks: dict[int, list[int]],
-        request: BatchQuery,
-        fresh: bool,
-    ):
-        """Execute per-replica BatchQuery chunks concurrently.
-
-        One :meth:`_scatter` round: all chunks ship before any answer is
-        awaited, so replicas compute in parallel; a replica that dies
-        mid-chunk is revived and its chunk retried once.
-        """
-        per_replica = {
-            index: BatchQuery(
-                sources=tuple(sources),
-                k=request.k,
-                consistency=request.consistency,
-                deadline=request.deadline,
-            )
-            for index, sources in chunks.items()
-        }
-        results = self._scatter(per_replica, fresh)
-        for index, sources in chunks.items():
-            response = results[index]
-            if response.error is not None:
-                raise response.error.to_exception()
-            assert isinstance(response, BatchResult)
-            yield index, sources, response.results
-
-    def _execute_prefetch(self, request: Prefetch) -> PrefetchResult:
-        """Queue each source for admission on the replica that owns it.
-
-        Admission pushes are the most expensive per-source work in the
-        system, so the per-replica chunks go out as one scatter round —
-        parallel, like every other chunked read path.
-        """
-        start = clock.now()
-        per_replica = {
-            index: Prefetch(sources=tuple(sources))
-            for index, sources in self._partition(request.sources).items()
-        }
-        pending = 0
-        for response in self._scatter(per_replica, False).values():
-            if response.error is not None:
-                raise response.error.to_exception()
-            assert isinstance(response, PrefetchResult)
-            pending += response.pending
-        return PrefetchResult(
-            requested=len(request.sources),
-            pending=pending,
-            snapshot_version=self._head,
-            wall_time_s=clock.now() - start,
-        )
+        raise ClusterError("failover failed on every candidate: " + "; ".join(errors))
 
     # -- observability ------------------------------------------------- #
 
@@ -1272,7 +682,7 @@ class ClusterGateway:
         the very replicas it is asking about.
         """
         start = clock.now()
-        self._drain_acks()
+        self.group.drain()
         replicas: list[dict[str, Any]] = []
         degraded = False
         for index, handle in enumerate(self.replicas):
@@ -1366,113 +776,8 @@ class ClusterGateway:
 
     def replica_versions(self) -> list[int]:
         """Last-acknowledged applied version per replica (may lag head)."""
-        self._drain_acks()
+        self.group.drain()
         return [handle.applied_version for handle in self.replicas]
-
-    # ------------------------------------------------------------------ #
-    # scheduling: mixed read/write traffic
-    # ------------------------------------------------------------------ #
-
-    def submit_many(
-        self, requests: Sequence[ApiRequest], *, coalesce: bool | None = None
-    ) -> list[ApiResponse]:
-        """Run a request sequence in order, fanning read runs out in parallel.
-
-        The schedule is the *same* plan the single-process gateway makes
-        (:func:`repro.api.scheduling.plan_schedule`): writes execute at
-        their arrival position as barriers, and each coalesced run of
-        same-shaped top-k reads is deduplicated — then split across
-        replicas by placement and executed concurrently, one chunk per
-        worker process. Under ``HASHED`` placement the answers are
-        bit-identical to the single-process scheduler's for the same
-        trace (each source's refresh/admission history lives on exactly
-        one replica).
-        """
-        if coalesce is None:
-            coalesce = self.config.coalesce_reads
-        with self._lock:
-            responses: list[ApiResponse | None] = [None] * len(requests)
-            steps = plan_schedule(
-                requests, coalesce=coalesce, max_batch=self.config.max_batch
-            )
-            for step in steps:
-                if isinstance(step, ReadRun):
-                    self._execute_run(requests, step, responses)
-                else:
-                    responses[step.position] = self.submit(requests[step.position])
-            return [r for r in responses if r is not None]
-
-    def _execute_run(
-        self,
-        requests: Sequence[ApiRequest],
-        run: ReadRun,
-        responses: list[ApiResponse | None],
-    ) -> None:
-        """Answer one coalesced read run via parallel per-replica batches.
-
-        Mirrors the single-process scheduler's tracing: the run executes
-        under the first traced member's context in a ``schedule.run``
-        span, so per-replica chunk spans (and the replica-side execution
-        they ship back) link into that member's trace.
-        """
-        lead = next(
-            (
-                ctx
-                for ctx in (obs.trace_of(requests[p]) for p in run.positions)
-                if ctx is not None
-            ),
-            None,
-        )
-        if lead is None:
-            self._execute_run_inner(requests, run, responses)
-            return
-        with obs.activate(lead):
-            with obs.span(
-                "schedule.run",
-                members=len(run.positions),
-                coalesced=run.coalesced,
-                tier="cluster",
-            ):
-                self._execute_run_inner(requests, run, responses)
-
-    def _execute_run_inner(
-        self,
-        requests: Sequence[ApiRequest],
-        run: ReadRun,
-        responses: list[ApiResponse | None],
-    ) -> None:
-        first = requests[run.positions[0]]
-        assert isinstance(first, TopKQuery)
-        self.counters["reads_coalesced"] += run.coalesced
-        chunks = self._partition(run.sources)
-        fresh = first.consistency.level is ConsistencyLevel.FRESH
-        by_source: dict[int, TopKResult] = {}
-        probe = BatchQuery(
-            sources=run.sources,
-            k=first.k,
-            consistency=first.consistency,
-            deadline=run.deadline,
-        )
-        try:
-            for index, sources, results in self._run_chunks(chunks, probe, fresh):
-                del index
-                for source, result in zip(sources, results):
-                    assert isinstance(result, TopKResult)
-                    by_source[source] = result
-        except ReproError as exc:
-            # Match the single-process scheduler: one failing batch fails
-            # the whole run with that error.
-            self.counters["errors"] += 1
-            error = ErrorInfo.from_exception(exc)
-            by_source = {
-                source: TopKResult.failure(
-                    error,
-                    snapshot_version=self._head,
-                    source=source,
-                )
-                for source in run.sources
-            }
-        scatter_run_results(requests, run, by_source, responses)
 
     def __repr__(self) -> str:
         return (
@@ -1482,7 +787,7 @@ class ClusterGateway:
         )
 
 
-class PPRCluster:
+class PPRCluster(WorkerFleet):
     """User-facing handle on a replicated serving tier.
 
     Wraps the primary engine and its :class:`ClusterGateway`; use as a
@@ -1507,21 +812,3 @@ class PPRCluster:
         self.service = service
         self.gateway = ClusterGateway(service, cluster, config)
 
-    @property
-    def api(self) -> "Client":
-        """An embedded typed client bound to the cluster gateway."""
-        from ..api.client import Client
-
-        return Client(self.gateway)
-
-    def close(self) -> None:
-        self.gateway.close()
-
-    def __enter__(self) -> "PPRCluster":
-        return self
-
-    def __exit__(self, *exc: object) -> None:
-        self.close()
-
-    def __repr__(self) -> str:
-        return f"PPRCluster(gateway={self.gateway!r})"

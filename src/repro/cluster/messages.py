@@ -60,18 +60,15 @@ pickled instance attribute (:data:`repro.obs.TRACE_ATTR`).
 
 from __future__ import annotations
 
-#: Coordinator -> replica tags.
+#: Coordinator -> replica tags (``REQUESTS`` and ``SHUTDOWN`` are shared
+#: with the shard tier and live in :mod:`repro.workers`).
 APPLY = "apply"
-REQUESTS = "requests"
 SYNC = "sync"
 PROMOTE = "promote"
 INGEST = "ingest"
-SHUTDOWN = "shutdown"
 
-#: Replica -> coordinator tags.
-HELLO = "hello"
+#: Replica -> coordinator tags (``HELLO``, ``RESPONSES`` and ``BYE`` are
+#: shared and live in :mod:`repro.workers`).
 APPLIED = "applied"
-RESPONSES = "responses"
 SYNCED = "synced"
 PROMOTED = "promoted"
-BYE = "bye"

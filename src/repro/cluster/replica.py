@@ -41,6 +41,7 @@ from ..config import ObsConfig, PPRConfig, ServeConfig, StoreConfig
 from ..errors import ClusterError
 from ..serve.service import PPRService
 from ..store.wal import WalRecord, pack_record, unpack_record
+from ..workers import BYE, HELLO, REQUESTS, RESPONSES, SHUTDOWN
 from . import messages
 
 
@@ -200,7 +201,7 @@ def replica_main(spec: ReplicaSpec, conn: Connection) -> None:
     gateway = Gateway(service)
     epoch = 0
     try:
-        conn.send((messages.HELLO, service.graph_version))
+        conn.send((HELLO, service.graph_version))
         while True:
             try:
                 frame = conn.recv()
@@ -228,13 +229,13 @@ def replica_main(spec: ReplicaSpec, conn: Connection) -> None:
                         chaos.check("replica.apply", seq=record.seq)
                         version = apply_record(service, record)
                 conn.send((messages.APPLIED, version, obs.drain()))
-            elif tag == messages.REQUESTS:
+            elif tag == REQUESTS:
                 _, ticket, requests, coalesce = frame
                 chaos.check("replica.serve", ticket=ticket)
                 responses = gateway.submit_many(list(requests), coalesce=coalesce)
                 conn.send(
                     (
-                        messages.RESPONSES,
+                        RESPONSES,
                         ticket,
                         responses,
                         service.graph_version,
@@ -267,15 +268,15 @@ def replica_main(spec: ReplicaSpec, conn: Connection) -> None:
                         response = gateway.submit(request)
                 conn.send(
                     (
-                        messages.RESPONSES,
+                        RESPONSES,
                         ticket,
                         (response,),
                         service.graph_version,
                         obs.drain(),
                     )
                 )
-            elif tag == messages.SHUTDOWN:
-                conn.send((messages.BYE, service.graph_version))
+            elif tag == SHUTDOWN:
+                conn.send((BYE, service.graph_version))
                 break
             else:  # pragma: no cover - protocol bug guard
                 raise ClusterError(f"unknown frame tag: {tag!r}")

@@ -448,9 +448,6 @@ class ClusterConfig:
         How many times a crashed replica may be respawned before the
         cluster gives up and raises (guards against a poison batch
         crash-looping a worker).
-    spawn_timeout_s / response_timeout_s:
-        How long to wait for a worker's hello handshake / a dispatched
-        read before declaring the replica dead.
     hedge_reads:
         Dispatch idempotent non-FRESH single reads to a second replica
         as well and take the first answer — latency insurance against a
@@ -469,8 +466,6 @@ class ClusterConfig:
     placement: PlacementPolicy = PlacementPolicy.HASHED
     catch_up: CatchUpPolicy = CatchUpPolicy.PIPELINED
     max_respawns: int = 3
-    spawn_timeout_s: float = 60.0
-    response_timeout_s: float = 300.0
     hedge_reads: bool = False
     breaker_failures: int = 3
     breaker_cooldown: int = 8
@@ -490,8 +485,6 @@ class ClusterConfig:
             raise ConfigError(
                 f"max_respawns must be >= 0, got {self.max_respawns}"
             )
-        if self.spawn_timeout_s <= 0 or self.response_timeout_s <= 0:
-            raise ConfigError("cluster timeouts must be > 0")
         if self.breaker_failures < 1:
             raise ConfigError(
                 f"breaker_failures must be >= 1, got {self.breaker_failures}"
@@ -542,13 +535,6 @@ class ShardConfig:
     max_respawns:
         How many times a crashed shard may be respawned before the
         gateway gives up and raises.
-    spawn_timeout_s / response_timeout_s:
-        How long to wait for a worker's hello handshake / a dispatched
-        frame before declaring the shard dead.
-    history_frames:
-        Bound on the in-memory ring of recent write frames the
-        coordinator keeps for catching up a respawned shard without a
-        store (a storeless gateway keeps the full history instead).
 
     See ``docs/sharding.md`` for placement, the frontier-exchange
     protocol, and the recovery manifest.
@@ -557,9 +543,6 @@ class ShardConfig:
     shards: int = 2
     partitioner: PartitionerKind = PartitionerKind.HASH
     max_respawns: int = 3
-    spawn_timeout_s: float = 60.0
-    response_timeout_s: float = 300.0
-    history_frames: int = 512
 
     def __post_init__(self) -> None:
         if not 1 <= self.shards <= 64:
@@ -571,12 +554,6 @@ class ShardConfig:
         if self.max_respawns < 0:
             raise ConfigError(
                 f"max_respawns must be >= 0, got {self.max_respawns}"
-            )
-        if self.spawn_timeout_s <= 0 or self.response_timeout_s <= 0:
-            raise ConfigError("shard timeouts must be > 0")
-        if self.history_frames < 1:
-            raise ConfigError(
-                f"history_frames must be >= 1, got {self.history_frames}"
             )
 
     def with_(self, **changes: Any) -> "ShardConfig":

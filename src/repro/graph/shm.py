@@ -4,7 +4,7 @@ Replica and shard bootstrap used to ship whole order-exact graph dumps
 (and CSR arrays) through ``multiprocessing`` pipes — O(m) pickling per
 worker, paid again on every respawn. This module moves those arrays into
 named ``multiprocessing.shared_memory`` segments so workers *attach by
-name* instead: the coordinator publishes one versioned, refcounted
+name* instead: the coordinator publishes one versioned
 segment per graph version (:class:`SnapshotPublisher`) and hands workers
 a tiny picklable descriptor (:func:`SharedArrayBundle.descriptor`);
 :func:`SharedArrayBundle.attach` maps it back into numpy views without
@@ -24,9 +24,10 @@ Lifecycle and crash safety
   ``repro-shm-*`` segment whose creator is gone — the test suite runs it
   at session teardown, and it is safe to run any time (attached readers
   keep their mappings after an unlink; POSIX semantics).
-* :class:`SnapshotPublisher` refcounts readers per version: a superseded
-  version is unlinked as soon as its last reader releases it; the current
-  version always stays mapped.
+* :class:`SnapshotPublisher` unlinks a superseded version at publish
+  time — a worker's spawn returns only after its ``HELLO``, under the
+  same gateway lock that publishes, so no reader is ever mid-bootstrap
+  then; the current version always stays mapped.
 """
 
 from __future__ import annotations
@@ -233,19 +234,16 @@ class SharedArrayBundle:
 
 
 class SnapshotPublisher:
-    """Versioned, refcounted shared-memory snapshots (creator side).
+    """Versioned shared-memory snapshots (creator side).
 
-    One bundle per published graph version. ``retain``/``release`` track
-    readers mid-bootstrap: a *superseded* version is unlinked when its
-    last reader releases (or immediately at publish time when nobody holds
-    it); the current version stays available for respawns until it is
-    superseded or the publisher closes.
+    One bundle per published graph version: publishing a new version
+    unlinks the one it supersedes; the current version stays available
+    for respawns until it is superseded or the publisher closes.
     """
 
     def __init__(self, tag: str = "snap") -> None:
         self._tag = tag
         self._bundles: dict[int, SharedArrayBundle] = {}
-        self._refs: dict[int, int] = {}
         self._current: int | None = None
         self._lock = threading.Lock()
 
@@ -256,10 +254,6 @@ class SnapshotPublisher:
     def versions(self) -> list[int]:
         with self._lock:
             return sorted(self._bundles)
-
-    def refcount(self, version: int) -> int:
-        with self._lock:
-            return self._refs.get(version, 0)
 
     def publish(
         self,
@@ -282,11 +276,11 @@ class SnapshotPublisher:
                     arrays, tag=f"{self._tag}-v{version}", meta=payload
                 )
                 self._bundles[version] = bundle
-                self._refs.setdefault(version, 0)
-                previous = self._current
+                superseded = self._bundles.pop(self._current, None)
                 self._current = version
-                if previous is not None and previous != version:
-                    self._maybe_drop(previous)
+                if superseded is not None:
+                    superseded.unlink()
+                    superseded.close()
             return bundle.descriptor
 
     def descriptor(self, version: int | None = None) -> dict[str, Any]:
@@ -296,34 +290,6 @@ class SnapshotPublisher:
                 raise GraphError(f"no published snapshot for version {version!r}")
             return self._bundles[v].descriptor
 
-    def retain(self, version: int | None = None) -> dict[str, Any]:
-        """Pin a version for a reader being bootstrapped; returns descriptor."""
-        with self._lock:
-            v = self._current if version is None else version
-            if v is None or v not in self._bundles:
-                raise GraphError(f"no published snapshot for version {version!r}")
-            self._refs[v] = self._refs.get(v, 0) + 1
-            return self._bundles[v].descriptor
-
-    def release(self, version: int) -> None:
-        """Drop one reader pin; unlinks a superseded, fully-drained version."""
-        with self._lock:
-            if version not in self._bundles:
-                return
-            self._refs[version] = max(0, self._refs.get(version, 0) - 1)
-            if version != self._current:
-                self._maybe_drop(version)
-
-    def _maybe_drop(self, version: int) -> None:
-        # lock held
-        if self._refs.get(version, 0) > 0:
-            return
-        bundle = self._bundles.pop(version, None)
-        self._refs.pop(version, None)
-        if bundle is not None:
-            bundle.unlink()
-            bundle.close()
-
     def close(self) -> None:
         """Unlink every published version (readers keep their mappings)."""
         with self._lock:
@@ -331,7 +297,6 @@ class SnapshotPublisher:
                 bundle.unlink()
                 bundle.close()
             self._bundles.clear()
-            self._refs.clear()
             self._current = None
 
     def __enter__(self) -> "SnapshotPublisher":

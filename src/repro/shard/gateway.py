@@ -38,22 +38,16 @@ against the single-process oracle, and the failure modes.
 from __future__ import annotations
 
 import dataclasses
-import multiprocessing
-import threading
 import time
-from multiprocessing import connection as mp_connection
-from collections import Counter
+from collections import deque
 from collections.abc import Sequence
-from typing import TYPE_CHECKING, Any
+from typing import Any
 
 from .. import chaos, obs
-from ..api.admission import AdmissionController
-from ..api.gateway import RESPONSE_FOR
 from ..api.requests import (
     ApiRequest,
     BatchQuery,
     CheckpointNow,
-    Deadline,
     Health,
     HubQuery,
     IngestBatch,
@@ -65,20 +59,14 @@ from ..api.requests import (
 )
 from ..api.responses import (
     ApiResponse,
-    BatchResult,
     CheckpointResult,
-    ErrorInfo,
     HealthResult,
     IngestResult,
-    PrefetchResult,
     ReadyResult,
     StatsResult,
-    TopKResult,
 )
-from ..api.scheduling import ReadRun, plan_schedule, scatter_run_results
 from ..chaos import FaultKind
 from ..config import (
-    WORKER_START,
     ApiConfig,
     Backend,
     PPRConfig,
@@ -86,18 +74,18 @@ from ..config import (
     ShardConfig,
     StoreConfig,
 )
-from ..errors import (
-    ClusterError,
-    ConfigError,
-    ConflictError,
-    DeadlineError,
-    OverloadError,
-    ReproError,
-)
+from ..errors import ClusterError, ConfigError, ConflictError
 from ..graph.digraph import DynamicDiGraph
-from ..graph.shm import SharedArrayBundle, sweep_stale
+from ..graph.shm import SharedArrayBundle
 from ..obs import clock
-from ..store.wal import pack_record
+from ..store.wal import pack_record, unpack_payload
+from ..workers import (
+    FrameMaker,
+    WorkerDied,
+    WorkerFleet,
+    WorkerGateway,
+    WorkerHandle,
+)
 from . import messages
 from .manifest import read_manifest, shard_store_root, write_manifest
 from .partitioner import (
@@ -106,9 +94,6 @@ from .partitioner import (
     partitioner_from_manifest,
 )
 from .worker import ShardSpec, shard_main
-
-if TYPE_CHECKING:
-    from ..api.client import Client
 
 #: Worker-side stores never self-checkpoint: the coordinator drives
 #: checkpoint rounds so the manifest only ever records epochs every
@@ -119,72 +104,13 @@ _INERT_INTERVAL = 1 << 60
 #: Stats keys merged with max() instead of sum() across shards.
 _MAX_HINTS = ("p50", "p90", "p95", "p99", "max")
 
-
-class _ShardDied(Exception):
-    """Internal control flow: the worker at ``index`` stopped answering."""
-
-
-class _DeadlineExpired(Exception):
-    """Internal control flow: a request's deadline lapsed mid-await."""
+#: Bound on the ring of recent write frames a store-backed coordinator
+#: keeps for catching up a respawned shard (a storeless gateway keeps the
+#: full history instead: it is the only thing a replacement can replay).
+HISTORY_FRAMES = 512
 
 
-class ShardHandle:
-    """Coordinator-side view of one shard worker process."""
-
-    def __init__(
-        self, spec: ShardSpec, ctx: multiprocessing.context.BaseContext
-    ) -> None:
-        self.spec = spec
-        self.conn, child = ctx.Pipe(duplex=True)
-        self.process = ctx.Process(
-            target=shard_main,
-            args=(spec, child),
-            name=f"ppr-shard-{spec.shard_id}",
-            daemon=True,
-        )
-        self.process.start()
-        child.close()
-        #: Highest graph version this shard has acknowledged.
-        self.applied_version = -1
-        #: Reads/chunks dispatched to this shard (stats surface).
-        self.dispatched = 0
-        #: Tickets whose answers nobody awaits anymore (deadline-abandoned
-        #: dispatches): late replies are absorbed, not protocol errors.
-        self.abandoned: set[int] = set()
-        #: Frames that arrived while awaiting something else (a reply
-        #: overtaken by a relayed exchange); drained by the next await.
-        self.pending: list[tuple] = []
-        #: The pipe hit EOF: exclude it from poll sets (a closed pipe is
-        #: permanently "ready", which would spin the await loops).
-        self.broken = False
-
-    def alive(self) -> bool:
-        return self.process.is_alive()
-
-    def send(self, frame: tuple) -> None:
-        try:
-            self.conn.send(frame)
-        except (OSError, ValueError) as exc:
-            raise _ShardDied(str(exc)) from exc
-        # Under fork, siblings inherit this pipe's fds, so a write into a
-        # dead worker can succeed silently; the liveness check narrows
-        # that window and the await poll loop is the backstop.
-        if not self.process.is_alive():
-            raise _ShardDied(f"{self.process.name} is not alive")
-
-    def close(self, *, terminate: bool = False, timeout: float = 5.0) -> None:
-        """Join the worker; ``terminate`` kills it outright (SIGKILL —
-        a worker wedged under SIGSTOP never processes SIGTERM)."""
-        if terminate and self.process.is_alive():
-            self.process.kill()
-        self.process.join(timeout=timeout)
-        if self.process.is_alive():
-            self.process.kill()
-            self.process.join(timeout=timeout)
-        self.conn.close()
-
-
-class ShardedGateway:
+class ShardedGateway(WorkerGateway):
     """Partitioned drop-in for :class:`~repro.api.gateway.Gateway`.
 
     Parameters
@@ -221,6 +147,10 @@ class ShardedGateway:
     True
     """
 
+    tier = "shard"
+    noun = "shard"
+    crash_event = "shard.crashed"
+
     def __init__(
         self,
         graph: DynamicDiGraph,
@@ -232,47 +162,72 @@ class ShardedGateway:
         store_root: str | None = None,
         store_config: StoreConfig | None = None,
     ) -> None:
-        from ..config import Backend
-
-        self.shard = shard or ShardConfig()
-        self.config = config or ApiConfig()
-        self.ppr = ppr or PPRConfig(backend=Backend.NUMPY)
-        self.serve = (serve or ServeConfig()).with_(store=None)
-        if self.ppr.backend is not Backend.NUMPY:
+        ppr = ppr or PPRConfig(backend=Backend.NUMPY)
+        serve = (serve or ServeConfig()).with_(store=None)
+        if ppr.backend is not Backend.NUMPY:
             raise ConfigError(
                 "the sharded tier requires Backend.NUMPY"
-                f" (got {self.ppr.backend.value})"
+                f" (got {ppr.backend.value})"
             )
-        if self.serve.num_hubs > 0:
+        if serve.num_hubs > 0:
             raise ConfigError(
                 "the sharded tier does not support the hub tier"
                 " (set ServeConfig.num_hubs=0)"
             )
-        self.partitioner: Partitioner = build_partitioner(self.shard, graph)
+        shard = shard or ShardConfig()
+        self._setup(
+            shard,
+            config,
+            build_partitioner(shard, graph),
+            ppr,
+            serve,
+            store_root,
+            store_config,
+            seed=graph,
+        )
+        try:
+            for index in range(self.shard.shards):
+                self.shards.append(self._spawn(index))
+            if self.store_root is not None:
+                self._status_round()
+                self._write_manifest()
+        except BaseException:
+            self.close()
+            raise
+
+    def _setup(
+        self,
+        shard: ShardConfig,
+        config: ApiConfig | None,
+        partitioner: Partitioner,
+        ppr: PPRConfig,
+        serve: ServeConfig,
+        store_root: str | None,
+        store_config: StoreConfig | None,
+        *,
+        seed: DynamicDiGraph | None,
+    ) -> None:
+        """Everything ``__init__`` and :meth:`recover` agree on.
+
+        ``seed`` is the graph a fresh fleet bootstraps from; a fleet
+        recovered from its stores has none.
+        """
+        self.shard = shard
+        super().__init__(config, shard_main, shard.max_respawns)
+        self.ppr = ppr
+        self.serve = serve
+        self.partitioner = partitioner
         self.store_root = store_root
         self.store_config = None
         if store_root is not None:
             self.store_config = store_config or StoreConfig(root=str(store_root))
-        self._ctx = multiprocessing.get_context(WORKER_START)
-        # Reap segments a SIGKILLed predecessor left behind (the way
-        # StateStore sweeps stale checkpoint temporaries at open).
-        sweep_stale()
-        self._lock = threading.RLock()
-        self._ticket = 0
-        self.counters: Counter[str] = Counter()
-        self.admission: AdmissionController | None = (
-            AdmissionController(self.config.admission_queue)
-            if self.config.admission_queue
-            else None
-        )
-        self._respawn_counts: dict[int, int] = {}
-        self._closed = False
-        #: Acknowledged head version: every shard is at this version
-        #: between requests (writes are synchronous ship-all-await-all).
-        self._head = 0
         #: Coordinator's view of the registered vertex set — the routing
-        #: and capacity-registration truth (see _ensure_registered).
-        self._vertices: set[int] = set(graph.vertices())
+        #: and capacity-registration truth (see _admit_sources). Empty on
+        #: a recovered fleet on purpose: every id queried after recovery
+        #: goes through one idempotent REGISTER broadcast, re-aligning
+        #: presence bits that broadcast registration (not WAL'd) may have
+        #: left skewed.
+        self._vertices: set[int] = set(seed.vertices()) if seed is not None else set()
         #: Ids registered via REGISTER broadcasts, in broadcast order;
         #: replayed onto revived shards (registrations are not WAL'd).
         self._registered: list[int] = []
@@ -280,17 +235,16 @@ class ShardedGateway:
         #: enough (revival recovers from the shard's own store and heals
         #: the residue via donor TAIL frames); storeless, the full list
         #: is the only history a replacement can replay.
-        if store_root is not None:
-            from collections import deque
-
-            self._history: Any = deque(maxlen=self.shard.history_frames)
-        else:
-            self._history = []
+        self._history: Any = (
+            deque(maxlen=HISTORY_FRAMES) if store_root is not None else []
+        )
         #: Shared-memory publication of the seed snapshot: one named
         #: segment every worker attaches and slices — the only copy the
         #: coordinator keeps (None on a gateway recovered from stores).
-        self._seed_bundle: SharedArrayBundle | None = SharedArrayBundle.create(
-            graph.to_arrays(), tag="shard-seed"
+        self._seed_bundle: SharedArrayBundle | None = (
+            SharedArrayBundle.create(seed.to_arrays(), tag="shard-seed")
+            if seed is not None
+            else None
         )
         self._batches_since_checkpoint = 0
         #: Per-shard relay counters (the /v1/metrics satellite surface).
@@ -299,16 +253,8 @@ class ShardedGateway:
         #: Last STATUSED payload per shard (readyz/health answer from
         #: bookkeeping; refreshed by every stats/checkpoint round).
         self._last_status: dict[int, dict[str, Any]] = {}
-        self.shards: list[ShardHandle] = []
-        try:
-            for index in range(self.shard.shards):
-                self.shards.append(self._spawn(self._spec(index)))
-            if self.store_root is not None:
-                self._status_round()
-                self._write_manifest()
-        except BaseException:
-            self.close()
-            raise
+        #: The worker handles (``group.revive`` swaps entries in place).
+        self.shards: list[WorkerHandle] = self.group.handles
 
     # ------------------------------------------------------------------ #
     # lifecycle
@@ -342,41 +288,12 @@ class ShardedGateway:
             chaos=chaos.INJECTOR.plan,
         )
 
-    def _spawn(self, spec: ShardSpec, *, expect_head: bool = False) -> ShardHandle:
-        handle = ShardHandle(spec, self._ctx)
-        deadline = clock.now() + self.shard.spawn_timeout_s
-        try:
-            while not handle.conn.poll(0.05):
-                if clock.now() > deadline or not handle.alive():
-                    raise ClusterError(
-                        f"shard {spec.shard_id} never completed its spawn"
-                        " handshake"
-                    )
-            tag, version = handle.conn.recv()
-        except (EOFError, OSError) as exc:
-            handle.close(terminate=True)
-            raise ClusterError(
-                f"shard {spec.shard_id} died during spawn: {exc}"
-            ) from exc
-        except ClusterError:
-            handle.close(terminate=True)
-            raise
-        if tag != messages.HELLO:
-            handle.close(terminate=True)
-            raise ClusterError(
-                f"shard {spec.shard_id} sent {tag!r} instead of hello"
-            )
-        if expect_head and version > self._head:
-            handle.close(terminate=True)
-            raise ClusterError(
-                f"shard {spec.shard_id} came up at v{version},"
-                f" ahead of acked head v{self._head}"
-            )
-        handle.applied_version = version
-        return handle
+    def _spawn(self, index: int, *, recover: bool = False) -> WorkerHandle:
+        return self.group.spawn(index, self._spec(index, recover=recover))[0]
 
-    def _revive(self, index: int) -> None:
-        """Replace a dead shard and heal it back to the acked head.
+    def respawn(self, index: int) -> WorkerHandle:
+        """Build a dead shard's replacement, healed back to the acked head
+        (``WorkerGroup.revive`` hook).
 
         With a store the replacement recovers from its own checkpoint +
         WAL tail; without one it rebuilds from the seed snapshot. Either
@@ -385,38 +302,43 @@ class ShardedGateway:
         broadcast-registered vertex ids — which are not WAL'd — are
         re-registered so capacities stay aligned across the fleet.
         """
-        count = self._respawn_counts.get(index, 0) + 1
-        if count > self.shard.max_respawns:
+        handle, version = self.group.spawn(
+            index, self._spec(index, recover=self.store_root is not None)
+        )
+        if version > self._head:
+            handle.close(terminate=True)
             raise ClusterError(
-                f"shard {index} died and its respawn budget"
-                f" ({self.shard.max_respawns}) is exhausted"
+                f"shard {index} came up at v{version},"
+                f" ahead of acked head v{self._head}"
             )
-        self._respawn_counts[index] = count
-        obs.event("shard.crashed", shard=index, respawn=count)
-        with obs.span("shard.respawn", shard=index):
-            self.shards[index].close(terminate=True)
-            recover = self.store_root is not None
-            handle = self._spawn(
-                self._spec(index, recover=recover), expect_head=True
+        self.shards[index] = handle  # catching up addresses the slot by index
+        self._heal(index)
+        if self._registered:
+            self._ask(
+                index,
+                lambda t: (messages.REGISTER, t, list(self._registered)),
+                messages.REGISTERED,
             )
-            self.shards[index] = handle
-            self._heal(index)
-            if self._registered:
-                ticket = self._next_ticket()
-                handle.send((messages.REGISTER, ticket, list(self._registered)))
-                self._await_frame(index, messages.REGISTERED, ticket)
-        self.counters["respawns"] += 1
+        return handle
+
+    def _ask(self, index: int, make_frame: FrameMaker, want: str) -> tuple:
+        """One exchange with a shard whose death nobody retries (catch-up)."""
+        reply = self.group.call(index, make_frame, want, retry=False)
+        if reply is None:
+            raise ClusterError(f"shard {index} died while the fleet caught up")
+        return reply
 
     def _heal(self, index: int) -> None:
         """Replay frames until shard ``index`` acknowledges head version."""
         handle = self.shards[index]
         if handle.applied_version >= self._head:
             return
-        frames = self._catch_up_frames(index, handle.applied_version)
-        for frame in frames:
-            ticket = self._next_ticket()
-            handle.send((messages.APPLY, ticket, frame, None))
-            reply = self._await_frame(index, messages.APPLIED, ticket)
+        for frame in self._catch_up_frames(index, handle.applied_version):
+            reply = self._ask(
+                index,
+                lambda t, frame=frame: (messages.APPLY, t, frame, None),
+                messages.APPLIED,
+            )
             handle.applied_version = max(handle.applied_version, reply[2])
         if handle.applied_version != self._head:
             raise ClusterError(
@@ -427,8 +349,6 @@ class ShardedGateway:
     def _catch_up_frames(self, index: int, after: int) -> list[bytes]:
         """Frames covering ``(after, head]`` — history first, donor TAIL
         when the bounded history no longer reaches back far enough."""
-        from ..store.wal import unpack_payload
-
         frames = [f for f in self._history if unpack_payload(f)[0] > after]
         if frames and unpack_payload(frames[0])[0] == after + 1:
             return frames
@@ -447,9 +367,9 @@ class ShardedGateway:
             raise ClusterError(
                 f"shard {index} is at v{after} with no donor to heal from"
             )
-        ticket = self._next_ticket()
-        self.shards[donor].send((messages.TAIL, ticket, after))
-        reply = self._await_frame(donor, messages.TAILED, ticket)
+        reply = self._ask(
+            donor, lambda t: (messages.TAIL, t, after), messages.TAILED
+        )
         tail = list(reply[2])
         if not tail and after < self._head:
             raise ClusterError(
@@ -459,138 +379,26 @@ class ShardedGateway:
         return tail
 
     def close(self, *, deadline_s: float | None = None) -> None:
-        """Drain and stop every worker (idempotent)."""
         with self._lock:
-            if self._closed:
-                return
-            self._closed = True
-            limit = clock.now() + deadline_s if deadline_s is not None else None
-            for handle in self.shards:
-                try:
-                    handle.send((messages.SHUTDOWN,))
-                except _ShardDied:
-                    pass
-            for handle in self.shards:
-                if limit is None:
-                    handle.close()
-                else:
-                    handle.close(
-                        timeout=max(0.1, min(5.0, limit - clock.now()))
-                    )
+            super().close(deadline_s=deadline_s)
             if self._seed_bundle is not None:
                 self._seed_bundle.unlink()
                 self._seed_bundle.close()
                 self._seed_bundle = None
 
-    def __enter__(self) -> "ShardedGateway":
-        return self
-
-    def __exit__(self, *exc: object) -> None:
-        self.close()
-
     # ------------------------------------------------------------------ #
-    # channel plumbing
+    # the frontier relay
     # ------------------------------------------------------------------ #
 
-    def _next_ticket(self) -> int:
-        self._ticket += 1
-        return self._ticket
-
-    def _take_pending(self, handle: ShardHandle, want: str, ticket: int):
-        for i, frame in enumerate(handle.pending):
-            if frame[0] == want and frame[1] == ticket:
-                return handle.pending.pop(i)
-        return None
-
-    def _await_frame(
-        self,
-        index: int,
-        want: str,
-        ticket: int,
-        deadline: Deadline | None = None,
-    ) -> tuple:
-        """Block until shard ``index`` answers ``(want, ticket, ...)``.
-
-        While waiting, *every* shard's pipe is polled and drained, not
-        just the target's: relay traffic — ``FETCH`` (forwarded to the
-        owning peer as ``EXCHANGE``) and ``EXCHANGED`` (forwarded to the
-        requester as ``FETCHED``) — is handled the moment it arrives on
-        any pipe, and unrelated replies are buffered into their handle's
-        pending list. Forwarding must be event-driven rather than
-        awaited per-relay: a shard blocked in a fetch only progresses
-        when its peer's reply is forwarded, and with chains like
-        A->B->C->A in flight, a nested blocking wait on one pipe would
-        consume (and strand) replies belonging to an outer relay.
-        """
-        handle = self.shards[index]
-        buffered = self._take_pending(handle, want, ticket)
-        if buffered is not None:
-            return buffered
-        timeout_at = clock.now() + self.shard.response_timeout_s
-        while True:
-            # Handles can be replaced under us (a relay reviving a dead
-            # owner), so rebuild the poll set every beat.
-            index_of = {
-                id(h.conn): i
-                for i, h in enumerate(self.shards)
-                if not h.broken
-            }
-            ready = mp_connection.wait(
-                [h.conn for i, h in enumerate(self.shards) if not h.broken],
-                timeout=0.05,
-            )
-            got: tuple | None = None
-            for conn in ready:
-                i = index_of.get(id(conn))
-                if i is None:
-                    continue
-                try:
-                    frame = conn.recv()
-                except (EOFError, OSError) as exc:
-                    self.shards[i].broken = True
-                    if i == index:
-                        raise _ShardDied(str(exc)) from exc
-                    continue
-                if i == index and got is None:
-                    got = self._sift(i, frame, want, ticket)
-                else:
-                    self._sift(i, frame, None, -1)
-            if got is not None:
-                return got
-            target = self.shards[index]
-            if target.broken or (
-                not target.alive() and not target.conn.poll(0)
-            ):
-                raise _ShardDied(f"shard {index} exited")
-            now = clock.now()
-            if deadline is not None and deadline.expired(now):
-                raise _DeadlineExpired(index)
-            if now > timeout_at:
-                raise _ShardDied(f"shard {index} timed out")
-
-    def _sift(
-        self, index: int, frame: tuple, want: str | None, ticket: int
-    ) -> tuple | None:
-        """Handle one received frame; return it only if it is the answer."""
-        handle = self.shards[index]
-        tag = frame[0]
-        if want is not None and tag == want and frame[1] == ticket:
-            return frame
-        if tag == messages.FETCH:
+    def on_frame(self, index: int, frame: tuple) -> bool:
+        """Relay traffic, handled the moment any await reads it."""
+        if frame[0] == messages.FETCH:
             self._relay_fetch(index, frame)
-            return None
-        if tag == messages.EXCHANGED:
+        elif frame[0] == messages.EXCHANGED:
             self._forward_exchanged(frame)
-            return None
-        if tag == messages.BYE:
-            return None
-        if len(frame) > 1 and frame[1] in handle.abandoned:
-            handle.abandoned.discard(frame[1])
-            if tag in (messages.APPLIED, messages.RESPONSES):
-                obs.ingest_spans(frame[4])
-            return None
-        handle.pending.append(frame)
-        return None
+        else:
+            return False
+        return True
 
     def _relay_fetch(self, requester: int, frame: tuple) -> None:
         """Relay one shard's row fetch to the owning peer (non-blocking).
@@ -623,10 +431,10 @@ class ShardedGateway:
                     (messages.EXCHANGE, ticket, requester, request)
                 )
                 return
-            except _ShardDied:
+            except WorkerDied:
                 if attempt == 0:
                     try:
-                        self._revive(owner)
+                        self.group.revive(owner)
                         continue
                     except ClusterError:
                         break
@@ -650,7 +458,7 @@ class ShardedGateway:
     ) -> None:
         try:
             self.shards[requester].send((messages.FETCHED, ticket, reply))
-        except _ShardDied:
+        except WorkerDied:
             # The requester died mid-fetch; the await loop on its own
             # reply detects the death and handles the retry.
             pass
@@ -659,7 +467,7 @@ class ShardedGateway:
     # vertex registration (capacity lock-step)
     # ------------------------------------------------------------------ #
 
-    def _ensure_registered(self, sources: Sequence[int]) -> None:
+    def _admit_sources(self, sources: Sequence[int]) -> None:
         """Broadcast-register never-seen vertex ids on every shard.
 
         The single-process engine registers unseen query sources at
@@ -674,29 +482,9 @@ class ShardedGateway:
                 unseen.append(int(source))
         if not unseen:
             return
-        tickets: dict[int, int] = {}
-        for index, handle in enumerate(self.shards):
-            ticket = self._next_ticket()
-            try:
-                handle.send((messages.REGISTER, ticket, list(unseen)))
-                tickets[index] = ticket
-            except _ShardDied:
-                self._revive(index)
-                ticket = self._next_ticket()
-                self.shards[index].send(
-                    (messages.REGISTER, ticket, list(unseen))
-                )
-                tickets[index] = ticket
-        for index, ticket in tickets.items():
-            try:
-                self._await_frame(index, messages.REGISTERED, ticket)
-            except _ShardDied:
-                self._revive(index)
-                retry = self._next_ticket()
-                self.shards[index].send(
-                    (messages.REGISTER, retry, list(unseen))
-                )
-                self._await_frame(index, messages.REGISTERED, retry)
+        self.group.broadcast(
+            lambda t: (messages.REGISTER, t, unseen), messages.REGISTERED
+        )
         self._vertices.update(unseen)
         self._registered.extend(unseen)
 
@@ -704,83 +492,12 @@ class ShardedGateway:
     # the typed protocol
     # ------------------------------------------------------------------ #
 
-    def submit(self, request: ApiRequest) -> ApiResponse:
-        """Execute one request; failures become error-carrying responses."""
-        try:
-            if self.admission is not None:
-                self.admission.admit(request)
-                try:
-                    return self.execute(request)
-                finally:
-                    self.admission.release()
-            return self.execute(request)
-        except ReproError as exc:
-            self.counters["errors"] += 1
-            if isinstance(exc, OverloadError):
-                self.counters["shed"] += 1
-            elif isinstance(exc, DeadlineError):
-                self.counters["deadline_exceeded"] += 1
-            shape = RESPONSE_FOR.get(type(request), ApiResponse)
-            return shape.failure(
-                ErrorInfo.from_exception(exc),
-                snapshot_version=self._head,
-            )
-
-    def execute(self, request: ApiRequest) -> ApiResponse:
-        """Execute one request, raising typed errors (the embedded path).
-
-        Latency lands in ``shard.<op>`` stage histograms, distinct from
-        both the single-process ``request.<op>`` and the replicated
-        ``cluster.<op>`` stages.
-        """
-        queued = clock.now()
-        with self._lock:
-            waited = clock.now() - queued
-            obs.observe("queue.wait", waited)
-            source = getattr(request, "source", None)
-            ctx = obs.trace_of(request)
-            if ctx is None:
-                with obs.measured(f"shard.{request.op}", source=source):
-                    return self._execute(request)
-            with obs.activate(ctx):
-                obs.record_span(
-                    "queue.wait", start=queued, duration=waited, observe=False
-                )
-                with obs.span("gateway.execute", op=request.op, tier="shard"):
-                    with obs.measured(
-                        f"shard.{request.op}",
-                        trace_id=ctx.trace_id,
-                        source=source,
-                    ):
-                        return self._execute(request)
-
-    def _execute(self, request: ApiRequest) -> ApiResponse:
-        with self._lock:
-            if self._closed:
-                raise ClusterError("sharded gateway is closed")
-            try:
-                return self._execute_routed(request)
-            except (_ShardDied, _DeadlineExpired) as exc:
-                raise ClusterError(
-                    f"shard failure escaped the retry path: {exc}"
-                ) from exc
-            except (EOFError, BrokenPipeError, ConnectionError) as exc:
-                raise ClusterError(
-                    f"shard channel broke mid-request: {exc}"
-                ) from exc
-
     def _execute_routed(self, request: ApiRequest) -> ApiResponse:
-        self.counters[request.op] += 1
-        deadline = getattr(request, "deadline", None)
-        if deadline is not None and deadline.expired():
-            raise deadline.to_error()
         if isinstance(request, IngestBatch):
             return self._execute_ingest(request)
         if isinstance(request, (TopKQuery, ScoreQuery)):
-            self._ensure_registered([request.source])
-            return self._dispatch_single(
-                self.partitioner.owner(request.source), request
-            )
+            self._admit_sources([request.source])
+            return self._read_one(self.partitioner.owner(request.source), request)
         if isinstance(request, HubQuery):
             raise ConfigError(
                 "the sharded tier does not support the hub tier"
@@ -801,168 +518,12 @@ class ShardedGateway:
             f"the sharded tier cannot execute {request.op!r} requests"
         )
 
-    # -- reads --------------------------------------------------------- #
-
-    def _dispatch(
-        self, index: int, requests: Sequence[ApiRequest], *, coalesce: bool
-    ) -> int:
-        """Ship a read chunk to one shard; returns the ticket to await."""
-        ticket = self._next_ticket()
-        handle = self.shards[index]
-        ctx = obs.current()
-        if ctx is not None:
-            for request in requests:
-                obs.attach(request, ctx)
-        handle.send((messages.REQUESTS, ticket, tuple(requests), coalesce))
-        handle.dispatched += 1
-        return ticket
-
-    def _dispatch_single(self, index: int, request: ApiRequest) -> ApiResponse:
-        """One read on the owning shard, crash detection and one retry."""
-        deadline = getattr(request, "deadline", None)
-        try:
-            ticket = self._dispatch(index, [request], coalesce=False)
-            frame = self._await_frame(
-                index, messages.RESPONSES, ticket, deadline
-            )
-        except _DeadlineExpired:
-            raise self._abandon(index, deadline) from None
-        except _ShardDied:
-            return self._retry_single(index, request)
-        return self._accept_responses(index, frame)[0]
-
-    def _accept_responses(self, index: int, frame: tuple) -> list[ApiResponse]:
-        handle = self.shards[index]
-        handle.applied_version = max(handle.applied_version, frame[3])
-        obs.ingest_spans(frame[4])
-        return list(frame[2])
-
-    def _abandon(self, index: int, deadline: Deadline | None) -> DeadlineError:
-        """Replace a shard whose in-flight ticket was abandoned.
-
-        The worker may still answer eventually; a late frame on the same
-        pipe would poison later awaits, so the slot gets a fresh pipe
-        (and, if the worker was wedged, a live process).
-        """
-        self._revive(index)
-        assert deadline is not None
-        return deadline.to_error()
-
-    def _retry_single(self, index: int, request: ApiRequest) -> ApiResponse:
-        deadline = getattr(request, "deadline", None)
-        if deadline is not None and deadline.expired():
-            self._revive(index)
-            raise deadline.to_error()
-        self._revive(index)
-        try:
-            ticket = self._dispatch(index, [request], coalesce=False)
-            frame = self._await_frame(
-                index, messages.RESPONSES, ticket, deadline
-            )
-        except _DeadlineExpired:
-            raise self._abandon(index, deadline) from None
-        except _ShardDied as exc:
-            raise ClusterError(
-                f"shard {index} died twice serving one request"
-            ) from exc
-        return self._accept_responses(index, frame)[0]
-
-    def _scatter(
-        self, per_shard: dict[int, ApiRequest]
-    ) -> dict[int, ApiResponse]:
-        """One request per shard, all shipped before any await."""
-        tickets: dict[int, int] = {}
-        results: dict[int, ApiResponse] = {}
-        for index, request in per_shard.items():
-            try:
-                tickets[index] = self._dispatch(index, [request], coalesce=False)
-            except _ShardDied:
-                results[index] = self._retry_single(index, request)
-        for index, request in per_shard.items():
-            if index in results:
-                continue
-            deadline = getattr(request, "deadline", None)
-            try:
-                frame = self._await_frame(
-                    index, messages.RESPONSES, tickets[index], deadline
-                )
-                results[index] = self._accept_responses(index, frame)[0]
-            except _DeadlineExpired:
-                for other, ticket in tickets.items():
-                    if other != index and other not in results:
-                        self.shards[other].abandoned.add(ticket)
-                raise self._abandon(index, deadline) from None
-            except _ShardDied:
-                results[index] = self._retry_single(index, request)
-        return results
-
     def _partition(self, sources: Sequence[int]) -> dict[int, list[int]]:
         """Group sources by owning shard, preserving per-chunk order."""
         chunks: dict[int, list[int]] = {}
         for source in sources:
             chunks.setdefault(self.partitioner.owner(source), []).append(source)
         return chunks
-
-    def _execute_batch(self, request: BatchQuery) -> BatchResult:
-        start = clock.now()
-        self._ensure_registered(request.sources)
-        chunks = self._partition(request.sources)
-        by_position: dict[int, TopKResult] = {}
-        source_positions: dict[int, list[int]] = {}
-        for position, source in enumerate(request.sources):
-            source_positions.setdefault(source, []).append(position)
-        cursor = {source: 0 for source in source_positions}
-        for _, chunk_sources, chunk_results in self._run_chunks(chunks, request):
-            for source, result in zip(chunk_sources, chunk_results):
-                assert isinstance(result, TopKResult)
-                positions = source_positions[source]
-                by_position[positions[cursor[source]]] = result
-                cursor[source] += 1
-        results = tuple(by_position[i] for i in range(len(request.sources)))
-        return BatchResult(
-            results=results,
-            snapshot_version=self._head,
-            staleness=max((r.staleness for r in results), default=0),
-            wall_time_s=clock.now() - start,
-        )
-
-    def _run_chunks(self, chunks: dict[int, list[int]], request: BatchQuery):
-        per_shard = {
-            index: BatchQuery(
-                sources=tuple(sources),
-                k=request.k,
-                consistency=request.consistency,
-                deadline=request.deadline,
-            )
-            for index, sources in chunks.items()
-        }
-        results = self._scatter(per_shard)
-        for index, sources in chunks.items():
-            response = results[index]
-            if response.error is not None:
-                raise response.error.to_exception()
-            assert isinstance(response, BatchResult)
-            yield index, sources, response.results
-
-    def _execute_prefetch(self, request: Prefetch) -> PrefetchResult:
-        start = clock.now()
-        self._ensure_registered(request.sources)
-        per_shard = {
-            index: Prefetch(sources=tuple(sources))
-            for index, sources in self._partition(request.sources).items()
-        }
-        pending = 0
-        for response in self._scatter(per_shard).values():
-            if response.error is not None:
-                raise response.error.to_exception()
-            assert isinstance(response, PrefetchResult)
-            pending += response.pending
-        return PrefetchResult(
-            requested=len(request.sources),
-            pending=pending,
-            snapshot_version=self._head,
-            wall_time_s=clock.now() - start,
-        )
 
     # -- writes -------------------------------------------------------- #
 
@@ -1025,28 +586,10 @@ class ShardedGateway:
 
     def _validate_round(self, frame: bytes) -> None:
         """Dry-run a delete-carrying batch on every shard; one veto rejects."""
-        tickets: dict[int, int] = {}
-        for index, handle in enumerate(self.shards):
-            ticket = self._next_ticket()
-            try:
-                handle.send((messages.VALIDATE, ticket, frame))
-                tickets[index] = ticket
-            except _ShardDied:
-                self._revive(index)
-                ticket = self._next_ticket()
-                self.shards[index].send((messages.VALIDATE, ticket, frame))
-                tickets[index] = ticket
-        vetoes: list[tuple[int, ErrorInfo]] = []
-        for index, ticket in tickets.items():
-            try:
-                reply = self._await_frame(index, messages.VALIDATED, ticket)
-            except _ShardDied:
-                self._revive(index)
-                retry = self._next_ticket()
-                self.shards[index].send((messages.VALIDATE, retry, frame))
-                reply = self._await_frame(index, messages.VALIDATED, retry)
-            if reply[2] is not None:
-                vetoes.append(reply[2])
+        replies = self.group.broadcast(
+            lambda t: (messages.VALIDATE, t, frame), messages.VALIDATED
+        )
+        vetoes = [reply[2] for reply in replies.values() if reply[2] is not None]
         if vetoes:
             # The earliest failing update is the one the single-process
             # engine would have raised on.
@@ -1054,45 +597,20 @@ class ShardedGateway:
             raise info.to_exception()
 
     def _apply_round(self, frame: bytes, ctx: Any) -> list[ApiResponse | None]:
-        """Ship one APPLY frame everywhere; await every APPLIED."""
-        tickets: dict[int, int] = {}
-        for index in range(len(self.shards)):
-            tickets[index] = self._ship_apply(index, frame, ctx)
-        responses: list[ApiResponse | None] = [None] * len(self.shards)
+        """Ship one APPLY frame everywhere; await every APPLIED.
+
+        A shard that dies mid-round is revived to the pre-batch head (its
+        own WAL cannot contain this unacked batch), so the re-shipped
+        frame is exactly seq head+1 again.
+        """
         with obs.span(
             "shard.ship_batch", seq=self._head + 1, shards=len(self.shards)
         ):
-            for index, ticket in tickets.items():
-                responses[index] = self._await_applied(index, ticket, frame, ctx)
-        return responses
-
-    def _ship_apply(self, index: int, frame: bytes, ctx: Any) -> int:
-        ticket = self._next_ticket()
-        try:
-            self.shards[index].send((messages.APPLY, ticket, frame, ctx))
-        except _ShardDied:
-            self._revive(index)
-            ticket = self._next_ticket()
-            self.shards[index].send((messages.APPLY, ticket, frame, ctx))
-        return ticket
-
-    def _await_applied(
-        self, index: int, ticket: int, frame: bytes, ctx: Any
-    ) -> ApiResponse | None:
-        for attempt in range(2):
-            try:
-                reply = self._await_frame(index, messages.APPLIED, ticket)
-            except _ShardDied:
-                if attempt == 0:
-                    # The revive recovers the shard to the pre-batch head
-                    # (its own WAL cannot contain this unacked batch), so
-                    # the re-shipped frame is exactly seq head+1 again.
-                    self._revive(index)
-                    ticket = self._ship_apply(index, frame, ctx)
-                    continue
-                raise ClusterError(
-                    f"shard {index} died twice applying one batch"
-                ) from None
+            replies = self.group.broadcast(
+                lambda t: (messages.APPLY, t, frame, ctx), messages.APPLIED
+            )
+        responses: list[ApiResponse | None] = []
+        for index, reply in replies.items():
             handle = self.shards[index]
             handle.applied_version = max(handle.applied_version, reply[2])
             obs.ingest_spans(reply[4])
@@ -1105,8 +623,8 @@ class ShardedGateway:
                     f"shard {index} rejected an accepted batch"
                     f" ({response.error.message}): shard states diverged"
                 )
-            return response
-        raise ClusterError("unreachable: apply retry loop exhausted")
+            responses.append(response)
+        return responses
 
     # -- durability ---------------------------------------------------- #
 
@@ -1123,40 +641,19 @@ class ShardedGateway:
             raise ConfigError(
                 "no state store attached: pass store_root to ShardedGateway"
             )
-        tickets: dict[int, int] = {}
-        for index, handle in enumerate(self.shards):
-            ticket = self._next_ticket()
-            try:
-                handle.send((messages.CHECKPOINT, ticket))
-                tickets[index] = ticket
-            except _ShardDied:
-                self._revive(index)
-                ticket = self._next_ticket()
-                self.shards[index].send((messages.CHECKPOINT, ticket))
-                tickets[index] = ticket
-        info: dict[int, dict[str, Any]] = {}
-        for index, ticket in tickets.items():
-            try:
-                reply = self._await_frame(index, messages.CHECKPOINTED, ticket)
-            except _ShardDied:
-                self._revive(index)
-                retry = self._next_ticket()
-                self.shards[index].send((messages.CHECKPOINT, retry))
-                reply = self._await_frame(index, messages.CHECKPOINTED, retry)
-            _, _, version, path = reply
+        replies = self.group.broadcast(
+            lambda t: (messages.CHECKPOINT, t), messages.CHECKPOINTED
+        )
+        info: list[dict[str, Any]] = []
+        for index in range(len(self.shards)):
+            _, _, version, path = replies[index]
             if version != self._head:
                 raise ClusterError(
                     f"shard {index} checkpointed v{version},"
                     f" head is v{self._head}"
                 )
-            info[index] = {
-                "shard": index,
-                "version": version,
-                "checkpoint": path,
-            }
-        path = self._write_manifest(
-            [info[i] for i in range(len(self.shards))]
-        )
+            info.append({"shard": index, "version": version, "checkpoint": path})
+        path = self._write_manifest(info)
         self._batches_since_checkpoint = 0
         self.counters["checkpoint_rounds"] += 1
         self._status_round()
@@ -1192,23 +689,13 @@ class ShardedGateway:
     # -- observability ------------------------------------------------- #
 
     def _status_round(self) -> dict[int, dict[str, Any]]:
-        """One STATUS per shard (scatter); refreshes the readyz cache."""
-        tickets: dict[int, int] = {}
-        for index, handle in enumerate(self.shards):
-            ticket = self._next_ticket()
-            try:
-                handle.send((messages.STATUS, ticket))
-                tickets[index] = ticket
-            except _ShardDied:
-                continue
-        payloads: dict[int, dict[str, Any]] = {}
-        for index, ticket in tickets.items():
-            try:
-                reply = self._await_frame(index, messages.STATUSED, ticket)
-            except _ShardDied:
-                continue
-            payloads[index] = reply[2]
-            self._last_status[index] = reply[2]
+        """One STATUS per shard (a dead shard is skipped, not revived);
+        refreshes the readyz cache."""
+        replies = self.group.broadcast(
+            lambda t: (messages.STATUS, t), messages.STATUSED, retry=False
+        )
+        payloads = {index: reply[2] for index, reply in replies.items()}
+        self._last_status.update(payloads)
         return payloads
 
     def _shard_section(self, payloads: dict[int, dict[str, Any]]) -> dict:
@@ -1306,99 +793,6 @@ class ShardedGateway:
         )
 
     # ------------------------------------------------------------------ #
-    # scheduling: mixed read/write traffic
-    # ------------------------------------------------------------------ #
-
-    def submit_many(
-        self, requests: Sequence[ApiRequest], *, coalesce: bool | None = None
-    ) -> list[ApiResponse]:
-        """Run a request sequence in order, fanning read runs out.
-
-        Same plan as the single-process scheduler; each coalesced run of
-        same-shaped top-k reads splits into per-shard chunks executed
-        concurrently. Routing is by ownership, so the answers are
-        bit-identical to the single-process scheduler's for the same
-        trace: each source's refresh/admission history lives on exactly
-        one shard.
-        """
-        if coalesce is None:
-            coalesce = self.config.coalesce_reads
-        with self._lock:
-            responses: list[ApiResponse | None] = [None] * len(requests)
-            steps = plan_schedule(
-                requests, coalesce=coalesce, max_batch=self.config.max_batch
-            )
-            for step in steps:
-                if isinstance(step, ReadRun):
-                    self._execute_run(requests, step, responses)
-                else:
-                    responses[step.position] = self.submit(requests[step.position])
-            return [r for r in responses if r is not None]
-
-    def _execute_run(
-        self,
-        requests: Sequence[ApiRequest],
-        run: ReadRun,
-        responses: list[ApiResponse | None],
-    ) -> None:
-        lead = next(
-            (
-                ctx
-                for ctx in (obs.trace_of(requests[p]) for p in run.positions)
-                if ctx is not None
-            ),
-            None,
-        )
-        if lead is None:
-            self._execute_run_inner(requests, run, responses)
-            return
-        with obs.activate(lead):
-            with obs.span(
-                "schedule.run",
-                members=len(run.positions),
-                coalesced=run.coalesced,
-                tier="shard",
-            ):
-                self._execute_run_inner(requests, run, responses)
-
-    def _execute_run_inner(
-        self,
-        requests: Sequence[ApiRequest],
-        run: ReadRun,
-        responses: list[ApiResponse | None],
-    ) -> None:
-        first = requests[run.positions[0]]
-        assert isinstance(first, TopKQuery)
-        self.counters["reads_coalesced"] += run.coalesced
-        self._ensure_registered(run.sources)
-        chunks = self._partition(run.sources)
-        by_source: dict[int, TopKResult] = {}
-        probe = BatchQuery(
-            sources=run.sources,
-            k=first.k,
-            consistency=first.consistency,
-            deadline=run.deadline,
-        )
-        try:
-            for index, sources, results in self._run_chunks(chunks, probe):
-                del index
-                for source, result in zip(sources, results):
-                    assert isinstance(result, TopKResult)
-                    by_source[source] = result
-        except ReproError as exc:
-            self.counters["errors"] += 1
-            error = ErrorInfo.from_exception(exc)
-            by_source = {
-                source: TopKResult.failure(
-                    error,
-                    snapshot_version=self._head,
-                    source=source,
-                )
-                for source in run.sources
-            }
-        scatter_run_results(requests, run, by_source, responses)
-
-    # ------------------------------------------------------------------ #
     # recovery
     # ------------------------------------------------------------------ #
 
@@ -1421,49 +815,22 @@ class ShardedGateway:
         manifest = read_manifest(store_root)
         partitioner = partitioner_from_manifest(manifest.partitioner)
         self = cls.__new__(cls)
-        self.shard = ShardConfig(
-            shards=manifest.shards,
-            partitioner=partitioner.kind,
-        )
-        self.config = config or ApiConfig()
-        self.partitioner = partitioner
-        self.store_root = store_root
-        self.store_config = store_config or StoreConfig(root=str(store_root))
-        self._ctx = multiprocessing.get_context(WORKER_START)
-        sweep_stale()
-        self._lock = threading.RLock()
-        self._ticket = 0
-        self.counters = Counter()
-        self.admission = (
-            AdmissionController(self.config.admission_queue)
-            if self.config.admission_queue
-            else None
-        )
-        self._respawn_counts = {}
-        self._closed = False
-        self._head = 0
-        #: Empty on purpose: every id queried after recovery goes through
-        #: one idempotent REGISTER broadcast, re-aligning presence bits
-        #: that broadcast registration (not WAL'd) may have left skewed.
-        self._vertices = set()
-        self._registered = []
-        from collections import deque
-
-        self._history = deque(maxlen=self.shard.history_frames)
-        self._seed_bundle = None
-        self._batches_since_checkpoint = 0
-        self.exchange_rounds = [0] * self.shard.shards
-        self.frontier_bytes = [0] * self.shard.shards
-        self._last_status = {}
         # Config mirrors ride every spec; recovered spawns rebuild from
         # their own stores (engine config comes from the checkpoints), so
         # safe NUMPY defaults are all the coordinator needs here.
-        self.ppr = PPRConfig(backend=Backend.NUMPY)
-        self.serve = ServeConfig()
-        self.shards = []
+        self._setup(
+            ShardConfig(shards=manifest.shards, partitioner=partitioner.kind),
+            config,
+            partitioner,
+            PPRConfig(backend=Backend.NUMPY),
+            ServeConfig(),
+            store_root,
+            store_config,
+            seed=None,
+        )
         try:
             for index in range(self.shard.shards):
-                self.shards.append(self._spawn(self._spec(index, recover=True)))
+                self.shards.append(self._spawn(index, recover=True))
             self._head = max(h.applied_version for h in self.shards)
             for index in range(len(self.shards)):
                 self._heal(index)
@@ -1501,7 +868,7 @@ def _merge_stats(payloads: Sequence[dict[str, Any]]) -> dict[str, Any]:
     return merged
 
 
-class PPRShards:
+class PPRShards(WorkerFleet):
     """User-facing handle on a sharded serving tier.
 
     Wraps a :class:`ShardedGateway`; use as a context manager so shard
@@ -1526,21 +893,3 @@ class PPRShards:
     ) -> None:
         self.gateway = ShardedGateway(graph, shard, config, **kwargs)
 
-    @property
-    def api(self) -> "Client":
-        """An embedded typed client bound to the sharded gateway."""
-        from ..api.client import Client
-
-        return Client(self.gateway)
-
-    def close(self) -> None:
-        self.gateway.close()
-
-    def __enter__(self) -> "PPRShards":
-        return self
-
-    def __exit__(self, *exc: object) -> None:
-        self.close()
-
-    def __repr__(self) -> str:
-        return f"PPRShards(gateway={self.gateway!r})"

@@ -66,30 +66,27 @@ import numpy as np
 from ..errors import StoreError
 from ..store.wal import pack_payload, unpack_payload
 
-# Coordinator -> shard.
+# Coordinator -> shard (``REQUESTS`` and ``SHUTDOWN`` are shared with the
+# replicated tier and live in :mod:`repro.workers`).
 APPLY = "apply"
 VALIDATE = "validate"
-REQUESTS = "requests"
 EXCHANGE = "exchange"
 FETCHED = "fetched"
 REGISTER = "register"
 CHECKPOINT = "checkpoint"
 STATUS = "status"
 TAIL = "tail"
-SHUTDOWN = "shutdown"
 
-# Shard -> coordinator.
-HELLO = "hello"
+# Shard -> coordinator (``HELLO``, ``RESPONSES`` and ``BYE`` are shared
+# and live in :mod:`repro.workers`).
 APPLIED = "applied"
 VALIDATED = "validated"
-RESPONSES = "responses"
 FETCH = "fetch"
 EXCHANGED = "exchanged"
 REGISTERED = "registered"
 CHECKPOINTED = "checkpointed"
 STATUSED = "statused"
 TAILED = "tailed"
-BYE = "bye"
 
 
 def pack_frontier(version: int, ids: np.ndarray, weights: np.ndarray) -> bytes:

@@ -46,6 +46,7 @@ from ..errors import ClusterError
 from ..graph.shm import SharedArrayBundle
 from ..store.store import StateStore
 from ..store.wal import pack_record, unpack_record
+from ..workers import BYE, HELLO, REQUESTS, RESPONSES, SHUTDOWN
 from . import messages
 from .graph import ShardGraph
 from .manifest import recover_shard
@@ -201,7 +202,7 @@ def shard_main(spec: ShardSpec, conn: Connection) -> None:
                             f" v{service.graph_version}"
                         )
                     return rows
-                elif tag == messages.SHUTDOWN:
+                elif tag == SHUTDOWN:
                     pending.append(frame)
                     raise ClusterError(
                         f"shard {spec.shard_id}: shutdown during fetch"
@@ -216,7 +217,7 @@ def shard_main(spec: ShardSpec, conn: Connection) -> None:
     service.view.bind_fetch(fetch)
 
     try:
-        conn.send((messages.HELLO, service.graph_version))
+        conn.send((HELLO, service.graph_version))
         while True:
             if pending:
                 frame = pending.popleft()
@@ -272,12 +273,12 @@ def shard_main(spec: ShardSpec, conn: Connection) -> None:
                     index, error = verdict
                     info = (index, ErrorInfo.from_exception(error))
                 conn.send((messages.VALIDATED, ticket, info))
-            elif tag == messages.REQUESTS:
+            elif tag == REQUESTS:
                 _, ticket, requests, coalesce = frame
                 responses = gateway.submit_many(list(requests), coalesce=coalesce)
                 conn.send(
                     (
-                        messages.RESPONSES,
+                        RESPONSES,
                         ticket,
                         responses,
                         service.graph_version,
@@ -335,8 +336,8 @@ def shard_main(spec: ShardSpec, conn: Connection) -> None:
                 conn.send((messages.TAILED, ticket, frames))
             elif tag == messages.FETCHED:
                 continue  # stale answer to an abandoned fetch
-            elif tag == messages.SHUTDOWN:
-                conn.send((messages.BYE, service.graph_version))
+            elif tag == SHUTDOWN:
+                conn.send((BYE, service.graph_version))
                 break
             else:  # pragma: no cover - protocol bug guard
                 raise ClusterError(f"unknown frame tag: {tag!r}")

@@ -27,14 +27,3 @@ def ensure_rng(rng: RngLike = None) -> np.random.Generator:
         return np.random.default_rng(int(rng))
     raise TypeError(f"cannot build an RNG from {rng!r}")
 
-
-def spawn_rngs(rng: RngLike, count: int) -> list[np.random.Generator]:
-    """Split one generator into ``count`` independent child generators.
-
-    Lets parallel workers draw from non-overlapping streams.
-    """
-    if count < 0:
-        raise ValueError(f"count must be >= 0, got {count}")
-    base = ensure_rng(rng)
-    seeds = base.integers(0, 2**63 - 1, size=count, dtype=np.int64)
-    return [np.random.default_rng(int(s)) for s in seeds]

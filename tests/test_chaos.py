@@ -275,7 +275,7 @@ class TestFailover:
             handle.send((messages.APPLY, zombie, None))
             deadline = time.monotonic() + 5.0
             while time.monotonic() < deadline:
-                gateway._drain_acks()
+                gateway.group.drain()
                 if handle.applied_version >= before:
                     break
                 time.sleep(0.02)

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import os
 import signal
+import threading
 import time
 
 import pytest
@@ -44,10 +45,12 @@ from repro.config import (
     ClusterConfig,
     PlacementPolicy,
     ServeConfig,
+    ShardConfig,
     StoreConfig,
 )
 from repro.errors import ClusterError, ConflictError
 from repro.graph import insertions
+from repro.shard import PPRShards
 from repro.store.recovery import recover_service
 from repro.store.wal import pack_record, unpack_record
 
@@ -66,6 +69,42 @@ def entries_of(response):
 def cluster():
     with PPRCluster(fresh_service(), ClusterConfig(replicas=2)) as c:
         yield c
+
+
+class Tier:
+    """One multi-process tier as the supervision tests see it.
+
+    Both tiers sit on one worker runtime (:mod:`repro.workers`), so the
+    crash, wedge and budget contracts below hold for replicas and shards
+    alike; what differs is only how a fleet is built and which source a
+    given worker slot owns.
+    """
+
+    def __init__(self, name: str) -> None:
+        self.name = name
+
+    def fleet(self, workers: int = 2, **knobs):
+        if self.name == "cluster":
+            return PPRCluster(
+                fresh_service(), ClusterConfig(replicas=workers, **knobs)
+            )
+        return PPRShards(DynamicDiGraph(EDGES), ShardConfig(shards=workers, **knobs))
+
+    def source_of(self, fleet, slot: int) -> int:
+        """A source whose reads route to worker ``slot``."""
+        if self.name == "cluster":
+            return slot  # hashed placement: source % replicas
+        owner = fleet.gateway.partitioner.owner
+        return next(s for s in range(5) if owner(s) == slot)
+
+
+@pytest.fixture(params=["cluster", "shard"])
+def tier(request) -> Tier:
+    return Tier(request.param)
+
+
+def signal_worker(fleet, slot: int, sig: int) -> None:
+    os.kill(fleet.gateway.group.handles[slot].process.pid, sig)
 
 
 class TestReplicaSpec:
@@ -295,28 +334,25 @@ class TestFaultTolerance:
                 e.estimate for e in expected.entries
             ]
 
-    def test_respawn_budget_exhaustion_raises_cluster_error(self):
-        service = fresh_service()
-        config = ClusterConfig(replicas=1, max_respawns=0)
-        with PPRCluster(service, config) as cluster:
-            os.kill(cluster.gateway.replicas[0].process.pid, signal.SIGKILL)
-            response = cluster.gateway.submit(TopKQuery(source=0, k=3))
+    def test_respawn_budget_exhaustion_raises_cluster_error(self, tier):
+        with tier.fleet(workers=1, max_respawns=0) as fleet:
+            signal_worker(fleet, 0, signal.SIGKILL)
+            response = fleet.gateway.submit(TopKQuery(source=0, k=3))
             assert not response.ok
             assert response.error.code == "CLUSTER"
 
-    def test_respawn_budget_is_per_replica_slot(self):
+    def test_respawn_budget_is_per_replica_slot(self, tier):
         # One flaky worker must not consume its siblings' budgets.
-        service = fresh_service()
-        config = ClusterConfig(replicas=2, max_respawns=1)
-        with PPRCluster(service, config) as cluster:
-            os.kill(cluster.gateway.replicas[0].process.pid, signal.SIGKILL)
-            assert cluster.api.top_k(0, k=3).ok  # slot 0 respawn #1
-            os.kill(cluster.gateway.replicas[1].process.pid, signal.SIGKILL)
-            assert cluster.api.top_k(1, k=3).ok  # slot 1 respawn #1
-            assert cluster.gateway.counters["respawns"] == 2
+        with tier.fleet(max_respawns=1) as fleet:
+            first, second = tier.source_of(fleet, 0), tier.source_of(fleet, 1)
+            signal_worker(fleet, 0, signal.SIGKILL)
+            assert fleet.api.top_k(first, k=3).ok  # slot 0 respawn #1
+            signal_worker(fleet, 1, signal.SIGKILL)
+            assert fleet.api.top_k(second, k=3).ok  # slot 1 respawn #1
+            assert fleet.gateway.counters["respawns"] == 2
             # Slot 0 dying again exceeds *its* budget.
-            os.kill(cluster.gateway.replicas[0].process.pid, signal.SIGKILL)
-            response = cluster.gateway.submit(TopKQuery(source=0, k=3))
+            signal_worker(fleet, 0, signal.SIGKILL)
+            response = fleet.gateway.submit(TopKQuery(source=first, k=3))
             assert not response.ok and response.error.code == "CLUSTER"
 
     def test_closed_gateway_refuses_traffic(self):
@@ -357,26 +393,26 @@ class TestGatewayParity:
 
 
 class TestDeadlinesUnderFaults:
-    """Fault injection: a wedged (SIGSTOP) replica must degrade, not hang.
+    """Fault injection: a wedged (SIGSTOP) worker must degrade, not hang.
 
     SIGKILL (above) exercises the *crash* path — the corpse fails the
     liveness check and the request retries on a respawn. SIGSTOP is the
     nastier failure: the process stays alive, its pipe stays open, and it
     simply never answers. Only the request's own deadline bounds the
     caller's wait; on expiry the gateway must return a typed DEADLINE
-    failure, replace the wedged worker (its abandoned ticket could
-    otherwise poison the pipe protocol), and keep serving.
+    failure, replace the wedged worker, and keep serving. Every case
+    runs on both tiers.
     """
 
-    def test_sigstopped_replica_degrades_to_deadline_not_hang(self):
-        service = fresh_service()
-        with PPRCluster(service, ClusterConfig(replicas=2)) as cluster:
-            assert cluster.api.top_k(0, k=3).ok  # replica 0 is live
-            os.kill(cluster.gateway.replicas[0].process.pid, signal.SIGSTOP)
+    def test_sigstopped_worker_degrades_to_deadline_not_hang(self, tier):
+        with tier.fleet() as fleet:
+            source = tier.source_of(fleet, 0)
+            assert fleet.api.top_k(source, k=3).ok  # worker 0 is live
+            signal_worker(fleet, 0, signal.SIGSTOP)
 
             start = time.monotonic()
-            response = cluster.gateway.submit(
-                TopKQuery(source=0, k=3, deadline=Deadline.after_ms(250.0))
+            response = fleet.gateway.submit(
+                TopKQuery(source=source, k=3, deadline=Deadline.after_ms(250.0))
             )
             elapsed = time.monotonic() - start
 
@@ -384,19 +420,20 @@ class TestDeadlinesUnderFaults:
             assert response.error.code == "DEADLINE"
             assert response.error.details["budget_ms"] == 250.0
             # Bounded by the deadline (plus respawn cost), nowhere near
-            # the 300 s replica response timeout.
+            # the 300 s worker response timeout.
             assert elapsed < 30.0
-            assert cluster.gateway.counters["deadline_exceeded"] == 1
+            assert fleet.gateway.counters["deadline_exceeded"] == 1
             # The wedged worker was replaced, not left holding the pipe.
-            assert cluster.gateway.counters["respawns"] == 1
+            assert fleet.gateway.counters["respawns"] == 1
             # And the slot serves again — same source, fresh worker.
-            after = cluster.gateway.submit(TopKQuery(source=0, k=3))
+            after = fleet.gateway.submit(TopKQuery(source=source, k=3))
             assert after.ok
 
     def test_unaffected_replica_keeps_serving_during_the_wedge(self):
-        service = fresh_service()
-        with PPRCluster(service, ClusterConfig(replicas=2)) as cluster:
-            os.kill(cluster.gateway.replicas[0].process.pid, signal.SIGSTOP)
+        # Replicated tier only: a shard's push fetches rows from its
+        # peers, so a wedged shard does stall reads owned elsewhere.
+        with PPRCluster(fresh_service(), ClusterConfig(replicas=2)) as cluster:
+            signal_worker(cluster, 0, signal.SIGSTOP)
             # Source 1 is owned by replica 1 (hashed placement): traffic
             # to the healthy slot must not block on the wedged one.
             answer = cluster.gateway.submit(
@@ -405,35 +442,59 @@ class TestDeadlinesUnderFaults:
             assert answer.ok
             assert cluster.gateway.counters["respawns"] == 0
 
-    def test_already_expired_deadline_fails_without_touching_replicas(self):
-        service = fresh_service()
-        with PPRCluster(service, ClusterConfig(replicas=2)) as cluster:
+    def test_already_expired_deadline_fails_without_touching_workers(self, tier):
+        with tier.fleet() as fleet:
             expired = Deadline.after_ms(1.0)
             time.sleep(0.01)
-            response = cluster.gateway.submit(
+            response = fleet.gateway.submit(
                 TopKQuery(source=0, k=3, deadline=expired)
             )
             assert not response.ok
             assert response.error.code == "DEADLINE"
             assert response.error.details["elapsed_ms"] >= 1.0
-            assert cluster.gateway.counters["respawns"] == 0
-            assert cluster.gateway.counters["deadline_exceeded"] == 1
+            assert fleet.gateway.counters["respawns"] == 0
+            assert fleet.gateway.counters["deadline_exceeded"] == 1
 
-    def test_deadline_failure_consumes_respawn_budget_like_a_crash(self):
-        service = fresh_service()
-        config = ClusterConfig(replicas=2, max_respawns=1)
-        with PPRCluster(service, config) as cluster:
-            os.kill(cluster.gateway.replicas[0].process.pid, signal.SIGSTOP)
-            first = cluster.gateway.submit(
-                TopKQuery(source=0, k=3, deadline=Deadline.after_ms(150.0))
+    def test_deadline_failure_consumes_respawn_budget_like_a_crash(self, tier):
+        with tier.fleet(max_respawns=1) as fleet:
+            source = tier.source_of(fleet, 0)
+            signal_worker(fleet, 0, signal.SIGSTOP)
+            first = fleet.gateway.submit(
+                TopKQuery(source=source, k=3, deadline=Deadline.after_ms(150.0))
             )
             assert first.error.code == "DEADLINE"  # respawn #1 for slot 0
-            os.kill(cluster.gateway.replicas[0].process.pid, signal.SIGSTOP)
-            second = cluster.gateway.submit(
-                TopKQuery(source=0, k=3, deadline=Deadline.after_ms(150.0))
+            signal_worker(fleet, 0, signal.SIGSTOP)
+            second = fleet.gateway.submit(
+                TopKQuery(source=source, k=3, deadline=Deadline.after_ms(150.0))
             )
             # The second wedge exceeds slot 0's budget: the abandonment
             # cannot replace the worker, so the failure escalates to the
-            # cluster's own typed error instead of a deadline.
+            # tier's own typed error instead of a deadline.
             assert not second.ok
             assert second.error.code == "CLUSTER"
+
+    def test_timed_out_batch_does_not_poison_its_healthy_sibling(self):
+        # Both replicas wedged: the batch's chunk on replica 0 times out
+        # and replica 0 is replaced. Replica 1 was merely slow — its chunk
+        # finishes later, into a pipe nobody awaits that ticket on. The
+        # next read routed there must absorb the late answer, not choke
+        # on it ("broke protocol: got 'responses' while awaiting ...").
+        with PPRCluster(fresh_service(), ClusterConfig(replicas=2)) as cluster:
+            gateway = cluster.gateway
+            for slot in (0, 1):
+                signal_worker(cluster, slot, signal.SIGSTOP)
+            timed_out = gateway.submit(
+                BatchQuery(sources=(0, 1, 2, 3), deadline=Deadline.after_ms(250.0))
+            )
+            assert timed_out.error.code == "DEADLINE"
+            assert gateway.counters["respawns"] == 1  # only replica 0
+            survivor = gateway.replicas[1].process.pid
+            waker = threading.Timer(0.3, os.kill, (survivor, signal.SIGCONT))
+            waker.start()
+            try:
+                answer = gateway.submit(TopKQuery(source=1, k=3))
+            finally:
+                waker.join()
+            assert answer.ok, answer.error
+            assert gateway.replicas[1].process.pid == survivor
+            assert gateway.replicas[1].pending == []

@@ -39,6 +39,7 @@ from repro.api.requests import (
     CheckpointNow,
     Consistency,
     IngestBatch,
+    Ready,
     TopKQuery,
 )
 from repro.chaos import Fault, FaultKind, FaultPlan
@@ -325,6 +326,30 @@ class TestChaosSites:
                 assert left.ok
                 assert entries_of(left) == entries_of(right)
                 assert left.snapshot_version == right.snapshot_version
+
+    def test_failed_round_leaves_no_stranded_replies(self):
+        # Shard 0 dies twice applying the batch, so the round exits
+        # through a CLUSTER error before shard 1's APPLIED is awaited.
+        # That reply must be absorbed when it lands — not buffered forever
+        # in the handle's pending list, where it would also inflate
+        # /v1/readyz's exchange_backlog.
+        chaos.install(
+            FaultPlan(
+                faults=(Fault("shard.apply", FaultKind.ERROR, at=1, replica=0),)
+            )
+        )
+        with PPRShards(
+            DynamicDiGraph(EDGES), ShardConfig(shards=2), serve=SERVE
+        ) as fleet:
+            write = IngestBatch(updates=tuple(insertions([(5, 0)])))
+            failed = fleet.gateway.submit(write)
+            assert not failed.ok and failed.error.code == "CLUSTER"
+            chaos.reset()
+            assert fleet.gateway.submit(write).ok
+            assert fleet.api.top_k(0, k=3).ok
+            assert [h.pending for h in fleet.gateway.shards] == [[], []]
+            ready = fleet.gateway.submit(Ready())
+            assert [r["exchange_backlog"] for r in ready.replicas] == [0, 0]
 
     def test_injected_faults_appear_in_shard_stats(self):
         chaos.install(

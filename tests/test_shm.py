@@ -4,9 +4,8 @@ The lifecycle contracts the zero-copy bootstrap path depends on:
 
 1. **roundtrip** — arrays packed by the creator come back bit-identical
    (and read-only) through a picklable descriptor;
-2. **refcounts** — the publisher keeps a superseded version alive while
-   readers hold it and unlinks it on the last release; the current
-   version always stays;
+2. **supersession** — publishing a new version unlinks the one it
+   supersedes; the current version always stays;
 3. **POSIX semantics** — an attached reader's views stay valid after the
    owner unlinks (version bump while readers attached);
 4. **cleanup** — gateway close / publisher close / ``sweep_stale`` leave
@@ -159,7 +158,7 @@ class TestSharedArrayBundle:
 
 
 class TestSnapshotPublisher:
-    def test_publish_supersedes_unpinned_versions(self, graph_arrays):
+    def test_publish_supersedes_the_previous_version(self, graph_arrays):
         with SnapshotPublisher(tag="pub") as pub:
             d1 = pub.publish(1, graph_arrays)
             d2 = pub.publish(2, graph_arrays)
@@ -172,29 +171,6 @@ class TestSnapshotPublisher:
         with SnapshotPublisher(tag="pub") as pub:
             d1 = pub.publish(1, graph_arrays)
             assert pub.publish(1, graph_arrays) == d1
-
-    def test_retain_release_refcounts(self, graph_arrays):
-        with SnapshotPublisher(tag="pub") as pub:
-            d1 = pub.publish(1, graph_arrays)
-            pub.retain(1)
-            pub.retain(1)
-            assert pub.refcount(1) == 2
-            pub.publish(2, graph_arrays)
-            assert pub.versions() == [1, 2]  # v1 pinned by readers
-            pub.release(1)
-            assert segment_exists(d1["segment"])
-            pub.release(1)  # last reader: superseded version drops
-            assert pub.versions() == [2]
-            assert not segment_exists(d1["segment"])
-
-    def test_release_never_drops_the_current_version(self, graph_arrays):
-        with SnapshotPublisher(tag="pub") as pub:
-            d1 = pub.publish(1, graph_arrays)
-            pub.retain(1)
-            pub.release(1)
-            pub.release(1)  # refcount floors at zero
-            assert pub.versions() == [1]
-            assert segment_exists(d1["segment"])
 
     def test_readers_survive_a_version_bump(self, graph_arrays):
         pub = SnapshotPublisher(tag="pub")
@@ -216,13 +192,10 @@ class TestSnapshotPublisher:
             pub.publish(1, graph_arrays)
             with pytest.raises(GraphError):
                 pub.descriptor(7)
-            with pytest.raises(GraphError):
-                pub.retain(7)
 
     def test_close_unlinks_everything(self, graph_arrays):
         pub = SnapshotPublisher(tag="pub")
         d1 = pub.publish(1, graph_arrays)
-        pub.retain(1)  # a pinned, superseded version must still unlink
         d2 = pub.publish(2, graph_arrays)
         pub.close()
         assert not segment_exists(d1["segment"])

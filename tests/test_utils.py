@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from repro.errors import ConfigError
-from repro.utils.rng import ensure_rng, spawn_rngs
+from repro.utils.rng import ensure_rng
 from repro.utils.tables import format_table
 from repro.utils.timer import Timer
 from repro.utils.validation import (
@@ -31,16 +31,6 @@ class TestRng:
     def test_ensure_rng_type_error(self):
         with pytest.raises(TypeError):
             ensure_rng("seed")  # type: ignore[arg-type]
-
-    def test_spawn_independent(self):
-        children = spawn_rngs(3, 4)
-        assert len(children) == 4
-        draws = [c.random() for c in children]
-        assert len(set(draws)) == 4
-
-    def test_spawn_negative(self):
-        with pytest.raises(ValueError):
-            spawn_rngs(0, -1)
 
 
 class TestTables:
