@@ -9,22 +9,17 @@ from __future__ import annotations
 
 import pytest
 
-from repro.bench.ablations import (
-    ablation_batching,
-    ablation_frontier_generation,
-    ablation_parallel_loss,
-)
+from repro.bench.ablations import ABLATIONS
 from repro.bench.accuracy import accuracy_study
-from repro.config import Backend, PushVariant
+from repro.config import PushVariant
 
 from .conftest import PushKernel, emit
 
 
 @pytest.fixture(scope="module", autouse=True)
 def ablation_tables():
-    emit(ablation_parallel_loss(dataset="youtube"), "ablation_loss.txt")
-    emit(ablation_batching(dataset="youtube"), "ablation_batching.txt")
-    emit(ablation_frontier_generation(dataset="youtube"), "ablation_frontier.txt")
+    for name, study in ABLATIONS.items():
+        emit(study(dataset="youtube"), f"ablation_{name}.txt")
     emit(
         accuracy_study(dataset="youtube", epsilons=(1e-4, 1e-5), walk_budgets=(6, 24)),
         "ablation_accuracy.txt",

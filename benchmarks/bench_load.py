@@ -20,8 +20,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.bench.cluster import available_cores
-from repro.bench.load import load_benchmark
+from repro.bench.load import available_cores, load_benchmark
 
 from .conftest import RESULTS_DIR
 

@@ -1,11 +1,17 @@
 """Shared benchmark fixtures and helpers.
 
-Each ``bench_figN_*.py`` module does two things:
+``bench_figures.py`` and ``bench_ablations.py`` each do two things:
 
-1. regenerates that figure's data table (printed to stdout and written to
-   ``benchmarks/results/figN.txt``) — the reproduction artifact;
-2. times a representative Python kernel with pytest-benchmark so
+1. regenerate every figure's / ablation's data table (printed to stdout and
+   written to ``benchmarks/results/<name>.txt``) — the reproduction
+   artifact, from the registries in :mod:`repro.bench.figures` and
+   :mod:`repro.bench.ablations`;
+2. time a representative Python kernel with pytest-benchmark so
    ``--benchmark-only`` also reports real wall-clock numbers.
+
+``bench_load.py`` is the one serving suite here (open-loop overload, until
+``perf/`` gains that workload); every other serving number comes from
+``perf/run.py``.
 
 The kernels are re-runnable: they copy a pre-restored state and run one
 push to convergence per round.

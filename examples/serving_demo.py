@@ -17,10 +17,9 @@ Docs: docs/serving.md
 
 from __future__ import annotations
 
-from repro.bench.serving import topk_matches
 from repro.graph.workloads import WorkloadSpec, default_config, prepare_workload
 from repro.config import Backend, ServeConfig
-from repro.core.certify import certified_top_k
+from repro.core.certify import certified_top_k, topk_matches
 from repro.core.push_parallel import parallel_local_push
 from repro.core.state import PPRState
 from repro.graph.csr import CSRGraph

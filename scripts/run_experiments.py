@@ -2,7 +2,9 @@
 
 Writes each table to ``benchmarks/results/full_figN.txt`` and a combined
 report to ``benchmarks/results/full_report.txt``. This is the run recorded
-in EXPERIMENTS.md; the per-figure pytest benchmarks run reduced versions.
+in EXPERIMENTS.md, with the ``full`` arguments of the one figure registry
+(:data:`repro.bench.figures.FIGURES`); ``repro figure`` and
+``benchmarks/bench_figures.py`` run its ``reduced`` arguments.
 
 Usage:  python scripts/run_experiments.py [--fast]
 """
@@ -14,16 +16,7 @@ import sys
 import time
 from pathlib import Path
 
-from repro.bench.figures import (
-    ALL_DATASETS,
-    fig4_optimizations,
-    fig5_throughput,
-    fig6_epsilon,
-    fig7_source_degree,
-    fig8_batch_size,
-    fig9_resources,
-    fig10_scalability,
-)
+from repro.bench.figures import FAST_DATASETS, FIGURES
 
 RESULTS = Path(__file__).resolve().parent.parent / "benchmarks" / "results"
 
@@ -33,57 +26,14 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--fast", action="store_true", help="small datasets only")
     args = parser.parse_args(argv)
 
-    datasets = ("youtube", "pokec") if args.fast else ALL_DATASETS
-    slides = 2
-    jobs = [
-        ("fig4", lambda: fig4_optimizations(datasets=datasets, num_slides=slides)),
-        (
-            "fig5",
-            lambda: fig5_throughput(
-                datasets=datasets, num_slides=slides, batch_fractions=(0.01, 0.001)
-            ),
-        ),
-        (
-            "fig6",
-            lambda: fig6_epsilon(
-                dataset="pokec",
-                epsilons=(1e-3, 1e-4, 1e-5, 1e-6, 1e-7),
-                num_slides=slides,
-            ),
-        ),
-        (
-            "fig7",
-            lambda: fig7_source_degree(
-                dataset="pokec", tiers=(10, 1_000, 1_000_000), num_slides=slides
-            ),
-        ),
-        (
-            "fig8",
-            lambda: fig8_batch_size(
-                dataset="pokec", fractions=(0.01, 0.001, 0.0001), num_slides=slides
-            ),
-        ),
-        (
-            "fig9",
-            lambda: fig9_resources(
-                dataset="pokec", fractions=(0.01, 0.001, 0.0001), num_slides=slides
-            ),
-        ),
-        (
-            "fig10",
-            lambda: fig10_scalability(
-                dataset="pokec",
-                core_counts=(1, 2, 4, 8, 16, 20, 32, 40),
-                num_slides=slides,
-            ),
-        ),
-    ]
-
     RESULTS.mkdir(exist_ok=True)
     report: list[str] = []
-    for name, job in jobs:
+    for name, (driver, _reduced, full) in FIGURES.items():
+        kwargs = dict(full)
+        if args.fast and "datasets" in kwargs:
+            kwargs["datasets"] = FAST_DATASETS
         start = time.time()
-        result = job()
+        result = driver(num_slides=2, **kwargs)
         table = result.table()
         elapsed = time.time() - start
         print(f"\n{table}\n[{name} regenerated in {elapsed:.1f}s]", flush=True)

@@ -33,6 +33,8 @@ setup(
     package_data={"repro": ["py.typed"], "repro.kernels": ["_push.c"]},
     python_requires=">=3.10",
     install_requires=["numpy"],
+    # Exact solvers (repro.core.groundtruth) for tests and accuracy reports.
+    extras_require={"groundtruth": ["scipy"]},
     entry_points={"console_scripts": ["repro = repro.cli:main"]},
     classifiers=[
         "Development Status :: 4 - Beta",

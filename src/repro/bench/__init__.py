@@ -1,10 +1,11 @@
-"""Benchmark harness: sliding-window workloads, approach runners, figures.
+"""Paper reproduction: sliding-window workloads, approach runners, figures.
 
 CLI entry points: ``python -m repro figure <fig4..fig10>`` regenerates one
-evaluation figure, ``python -m repro ablation <name>`` runs one ablation,
-and ``python -m repro serve-bench <dataset>`` runs the serving-layer
-benchmark (:mod:`repro.bench.serving`); see :mod:`repro.cli` and
-``docs/architecture.md`` for the figure-to-module mapping.
+evaluation figure and ``python -m repro ablation <name>`` runs one
+ablation; see :mod:`repro.cli` and ``docs/architecture.md`` for the
+figure-to-module mapping. :mod:`repro.bench.load` (``repro load-bench``)
+is the one serving suite left here: the open-loop overload sweep no
+``perf/`` workload drives yet (``docs/load.md``).
 """
 
 from ..graph.workloads import PreparedWorkload, WorkloadSpec, prepare_workload
@@ -20,7 +21,6 @@ from .figures import (
 )
 from .harness import Approach, ApproachResult, run_approach
 from .load import LoadBenchResult, load_benchmark
-from .serving import ServingBenchResult, serving_benchmark, topk_matches
 
 __all__ = [
     "Approach",
@@ -28,7 +28,6 @@ __all__ = [
     "FigureResult",
     "LoadBenchResult",
     "PreparedWorkload",
-    "ServingBenchResult",
     "WorkloadSpec",
     "fig10_scalability",
     "fig4_optimizations",
@@ -40,6 +39,4 @@ __all__ = [
     "load_benchmark",
     "prepare_workload",
     "run_approach",
-    "serving_benchmark",
-    "topk_matches",
 ]

@@ -144,3 +144,11 @@ def ablation_frontier_generation(
         headers=["dataset", "variant", "enqueue_attempts", "sync_dedup_checks", "enqueued"],
         rows=rows,
     )
+
+
+#: The one registry of ablation studies: ``name -> driver(dataset=...)``.
+ABLATIONS = {
+    "loss": ablation_parallel_loss,
+    "batching": ablation_batching,
+    "frontier": ablation_frontier_generation,
+}

@@ -10,7 +10,7 @@ means here; see DESIGN.md §2 for the hardware substitution.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Any, Callable, Sequence
 
 from ..config import PushVariant
 from ..graph.workloads import PreparedWorkload, WorkloadSpec, default_config, prepare_workload
@@ -335,6 +335,44 @@ def fig10_scalability(
         headers=["dataset", "cores", "throughput", "mean_latency", "scaling"],
         rows=rows,
     )
+
+
+#: The one registry of Figures 4-10: ``name -> (driver, reduced, full)``.
+#: ``reduced`` is what ``repro figure`` and ``benchmarks/bench_figures.py``
+#: run; ``full`` is the EXPERIMENTS.md run of ``scripts/run_experiments.py``.
+#: Each sweep (epsilons, tiers, fractions, core counts) is its driver's
+#: default unless a full run widens it here.
+FIGURES: dict[str, tuple[Callable[..., FigureResult], dict[str, Any], dict[str, Any]]] = {
+    "fig4": (fig4_optimizations, {"datasets": FAST_DATASETS}, {"datasets": ALL_DATASETS}),
+    "fig5": (fig5_throughput, {"datasets": FAST_DATASETS}, {"datasets": ALL_DATASETS}),
+    "fig6": (fig6_epsilon, {"dataset": "youtube"}, {"dataset": "pokec"}),
+    "fig7": (fig7_source_degree, {"dataset": "youtube"}, {"dataset": "pokec"}),
+    "fig8": (fig8_batch_size, {"dataset": "youtube"}, {"dataset": "pokec"}),
+    "fig9": (fig9_resources, {"dataset": "youtube"}, {"dataset": "pokec"}),
+    "fig10": (
+        fig10_scalability,
+        {"dataset": "youtube"},
+        {"dataset": "pokec", "core_counts": (1, 2, 4, 8, 16, 20, 32, 40)},
+    ),
+}
+
+
+def run_figure(
+    name: str, *, dataset: str | None = None, num_slides: int = 2
+) -> FigureResult:
+    """Regenerate one registered figure with its reduced arguments.
+
+    ``dataset`` narrows the run to that one dataset analog, whichever of
+    ``datasets=`` / ``dataset=`` the figure's driver takes.
+    """
+    driver, reduced, _full = FIGURES[name]
+    kwargs = dict(reduced)
+    if dataset is not None:
+        if "datasets" in kwargs:
+            kwargs["datasets"] = (dataset,)
+        else:
+            kwargs["dataset"] = dataset
+    return driver(num_slides=num_slides, **kwargs)
 
 
 def all_figures_fast() -> list[FigureResult]:

@@ -27,6 +27,7 @@ not a synthetic service-time model.
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass, field
 from typing import Any
 
@@ -36,10 +37,17 @@ from ..config import ApiConfig
 from ..load import LoadReport, LoadSpec, PhaseSpec, knee_sweep, measure_saturation
 from ..serve import workload_service
 from ..utils.tables import format_table
-from .cluster import available_cores
 
 #: Knee-curve sample points as fractions of measured saturation.
 DEFAULT_FRACTIONS = (0.25, 0.5, 1.0, 1.5, 2.0)
+
+
+def available_cores() -> int:
+    """CPUs this process may actually run on (affinity-aware)."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # pragma: no cover - non-Linux fallback
+        return os.cpu_count() or 1
 
 
 @dataclass

@@ -30,8 +30,8 @@ Cluster workers receive the same plan via their
 :class:`~repro.cluster.replica.ReplicaSpec` and install it with their
 own replica id, so ``replica=``-scoped faults fire only in the right
 process. ``repro serve --chaos plan.json`` installs a plan into a live
-server; ``scripts/chaos_smoke.py`` and ``repro chaos-bench`` drive the
-scripted schedules CI gates on. See ``docs/faults.md`` for the failure
+server; ``scripts/chaos_smoke.py`` drives the scripted schedule CI
+gates on over HTTP, ``tests/test_chaos.py`` the in-process ones. See ``docs/faults.md`` for the failure
 matrix each fault kind exercises.
 """
 

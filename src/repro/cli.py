@@ -11,9 +11,6 @@ Commands
 ``track <dataset> [--slides N] [--epsilon E]``
     Stream sliding-window slides through a tracker and report per-slide
     operation counts, simulated latency, and the certified top-5.
-``serve-bench <dataset> [--sources N] [--slides N] [--queries N]``
-    Benchmark the multi-query serving layer (:mod:`repro.serve`) against
-    per-query from-scratch recomputation; see ``docs/serving.md``.
 ``store-checkpoint <dataset> --root DIR [--slides N] [--sources N]``
     Stream a workload through a *persisted* service (WAL + checkpoints
     under ``--root``) and record its served top-k answers for later
@@ -50,48 +47,9 @@ Commands
     additionally appends every finished span to a JSONL file for
     ``repro trace export``. See ``docs/api.md``, ``docs/cluster.md``,
     and ``docs/observability.md``.
-``obs-bench [dataset] [--tiny]``
-    Race identical resident-read bursts with tracing disabled vs enabled
-    at 1% sampling; exits nonzero if sampled tracing costs >= 3% (bar
-    waived in ``--tiny`` mode and on 1-core runners). See
-    ``docs/observability.md``.
 ``trace export --input SPANS.jsonl --out TRACE.json [--trace-id ID]``
     Convert a span JSONL sink (``serve --trace-export``) into the Chrome
     ``trace_event`` format loadable in ``chrome://tracing`` / Perfetto.
-``gateway-bench <dataset> [--tiny]``
-    Race one mixed read/write request trace through the gateway's
-    read-coalescing scheduler vs per-request dispatch; exits nonzero
-    unless coalescing wins >= 2x with bit-identical answers. ``--tiny``
-    is the CI smoke mode.
-``cluster-bench <dataset> [--replicas N] [--tiny]``
-    Race one read-heavy trace through the replicated cluster tier vs the
-    single-process gateway; exits nonzero unless every answer is
-    bit-identical and within its staleness contract — and, with enough
-    cores to host the replicas, unless the cluster wins >= 2.5x.
-    ``--tiny`` is the CI smoke mode. See ``docs/cluster.md``.
-``shard-bench [dataset] [--shards N] [--tiny]``
-    Race one mixed read/write trace through the partitioned shard tier
-    (:mod:`repro.shard`) vs the single-process gateway; exits nonzero
-    unless every answer is bit-identical and, at 4 shards, unless the
-    largest shard's resident graph bytes stay <= ~65% of the
-    single-process baseline (the ingest-throughput bar additionally
-    needs >= 4 cores). ``--tiny`` is the CI smoke mode. See
-    ``docs/sharding.md``.
-``chaos-bench <dataset> [--replicas N] [--tiny]``
-    Drive a deterministic write/read trace through the replicated
-    cluster while a scripted :mod:`repro.chaos` fault plan drops a
-    replication frame and crashes the primary mid-trace; exits nonzero
-    unless every acked write survives the failover, every ANY read
-    answers, nothing hangs past the deadline, and post-heal FRESH
-    answers are bit-identical to a single-process oracle. ``--tiny``
-    is the CI smoke mode. See ``docs/faults.md``.
-``kernel-bench [--dataset D] [--tiny]``
-    Race the compiled push kernel (:mod:`repro.kernels`) against the
-    numpy oracle on a single-thread one-slide push, time shared-memory
-    replica bootstrap as the snapshot grows, and replay a certified
-    top-k differential trace; exits nonzero on any bitwise mismatch or
-    (when a compiler is present) a speedup below 5x. ``--tiny`` is the
-    CI smoke mode. See ``docs/performance.md``.
 ``load-bench <dataset> [--tiny]``
     Open-loop goodput knee curve: measure closed-loop saturation, then
     replay Zipf multi-tenant traffic at fractions of it up to 2x through
@@ -107,27 +65,13 @@ import argparse
 import sys
 from collections.abc import Sequence
 
-from .bench.ablations import (
-    ablation_batching,
-    ablation_frontier_generation,
-    ablation_parallel_loss,
-)
-from .bench.figures import (
-    fig4_optimizations,
-    fig5_throughput,
-    fig6_epsilon,
-    fig7_source_degree,
-    fig8_batch_size,
-    fig9_resources,
-    fig10_scalability,
-)
-from .bench.serving import serving_benchmark
-from .graph.workloads import WorkloadSpec, default_config, prepare_workload
+import numpy as np
+
 from .config import Backend
 from .core.certify import certified_top_k, convergence_report
 from .core.tracker import DynamicPPRTracker
 from .graph.datasets import DATASETS
-from .parallel.cost_model import CPUCostModel
+from .graph.workloads import WorkloadSpec, default_config, prepare_workload
 from .utils.tables import format_table
 
 
@@ -152,35 +96,31 @@ def _cmd_datasets(_: argparse.Namespace) -> int:
     return 0
 
 
-_FIGURES = {
-    "fig4": lambda a: fig4_optimizations(datasets=(a.dataset,), num_slides=a.slides),
-    "fig5": lambda a: fig5_throughput(datasets=(a.dataset,), num_slides=a.slides),
-    "fig6": lambda a: fig6_epsilon(dataset=a.dataset, num_slides=a.slides),
-    "fig7": lambda a: fig7_source_degree(dataset=a.dataset, num_slides=a.slides),
-    "fig8": lambda a: fig8_batch_size(dataset=a.dataset, num_slides=a.slides),
-    "fig9": lambda a: fig9_resources(dataset=a.dataset, num_slides=a.slides),
-    "fig10": lambda a: fig10_scalability(dataset=a.dataset, num_slides=a.slides),
-}
+#: Choices of ``repro figure`` / ``repro ablation``, spelled here so that
+#: building the parser does not import :mod:`repro.bench`; the tests pin
+#: them to the ``FIGURES`` / ``ABLATIONS`` registries the handlers read.
+FIGURE_NAMES = ("fig4", "fig5", "fig6", "fig7", "fig8", "fig9", "fig10")
+ABLATION_NAMES = ("loss", "batching", "frontier")
 
 
 def _cmd_figure(args: argparse.Namespace) -> int:
-    print(_FIGURES[args.name](args).table())
+    from .bench.figures import run_figure
+
+    result = run_figure(args.name, dataset=args.dataset, num_slides=args.slides)
+    print(result.table())
     return 0
 
 
-_ABLATIONS = {
-    "loss": lambda a: ablation_parallel_loss(dataset=a.dataset),
-    "batching": lambda a: ablation_batching(dataset=a.dataset),
-    "frontier": lambda a: ablation_frontier_generation(dataset=a.dataset),
-}
-
-
 def _cmd_ablation(args: argparse.Namespace) -> int:
-    print(_ABLATIONS[args.name](args).table())
+    from .bench.ablations import ABLATIONS
+
+    print(ABLATIONS[args.name](dataset=args.dataset).table())
     return 0
 
 
 def _cmd_track(args: argparse.Namespace) -> int:
+    from .parallel.cost_model import CPUCostModel
+
     prepared = prepare_workload(WorkloadSpec(dataset=args.dataset))
     config = default_config(epsilon=args.epsilon).with_(
         backend=Backend.NUMPY, workers=args.workers
@@ -227,17 +167,29 @@ def _topk_lines(service, sources: Sequence[int], k: int) -> list[str]:
 def _cmd_store_checkpoint(args: argparse.Namespace) -> int:
     from pathlib import Path
 
-    from .bench.recovery import persisted_workload_run
+    from .config import StoreConfig
+    from .serve import workload_service
+    from .store.store import StateStore
 
-    service, mix = persisted_workload_run(
+    service, prepared = workload_service(
         args.dataset,
-        args.root,
-        num_slides=args.slides,
-        num_sources=args.sources,
-        checkpoint_interval=args.interval,
         epsilon=args.epsilon,
         workers=args.workers,
+        cache_capacity=args.sources,
     )
+    # Warm the top out-degree sources *before* attaching the store, so its
+    # baseline checkpoint makes their states durable.
+    dout = service.graph.out_degree_array()
+    mix = [int(s) for s in np.argsort(-dout, kind="stable")[: args.sources]]
+    service.query_many(mix)
+    service.attach_store(
+        StateStore(
+            args.root,
+            StoreConfig(root=str(args.root), checkpoint_interval=args.interval),
+        )
+    )
+    for slide in prepared.new_window().slides(args.slides):
+        service.ingest(slide)
     # Deliberately no final checkpoint: with slides % interval != 0 the WAL
     # keeps a tail past the last checkpoint, so a recover from this store
     # exercises the full checkpoint + replay path.
@@ -540,175 +492,8 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_gateway_bench(args: argparse.Namespace) -> int:
-    from .bench.gateway import gateway_benchmark
-
-    if args.tiny:
-        # CI smoke: a shorter trace with the same heavy-tailed shape —
-        # asserts coalescing beats per-request dispatch with bit-identical
-        # answers, without the full trace's runtime.
-        slides, requests, sources = 2, 96, 24
-    else:
-        slides, requests, sources = args.slides, args.requests, args.sources
-    result = gateway_benchmark(
-        args.dataset,
-        num_sources=sources,
-        num_slides=slides,
-        requests_per_slide=requests,
-        k=args.k,
-        epsilon=args.epsilon,
-        workers=args.workers,
-    )
-    print(result.table())
-    bar = 2.0
-    ok = result.matched and result.speedup >= bar
-    print(
-        f"read-coalescing: {result.speedup:.1f}x over per-request dispatch"
-        f" (bar {bar:.0f}x) — answers"
-        f" {'bit-identical' if result.matched else 'MISMATCH'}"
-    )
-    return 0 if ok else 1
-
-
-def _cmd_cluster_bench(args: argparse.Namespace) -> int:
-    from .bench.cluster import available_cores, cluster_benchmark
-
-    if args.tiny:
-        # CI smoke: fewer replicas, a shorter trace with the same shape —
-        # asserts the full replication machinery (spawn, delta shipping,
-        # partitioned reads, drain) with bit-identical answers, without
-        # demanding cores the runner may not have.
-        replicas, slides, requests, sources = 2, 2, 96, 24
-    else:
-        replicas, slides, requests, sources = (
-            args.replicas, args.slides, args.requests, args.sources
-        )
-    result = cluster_benchmark(
-        args.dataset,
-        replicas=replicas,
-        num_sources=sources,
-        num_slides=slides,
-        requests_per_slide=requests,
-        k=args.k,
-        epsilon=args.epsilon,
-        workers=args.workers,
-    )
-    print(result.table())
-    ok = result.matched and result.bounded_ok
-    bar = 2.5
-    if not args.tiny and available_cores() >= replicas:
-        ok = ok and result.speedup >= bar
-        verdict = f"{result.speedup:.1f}x over single-process (bar {bar}x)"
-    else:
-        verdict = (
-            f"{result.speedup:.1f}x over single-process"
-            f" (bar waived: {'tiny mode' if args.tiny else 'too few cores'})"
-        )
-    print(
-        f"replicated serving: {verdict} — answers"
-        f" {'bit-identical' if result.matched else 'MISMATCH'},"
-        f" contracts {'honored' if result.bounded_ok else 'VIOLATED'}"
-    )
-    return 0 if ok else 1
-
-
-def _cmd_shard_bench(args: argparse.Namespace) -> int:
-    from .bench.cluster import available_cores
-    from .bench.shard import shard_benchmark
-
-    if args.tiny:
-        # CI smoke: 2 shards, short trace — the full partitioned
-        # machinery (slicing, frontier exchange, merge) fires either
-        # way; the memory and throughput bars need 4 shards and 4 cores
-        # so they are measured but waived.
-        shards, slides, requests, sources = 2, 2, 64, 24
-    else:
-        shards, slides, requests, sources = (
-            args.shards, args.slides, args.requests, args.sources
-        )
-    result = shard_benchmark(
-        args.dataset,
-        shards=shards,
-        num_sources=sources,
-        num_slides=slides,
-        requests_per_slide=requests,
-        k=args.k,
-        epsilon=args.epsilon,
-        workers=args.workers,
-    )
-    print(result.table())
-    ok = result.matched and result.bounded_ok
-    mem_bar = 0.65
-    if not args.tiny and shards >= 4:
-        ok = ok and result.memory_ratio <= mem_bar
-        mem_verdict = (
-            f"{result.memory_ratio:.0%} of baseline (bar <= {mem_bar:.0%})"
-        )
-    else:
-        mem_verdict = (
-            f"{result.memory_ratio:.0%} of baseline (bar waived:"
-            f" {'tiny mode' if args.tiny else 'fewer than 4 shards'})"
-        )
-    bar = 1.5
-    if not args.tiny and available_cores() >= shards:
-        ok = ok and result.ingest_speedup >= bar
-        ingest_verdict = f"{result.ingest_speedup:.2f}x ingest (bar {bar}x)"
-    else:
-        ingest_verdict = (
-            f"{result.ingest_speedup:.2f}x ingest (bar waived:"
-            f" {'tiny mode' if args.tiny else 'too few cores'})"
-        )
-    print(
-        f"sharded serving: per-shard graph {mem_verdict} —"
-        f" {ingest_verdict} — answers"
-        f" {'bit-identical' if result.matched else 'MISMATCH'},"
-        f" contracts {'honored' if result.bounded_ok else 'VIOLATED'}"
-    )
-    return 0 if ok else 1
-
-
-def _cmd_chaos_bench(args: argparse.Namespace) -> int:
-    from .bench.chaos import chaos_benchmark
-
-    if args.tiny:
-        # CI smoke: 2 replicas, a shorter trace with the same fault
-        # schedule — the full failover machinery (drop, gap-kill,
-        # rebuild, primary crash, promotion, post-heal bit-identity)
-        # fires either way; only the trace length shrinks.
-        replicas, writes, reads, sources, probes = 2, 6, 4, 12, 4
-    else:
-        replicas, writes, reads, sources, probes = (
-            args.replicas, args.writes, args.reads, args.sources, args.probes
-        )
-    result = chaos_benchmark(
-        args.dataset,
-        replicas=replicas,
-        writes=writes,
-        reads_per_write=reads,
-        kill_at_write=max(2, writes // 2),
-        num_sources=sources,
-        probes=probes,
-        k=args.k,
-        epsilon=args.epsilon,
-        workers=args.workers,
-    )
-    print(result.table())
-    ok = result.passed(deadline_s=args.deadline)
-    print(
-        "chaos: "
-        + (
-            "survived — zero acked-write loss, ANY served throughout,"
-            " post-heal bit-identical"
-            if ok
-            else "FAILED — see table above"
-        )
-    )
-    return 0 if ok else 1
-
-
 def _cmd_load_bench(args: argparse.Namespace) -> int:
-    from .bench.cluster import available_cores
-    from .bench.load import load_benchmark
+    from .bench.load import available_cores, load_benchmark
 
     if args.tiny:
         # CI smoke: short runs, coarse sweep — asserts the whole pipeline
@@ -756,43 +541,6 @@ def _cmd_load_bench(args: argparse.Namespace) -> int:
     return 0 if ok else 1
 
 
-def _cmd_obs_bench(args: argparse.Namespace) -> int:
-    from .bench.cluster import available_cores
-    from .bench.obs import obs_benchmark
-
-    if args.tiny:
-        # CI smoke: fewer, smaller rounds — asserts the whole measurement
-        # pipeline (interleaved arms, tracer reconfiguration, best-of)
-        # without the full run's time. The bar is waived: at this scale
-        # round noise swamps the microsecond effect under test.
-        sources, queries, rounds = 16, 128, 3
-    else:
-        sources, queries, rounds = 32, 512, 5
-    result = obs_benchmark(
-        args.dataset,
-        num_sources=sources,
-        queries_per_round=queries,
-        rounds=rounds,
-        sample_rate=args.sample,
-        k=args.k,
-        epsilon=args.epsilon,
-        workers=args.workers,
-    )
-    print(result.table())
-    bar = 3.0
-    ok = True
-    if not args.tiny and available_cores() > 1:
-        ok = result.overhead_pct < bar
-        verdict = f"{result.overhead_pct:+.2f}% (bar {bar:.0f}%)"
-    else:
-        verdict = (
-            f"{result.overhead_pct:+.2f}% (bar waived:"
-            f" {'tiny mode' if args.tiny else 'too few cores'})"
-        )
-    print(f"sampled tracing overhead: {verdict}")
-    return 0 if ok else 1
-
-
 def _cmd_trace(args: argparse.Namespace) -> int:
     from pathlib import Path
 
@@ -814,41 +562,6 @@ def _cmd_trace(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_kernel_bench(args: argparse.Namespace) -> int:
-    from .bench.kernel import SPEEDUP_BAR, kernel_benchmark
-    from .kernels import describe
-
-    info = describe()
-    print(f"kernel:   {info['backend']} ({info['reason']})")
-    result = kernel_benchmark(args.dataset, tiny=args.tiny)
-    print(result.table())
-    if not (result.push_matched and result.certified_matched):
-        return 1
-    if result.compiled_available and result.speedup < SPEEDUP_BAR:
-        print(
-            f"speedup {result.speedup:.1f}x below the {SPEEDUP_BAR:.0f}x bar",
-            file=sys.stderr,
-        )
-        return 1
-    return 0
-
-
-def _cmd_serve_bench(args: argparse.Namespace) -> int:
-    result = serving_benchmark(
-        args.dataset,
-        num_sources=args.sources,
-        num_slides=args.slides,
-        queries_per_slide=args.queries,
-        k=args.k,
-        epsilon=args.epsilon,
-        workers=args.workers,
-    )
-    print(result.table())
-    print()
-    print(result.metrics.describe())
-    return 0 if result.topk_matched else 1
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro",
@@ -861,13 +574,13 @@ def build_parser() -> argparse.ArgumentParser:
     )
 
     fig = sub.add_parser("figure", help="regenerate one evaluation figure")
-    fig.add_argument("name", choices=sorted(_FIGURES))
+    fig.add_argument("name", choices=FIGURE_NAMES)
     fig.add_argument("--dataset", default="youtube", choices=sorted(DATASETS))
     fig.add_argument("--slides", type=int, default=2)
     fig.set_defaults(func=_cmd_figure)
 
     abl = sub.add_parser("ablation", help="run one ablation study")
-    abl.add_argument("name", choices=sorted(_ABLATIONS))
+    abl.add_argument("name", choices=ABLATION_NAMES)
     abl.add_argument("--dataset", default="youtube", choices=sorted(DATASETS))
     abl.set_defaults(func=_cmd_ablation)
 
@@ -877,19 +590,6 @@ def build_parser() -> argparse.ArgumentParser:
     track.add_argument("--epsilon", type=float, default=1e-5)
     track.add_argument("--workers", type=int, default=40)
     track.set_defaults(func=_cmd_track)
-
-    serve = sub.add_parser(
-        "serve-bench", help="benchmark the multi-query serving layer"
-    )
-    serve.add_argument("dataset", choices=sorted(DATASETS))
-    serve.add_argument("--sources", type=int, default=64)
-    serve.add_argument("--slides", type=int, default=4)
-    serve.add_argument("--queries", type=int, default=256)
-    serve.add_argument("--k", type=int, default=10)
-    serve.add_argument("--epsilon", type=float, default=1e-5)
-    serve.add_argument("--workers", type=int, default=40)
-    serve.set_defaults(func=_cmd_serve_bench)
-
 
     serve_http = sub.add_parser(
         "serve", help="run the typed-gateway HTTP front-end"
@@ -955,104 +655,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     serve_http.set_defaults(func=_cmd_serve)
 
-    knb = sub.add_parser(
-        "kernel-bench",
-        help="race the compiled push kernel against the numpy oracle",
-    )
-    knb.add_argument(
-        "--dataset",
-        default="twitter",
-        choices=sorted(DATASETS),
-        help="dataset analog for the single-thread push race",
-    )
-    knb.add_argument(
-        "--tiny",
-        action="store_true",
-        help="small graph, few rounds (the CI smoke mode)",
-    )
-    knb.set_defaults(func=_cmd_kernel_bench)
-
-    clb = sub.add_parser(
-        "cluster-bench",
-        help="race the replicated cluster tier against the single-process gateway",
-    )
-    clb.add_argument("dataset", choices=sorted(DATASETS))
-    clb.add_argument("--replicas", type=int, default=4)
-    clb.add_argument("--slides", type=int, default=3)
-    clb.add_argument("--requests", type=int, default=256, help="reads per slide")
-    clb.add_argument("--sources", type=int, default=48)
-    clb.add_argument("--k", type=int, default=10)
-    clb.add_argument("--epsilon", type=float, default=1e-5)
-    clb.add_argument("--workers", type=int, default=40)
-    clb.add_argument(
-        "--tiny",
-        action="store_true",
-        help="2 replicas, short trace, no speedup bar (the CI smoke mode)",
-    )
-    clb.set_defaults(func=_cmd_cluster_bench)
-
-    shb = sub.add_parser(
-        "shard-bench",
-        help="race the partitioned shard tier against the single-process gateway",
-    )
-    shb.add_argument(
-        "dataset", nargs="?", default="youtube", choices=sorted(DATASETS)
-    )
-    shb.add_argument("--shards", type=int, default=4)
-    shb.add_argument("--slides", type=int, default=3)
-    shb.add_argument("--requests", type=int, default=128, help="reads per slide")
-    shb.add_argument("--sources", type=int, default=48)
-    shb.add_argument("--k", type=int, default=10)
-    shb.add_argument("--epsilon", type=float, default=1e-5)
-    shb.add_argument("--workers", type=int, default=40)
-    shb.add_argument(
-        "--tiny",
-        action="store_true",
-        help="2 shards, short trace, memory/speedup bars waived (the CI smoke mode)",
-    )
-    shb.set_defaults(func=_cmd_shard_bench)
-
-    chb = sub.add_parser(
-        "chaos-bench",
-        help="scripted fault plan vs the cluster: failover with zero acked-write loss",
-    )
-    chb.add_argument("dataset", choices=sorted(DATASETS))
-    chb.add_argument("--replicas", type=int, default=3)
-    chb.add_argument("--writes", type=int, default=10)
-    chb.add_argument("--reads", type=int, default=6, help="ANY reads per write")
-    chb.add_argument("--sources", type=int, default=24)
-    chb.add_argument("--probes", type=int, default=6,
-                     help="untouched sources for the post-heal oracle check")
-    chb.add_argument("--k", type=int, default=10)
-    chb.add_argument("--epsilon", type=float, default=1e-5)
-    chb.add_argument("--workers", type=int, default=40)
-    chb.add_argument("--deadline", type=float, default=5.0,
-                     help="per-read hang bar in seconds")
-    chb.add_argument(
-        "--tiny",
-        action="store_true",
-        help="2 replicas, short trace, same fault schedule (the CI smoke mode)",
-    )
-    chb.set_defaults(func=_cmd_chaos_bench)
-
-    gwb = sub.add_parser(
-        "gateway-bench",
-        help="race gateway read-coalescing against per-request dispatch",
-    )
-    gwb.add_argument("dataset", choices=sorted(DATASETS))
-    gwb.add_argument("--slides", type=int, default=3)
-    gwb.add_argument("--requests", type=int, default=256, help="reads per slide")
-    gwb.add_argument("--sources", type=int, default=48)
-    gwb.add_argument("--k", type=int, default=10)
-    gwb.add_argument("--epsilon", type=float, default=1e-5)
-    gwb.add_argument("--workers", type=int, default=40)
-    gwb.add_argument(
-        "--tiny",
-        action="store_true",
-        help="short trace, same shape (the CI smoke mode)",
-    )
-    gwb.set_defaults(func=_cmd_gateway_bench)
-
     ldb = sub.add_parser(
         "load-bench",
         help="open-loop goodput knee: admission control vs unprotected overload",
@@ -1115,27 +717,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="compare answers bit-for-bit against the store-checkpoint transcript",
     )
     recover_p.set_defaults(func=_cmd_store_recover)
-
-    obsb = sub.add_parser(
-        "obs-bench",
-        help="measure sampled-tracing overhead on the resident-read fast path",
-    )
-    obsb.add_argument(
-        "dataset", nargs="?", default="youtube", choices=sorted(DATASETS)
-    )
-    obsb.add_argument(
-        "--sample", type=float, default=0.01, metavar="RATE",
-        help="trace sample rate for the sampled arm (default 0.01)",
-    )
-    obsb.add_argument("--k", type=int, default=10)
-    obsb.add_argument("--epsilon", type=float, default=1e-5)
-    obsb.add_argument("--workers", type=int, default=40)
-    obsb.add_argument(
-        "--tiny",
-        action="store_true",
-        help="small interleaved rounds, no overhead bar (the CI smoke mode)",
-    )
-    obsb.set_defaults(func=_cmd_obs_bench)
 
     trace_p = sub.add_parser(
         "trace", help="work with span sinks written by serve --trace-export"

@@ -14,9 +14,7 @@ Writes apply on the primary (which owns durability) and ship to
 replicas as ordered WAL-framed deltas; reads load-balance across
 replicas with per-request consistency honored via snapshot versions;
 dead replicas respawn and recover from the primary's durable store.
-Run ``python -m repro cluster-bench <dataset>`` for the scaling race,
-and see ``docs/cluster.md`` for topology, routing, and the failure
-model.
+See ``docs/cluster.md`` for topology, routing, and the failure model.
 """
 
 from .gateway import ClusterGateway, PPRCluster

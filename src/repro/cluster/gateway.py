@@ -39,9 +39,7 @@ one core:
   replica from the read rotation before its deadline fires.
 
 See ``docs/cluster.md`` for the topology and routing table,
-``docs/faults.md`` for the failure model and failover walkthrough;
-``benchmarks/bench_cluster.py`` races this gateway against the
-single-process one on the same trace.
+``docs/faults.md`` for the failure model and failover walkthrough.
 """
 
 from __future__ import annotations

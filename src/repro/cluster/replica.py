@@ -24,7 +24,7 @@ A replica bootstraps one of two ways (:class:`ReplicaSpec`):
 
 Either way the replica's answers are bit-identical to a single-process
 service with the same history — the property ``tests/test_cluster.py``
-and ``benchmarks/bench_cluster.py`` assert.
+asserts.
 """
 
 from __future__ import annotations

@@ -10,6 +10,8 @@ state into such certified facts:
   current residuals (tighter than ``epsilon`` right after convergence);
 * :func:`certified_top_k` — the top-k ranking with a per-entry flag
   telling whether the *position* is provably correct;
+* :func:`topk_matches` — whether two ε-approximate rankings agree up to
+  admissible ε-tie swaps;
 * :func:`residual_decay` — per-iteration residual-mass series from a push
   trace, the quantity Lemma 4 compares between schedules.
 """
@@ -91,6 +93,27 @@ def certified_comparison(state: PPRState, u: int, v: int) -> int | None:
     if pv - bound > pu + bound:
         return -1
     return None
+
+
+def topk_matches(
+    served: list[CertifiedEntry],
+    fresh: list[CertifiedEntry],
+    epsilon: float,
+) -> bool:
+    """Whether two ε-approximate top-k rankings agree up to ε-ties.
+
+    Both rankings carry per-vertex error at most ``epsilon``, so two
+    correct answers may still swap vertices whose true values are within
+    ``2 * epsilon`` of each other. Position ``i`` matches when the vertex
+    ids agree, or when the estimates differ by at most ``2 * epsilon``
+    (an admissible tie swap).
+    """
+    if len(served) != len(fresh):
+        return False
+    for a, b in zip(served, fresh):
+        if a.vertex != b.vertex and abs(a.estimate - b.estimate) > 2.0 * epsilon:
+            return False
+    return True
 
 
 def residual_decay(stats: PushStats) -> list[float]:

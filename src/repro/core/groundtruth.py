@@ -15,16 +15,32 @@ agree to solver tolerance and serve as cross-checks of each other.
 from __future__ import annotations
 
 import numpy as np
-import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
-from ..errors import ConvergenceError
+from ..errors import BackendError, ConvergenceError
 from ..graph.digraph import DynamicDiGraph
 from ..utils.validation import check_fraction
 
 
-def _out_csr(graph: DynamicDiGraph, capacity: int) -> sp.csr_matrix:
+def _scipy_sparse():
+    """``(scipy.sparse, scipy.sparse.linalg)``, imported on first use.
+
+    scipy is needed by the exact solvers only (the ``groundtruth`` extra);
+    nothing on the serving path may pay for or depend on it.
+    """
+    try:
+        import scipy.sparse as sp
+        import scipy.sparse.linalg as spla
+    except ImportError as exc:
+        raise BackendError(
+            "the exact PPR solvers need the 'scipy' package, which is not"
+            " installed (pip install repro-dynamic-ppr[groundtruth])"
+        ) from exc
+    return sp, spla
+
+
+def _out_csr(graph: DynamicDiGraph, capacity: int):
     """Row-stochastic-ish matrix ``M = D^{-1} A`` (rows of dangling vertices are 0)."""
+    sp, _ = _scipy_sparse()
     rows: list[int] = []
     cols: list[int] = []
     vals: list[float] = []
@@ -85,6 +101,7 @@ def ground_truth_linear(
     """
     check_fraction("alpha", alpha)
     cap = max(graph.capacity, source + 1) if capacity is None else capacity
+    sp, spla = _scipy_sparse()
     matrix = _out_csr(graph, cap)
     system = sp.identity(cap, format="csc") - (1.0 - alpha) * matrix.tocsc()
     rhs = np.zeros(cap)

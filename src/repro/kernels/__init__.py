@@ -131,7 +131,7 @@ def selected_backend(config: PPRConfig | None = None) -> tuple[str, str]:
 
 
 def describe(config: PPRConfig | None = None) -> dict[str, str]:
-    """Selection summary for smoke scripts and ``repro kernel-bench``."""
+    """Selection summary for ``repro serve`` and the smoke scripts."""
     kernel = (config.kernel if config else None) or KernelConfig.from_env()
     try:
         backend, reason = selected_backend(config)

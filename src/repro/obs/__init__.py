@@ -26,8 +26,7 @@ Usage, front door to kernel::
         span.set(iterations=result.iterations)
 
 Everything degrades to a few attribute checks when tracing is disabled
-or the request unsampled — see ``docs/observability.md`` and
-``benchmarks/bench_obs.py`` for the overhead gate.
+or the request unsampled — see ``docs/observability.md``.
 """
 
 from __future__ import annotations

@@ -10,8 +10,8 @@ served from the maintained state (Section 6). This package is that layer:
 * :class:`~repro.serve.pool.AdmissionPool` — batched from-scratch pushes
   admitting cold sources.
 
-Run ``python -m repro serve-bench <dataset>`` for the serving benchmark,
-and see ``docs/serving.md`` for the design.
+See ``docs/serving.md`` for the design; ``perf/`` (``hot_reads`` vs
+``cold_reads``) measures what serving from maintained state saves.
 """
 
 from .cache import ResidentSource, SourceCache

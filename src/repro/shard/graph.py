@@ -426,8 +426,8 @@ class ShardGraph:
 
         Dense arrays by ``nbytes`` (backing length — what is actually
         resident), dict structure by ``sys.getsizeof`` of each table
-        (the same accounting ``benchmarks/bench_shard.py`` applies to the
-        single-process baseline).
+        (``tests/test_shard.py::TestPerShardMemory`` applies the same
+        accounting to the whole graph as one slice).
         """
         total = self._dout.nbytes + self._din.nbytes + self._present.nbytes
         total += sys.getsizeof(self._in)

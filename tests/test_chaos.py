@@ -172,6 +172,8 @@ class TestFailover:
                 # the promoted node: every single ack survives the crash.
                 assert response.ok
                 acked.append(edge)
+                # ANY reads keep answering inside the failover window.
+                assert cluster.api.top_k(i % 3, k=5, consistency=ANY).ok
             gateway = cluster.gateway
             assert gateway.epoch == 1
             assert gateway._primary_index is not None

@@ -36,6 +36,32 @@ class TestParser:
         with pytest.raises(SystemExit):
             build_parser().parse_args(["track", "facebook"])
 
+    @staticmethod
+    def _subparsers(parser):
+        (action,) = parser._subparsers._group_actions
+        return action.choices
+
+    def test_subcommand_set_is_exactly_the_ten(self):
+        assert set(self._subparsers(build_parser())) == {
+            "datasets", "figure", "ablation", "track", "serve",
+            "store-checkpoint", "store-inspect", "store-recover", "trace",
+            "load-bench",
+        }
+
+    def test_figure_and_ablation_choices_are_the_registries(self):
+        from repro.bench.ablations import ABLATIONS
+        from repro.bench.figures import FIGURES
+
+        commands = self._subparsers(build_parser())
+        choices = {
+            name: next(
+                a.choices for a in commands[name]._actions if a.dest == "name"
+            )
+            for name in ("figure", "ablation")
+        }
+        assert list(choices["figure"]) == list(FIGURES)
+        assert list(choices["ablation"]) == list(ABLATIONS)
+
 
 class TestCommands:
     def test_datasets(self, capsys):

@@ -12,7 +12,8 @@ The runtime-selection contracts:
 3. both kernels produce bit-identical states on the same inputs (the
    exhaustive random-graph version lives in
    ``tests/test_kernel_properties.py``; here one deterministic case
-   guards the plumbing);
+   guards the plumbing, and one trace through two gateways guards the
+   certified answers the serving stack builds from those states);
 4. the batch ``RestoreInvariant`` entry point obeys the same selection:
    the forced-``numpy`` and no-compiler paths loop the Python oracle, a
    forced ``compiled`` without a compiler raises.
@@ -32,7 +33,9 @@ from repro import (
     PPRState,
     PushVariant,
 )
-from repro import kernels
+from repro import PPRService, insertions, kernels
+from repro.api.requests import ANY, FRESH, Consistency, IngestBatch, TopKQuery
+from repro.api.responses import TopKResult
 from repro.config import KernelConfig, KernelMode
 from repro.core import invariant
 from repro.core.invariant import restore_batch, restore_invariant, restore_states
@@ -195,6 +198,42 @@ class TestDispatch:
         )
         assert np.array_equal(compiled.p, oracle.p)
         assert np.array_equal(compiled.r, oracle.r)
+
+
+class TestServingStack:
+    @needs_compiled
+    def test_certified_topk_bit_identical_across_kernels(self):
+        """The serving stack must not see which kernel ran: one trace of
+        FRESH / BOUNDED / ANY reads, an ingest, and FRESH re-reads through
+        two gateways that differ in kernel mode only."""
+        rng = np.random.default_rng(20170901)
+        graph = random_graph(rng, n=60, m=420)
+        edges = [(u, v) for u in graph.vertices() for v, _ in graph.out_neighbors(u)]
+        sources = list(range(6))
+        trace: list[object] = [
+            TopKQuery(source=s, k=5, consistency=consistency)
+            for consistency in (FRESH, Consistency.bounded(1), ANY)
+            for s in sources
+        ]
+        trace.append(
+            IngestBatch(updates=tuple(insertions([(s, 59 - s) for s in sources])))
+        )
+        trace += [TopKQuery(source=s, k=5, consistency=FRESH) for s in sources]
+        compiled, oracle = (
+            PPRService(
+                DynamicDiGraph(edges),
+                push_config(kernel=KernelConfig(mode=mode)),
+            ).gateway.submit_many(trace)
+            for mode in (KernelMode.COMPILED, KernelMode.NUMPY)
+        )
+        for ours, theirs in zip(compiled, oracle):
+            assert ours.ok and theirs.ok
+            assert ours.snapshot_version == theirs.snapshot_version
+            if isinstance(ours, TopKResult):
+                assert (ours.cold, ours.staleness) == (theirs.cold, theirs.staleness)
+                assert [(e.vertex, e.estimate) for e in ours.entries] == [
+                    (e.vertex, e.estimate) for e in theirs.entries
+                ]
 
 
 class TestBatchRestoreSelection:

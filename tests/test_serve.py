@@ -21,8 +21,7 @@ from repro import (
     ServeConfig,
     insertions,
 )
-from repro.bench.serving import topk_matches
-from repro.core.certify import certified_top_k
+from repro.core.certify import certified_top_k, topk_matches
 from repro.core.hub_index import DynamicHubIndex
 from repro.core.invariant import check_invariant
 from repro.core.state import PPRState

@@ -53,8 +53,11 @@ from repro.config import (
 )
 from repro.errors import ConfigError, ConflictError, EdgeError
 from repro.graph import deletions, insertions
+from repro.graph.workloads import WorkloadSpec, prepare_workload
 from repro.shard import PPRShards, ShardedGateway
+from repro.shard.graph import ShardGraph
 from repro.shard.manifest import read_manifest
+from repro.shard.partitioner import HashPartitioner
 
 EDGES = [(1, 0), (2, 0), (2, 1), (0, 2), (3, 1), (4, 3), (1, 4), (3, 0)]
 
@@ -103,6 +106,25 @@ class TestConfigSurface:
                 ShardConfig(shards=2),
                 ppr=PPRConfig(backend=Backend.PURE),
             )
+
+
+class TestPerShardMemory:
+    def test_largest_of_four_hash_shards_holds_at_most_60pct_of_the_graph(self):
+        """What partitioning must actually shed: degree and presence
+        arrays are replicated on every shard, so the saving has to come
+        from the in-adjacency rows a shard does not own."""
+        arrays = (
+            prepare_workload(WorkloadSpec(dataset="youtube"))
+            .initial_graph()
+            .to_arrays()
+        )
+        whole = ShardGraph.from_full_arrays(arrays, HashPartitioner(1), 0)
+        four = HashPartitioner(4)
+        largest = max(
+            ShardGraph.from_full_arrays(arrays, four, shard).memory_bytes()
+            for shard in range(4)
+        )
+        assert largest <= 0.60 * whole.memory_bytes()
 
 
 class TestProtocolEquivalence:
