@@ -347,6 +347,7 @@ class Gateway(GatewayFront):
                     " call PPRService.attach_store"
                 )
             path = self.service.store.checkpoint(self.service)
+            self.service.store.wait()  # the reply says "written"
             return CheckpointResult(
                 path=str(path),
                 written=True,

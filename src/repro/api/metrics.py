@@ -43,7 +43,11 @@ GAUGE_KEYS = frozenset(
         "staleness_p99",
         "residual_restored_last",
         "checkpoint_ms_last",
+        "checkpoint_write_ms_last",
         "checkpoint_bytes_last",
+        "checkpoint_in_flight",
+        "graph_base_version",
+        "graph_replay_batches",
         "depth",
         "capacity",
         "replicas",

@@ -21,7 +21,11 @@ site                   seam (process)
 ``primary.apply``      before a write applies on the primary (coordinator)
 ``cluster.ship``       per-replica delta ship (coordinator; ``replica=``)
 ``wal.fsync``          before the WAL fsync (whoever owns the store)
-``checkpoint.rename``  between checkpoint tmp-write and atomic rename
+``checkpoint.write``   on the checkpoint writer thread, before any file I/O
+``checkpoint.rename``  between a tmp-write and its atomic rename (once per
+                       file: the graph base of a rebase, then the checkpoint)
+``checkpoint.compact`` after the checkpoint is durable, before anything it
+                       made redundant is deleted
 ``replica.apply``      before a replica applies a shipped delta (worker)
 ``replica.serve``      before a replica serves a read frame (worker)
 ``shard.apply``        before a shard applies a write batch (shard worker)

@@ -194,6 +194,7 @@ def _cmd_store_checkpoint(args: argparse.Namespace) -> int:
     # keeps a tail past the last checkpoint, so a recover from this store
     # exercises the full checkpoint + replay path.
     store = service.store
+    store.wait()
     verify = mix[: min(5, len(mix))]
     lines = _topk_lines(service, verify, args.k)
     transcript = Path(args.root) / TOPK_TRANSCRIPT
@@ -203,8 +204,10 @@ def _cmd_store_checkpoint(args: argparse.Namespace) -> int:
           f" {len(service.resident_sources())} resident sources,"
           f" {len(service.hubs)} hubs")
     print(f"checkpoints: {[c.version for c in status.checkpoints]}"
+          f" | graph bases: {list(status.bases)}"
           f" | wal records: {status.wal_records}"
-          f" | replay on recover: {status.replay_batches}")
+          f" | replay on recover: {status.replay_batches}"
+          f" (+ {status.graph_replay_batches} graph-only)")
     print(f"served top-{args.k} transcript: {transcript}"
           f" ({len(verify)} sources)")
     store.close()
@@ -218,7 +221,9 @@ def _cmd_store_inspect(args: argparse.Namespace) -> int:
     from .store.checkpoint import (
         checkpoint_summary,
         checkpoint_version,
+        graph_base_version,
         list_checkpoints,
+        list_graph_bases,
     )
     from .store.wal import SEGMENT_PREFIX, SEGMENT_SUFFIX, scan_segment
 
@@ -226,25 +231,37 @@ def _cmd_store_inspect(args: argparse.Namespace) -> int:
     if not root.exists():
         print(f"store directory not found: {root}", file=sys.stderr)
         return 1
+    bases = {graph_base_version(p): p for p in list_graph_bases(root / "graph")}
     checkpoint_rows = []
     for p in list_checkpoints(root / "checkpoints"):
         row = [p.name, str(checkpoint_version(p)), f"{p.stat().st_size:,}"]
         try:
             summary = checkpoint_summary(p)
         except StoreError:
-            row += ["unreadable", "-", "-"]
+            row += ["unreadable", "-", "-", "-"]
         else:
             row.append(str(summary["format"]))
             if "nnz" in summary:
+                base = summary["base"]
+                row.append(f"v{base}" if base in bases else f"v{base} MISSING")
                 row += [f"{summary['nnz']:,}", f"{summary['density']:.1%}"]
             else:  # a format this build cannot restore
-                row += ["-", "-"]
+                row += ["-", "-", "-"]
         checkpoint_rows.append(row)
     print(
         format_table(
-            ["checkpoint", "version", "bytes", "format", "nnz", "density"],
-            checkpoint_rows or [["(none)", "-", "-", "-", "-", "-"]],
+            ["checkpoint", "version", "bytes", "format", "base", "nnz", "density"],
+            checkpoint_rows or [["(none)", "-", "-", "-", "-", "-", "-"]],
             title=f"Checkpoints — {root}",
+        )
+    )
+    print()
+    print(
+        format_table(
+            ["graph base", "version", "bytes"],
+            [[p.name, str(v), f"{p.stat().st_size:,}"] for v, p in bases.items()]
+            or [["(none)", "-", "-"]],
+            title="Graph bases",
         )
     )
     print()
@@ -463,23 +480,27 @@ def _cmd_serve(args: argparse.Namespace) -> int:
                 time.sleep(0.05)
             if admission.depth:
                 print(f"drain:    {admission.depth} request(s) abandoned")
-        if service.store is not None and not service.store.failed:
-            if service.store._batches_since_checkpoint > 0:
-                # Through the gateway, never around it: handler threads
-                # are daemons, so an ingest may still be mid-batch here.
-                # The request queues behind it on the gateway lock; a
-                # direct store.checkpoint() would snapshot half a batch
-                # or race its own checkpoint for the one tmp name.
-                result = gateway.submit(CheckpointNow())
-                if result.error is None:
-                    print(f"store:    checkpointed at v{result.snapshot_version}")
-            service.store.close()
+        store = service.store
+        if store is not None and not store.failed:
+            try:
+                store.wait()  # a checkpoint the signal caught mid-file
+                if store.dirty > 0:
+                    # Through the gateway, never around it: handler threads
+                    # are daemons, so an ingest may still be mid-batch here.
+                    # The request queues behind it on the gateway lock; a
+                    # direct store.checkpoint() would snapshot half a batch.
+                    result = gateway.submit(CheckpointNow())
+                    if result.error is None:
+                        print(f"store:    checkpointed at v{result.snapshot_version}")
+                store.close()
+            except StoreError as exc:
+                print(f"store:    {exc}", file=sys.stderr)
         if cluster is not None:
             cluster.close(
                 deadline_s=max(0.5, deadline - time.monotonic())
             )
         if shards_gw is not None:
-            if args.store is not None and shards_gw._batches_since_checkpoint:
+            if args.store is not None and shards_gw.dirty:
                 result = shards_gw.submit(CheckpointNow())
                 if result.error is None:
                     print(f"store:    checkpointed all shards at"

@@ -180,6 +180,7 @@ class ClusterGateway(WorkerGateway):
         service = self.service
         if from_store:
             assert service.store is not None
+            self._quiesce_store()
         return ReplicaSpec(
             replica_id=index,
             config=service.config,
@@ -193,6 +194,17 @@ class ClusterGateway(WorkerGateway):
             # worker re-installs it fresh (zeroed counters, replica-scoped).
             chaos=chaos.INJECTOR.plan,
         )
+
+    def _quiesce_store(self) -> None:
+        """Let a checkpoint in flight finish before another process reads
+        (or takes over) the store directory: its writer thread prunes
+        files a concurrent recovery may have just listed. A failed write
+        has fenced the store already and leaves the directory consistent.
+        """
+        try:
+            self.service.store.wait()
+        except StoreError:
+            pass
 
     def _publish_snapshot(self) -> dict[str, Any]:
         """Publish the primary's current snapshot to shared memory (once).
@@ -619,6 +631,8 @@ class ClusterGateway(WorkerGateway):
         """
         self.group.drain()
         store = self.service.store
+        if store is not None:
+            self._quiesce_store()
         candidates = sorted(
             (
                 index

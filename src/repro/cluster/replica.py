@@ -157,7 +157,6 @@ def promote(
 
     store = StateStore(store_root, store_config)
     store.wal.truncate_torn_tails()
-    pending = store.status().replay_batches
     replayed: list[bytes] = []
     for record in store.wal.iter_records(after_seq=service.graph_version):
         if record.seq != service.graph_version + 1:
@@ -167,7 +166,13 @@ def promote(
             )
         service.gateway.execute(IngestBatch(updates=record.updates))
         replayed.append(pack_record(record.seq, record.updates, epoch=epoch))
-    store._batches_since_checkpoint = pending
+    # Everything logged past the newest checkpoint counts toward the
+    # next one. This replica's graph came from a snapshot plus shipped
+    # deltas, and registered its own query-time vertices along the way —
+    # not from the directory's base + log — so its first checkpoint
+    # starts a new base.
+    store.dirty = service.graph_version - (store.checkpoint_version or 0)
+    store.invalidate_base()
     store.epoch = epoch
     service.attach_store(store, checkpoint=False)
     return service.graph_version, replayed

@@ -182,14 +182,19 @@ class StoreConfig:
     Parameters
     ----------
     root:
-        Directory holding the store (``wal/`` and ``checkpoints/`` live
-        under it; created on first use).
+        Directory holding the store (``wal/``, ``graph/`` and
+        ``checkpoints/`` live under it; created on first use).
     checkpoint_interval:
-        Write a checkpoint every this many ingested batches. The WAL tail
-        replayed at recovery is at most this many batches long.
+        Capture a checkpoint every this many ingested batches (it is
+        written off the ack path and durable before the next batch is
+        acknowledged). The WAL tail recovery replays *through ingest* is
+        at most this many batches long; the stretch it applies
+        graph-only, from the graph base up to the checkpoint, is bounded
+        by the store's rebase rule instead.
     retain_checkpoints:
         How many recent checkpoints to keep; older ones are pruned after
-        each new checkpoint (at least 1).
+        each new checkpoint (at least 1). The WAL is kept back to the
+        oldest graph base a retained checkpoint names.
     fsync:
         WAL flush discipline (see :class:`FsyncPolicy`).
 

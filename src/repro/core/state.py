@@ -143,8 +143,11 @@ def _encode_vectors(
     vectors: Sequence[np.ndarray], index_dtype: type
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """``(per-vector counts, indices, values)`` of the non-zero *bit patterns*."""
+    # ``!= 0`` on the integer view first: ``nonzero`` over a boolean mask
+    # is several times faster than over int64, and this runs per resident
+    # vector on the ingest ack path (a checkpoint capture).
     indices = [
-        np.flatnonzero(np.ascontiguousarray(vec, np.float64).view(np.int64))
+        np.flatnonzero(np.ascontiguousarray(vec, np.float64).view(np.int64) != 0)
         for vec in vectors
     ]
     counts = np.array([len(idx) for idx in indices], dtype=np.int64)

@@ -197,10 +197,54 @@ class DeltaCSRGraph:
             if dels.size:
                 dout -= np.bincount(dels, minlength=cap)
         rows = dict(self._rows)
-        for v in {u.v for u in updates}:
+        touched = list({u.v for u in updates})
+        for v in touched:
             rows[v] = graph.in_row(v)
             patched[v] = True
-        return DeltaCSRGraph(self.base, dout, rows, patched, graph.num_edges)
+        view = DeltaCSRGraph(self.base, dout, rows, patched, graph.num_edges)
+        if self._kernel is not None:
+            view._kernel = self._advance_kernel(view, touched)
+        return view
+
+    def _advance_kernel(self, view: "DeltaCSRGraph", touched: list[int]) -> dict | None:
+        """``view``'s kernel arrays derived from this predecessor's.
+
+        The first compiled read after every batch used to rebuild the
+        layout from scratch — linear in the overlay's rows, which only
+        grow until consolidation. Deriving it costs three flat table
+        copies plus this batch's rows appended to the overlay buffer;
+        the rows they replace stay behind as dead space. Returns ``None``
+        (rebuild lazily, compactly) once dead space outweighs live rows,
+        so an overlay that never consolidates cannot grow the buffer
+        without bound.
+        """
+        ka = self._kernel
+        n = view.num_vertices
+        rows = [view._rows[v] for v in touched]
+        lens = np.fromiter(map(len, rows), dtype=np.int64, count=len(rows))
+        added = int(lens.sum())
+        replaced = sum(len(self._rows[v]) for v in touched if v in self._rows)
+        live = ka["overlay_live"] + added - replaced
+        buffer = ka["overlay_indices"]
+        if len(buffer) + added > 2 * live:
+            return None
+        tables = {}
+        for name in ("row_start", "row_count", "row_overlay"):
+            table = np.zeros(n, dtype=ka[name].dtype)
+            table[: len(ka[name])] = ka[name]
+            tables[name] = table
+        ids = np.array(touched, dtype=np.int64)
+        tables["row_start"][ids] = len(buffer) + np.cumsum(lens) - lens
+        tables["row_count"][ids] = lens
+        tables["row_overlay"][ids] = 1
+        return {
+            "num_rows": int(n),
+            **tables,
+            "base_indices": ka["base_indices"],
+            "overlay_indices": np.concatenate([buffer, *rows]),
+            "overlay_live": live,
+            "dout": np.ascontiguousarray(view.dout),
+        }
 
     def apply_edge_delta(
         self,
@@ -423,6 +467,8 @@ class DeltaCSRGraph:
         exact same edge sequence :meth:`gather_in_edges` splices together,
         keeping float summation order — and therefore every bit of the
         result — identical. Cached: views are persistent, never mutated.
+        Built here from scratch only for a view whose predecessor had no
+        arrays to derive them from (:meth:`_advance_kernel`).
         """
         ka = self._kernel
         if ka is None:
@@ -457,6 +503,9 @@ class DeltaCSRGraph:
                 "row_overlay": row_overlay,
                 "base_indices": np.ascontiguousarray(base.indices),
                 "overlay_indices": np.ascontiguousarray(overlay_indices),
+                #: Buffer entries live rows address; :meth:`_advance_kernel`
+                #: appends past them and leaves replaced rows behind.
+                "overlay_live": len(overlay_indices),
                 "dout": np.ascontiguousarray(self.dout),
             }
             self._kernel = ka

@@ -45,6 +45,28 @@ def adjacency_triples(adjacency: dict[int, dict[int, int]]) -> np.ndarray:
     return triples
 
 
+def adjacency_from_arrays(
+    arrays: dict[str, np.ndarray],
+) -> tuple[dict[int, dict[int, int]], dict[int, dict[int, int]], dict, dict]:
+    """``(_out, _in, _dout, _din)`` of a :meth:`DynamicDiGraph.to_arrays`
+    dump, every dict in the dump's exact iteration order.
+
+    The triples are walked column-wise: ``tolist`` on the 2-D array would
+    build one Python list per distinct edge first, which was most of what
+    loading a checkpointed graph cost.
+    """
+    ids = arrays["vertices"].tolist()
+    out: dict[int, dict[int, int]] = {u: {} for u in ids}
+    inn: dict[int, dict[int, int]] = {u: {} for u in ids}
+    dout, din = dict.fromkeys(ids, 0), dict.fromkeys(ids, 0)
+    for adjacency, degree, key in ((out, dout, "out_edges"), (inn, din, "in_edges")):
+        rows, nbrs, counts = np.asarray(arrays[key]).reshape(-1, 3).T.tolist()
+        for row, nbr, count in zip(rows, nbrs, counts):
+            adjacency[row][nbr] = count
+            degree[row] += count
+    return out, inn, dout, din
+
+
 class DynamicDiGraph:
     """A directed multigraph supporting incremental edge updates.
 
@@ -365,17 +387,9 @@ class DynamicDiGraph:
         if lazy:
             return _LazyArraysGraph(arrays, num_edges=num_edges, max_vertex=max_vertex)
         g = cls()
-        for u in arrays["vertices"].tolist():
-            g.add_vertex(u)
-        total = 0
-        for u, v, count in arrays["out_edges"].tolist():
-            g._out[u][v] = count
-            g._dout[u] += count
-            total += count
-        for v, u, count in arrays["in_edges"].tolist():
-            g._in[v][u] = count
-            g._din[v] += count
-        g._num_edges = total
+        g._out, g._in, g._dout, g._din = adjacency_from_arrays(arrays)
+        g._num_edges = sum(g._dout.values())
+        g._max_vertex = max(g._out, default=-1)
         return g
 
     def to_networkx(self):  # pragma: no cover - thin convenience wrapper
@@ -479,21 +493,7 @@ class _LazyArraysGraph(DynamicDiGraph):
         if arrays is None:  # pragma: no cover - re-entrant guard
             raise AttributeError("adjacency dicts missing during materialization")
         self._arrays = None
-        self._out = {}
-        self._in = {}
-        self._dout = {}
-        self._din = {}
-        for u in arrays["vertices"].tolist():
-            self._out[u] = {}
-            self._in[u] = {}
-            self._dout[u] = 0
-            self._din[u] = 0
-        for u, v, count in arrays["out_edges"].tolist():
-            self._out[u][v] = count
-            self._dout[u] += count
-        for v, u, count in arrays["in_edges"].tolist():
-            self._in[v][u] = count
-            self._din[v] += count
+        self._out, self._in, self._dout, self._din = adjacency_from_arrays(arrays)
 
     def is_materialized(self) -> bool:
         return self._arrays is None

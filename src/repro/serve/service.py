@@ -149,10 +149,18 @@ class ServiceMetrics:
     #: lifetime total and the last batch's.
     residual_restored: float = 0.0
     residual_restored_last: float = 0.0
-    #: Mirrors of the attached store's checkpoint counters (0 without one).
+    #: Mirrors of the attached store's checkpoint counters (0 without
+    #: one): ``checkpoint_ms_last`` is the stall the last checkpoint put
+    #: on the ingest ack path, ``checkpoint_write_ms_last`` what its
+    #: writer thread then spent; ``graph_replay_batches`` is how many WAL
+    #: batches a recovery now would apply graph-only on top of the base.
     checkpoints_written: int = 0
     checkpoint_ms_last: float = 0.0
+    checkpoint_write_ms_last: float = 0.0
     checkpoint_bytes_last: int = 0
+    checkpoint_in_flight: int = 0
+    graph_base_version: int = 0
+    graph_replay_batches: int = 0
     staleness_samples: list[int] = field(default_factory=list, repr=False)
     query_seconds: list[float] = field(default_factory=list, repr=False)
 
@@ -219,7 +227,11 @@ class ServiceMetrics:
             "residual_restored_last": self.residual_restored_last,
             "checkpoints_written": self.checkpoints_written,
             "checkpoint_ms_last": self.checkpoint_ms_last,
+            "checkpoint_write_ms_last": self.checkpoint_write_ms_last,
             "checkpoint_bytes_last": self.checkpoint_bytes_last,
+            "checkpoint_in_flight": self.checkpoint_in_flight,
+            "graph_base_version": self.graph_base_version,
+            "graph_replay_batches": self.graph_replay_batches,
             "snapshot_rebuilds": self.snapshot_rebuilds,
             "snapshot_delta_applies": self.snapshot_delta_applies,
             "snapshot_consolidations": self.snapshot_consolidations,
@@ -363,13 +375,17 @@ class PPRService:
     def attach_store(self, store: "StateStore", *, checkpoint: bool = True) -> None:
         """Persist every future ingest through ``store``.
 
-        By default a baseline checkpoint of the *current* state is written
-        immediately, so the store can always recover without replaying
-        history it never saw (the WAL only covers post-attach batches).
+        By default a baseline checkpoint of the *current* state — graph
+        base included — is written immediately, so the store can always
+        recover without replaying history it never saw (the WAL only
+        covers post-attach batches). ``checkpoint=False`` is for a
+        service that was itself rebuilt from ``store``'s directory.
         """
         self.store = store
         if checkpoint:
+            store.invalidate_base()
             store.checkpoint(self)
+            store.wait()
 
     def detach_store(self) -> "StateStore | None":
         """Stop persisting; returns the previously attached store."""
@@ -607,9 +623,10 @@ class PPRService:
         log as soon as it has fully applied — before it is acknowledged
         to the caller and before any checkpoint can include it — so a
         batch the graph *rejects* (e.g. deleting an absent edge) never
-        poisons the log, while every acknowledged batch is durable. A
-        checkpoint may be written after the ingest completes (every
-        ``StoreConfig.checkpoint_interval`` batches).
+        poisons the log, while every acknowledged batch is durable.
+        Every ``StoreConfig.checkpoint_interval`` batches the ingest
+        also *captures* a checkpoint; the files are written off this
+        path and are on disk before the next batch is acknowledged.
         """
         updates = list(updates)
         with obs.span("engine.ingest", updates=len(updates)):
@@ -858,13 +875,13 @@ class PPRService:
         Growing the id space invalidates the cached snapshot even though
         the graph version is unchanged — its arrays are capacity-sized.
         """
-        grew = False
-        for s in sources:
-            if not self.graph.has_vertex(s):
-                self.graph.add_vertex(s)
-                grew = True
-        if not grew:
+        new = [s for s in dict.fromkeys(sources) if not self.graph.has_vertex(s)]
+        if not new:
             return
+        for s in new:
+            self.graph.add_vertex(s)
+        if self.store is not None:
+            self.store.log_vertices(self.graph_version, new)
         if self._csr is not None and self._csr_version == self.graph_version:
             # Registering vertices adds no adjacency: pad the overlay's
             # dense arrays instead of invalidating the whole snapshot.
@@ -984,10 +1001,17 @@ class PPRService:
         self._metrics.resident = len(self.cache)
         self._metrics.cold_admissions = self.pool.admissions
         self._metrics.admission_batches = self.pool.batches
-        if self.store is not None:
-            self._metrics.checkpoints_written = self.store.checkpoints_written
-            self._metrics.checkpoint_ms_last = self.store.checkpoint_ms_last
-            self._metrics.checkpoint_bytes_last = self.store.checkpoint_bytes_last
+        store = self.store
+        if store is not None:
+            self._metrics.checkpoints_written = store.checkpoints_written
+            self._metrics.checkpoint_ms_last = store.checkpoint_ms_last
+            self._metrics.checkpoint_write_ms_last = store.checkpoint_write_ms_last
+            self._metrics.checkpoint_bytes_last = store.checkpoint_bytes_last
+            self._metrics.checkpoint_in_flight = int(store.checkpoint_in_flight)
+            self._metrics.graph_replay_batches = store.graph_replay_batches
+            self._metrics.graph_base_version = (
+                store.checkpoint_version or 0
+            ) - store.graph_replay_batches
         return self._metrics
 
     def __repr__(self) -> str:

@@ -246,7 +246,8 @@ class ShardedGateway(WorkerGateway):
             if seed is not None
             else None
         )
-        self._batches_since_checkpoint = 0
+        #: Batches shipped since the last completed checkpoint round.
+        self.dirty = 0
         #: Per-shard relay counters (the /v1/metrics satellite surface).
         self.exchange_rounds = [0] * self.shard.shards
         self.frontier_bytes = [0] * self.shard.shards
@@ -556,7 +557,7 @@ class ShardedGateway(WorkerGateway):
         previous = self._head
         self._head += 1
         self._history.append(frame)
-        self._batches_since_checkpoint += 1
+        self.dirty += 1
         self.counters["batches_shipped"] += 1
         for update in updates:
             self._vertices.add(update.u)
@@ -571,7 +572,7 @@ class ShardedGateway(WorkerGateway):
             traces.update(response.traces)
         if (
             self.store_root is not None
-            and self._batches_since_checkpoint
+            and self.dirty
             >= self.store_config.checkpoint_interval
         ):
             self._checkpoint_round()
@@ -654,7 +655,7 @@ class ShardedGateway(WorkerGateway):
                 )
             info.append({"shard": index, "version": version, "checkpoint": path})
         path = self._write_manifest(info)
-        self._batches_since_checkpoint = 0
+        self.dirty = 0
         self.counters["checkpoint_rounds"] += 1
         self._status_round()
         return str(path)

@@ -25,12 +25,13 @@ newest checkpoint and replays its own WAL tail forward, so shards whose
 crash interleaved with in-flight batches still converge — the gateway
 heals any residual version skew with donor ``TAIL`` frames at spawn.
 
-Recovery of one shard (:func:`recover_shard`) mirrors
-:func:`repro.store.recovery.recover` with two shard-specific twists:
+Recovery of one shard (:func:`recover_shard`) is
+:func:`repro.store.recovery.recover`'s replay loop with two
+shard-specific twists:
 
-* the graph inside the checkpoint is a :class:`ShardGraph` slice, decoded
-  by its own self-describing codec (the ``graph_meta`` JSON carries the
-  shard id and partitioner manifest);
+* the graph base a checkpoint names is a :class:`ShardGraph` slice,
+  decoded by its own self-describing codec (the ``graph_meta`` JSON
+  carries the shard id and partitioner manifest);
 * WAL replay runs with the refresh policy forced to ``LAZY``: the shard
   is alone during recovery — no coordinator is relaying frontier
   exchanges yet — so an ``EAGER`` policy would try remote fetches it
@@ -50,10 +51,13 @@ from typing import Any
 
 from ..config import RefreshPolicy, StoreConfig
 from ..errors import StoreError
-from ..obs import clock
-from ..store.checkpoint import Checkpoint, latest_checkpoint, read_checkpoint
-from ..store.store import StateStore
-from ..store.wal import WriteAheadLog
+from ..store.checkpoint import (
+    CHECKPOINT_DIR,
+    Checkpoint,
+    latest_checkpoint,
+    read_checkpoint,
+)
+from ..store.recovery import RecoveryResult, recover_from
 from .graph import ShardGraph
 from .partitioner import Partitioner
 from .service import ShardService
@@ -211,25 +215,13 @@ def restore_shard_service(checkpoint: Checkpoint) -> ShardService:
 
 
 @dataclass
-class ShardRecovery:
+class ShardRecovery(RecoveryResult):
     """A recovered shard service plus the forensics of how it got there."""
 
     service: ShardService
-    checkpoint_path: Path
-    checkpoint_version: int
-    replayed_batches: int
-    replayed_updates: int
-    torn_bytes_dropped: int
-    wall_seconds: float
 
     def describe(self) -> str:
-        return (
-            f"shard {self.service.graph.shard_id}: recovered"
-            f" v{self.checkpoint_version} -> v{self.service.graph_version}"
-            f" ({self.replayed_batches} batches / {self.replayed_updates} updates"
-            f" replayed, {self.torn_bytes_dropped} torn bytes dropped,"
-            f" {self.wall_seconds * 1e3:.1f} ms)"
-        )
+        return f"shard {self.service.graph.shard_id}: {super().describe()}"
 
 
 def recover_shard(
@@ -242,17 +234,18 @@ def recover_shard(
     """Rebuild one shard's service from its own store directory.
 
     ``root`` is the *per-shard* store root (``shard_store_root(...)``).
-    Newest valid checkpoint, truncate torn WAL tails, replay the tail
-    through the normal ingest path — with ``serve.refresh`` pinned to
-    ``LAZY`` for the duration of the replay (no coordinator is relaying
-    frontier exchanges during recovery; see the module docstring) — then
-    reattach a store without writing a redundant baseline checkpoint.
+    Newest valid checkpoint and the slice base it names, then the shared
+    replay loop (:func:`repro.store.recovery.recover_from`) — with
+    ``serve.refresh`` pinned to ``LAZY`` for the duration of the tail
+    replay (no coordinator is relaying frontier exchanges during
+    recovery; see the module docstring) — then a store reattached
+    without writing a redundant baseline checkpoint.
     """
     root = Path(root)
     if not root.exists():
         raise StoreError(f"shard store directory not found: {root}")
     checkpoint = latest_checkpoint(
-        root / "checkpoints", lambda path: read_shard_checkpoint(path, partitioner)
+        root / CHECKPOINT_DIR, lambda path: read_shard_checkpoint(path, partitioner)
     )
     if checkpoint is None:
         raise StoreError(
@@ -260,42 +253,13 @@ def recover_shard(
             " attach (the WAL alone cannot rebuild the initial slice)"
         )
 
-    start = clock.now()
-    service = restore_shard_service(checkpoint)
-    restored_serve = service.serve
-    service.serve = restored_serve.with_(refresh=RefreshPolicy.LAZY)
-    wal = WriteAheadLog(root / "wal")
-    torn = wal.truncate_torn_tails()
-    replayed_batches = 0
-    replayed_updates = 0
-    try:
-        for record in wal.iter_records(after_seq=checkpoint.version):
-            if record.seq != service.graph_version + 1:
-                raise StoreError(
-                    f"WAL replay gap: checkpoint v{checkpoint.version}, next"
-                    f" record seq {record.seq}, shard at"
-                    f" v{service.graph_version}"
-                )
-            service.ingest(list(record.updates))
-            replayed_batches += 1
-            replayed_updates += len(record.updates)
-    finally:
-        service.serve = restored_serve
-        wal.close()
+    def restore_lazy(checkpoint: Checkpoint) -> ShardService:
+        service = restore_shard_service(checkpoint)
+        service.serve = checkpoint.serve.with_(refresh=RefreshPolicy.LAZY)
+        return service
 
-    if attach:
-        store = StateStore(root, store_config or StoreConfig(root=str(root)))
-        # The replayed tail is already on disk; count it toward the next
-        # checkpoint so the interval is measured from the last checkpoint.
-        store._batches_since_checkpoint = replayed_batches
-        service.attach_store(store, checkpoint=False)
-    wall = clock.now() - start
-    return ShardRecovery(
-        service=service,
-        checkpoint_path=checkpoint.path,
-        checkpoint_version=checkpoint.version,
-        replayed_batches=replayed_batches,
-        replayed_updates=replayed_updates,
-        torn_bytes_dropped=torn,
-        wall_seconds=wall,
+    result = recover_from(
+        root, checkpoint, restore_lazy, store_config=store_config, attach=attach
     )
+    result.service.serve = checkpoint.serve
+    return ShardRecovery(**vars(result))

@@ -289,15 +289,20 @@ def shard_main(spec: ShardSpec, conn: Connection) -> None:
                 serve_exchange(frame)
             elif tag == messages.REGISTER:
                 _, ticket, ids = frame
-                for v in ids:
-                    if not graph.has_vertex(v):
-                        graph.add_vertex(v)
+                new = [v for v in ids if not graph.has_vertex(v)]
+                for v in new:
+                    graph.add_vertex(v)
+                if new and service.store is not None:
+                    service.store.log_vertices(service.graph_version, new)
                 conn.send((messages.REGISTERED, ticket, graph.capacity))
             elif tag == messages.CHECKPOINT:
                 _, ticket = frame
                 path = None
                 if service.store is not None:
+                    # A round is complete only once every shard's files
+                    # are on disk: the manifest is written from the acks.
                     path = str(service.store.checkpoint(service))
+                    service.store.wait()
                 conn.send(
                     (messages.CHECKPOINTED, ticket, service.graph_version, path)
                 )

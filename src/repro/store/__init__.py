@@ -6,13 +6,18 @@ a process death, with the classic stream-system discipline:
 
 * :mod:`~repro.store.wal` — a CRC-framed append-only log of every
   ingested update batch (torn tails detected and truncated);
-* :mod:`~repro.store.checkpoint` — versioned ``.npz`` checkpoints of the
-  graph, every resident source state, the hub index, and serve metadata;
+* :mod:`~repro.store.checkpoint` — the immutable order-exact graph base
+  the log is the delta of, and versioned ``.npz`` checkpoints of every
+  resident source state, the hub index, and serve metadata that sit on
+  one; capturing a checkpoint and writing it are separate steps;
 * :class:`~repro.store.store.StateStore` — the coordinator: log before
-  apply, checkpoint every N batches, compact what the checkpoint covers;
+  ack, capture a checkpoint every N batches and write it on one writer
+  thread, start a new base when the log outgrows the old one, compact
+  what the durable files made redundant;
 * :mod:`~repro.store.recovery` — ``recover_service()``: newest valid
-  checkpoint + WAL-tail replay through the normal ingest path, yielding
-  a service whose answers are bit-for-bit those of an uninterrupted run.
+  checkpoint, its base advanced graph-only by the log, then WAL-tail
+  replay through the normal ingest path, yielding a service whose
+  answers are bit-for-bit those of an uninterrupted run.
 
 Enable it with ``ServeConfig(store=StoreConfig(root="..."))`` or attach a
 :class:`StateStore` explicitly; see ``docs/persistence.md``.
@@ -20,6 +25,8 @@ Enable it with ``ServeConfig(store=StoreConfig(root="..."))`` or attach a
 
 from .checkpoint import (
     Checkpoint,
+    CheckpointCapture,
+    capture_checkpoint,
     latest_checkpoint,
     read_checkpoint,
     restore_service,
@@ -40,11 +47,13 @@ from .wal import (
 
 __all__ = [
     "Checkpoint",
+    "CheckpointCapture",
     "RecoveryResult",
     "StateStore",
     "StoreStatus",
     "WalRecord",
     "WriteAheadLog",
+    "capture_checkpoint",
     "latest_checkpoint",
     "pack_payload",
     "pack_record",

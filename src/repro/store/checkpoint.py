@@ -1,30 +1,46 @@
 """Versioned binary checkpoints of a running :class:`~repro.serve.PPRService`.
 
-A checkpoint is one uncompressed ``.npz`` (numpy's zip container, members
-stored, each CRC-checked on read) holding everything the serving layer
-maintains at a graph version:
+What the serving layer maintains at a graph version is persisted as an
+immutable **graph base** plus **state checkpoints** that sit on it — the
+write-ahead log already *is* the graph's delta, so the graph is written
+once per base and rebuilt from the log, not re-dumped every interval:
 
-* the dynamic graph, serialized *order-exactly*
-  (:meth:`~repro.graph.digraph.DynamicDiGraph.to_arrays`) so rebuilt CSR
-  snapshots — and therefore float summation order inside the vectorized
-  push — are bit-identical;
-* every resident :class:`~repro.core.state.PPRState` with its
-  bookkeeping (convergence version, staleness counter, pending lazy-push
-  seeds, query count) in LRU→MRU order, the vectors sparse and bit-exact
-  (:func:`~repro.core.state.encode_states`: a checkpoint costs what is
-  non-zero, not ``capacity × residents``);
-* the hub index vectors (:meth:`~repro.core.hub_index.DynamicHubIndex.to_arrays`,
-  same vector codec);
-* serve metadata: graph version, ingest counters, and a fingerprint of
-  the :class:`~repro.config.PPRConfig`/:class:`~repro.config.ServeConfig`
-  pair (recovery refuses to resume under a different configuration —
-  ε or α drift would silently break the freshness contract).
+* ``graph/graph-<base version>.npz`` — the dynamic graph, serialized
+  *order-exactly* (:meth:`~repro.graph.digraph.DynamicDiGraph.to_arrays`)
+  so rebuilt CSR snapshots — and therefore float summation order inside
+  the vectorized push — are bit-identical. Recovery applies the WAL
+  records ``(base, checkpoint]`` to it through ``graph.apply`` in log
+  order, which reproduces the adjacency-dict iteration order of the
+  uninterrupted run by the same argument WAL-tail replay relies on.
+* ``checkpoints/checkpoint-<version>.npz`` — what a checkpoint costs
+  every interval, independent of the edge count:
 
-Files are named ``checkpoint-<version>.npz`` and written atomically
-(tmp file + fsync + rename + directory fsync), so a crash mid-checkpoint
-leaves the previous checkpoint untouched and at most a ``.tmp`` behind,
-which the next :class:`~repro.store.store.StateStore` on the directory
-sweeps (:func:`sweep_stale_tmp`).
+  - every resident :class:`~repro.core.state.PPRState` with its
+    bookkeeping (convergence version, staleness counter, pending
+    lazy-push seeds, query count) in LRU→MRU order, the vectors sparse
+    and bit-exact (:func:`~repro.core.state.encode_states`: a checkpoint
+    costs what is non-zero, not ``capacity × residents``);
+  - the hub index vectors
+    (:meth:`~repro.core.hub_index.DynamicHubIndex.to_arrays`, same
+    vector codec);
+  - serve metadata: graph version, the **base version** the checkpoint
+    sits on, ingest counters, and a fingerprint of the
+    :class:`~repro.config.PPRConfig`/:class:`~repro.config.ServeConfig`
+    pair (recovery refuses to resume under a different configuration —
+    ε or α drift would silently break the freshness contract).
+
+Both kinds are uncompressed ``.npz`` (numpy's zip container, members
+stored, each CRC-checked on read), written atomically (tmp file + fsync
++ rename + directory fsync), so a crash mid-write leaves the previous
+files untouched and at most a ``.tmp`` behind, which the next
+:class:`~repro.store.store.StateStore` on the directory sweeps
+(:func:`sweep_stale_tmp`).
+
+Writing is split in two so the ingest ack path pays only for the first:
+:func:`capture_checkpoint` copies what the files will hold out of the
+live service (fresh arrays that alias nothing live), and
+:func:`write_checkpoint` turns a capture into durable files — on the
+store's writer thread.
 """
 
 from __future__ import annotations
@@ -33,7 +49,7 @@ import hashlib
 import json
 import os
 import re
-from collections.abc import Callable
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Any
@@ -65,9 +81,18 @@ PathLike = str | os.PathLike
 #:    bit patterns, per-vector counts); container no longer deflated.
 #: 4: serve-config block lost the snapshot-strategy/threshold keys (one
 #:    snapshot lineage; ``ServeConfig`` no longer has the fields).
-CHECKPOINT_FORMAT = 4
+#: 5: the graph moved out into its own ``graph-<base>.npz``; a checkpoint
+#:    names the base it sits on (``base_version``) instead of embedding
+#:    the ``graph_*`` arrays. Pending seed sets stored once per distinct
+#:    set (``pending_ref`` maps residents to them).
+CHECKPOINT_FORMAT = 5
+
+#: Subdirectories of a store root.
+CHECKPOINT_DIR = "checkpoints"
+GRAPH_DIR = "graph"
 
 _NAME_RE = re.compile(r"^checkpoint-(\d{12})\.npz$")
+_BASE_RE = re.compile(r"^graph-(\d{12})\.npz$")
 _TMP_SUFFIX = ".tmp"
 
 
@@ -79,6 +104,22 @@ def checkpoint_version(path: PathLike) -> int | None:
     """Graph version encoded in a checkpoint filename (None if not one)."""
     match = _NAME_RE.match(Path(path).name)
     return int(match.group(1)) if match else None
+
+
+def graph_base_name(version: int) -> str:
+    return f"graph-{version:012d}.npz"
+
+
+def graph_base_version(path: PathLike) -> int | None:
+    """Graph version encoded in a graph-base filename (None if not one)."""
+    match = _BASE_RE.match(Path(path).name)
+    return int(match.group(1)) if match else None
+
+
+def graph_base_path(checkpoint_path: PathLike, base_version: int) -> Path:
+    """Where the base a checkpoint names lives: the sibling ``graph/``."""
+    graph_dir = Path(checkpoint_path).parent.parent / GRAPH_DIR
+    return graph_dir / graph_base_name(base_version)
 
 
 # ---------------------------------------------------------------------- #
@@ -141,28 +182,55 @@ def config_fingerprint(config: PPRConfig, serve: ServeConfig) -> str:
 # ---------------------------------------------------------------------- #
 
 
-def write_checkpoint(directory: PathLike, service: PPRService) -> Path:
-    """Write a checkpoint of ``service`` at its current graph version.
+@dataclass
+class CheckpointCapture:
+    """Everything one checkpoint will write, detached from the live service."""
 
-    Returns the final path. The write is atomic: a temporary file is
-    fully written and fsynced before being renamed into place.
+    version: int
+    #: The graph base this checkpoint sits on (``version`` itself when
+    #: the capture starts a new base).
+    base_version: int
+    #: Members of the state-checkpoint file.
+    arrays: dict[str, np.ndarray]
+    #: ``graph.to_arrays()`` when this capture starts a new base, else
+    #: ``None`` — the base on disk plus the log already describe the graph.
+    graph: dict[str, np.ndarray] | None
+
+
+def capture_checkpoint(
+    service: PPRService,
+    base_version: int | None,
+    registered: Sequence[tuple[int, int]] = (),
+) -> CheckpointCapture:
+    """Copy out what a checkpoint of ``service`` holds, at its version.
+
+    The ack-path half of a checkpoint: O(resident nnz), plus one
+    order-exact graph dump only when ``base_version`` is ``None`` (the
+    capture then starts a new base at the current version). Every array
+    is freshly built, so the service may keep mutating while
+    :func:`write_checkpoint` persists the capture on another thread.
+
+    ``registered`` lists the ``(graph version, vertex id)`` registrations
+    the graph took since the base outside the log (a never-seen id
+    queried as a source): the one graph mutation base + WAL cannot
+    reproduce, so a checkpoint that sits on an older base carries it.
     """
-    directory = Path(directory)
-    directory.mkdir(parents=True, exist_ok=True)
+    version = service.graph_version
+    graph = None
+    if base_version is None:  # a new base: its dump holds every registration
+        graph, base_version, registered = service.graph.to_arrays(), version, ()
     metrics = service.metrics()
     arrays: dict[str, np.ndarray] = {
         "format": np.int64(CHECKPOINT_FORMAT),
-        "graph_version": np.int64(service.graph_version),
+        "graph_version": np.int64(version),
+        "base_version": np.int64(base_version),
+        "registered": np.array(registered, dtype=np.int64).reshape(-1, 2),
         "updates_ingested": np.int64(metrics.updates_ingested),
         "batches_ingested": np.int64(metrics.batches_ingested),
         "ppr_config": np.str_(_ppr_config_json(service.config)),
         "serve_config": np.str_(_serve_config_json(service.serve)),
-        "fingerprint": np.str_(
-            config_fingerprint(service.config, service.serve)
-        ),
+        "fingerprint": np.str_(config_fingerprint(service.config, service.serve)),
     }
-    for key, value in service.graph.to_arrays().items():
-        arrays[f"graph_{key}"] = value
 
     residents = service.cache.entries()  # LRU -> MRU
     arrays["sources"] = np.array([e.source for e in residents], dtype=np.int64)
@@ -172,11 +240,26 @@ def write_checkpoint(directory: PathLike, service: PPRService) -> Path:
     ).reshape(-1, 3)
     for key, value in encode_states([e.state for e in residents]).items():
         arrays[f"resident_{key}"] = value
-    pending = [np.array(sorted(e.pending_seeds), dtype=np.int64) for e in residents]
+    # Residents that last converged at the same version carry the same
+    # pending set (every ingest adds its touched vertices to all of them),
+    # so the distinct sets are stored once and each resident names its own.
+    distinct: dict[frozenset[int], int] = {}
+    arrays["pending_ref"] = np.array(
+        [
+            distinct.setdefault(frozenset(e.pending_seeds), len(distinct))
+            for e in residents
+        ],
+        dtype=np.int64,
+    )
+    pending = [
+        np.fromiter(seeds, dtype=np.int64, count=len(seeds)) for seeds in distinct
+    ]
     arrays["pending_lengths"] = np.array([len(p) for p in pending], dtype=np.int64)
+    # Vertex ids, narrowed like the vector indices of ``encode_states``.
+    narrow = service.graph.capacity <= np.iinfo(np.int32).max
     arrays["pending"] = (
         np.concatenate(pending) if pending else np.empty(0, dtype=np.int64)
-    )
+    ).astype(np.int32 if narrow else np.int64)
 
     arrays["has_hubs"] = np.int64(service.hub_index is not None)
     if service.hub_index is not None:
@@ -185,26 +268,52 @@ def write_checkpoint(directory: PathLike, service: PPRService) -> Path:
     # Deferred lazy hub-refresh seeds (empty under eager refresh): the
     # hub vectors are checkpointed mid-deferral, so recovery must know
     # which seeds the next flush has to push from.
-    arrays["hubs_pending"] = np.array(
-        sorted(service.hub_pending_seeds), dtype=np.int64
+    arrays["hubs_pending"] = np.array(sorted(service.hub_pending_seeds), dtype=np.int64)
+    return CheckpointCapture(
+        version=version, base_version=base_version, arrays=arrays, graph=graph
     )
 
-    final = directory / checkpoint_name(service.graph_version)
-    tmp = directory / (final.name + _TMP_SUFFIX)
+
+def write_checkpoint(root: PathLike, capture: CheckpointCapture) -> Path:
+    """Make ``capture`` durable under the store root; returns the checkpoint.
+
+    A capture that starts a new base writes ``graph/graph-<version>.npz``
+    *first*: the checkpoint that names a base must never be durable
+    before the base is. Each file is written atomically.
+    """
+    root = Path(root)
+    if capture.graph is not None:
+        members: dict[str, np.ndarray] = {
+            "format": np.int64(CHECKPOINT_FORMAT),
+            "graph_version": np.int64(capture.version),
+        }
+        for key, value in capture.graph.items():
+            members[f"graph_{key}"] = value
+        _write_npz(root / GRAPH_DIR / graph_base_name(capture.version), members)
+    return _write_npz(
+        root / CHECKPOINT_DIR / checkpoint_name(capture.version), capture.arrays
+    )
+
+
+def _write_npz(final: Path, arrays: dict[str, np.ndarray]) -> Path:
+    """Atomic ``.npz``: tmp file fully written and fsynced, then renamed."""
+    final.parent.mkdir(parents=True, exist_ok=True)
+    tmp = final.with_name(final.name + _TMP_SUFFIX)
     with open(tmp, "wb") as fh:
         np.savez(fh, **arrays)
         fh.flush()
         os.fsync(fh.fileno())
     # The crash-during-checkpoint window: the tmp file is durable but the
     # atomic rename has not happened. A CRASH fault here leaves the .tmp
-    # behind and the previous checkpoint authoritative — exactly what
-    # recovery must tolerate (tests/test_store.py exercises this site).
-    chaos.check("checkpoint.rename", version=service.graph_version)
+    # behind and the previous files authoritative — exactly what recovery
+    # must tolerate (tests/test_store.py exercises this site, for the
+    # graph base of a rebase and for the checkpoint itself).
+    chaos.check("checkpoint.rename", file=final.name)
     os.replace(tmp, final)
     # Make the rename itself durable before the caller unlinks the WAL
     # segments this checkpoint covers: without it a power loss can keep
     # the unlinks in wal/ and lose the new name in checkpoints/.
-    fsync_directory(directory)
+    fsync_directory(final.parent)
     return final
 
 
@@ -218,12 +327,13 @@ def fsync_directory(directory: PathLike) -> None:
 
 
 def sweep_stale_tmp(directory: PathLike) -> None:
-    """Delete ``checkpoint-*.npz.tmp`` left by a crash before the rename.
+    """Delete the ``*.npz.tmp`` files a crash before the rename left.
 
-    Called when a store is opened: a store directory has one writer, so
-    any tmp present then belongs to a dead one.
+    Called on ``checkpoints/`` and ``graph/`` when a store is opened: a
+    store directory has one writer, so any tmp present then belongs to a
+    dead one.
     """
-    for path in Path(directory).glob("checkpoint-*.npz" + _TMP_SUFFIX):
+    for path in Path(directory).glob("*.npz" + _TMP_SUFFIX):
         path.unlink()
 
 
@@ -243,8 +353,15 @@ class Checkpoint:
     config: PPRConfig
     serve: ServeConfig
     fingerprint: str
-    #: A :class:`DynamicDiGraph`, or whatever ``decode_graph`` built (the
-    #: sharded tier checkpoints :class:`~repro.shard.graph.ShardGraph` slices).
+    #: The graph base this checkpoint sits on (``<= version``).
+    base_version: int
+    #: ``(graph version, vertex id)`` registrations made outside the log
+    #: between the base and this checkpoint, in order.
+    registered: list[tuple[int, int]]
+    #: The graph **at ``base_version``**: a :class:`DynamicDiGraph`, or
+    #: whatever ``decode_graph`` built (the sharded tier persists
+    #: :class:`~repro.shard.graph.ShardGraph` slices). Recovery advances
+    #: it to ``version`` by applying the WAL records in between.
     graph: Any
     residents: list[ResidentSource]
     hub_arrays: dict[str, np.ndarray] | None
@@ -267,36 +384,45 @@ def _prefixed(arrays: dict[str, np.ndarray], prefix: str) -> dict[str, np.ndarra
     }
 
 
-def read_checkpoint(
-    path: PathLike,
-    *,
-    decode_graph: Callable[[dict[str, np.ndarray]], Any] = DynamicDiGraph.from_arrays,
-) -> Checkpoint:
-    """Load and validate one checkpoint file.
-
-    ``decode_graph`` rebuilds the graph from the ``graph_*`` arrays (prefix
-    stripped); the writer is generic over ``service.graph.to_arrays()``,
-    so the sharded tier passes its own decoder.
-
-    Raises :class:`StoreError` on any structural problem — unreadable
-    container, unknown format, missing keys, or a fingerprint that does
-    not match the embedded configuration (bit rot in the config strings).
-    """
-    path = Path(path)
+def _load_npz(path: Path) -> dict[str, np.ndarray]:
+    """Every member of one store file, its format checked."""
     if not path.exists():
         raise StoreError(f"checkpoint not found: {path}")
     try:
         with np.load(path, allow_pickle=False) as data:
             arrays = {key: data[key] for key in data.files}
+        fmt = int(arrays["format"])
     except Exception as exc:  # zip/CRC/format damage
         raise StoreError(f"unreadable checkpoint {path.name}: {exc}") from exc
+    if fmt != CHECKPOINT_FORMAT:
+        raise StoreError(
+            f"{path.name}: unsupported checkpoint format {fmt}"
+            f" (this build reads {CHECKPOINT_FORMAT})"
+        )
+    return arrays
+
+
+def read_checkpoint(
+    path: PathLike,
+    *,
+    decode_graph: Callable[[dict[str, np.ndarray]], Any] = DynamicDiGraph.from_arrays,
+) -> Checkpoint:
+    """Load and validate one checkpoint file and the graph base it names.
+
+    ``decode_graph`` rebuilds the graph from the base's ``graph_*`` arrays
+    (prefix stripped); the writer is generic over
+    ``service.graph.to_arrays()``, so the sharded tier passes its own
+    decoder. The returned graph is at :attr:`Checkpoint.base_version`.
+
+    Raises :class:`StoreError` on any structural problem — unreadable
+    container, unknown format, missing keys, a fingerprint that does not
+    match the embedded configuration (bit rot in the config strings), or
+    a base that is missing or damaged (a checkpoint without its base
+    restores nothing, so :func:`latest_checkpoint` falls back past it).
+    """
+    path = Path(path)
+    arrays = _load_npz(path)
     try:
-        fmt = int(arrays["format"])
-        if fmt != CHECKPOINT_FORMAT:
-            raise StoreError(
-                f"{path.name}: unsupported checkpoint format {fmt}"
-                f" (this build reads {CHECKPOINT_FORMAT})"
-            )
         config = _parse_ppr_config(str(arrays["ppr_config"]))
         serve = _parse_serve_config(str(arrays["serve_config"]))
         fingerprint = str(arrays["fingerprint"])
@@ -305,41 +431,47 @@ def read_checkpoint(
         states = decode_states(
             arrays["sources"].tolist(), _prefixed(arrays, "resident_")
         )
-        pending = arrays["pending"]
-        pending_ends = np.cumsum(arrays["pending_lengths"]).tolist()
-        if len(pending_ends) != len(states) or (
-            pending_ends and pending_ends[-1] != len(pending)
-        ):
+        pending_ends = np.cumsum(arrays["pending_lengths"])
+        if pending_ends.size and pending_ends[-1] != len(arrays["pending"]):
             raise ValueError("pending seed counts do not match the data")
+        pending = np.split(arrays["pending"], pending_ends[:-1])
         residents: list[ResidentSource] = []
-        pending_start = 0
-        for state, meta, pending_end in zip(
-            states, arrays["resident_meta"].tolist(), pending_ends, strict=True
+        for state, meta, ref in zip(
+            states,
+            arrays["resident_meta"].tolist(),
+            arrays["pending_ref"].tolist(),
+            strict=True,
         ):
-            version, reflected, queries = meta
+            converged, reflected, queries = meta
             residents.append(
                 ResidentSource(
                     state=state,
-                    version=version,
+                    version=converged,
                     updates_reflected=reflected,
-                    pending_seeds=set(pending[pending_start:pending_end].tolist()),
+                    pending_seeds=set(pending[ref].tolist()),
                     queries=queries,
                 )
             )
-            pending_start = pending_end
+        version = int(arrays["graph_version"])
+        base_version = int(arrays["base_version"])
+        if not 0 <= base_version <= version:
+            raise ValueError(f"base v{base_version} is not at or before v{version}")
+        base = _load_npz(graph_base_path(path, base_version))
+        if int(base["graph_version"]) != base_version:
+            raise ValueError(f"graph base is not at v{base_version}")
         return Checkpoint(
             path=path,
-            version=int(arrays["graph_version"]),
+            version=version,
             updates_ingested=int(arrays["updates_ingested"]),
             batches_ingested=int(arrays["batches_ingested"]),
             config=config,
             serve=serve,
             fingerprint=fingerprint,
-            graph=decode_graph(_prefixed(arrays, "graph_")),
+            base_version=base_version,
+            registered=[(v, u) for v, u in arrays["registered"].tolist()],
+            graph=decode_graph(_prefixed(base, "graph_")),
             residents=residents,
-            hub_arrays=(
-                _prefixed(arrays, "hub_") if int(arrays["has_hubs"]) else None
-            ),
+            hub_arrays=(_prefixed(arrays, "hub_") if int(arrays["has_hubs"]) else None),
             hub_pending=arrays["hubs_pending"].tolist(),
         )
     except StoreError:
@@ -349,16 +481,19 @@ def read_checkpoint(
 
 
 def checkpoint_summary(path: PathLike) -> dict[str, float]:
-    """``format`` plus, when readable, vector ``nnz`` and ``density``.
+    """``format`` plus, when readable, ``base``, vector ``nnz`` and ``density``.
 
-    For ``repro store-inspect``: reads only the count arrays, decodes
-    nothing, and reports the format of files this build cannot restore.
+    For ``repro store-inspect`` and the store's own retention (``base``
+    is the graph base the checkpoint names): reads only the scalar and
+    count arrays, decodes nothing, and reports the format of files this
+    build cannot restore.
     """
     try:
         with np.load(path, allow_pickle=False) as data:
             summary: dict[str, float] = {"format": int(data["format"])}
             if summary["format"] != CHECKPOINT_FORMAT:
                 return summary
+            summary["base"] = int(data["base_version"])
             cells = nnz = 0
             for prefix in ("resident_", "hub_"):
                 if prefix + "lengths" in data.files:
@@ -374,11 +509,22 @@ def checkpoint_summary(path: PathLike) -> dict[str, float]:
 
 def list_checkpoints(directory: PathLike) -> list[Path]:
     """Checkpoint files in ``directory``, oldest version first."""
+    return _list_versioned(directory, checkpoint_version)
+
+
+def list_graph_bases(directory: PathLike) -> list[Path]:
+    """Graph-base files in ``directory``, oldest version first."""
+    return _list_versioned(directory, graph_base_version)
+
+
+def _list_versioned(
+    directory: PathLike, version_of: Callable[[Path], int | None]
+) -> list[Path]:
     directory = Path(directory)
     if not directory.exists():
         return []
-    found = [p for p in directory.iterdir() if checkpoint_version(p) is not None]
-    return sorted(found, key=checkpoint_version)
+    found = [p for p in directory.iterdir() if version_of(p) is not None]
+    return sorted(found, key=version_of)
 
 
 def latest_checkpoint(
@@ -408,11 +554,14 @@ def latest_checkpoint(
 def restore_service(checkpoint: Checkpoint) -> PPRService:
     """Materialize a :class:`PPRService` from one decoded checkpoint.
 
-    The service comes back *exactly* as checkpointed: same graph dict
-    order, resident states bit-for-bit, LRU order, hub vectors, version
-    and staleness counters. No pushes run. The returned service has no
-    store attached — :func:`repro.store.recovery.recover` reattaches one
-    after replaying the WAL tail.
+    ``checkpoint.graph`` must already be at ``checkpoint.version`` — it
+    is as loaded when the checkpoint sits on a base of its own version,
+    and :func:`repro.store.recovery.recover` applies the log in between
+    otherwise. The service comes back *exactly* as checkpointed: same
+    graph dict order, resident states bit-for-bit, LRU order, hub
+    vectors, version and staleness counters. No pushes run. The returned
+    service has no store attached — ``recover`` reattaches one after
+    replaying the WAL tail.
     """
     hub_index = None
     if checkpoint.hub_arrays is not None:

@@ -26,9 +26,12 @@ intact by construction (frames are written with one buffered write and,
 under :attr:`~repro.config.FsyncPolicy.ALWAYS`, one fsync each).
 
 Segments are named ``wal-<first seq>.log``. The store rotates to a fresh
-segment at every checkpoint and drops segments whose records are all
-covered by it — the WAL tail to replay stays bounded by the checkpoint
-interval.
+segment at every checkpoint, so a closed segment's seq range is in the
+file names alone (its last seq is the next segment's first, minus one):
+retention and replay skip whole segments without reading them. The log
+is kept back to the oldest graph base a retained checkpoint names
+(``docs/persistence.md``); the tail replayed *through ingest* stays
+bounded by the checkpoint interval.
 """
 
 from __future__ import annotations
@@ -71,17 +74,18 @@ def encode_updates(updates: Sequence[EdgeUpdate]) -> bytes:
     return rows.tobytes()
 
 
+_OPS = {int(op): op for op in EdgeOp}
+
+
 def decode_updates(payload: bytes) -> list[EdgeUpdate]:
     """Decode :func:`encode_updates` output back into update objects."""
     if len(payload) % 24 != 0:
         raise StoreError(f"payload length {len(payload)} is not a row multiple")
-    rows = np.frombuffer(payload, dtype="<i8").reshape(-1, 3)
-    updates = []
-    for u, v, op in rows.tolist():
-        if op not in (1, -1):
-            raise StoreError(f"invalid edge op {op} in WAL payload")
-        updates.append(EdgeUpdate(u, v, EdgeOp(op)))
-    return updates
+    us, vs, ops = np.frombuffer(payload, dtype="<i8").reshape(-1, 3).T.tolist()
+    try:
+        return [EdgeUpdate(u, v, _OPS[op]) for u, v, op in zip(us, vs, ops)]
+    except KeyError as exc:
+        raise StoreError(f"invalid edge op {exc.args[0]} in WAL payload") from None
 
 
 @dataclass(frozen=True)
@@ -178,52 +182,66 @@ class SegmentScan:
         return self.path.stat().st_size - self.valid_bytes
 
 
-def scan_segment(path: PathLike) -> SegmentScan:
-    """Read every intact frame of a segment, stopping at a torn tail.
+def _intact_frames(data: bytes) -> Iterator[tuple[int, int, bytes, int]]:
+    """``(seq, epoch, payload, end offset)`` of each intact leading frame.
 
-    A short header, short payload, bad magic, oversized length, or CRC
-    mismatch all terminate the scan — frames after the first damage are
-    unreachable anyway (framing is lost).
+    A short header, short payload, bad magic, oversized length, CRC
+    mismatch or malformed payload all end the walk — frames after the
+    first damage are unreachable anyway (framing is lost). The payload
+    is checked (whole rows, every op an insert or a delete) but not
+    decoded: finding where a segment's intact prefix ends costs no
+    Python object per update.
     """
-    path = Path(path)
-    data = path.read_bytes()
-    records: list[WalRecord] = []
     offset = 0
     while True:
         header_end = offset + _HEADER.size
         if header_end > len(data):
-            break
+            return
         magic, seq, epoch, length, crc = _HEADER.unpack_from(data, offset)
-        if magic != FRAME_MAGIC or length > MAX_PAYLOAD:
-            break
-        payload_end = header_end + length
-        if payload_end > len(data):
-            break
-        payload = data[header_end:payload_end]
+        if magic != FRAME_MAGIC or length > MAX_PAYLOAD or length % 24:
+            return
+        offset = header_end + length
+        if offset > len(data):
+            return
+        payload = data[header_end:offset]
         if zlib.crc32(_SEQ_EPOCH.pack(seq, epoch) + payload) != crc:
-            break
-        try:
-            updates = decode_updates(payload)
-        except StoreError:
-            break
-        records.append(WalRecord(seq=seq, updates=tuple(updates), epoch=epoch))
-        offset = payload_end
+            return
+        if (np.abs(np.frombuffer(payload, dtype="<i8")[2::3]) != 1).any():
+            return
+        yield seq, epoch, payload, offset
+
+
+def scan_segment(path: PathLike) -> SegmentScan:
+    """Read every intact frame of a segment, stopping at a torn tail."""
+    path = Path(path)
+    data = path.read_bytes()
+    records = []
+    valid_bytes = 0
+    for seq, epoch, payload, valid_bytes in _intact_frames(data):
+        records.append(WalRecord(seq, tuple(decode_updates(payload)), epoch))
     return SegmentScan(
         path=path,
         records=tuple(records),
-        valid_bytes=offset,
-        clean=offset == len(data),
+        valid_bytes=valid_bytes,
+        clean=valid_bytes == len(data),
     )
+
+
+def segment_first_seq(path: PathLike) -> int:
+    """The seq of a segment's first record, read off its file name."""
+    return int(Path(path).name[len(SEGMENT_PREFIX) : -len(SEGMENT_SUFFIX)])
 
 
 def truncate_torn_tail(path: PathLike) -> int:
     """Truncate a segment at its last intact frame; return bytes dropped."""
-    scan = scan_segment(path)
-    dropped = scan.torn_bytes
-    if dropped:
+    data = Path(path).read_bytes()
+    valid_bytes = 0
+    for _, _, _, valid_bytes in _intact_frames(data):
+        pass
+    if valid_bytes < len(data):
         with open(path, "r+b") as fh:
-            fh.truncate(scan.valid_bytes)
-    return dropped
+            fh.truncate(valid_bytes)
+    return len(data) - valid_bytes
 
 
 class WriteAheadLog:
@@ -245,13 +263,16 @@ class WriteAheadLog:
         self.fsync = fsync
         self._fh = None  # current segment file handle
         self._current: Path | None = None
-        self.records_appended = 0
+        #: Last seq appended through this handle (None on a fresh one).
+        self._last_seq: int | None = None
 
     # ------------------------------------------------------------------ #
     # writing
     # ------------------------------------------------------------------ #
 
-    def append(self, seq: int, updates: Sequence[EdgeUpdate], *, epoch: int = 0) -> Path:
+    def append(
+        self, seq: int, updates: Sequence[EdgeUpdate], *, epoch: int = 0
+    ) -> Path:
         """Append one batch frame; returns the segment it landed in.
 
         The first append after construction or :meth:`rotate` opens a new
@@ -298,7 +319,7 @@ class WriteAheadLog:
                 raise StoreError(
                     f"wal append failed at seq {seq} (frame rolled back): {exc}"
                 ) from exc
-        self.records_appended += 1
+        self._last_seq = seq
         return self._current
 
     def _rollback(self, offset: int) -> None:
@@ -343,6 +364,18 @@ class WriteAheadLog:
             if p.is_file()
         )
 
+    def bytes_after(self, version: int) -> int:
+        """Bytes held by the segments that start past ``version``.
+
+        By file name and size, nothing read: how much log a recovery
+        from a graph base at ``version`` would have to apply.
+        """
+        return sum(
+            path.stat().st_size
+            for path in self.segments()
+            if segment_first_seq(path) > version
+        )
+
     def scan(self) -> list[SegmentScan]:
         """Scan every segment (oldest first), tolerating torn tails."""
         return [scan_segment(p) for p in self.segments()]
@@ -359,7 +392,11 @@ class WriteAheadLog:
         """
         expected = None
         epoch = None
-        for scan in self.scan():
+        segments = self.segments()
+        for path, successor in zip(segments, segments[1:] + [None]):
+            if successor is not None and segment_first_seq(successor) <= after_seq + 1:
+                continue  # every record of this segment is <= after_seq
+            scan = scan_segment(path)
             for record in scan.records:
                 if record.seq <= after_seq:
                     continue
@@ -382,20 +419,26 @@ class WriteAheadLog:
         return sum(truncate_torn_tail(p) for p in self.segments())
 
     def drop_segments_covered_by(self, version: int) -> list[Path]:
-        """Delete segments whose every record has ``seq <= version``.
+        """Delete closed segments whose every record has ``seq <= version``.
 
-        Called after a checkpoint at ``version``: those batches are now in
-        the checkpoint, so their log space can be reclaimed. The open
-        segment is never dropped.
+        Called once nothing a recovery could start from needs those
+        batches any more. Decided by file name alone — a segment ends
+        where its successor begins — so the cost is O(#segments) however
+        long the retained log is, and no payload is read. The newest
+        segment has no successor to bound it: it ends at the last seq
+        this handle appended once :meth:`rotate` has closed it, and is
+        kept while it is open or (on a handle that appended nothing)
+        while its end is unknown.
         """
         dropped = []
-        for scan in self.scan():
-            if scan.path == self._current:
-                continue
-            if scan.records and scan.records[-1].seq > version:
-                continue
-            scan.path.unlink()
-            dropped.append(scan.path)
+        segments = self.segments()
+        ends = [segment_first_seq(successor) - 1 for successor in segments[1:]]
+        if self._fh is None and self._last_seq is not None:
+            ends.append(self._last_seq)
+        for path, end in zip(segments, ends):
+            if end <= version:
+                path.unlink()
+                dropped.append(path)
         return dropped
 
     def __repr__(self) -> str:

@@ -51,6 +51,27 @@ def _reset_chaos():
     chaos.reset()
 
 
+@pytest.fixture(autouse=True)
+def _no_leaked_checkpoint_writer():
+    """A store's writer thread is one bounded write, never a resident
+    thread: whatever a test abandoned mid-flight must finish by itself."""
+    import threading
+
+    yield
+    for thread in threading.enumerate():
+        if thread.name.startswith("checkpoint-writer"):
+            thread.join(timeout=10)
+            assert not thread.is_alive(), f"{thread.name} is still running"
+
+
+def self_contained_checkpoint(root, service):
+    """Write a checkpoint of ``service`` under store root ``root`` that
+    starts its own graph base (helper, not a fixture); returns its path."""
+    from repro.store.checkpoint import capture_checkpoint, write_checkpoint
+
+    return write_checkpoint(root, capture_checkpoint(service, None))
+
+
 @pytest.fixture
 def paper_graph() -> DynamicDiGraph:
     """The 4-vertex graph of the paper's Figures 1-3.

@@ -195,6 +195,39 @@ class TestFailover:
             assert answer.snapshot_version == expected.snapshot_version == 6
             assert entries_of(answer) == entries_of(expected)
 
+    def test_promoted_primary_starts_its_own_graph_base(self, tmp_path):
+        """The promoted replica's graph came from a snapshot plus shipped
+        deltas, not from the directory's base + log: its first checkpoint
+        writes a new base, and the store recovers on it afterwards."""
+        from repro.store.recovery import recover
+
+        root = str(tmp_path / "store")
+        chaos.install(
+            FaultPlan(faults=(Fault("primary.apply", FaultKind.CRASH, at=3),))
+        )
+        service = fresh_service(
+            store=StoreConfig(root=root, checkpoint_interval=2)
+        )
+        oracle = fresh_service()
+        with PPRCluster(service, ClusterConfig(replicas=2)) as cluster:
+            for i in range(7):
+                assert cluster.api.ingest([(20 + i, i % 5)]).ok
+                oracle.ingest(insertions([(20 + i, i % 5)]))
+            assert cluster.gateway.counters["failovers"] == 1
+        chaos.reset()
+        result = recover(root, attach=False)
+        # v2 was the embedded primary's (base v0); the promoted node took
+        # over at v3 with one logged batch pending, so its first
+        # checkpoint — v4 — is the new base, and v6 sits on it.
+        assert (result.checkpoint_version, result.base_version) == (6, 4)
+        assert (result.graph_batches, result.replayed_batches) == (2, 1)
+        assert result.service.graph == oracle.graph
+        recovered = result.service.gateway.submit(
+            TopKQuery(source=3, k=5, consistency=FRESH)
+        )
+        expected = oracle.gateway.submit(TopKQuery(source=3, k=5, consistency=FRESH))
+        assert entries_of(recovered) == entries_of(expected)
+
     def test_fsync_fence_degrades_then_fails_over(self, tmp_path):
         root = str(tmp_path / "store")
         chaos.install(

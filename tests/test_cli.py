@@ -120,17 +120,27 @@ class TestStoreCommands:
         out = capsys.readouterr().out
         assert "Checkpoints" in out and "WAL segments" in out
         assert "checkpoint-" in out
-        # Per checkpoint: the layout version and how sparse the vectors are.
-        assert {"format", "nnz", "density"} <= set(out.split())
+        # Per checkpoint: the layout version, the graph base it names, and
+        # how sparse the vectors are.
+        assert {"format", "base", "nnz", "density"} <= set(out.split())
         rows = [line.split() for line in out.splitlines() if "checkpoint-0" in line]
-        assert rows and all(row[3] == "4" and row[5].endswith("%") for row in rows)
+        assert rows and all(
+            row[3:5] == ["5", "v0"] and row[6].endswith("%") for row in rows
+        )
+        assert "graph-000000000000.npz" in out and "MISSING" not in out
         # slides=4, interval=3: one batch lives in the WAL tail, clean.
         assert "wal-" in out and "clean" in out
 
         assert main(["store-recover", "--root", str(root), "--verify"]) == 0
         out = capsys.readouterr().out
         assert "recovered v3 -> v4 (1 batches" in out
+        assert "graph base v0 + 3 batches" in out
         assert "verify: OK" in out
+
+        # A checkpoint whose base is gone is flagged, not silently listed.
+        (root / "graph" / "graph-000000000000.npz").unlink()
+        assert main(["store-inspect", "--root", str(root)]) == 0
+        assert capsys.readouterr().out.count("v0 MISSING") == len(rows)
 
     def test_recover_without_transcript_still_serves(self, capsys, tmp_path):
         root = tmp_path / "store"
@@ -208,14 +218,9 @@ class TestServeShutdown:
             time.sleep(0.02)
         raise AssertionError(f"server never listened:\n{log.read_text()}")
 
-    def test_sigterm_during_a_slow_ingest_checkpoints_the_acked_version(
-        self, tmp_path
-    ):
-        """SIGTERM lands while an ingest is mid-batch on a handler thread.
-        The shutdown checkpoint must queue behind it on the gateway lock —
-        not snapshot half a batch, and not race the ingest's own
-        checkpoint for the one tmp name — so the process exits 0 and the
-        store recovers to exactly the acknowledged version."""
+    def _sigterm_mid_ingest(self, tmp_path, quick_batches: int):
+        """Ack ``quick_batches`` small batches, SIGTERM during a slow one;
+        returns the recovery of the store the drained process left."""
         store, log = tmp_path / "store", tmp_path / "server.log"
         proc = self._spawn(store, log)
         try:
@@ -231,10 +236,9 @@ class TestServeShutdown:
                 for u, v in rng.integers(0, n, size=(self.SLOW_BATCH + 8, 2))
                 if u != v
             ]
-            # One acknowledged batch first: the drain only checkpoints a
-            # store that has something new to checkpoint.
             first, slow = pairs[:8], pairs[8:]
-            assert client.ingest(first)["snapshot_version"] == 1
+            for version in range(1, quick_batches + 1):
+                assert client.ingest(first)["snapshot_version"] == version
 
             acked: list[int] = []
 
@@ -262,11 +266,38 @@ class TestServeShutdown:
         service = result.service
         # The drain waited for the batch, so it is durable whether or not
         # its handler (a daemon thread) got the ack out before exit.
-        assert service.graph_version == 2
-        assert acked in ([2], []), output
+        assert service.graph_version == quick_batches + 1
+        assert acked in ([quick_batches + 1], []), output
         # Whole batches only: a checkpoint cut mid-batch would hold a
         # prefix of the slow one (and vectors repaired for that prefix).
-        assert service.graph.num_edges == edges_before + len(first) + len(slow)
-        assert not list((store / "checkpoints").glob("*.tmp"))
+        assert service.graph.num_edges == (
+            edges_before + quick_batches * len(first) + len(slow)
+        )
+        assert not list(store.rglob("*.tmp"))
         entry = service.cache.entries()[-1]
         assert check_invariant(entry.state, service.graph, service.config.alpha)
+        return result, output
+
+    def test_sigterm_during_a_slow_ingest_checkpoints_the_acked_version(
+        self, tmp_path
+    ):
+        """SIGTERM lands while an ingest is mid-batch on a handler thread.
+        The shutdown checkpoint must queue behind it on the gateway lock —
+        not snapshot half a batch, and not race the ingest's own
+        checkpoint for the one tmp name — so the process exits 0 and the
+        store recovers to exactly the acknowledged version. (One
+        acknowledged batch first: the drain only checkpoints a store that
+        has something new to checkpoint.)"""
+        result, output = self._sigterm_mid_ingest(tmp_path, quick_batches=1)
+        assert "store:    checkpointed at v2" in output
+        assert (result.checkpoint_version, result.replayed_batches) == (2, 0)
+
+    def test_sigterm_while_the_checkpoint_writer_is_mid_file(self, tmp_path):
+        """The slow batch is the interval's tenth, so finishing it hands a
+        checkpoint to the writer thread just as the drain runs. Whether
+        the drain saw nine dirty batches and queued its own checkpoint
+        behind the ingest (it then joins the writer and re-captures v10
+        under the same name) or found nothing left to do, it must join
+        that writer, never race it: the file is whole at exit."""
+        result, _ = self._sigterm_mid_ingest(tmp_path, quick_batches=9)
+        assert (result.checkpoint_version, result.replayed_batches) == (10, 0)

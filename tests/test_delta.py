@@ -199,6 +199,31 @@ def test_consolidated_resets_overlay():
     assert_csr_equal(fresh.base, CSRGraph.from_digraph(g))
 
 
+def test_kernel_arrays_derive_from_the_predecessor_and_stay_bounded():
+    """A view whose predecessor built its kernel layout derives its own
+    at apply time (no from-scratch rebuild on the next compiled read),
+    and an overlay that never consolidates — one edge toggled forever —
+    cannot grow the buffer: dead rows are compacted away."""
+    g = small_graph()
+    view = DeltaCSRGraph.wrap(CSRGraph.from_digraph(g))
+    assert apply_and_advance(g, view, insertions([(3, 2)]))._kernel is None
+    view.kernel_arrays()  # what the first compiled read does
+    derived = 0
+    for step in range(40):
+        batch = insertions([(2, 1)]) if step % 2 == 0 else deletions([(2, 1)])
+        view = apply_and_advance(g, view, batch)
+        derived += view._kernel is not None
+        arrays = view.kernel_arrays()
+        start, count = arrays["row_start"][1], arrays["row_count"][1]
+        assert arrays["row_overlay"][1] == 1
+        assert arrays["overlay_indices"][start : start + count].tolist() == (
+            g.in_row(1).tolist()
+        )
+        assert arrays["overlay_live"] == view.overlay_entries <= 4
+        assert len(arrays["overlay_indices"]) <= 2 * arrays["overlay_live"]
+    assert 10 <= derived < 40  # derived most steps, rebuilt compactly on some
+
+
 def test_memory_bytes_counts_overlay():
     g = small_graph()
     view = DeltaCSRGraph.wrap(CSRGraph.from_digraph(g))

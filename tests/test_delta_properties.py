@@ -12,7 +12,11 @@ The laws the ingest hot path rests on (see ``docs/performance.md``):
    full ``snapshot()`` rebuild at every slide;
 3. a :class:`~repro.serve.PPRService` advancing its delta lineage
    answers every ``certified_top_k`` query **bit-identically** to one
-   handed a fresh ``CSRGraph.from_digraph`` view every batch.
+   handed a fresh ``CSRGraph.from_digraph`` view every batch;
+4. the compiled kernel's row layout, derived batch by batch from the
+   predecessor view's, resolves every row to the same sequence as the
+   from-scratch build — so compiled pushes over it stay bit-identical —
+   and its dead space stays bounded by the live overlay.
 """
 
 from __future__ import annotations
@@ -134,3 +138,62 @@ def test_served_answers_bit_identical_to_rebuilt_views(batches, data):
 
     # Identical float bits, not just identical rankings.
     assert serve(ingest_from_rebuild) == serve(PPRService.ingest)
+
+
+def _scratch_kernel_arrays(view: DeltaCSRGraph) -> dict:
+    """The layout an identical view with no predecessor builds."""
+    twin = DeltaCSRGraph(
+        view.base, view.dout, view._rows, view._patched, view.num_edges
+    )
+    return twin.kernel_arrays()
+
+
+def _resolved_rows(arrays: dict) -> list[list[int]]:
+    rows = []
+    for v in range(arrays["num_rows"]):
+        source = arrays["overlay_indices" if arrays["row_overlay"][v] else "base_indices"]
+        start = int(arrays["row_start"][v])
+        rows.append(source[start : start + int(arrays["row_count"][v])].tolist())
+    return rows
+
+
+@given(applied_update_batches(max_batches=12, max_batch=6), st.integers(0, 3))
+@settings(max_examples=40, deadline=None)
+def test_incremental_kernel_arrays_equal_the_from_scratch_build(batches, warm_at):
+    from repro import kernels
+    from repro.config import KernelConfig, KernelMode
+    from repro.core.push_parallel import parallel_local_push
+    from repro.core.state import PPRState
+
+    compiled = kernels.load_library()[0] is not None
+    config = PPRConfig(
+        backend=Backend.NUMPY,
+        epsilon=1e-3,
+        workers=4,
+        kernel=KernelConfig(mode=KernelMode.COMPILED) if compiled else None,
+    )
+    graph = DynamicDiGraph([(0, 1), (1, 2), (2, 0), (3, 0)])
+    view = DeltaCSRGraph.wrap(CSRGraph.from_digraph(graph))
+    for step, batch in enumerate(batches):
+        if step == warm_at:
+            view.kernel_arrays()  # from here on successors derive theirs
+        for update in batch:
+            graph.apply(update)
+        view = view.apply_updates(graph, batch)
+        if view._kernel is None:
+            continue  # no predecessor arrays, or dead space outweighed live
+        arrays, scratch = view.kernel_arrays(), _scratch_kernel_arrays(view)
+        assert arrays["num_rows"] == scratch["num_rows"] == graph.capacity
+        assert _resolved_rows(arrays) == _resolved_rows(scratch)
+        assert np.array_equal(arrays["dout"], scratch["dout"])
+        assert arrays["overlay_live"] == len(scratch["overlay_indices"])
+        assert len(arrays["overlay_indices"]) <= 2 * arrays["overlay_live"]
+        if compiled:
+            twin = DeltaCSRGraph(
+                view.base, view.dout, view._rows, view._patched, view.num_edges
+            )
+            a, b = PPRState.initial(0, graph.capacity), PPRState.initial(0, graph.capacity)
+            parallel_local_push(a, graph, config, seeds=[0], csr=view)
+            parallel_local_push(b, graph, config, seeds=[0], csr=twin)
+            assert np.array_equal(a.p.view(np.uint64), b.p.view(np.uint64))
+            assert np.array_equal(a.r.view(np.uint64), b.r.view(np.uint64))

@@ -282,14 +282,25 @@ class TestMetricsEndpoint:
         )
         http.query({"op": "top_k", "source": 0, "k": 3})
         http.ingest([[0, 1], [5, 0]])
+        service.store.wait()  # the batch's checkpoint is written off the ack path
         stats = http.stats()["stats"]
         assert stats["checkpoints_written"] == 2  # baseline + the batch's
         assert stats["checkpoint_bytes_last"] > 0 and stats["checkpoint_ms_last"] > 0
+        assert stats["checkpoint_write_ms_last"] > 0
+        assert stats["checkpoint_in_flight"] == 0
+        assert (stats["graph_base_version"], stats["graph_replay_batches"]) == (0, 1)
         assert stats["residual_restored_last"] > 0
         samples = scrape(server)
         assert samples["repro_checkpoints_written_total"] == 2
         assert samples["repro_checkpoint_bytes_last"] == stats["checkpoint_bytes_last"]
         assert samples["repro_checkpoint_ms_last"] == stats["checkpoint_ms_last"]
+        for gauge in (
+            "checkpoint_write_ms_last",
+            "checkpoint_in_flight",
+            "graph_base_version",
+            "graph_replay_batches",
+        ):
+            assert samples[f"repro_{gauge}"] == stats[gauge]
         assert samples["repro_residual_restored_last"] == stats["residual_restored_last"]
         assert samples["repro_residual_restored_total"] == stats["residual_restored"]
 

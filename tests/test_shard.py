@@ -251,6 +251,45 @@ class TestDurabilityAndRecovery:
                     single.api.top_k(source, k=4),
                 )
 
+    def test_shard_checkpoints_sit_on_a_slice_base_and_the_log(self, tmp_path):
+        """Per-shard stores persist like the single-process one: the slice
+        is dumped once, checkpoint rounds write residents only, and
+        recovery rebuilds the slice from base + log — registrations of
+        never-seen ids (broadcast, not WAL'd) included."""
+        import numpy as np
+
+        from repro.shard import partitioner_from_manifest
+        from repro.shard.manifest import recover_shard, shard_store_root
+
+        batches = [[(5, 0)], [(6, 1)], [(0, 3)], [(7, 5)], [(8, 2)]]
+        with self.make_fleet(tmp_path) as fleet:
+            for batch in batches[:3]:
+                assert fleet.api.ingest(batch).ok
+            assert fleet.api.top_k(11, k=3).ok  # registers id 11 everywhere
+            for batch in batches[3:]:
+                assert fleet.api.ingest(batch).ok
+        oracle = fresh_service()
+        for batch in batches[:3]:
+            oracle.ingest(insertions(batch))
+        oracle.query(11, 3)
+        for batch in batches[3:]:
+            oracle.ingest(insertions(batch))
+        partitioner = partitioner_from_manifest(read_manifest(str(tmp_path)).partitioner)
+        for shard in range(2):
+            root = shard_store_root(tmp_path, shard)
+            assert [p.name for p in (root / "graph").iterdir()] == [
+                "graph-000000000000.npz"
+            ]
+            result = recover_shard(root, partitioner=partitioner, attach=False)
+            assert (result.checkpoint_version, result.base_version) == (4, 0)
+            assert (result.graph_batches, result.replayed_batches) == (4, 1)
+            expected = ShardGraph.from_full_arrays(
+                oracle.graph.to_arrays(), partitioner, shard
+            ).to_arrays()
+            rebuilt = result.service.graph.to_arrays()
+            for key in ("present", "dout", "din", "in_edges"):
+                assert np.array_equal(rebuilt[key], expected[key]), key
+
     def test_cold_start_recovers_the_whole_fleet(self, tmp_path):
         with self.make_fleet(tmp_path) as fleet:
             for edge in [(5, 0), (6, 1), (0, 3)]:

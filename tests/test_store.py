@@ -27,13 +27,15 @@ from repro import (
 from repro.graph.generators import erdos_renyi_graph
 from repro.graph.update import EdgeOp, EdgeUpdate
 from repro.store.checkpoint import (
+    checkpoint_version as checkpoint_version_of,
     latest_checkpoint,
     list_checkpoints,
+    list_graph_bases,
     read_checkpoint,
     restore_service,
-    write_checkpoint,
 )
 from repro.store.recovery import recover
+from tests.conftest import self_contained_checkpoint
 from repro.store.wal import (
     WriteAheadLog,
     decode_updates,
@@ -156,6 +158,48 @@ class TestWriteAheadLog:
         wal.drop_segments_covered_by(2)
         assert [r.seq for r in wal.iter_records()] == [3]
 
+    def test_maintenance_decides_by_segment_name_and_decodes_nothing(
+        self, tmp_path, monkeypatch
+    ):
+        """Retention is O(#segments): a closed segment's seq range is in the
+        file names. Regression: it used to decode every retained record."""
+        from repro.store import wal as wal_module
+
+        wal = WriteAheadLog(tmp_path)
+        seq = 0
+        for _ in range(50):  # 50 closed segments of 3 records: [1..3], [4..6], ...
+            for _ in range(3):
+                seq += 1
+                wal.append(seq, _batch((seq % 7, (seq + 1) % 7)))
+            wal.rotate()
+        wal.append(seq + 1, _batch((0, 1)))  # the open segment
+        decoded = []
+        real = wal_module.decode_updates
+        monkeypatch.setattr(
+            wal_module,
+            "decode_updates",
+            lambda payload: decoded.append(len(payload)) or real(payload),
+        )
+        # v100 falls inside [100..102]: that segment straddles and is kept.
+        dropped = wal.drop_segments_covered_by(100)
+        assert decoded == []
+        assert len(dropped) == 33
+        assert wal.segments()[0].name == "wal-0000000000000100.log"
+        assert wal.bytes_after(147) == sum(
+            p.stat().st_size for p in wal.segments()[-2:]
+        )
+        assert decoded == []
+        # Replay skips whole segments by name too: only [148..150] and the
+        # open segment are read for a tail past v149.
+        assert [r.seq for r in wal.iter_records(after_seq=149)] == [150, 151]
+        assert len(decoded) == 4
+        # The open segment is never dropped, whatever the version.
+        wal.drop_segments_covered_by(10**9)
+        assert [p.name for p in wal.segments()] == ["wal-0000000000000151.log"]
+        wal.close()
+        # A fresh handle cannot bound a newest segment it did not write.
+        assert WriteAheadLog(tmp_path).drop_segments_covered_by(10**9) == []
+
     def test_fsync_policies_accepted(self, tmp_path):
         for policy in FsyncPolicy:
             directory = tmp_path / policy.value
@@ -175,7 +219,7 @@ class TestCheckpoint:
         service = _service()
         service.query_many([0, 1, 2])
         service.ingest(insertions([(0, 5), (5, 9)]))
-        path = write_checkpoint(tmp_path, service)
+        path = self_contained_checkpoint(tmp_path, service)
         restored = restore_service(read_checkpoint(path))
         assert restored.graph_version == service.graph_version
         assert restored.graph == service.graph
@@ -194,7 +238,7 @@ class TestCheckpoint:
 
         service = _service()
         service.ingest(insertions([(3, 7)]))
-        path = write_checkpoint(tmp_path, service)
+        path = self_contained_checkpoint(tmp_path, service)
         restored = restore_service(read_checkpoint(path))
         a = CSRGraph.from_digraph(service.graph)
         b = CSRGraph.from_digraph(restored.graph)
@@ -204,7 +248,7 @@ class TestCheckpoint:
 
     def test_config_survives(self, tmp_path):
         service = _service()
-        path = write_checkpoint(tmp_path, service)
+        path = self_contained_checkpoint(tmp_path, service)
         checkpoint = read_checkpoint(path)
         assert checkpoint.config == NUMPY_CONFIG
         assert checkpoint.serve.cache_capacity == 16
@@ -222,12 +266,29 @@ class TestCheckpoint:
 
     def test_latest_falls_back_past_damage(self, tmp_path):
         service = _service()
-        write_checkpoint(tmp_path, service)
+        self_contained_checkpoint(tmp_path, service)
         service.ingest(insertions([(1, 4)]))
-        newest = write_checkpoint(tmp_path, service)
+        newest = self_contained_checkpoint(tmp_path, service)
         newest.write_bytes(b"garbage")
-        checkpoint = latest_checkpoint(tmp_path)
+        checkpoint = latest_checkpoint(tmp_path / "checkpoints")
         assert checkpoint.version == 0
+
+    def test_latest_falls_back_past_a_damaged_or_missing_base(self, tmp_path):
+        """A checkpoint without its graph base restores nothing: the
+        fallback takes the older checkpoint *and its older base*."""
+        service = _service()
+        self_contained_checkpoint(tmp_path, service)
+        service.ingest(insertions([(1, 4)]))
+        self_contained_checkpoint(tmp_path, service)
+        old_base, new_base = list_graph_bases(tmp_path / "graph")
+        new_base.write_bytes(new_base.read_bytes()[:100])
+        checkpoint = latest_checkpoint(tmp_path / "checkpoints")
+        assert (checkpoint.version, checkpoint.base_version) == (0, 0)
+        new_base.unlink()
+        assert latest_checkpoint(tmp_path / "checkpoints").version == 0
+        old_base.unlink()
+        with pytest.raises(StoreError, match="all candidates damaged"):
+            latest_checkpoint(tmp_path / "checkpoints")
 
     def test_latest_none_for_empty_dir(self, tmp_path):
         assert latest_checkpoint(tmp_path) is None
@@ -249,12 +310,18 @@ class TestStateStore:
         rng = np.random.default_rng(0)
         for batch in _random_batches(rng, 5):
             service.ingest(batch)
+        store.wait()
         status = store.status()
-        # v0 baseline pruned down to retain_checkpoints=2: v2 and v4 remain.
+        # v0 baseline pruned down to retain_checkpoints=2: v2 and v4 remain,
+        # both sitting on the one graph base written at attach.
         assert [c.version for c in status.checkpoints] == [2, 4]
-        # WAL holds only the tail past the newest checkpoint.
+        assert [c.base_version for c in status.checkpoints] == [0, 0]
+        assert status.bases == (0,)
+        # Only the tail past the newest checkpoint replays through ingest;
+        # the log itself is kept back to the base: it *is* the graph delta.
         assert status.replay_batches == 1
-        assert status.wal_records == 1
+        assert status.graph_replay_batches == 4
+        assert status.wal_records == 5
 
     def test_retention_prunes_old_checkpoints(self, tmp_path):
         service = _service()
@@ -268,6 +335,7 @@ class TestStateStore:
         rng = np.random.default_rng(1)
         for batch in _random_batches(rng, 6):
             service.ingest(batch)
+        store.wait()
         versions = [c.version for c in store.status().checkpoints]
         assert len(versions) == 3
         assert versions == sorted(versions)
@@ -278,7 +346,8 @@ class TestStateStore:
     ):
         """Power-loss ordering: the rename in ``checkpoints/`` must be on
         disk before any unlink in ``wal/`` — else the unlinks can outlive
-        the name of the checkpoint that made them safe."""
+        the name of the checkpoint that made them safe. The WAL rotates on
+        the ack path, before the writer thread touches a file."""
         import os
 
         from repro.store import checkpoint as checkpoint_module
@@ -319,8 +388,12 @@ class TestStateStore:
         for name in ("rotate", "drop_segments_covered_by"):
             monkeypatch.setattr(WriteAheadLog, name, recording(name))
         store.checkpoint(service)
-        assert events[:4] == ["fsync file", "rename", "fsync checkpoints/", "rotate"]
-        assert "drop_segments_covered_by" in events[4:]
+        store.wait()
+        # rotate() closes (and fsyncs) the open segment; then the tmp file.
+        assert events[:5] == [
+            "rotate", "fsync file", "fsync file", "rename", "fsync checkpoints/"
+        ]
+        assert "drop_segments_covered_by" in events[5:]
 
     def test_opening_a_store_sweeps_crashed_checkpoint_tmps(self, tmp_path):
         service = _service()
@@ -346,15 +419,153 @@ class TestStateStore:
         service.attach_store(store)
         service.query_many([0, 1])
         service.ingest(insertions([(0, 7), (3, 9)]))
+        assert service.metrics().to_dict()["checkpoint_ms_last"] > 0  # the ack stall
+        store.wait()
         stats = service.metrics().to_dict()
         newest = store.status().checkpoints[-1]
         assert stats["checkpoints_written"] == 2
         assert stats["checkpoint_bytes_last"] == newest.size_bytes
-        assert stats["checkpoint_ms_last"] > 0
+        assert stats["checkpoint_write_ms_last"] > 0
+        assert stats["checkpoint_in_flight"] == 0
+        assert (stats["graph_base_version"], stats["graph_replay_batches"]) == (0, 1)
         # Σ|Δ| of the batch over residents and hub vectors (Lemma 3's
         # quantity): the last batch is also the lifetime total here.
         assert stats["residual_restored_last"] > 0
         assert stats["residual_restored"] == stats["residual_restored_last"]
+
+    def test_next_ingest_returns_with_the_previous_checkpoint_durable(
+        self, tmp_path
+    ):
+        """The join contract: the checkpoint batch N triggered is written
+        off the ack path, and is on disk — compaction included — by the
+        time batch N+1 is acknowledged."""
+        service = _service()
+        store = StateStore(
+            tmp_path,
+            StoreConfig(
+                root=str(tmp_path), checkpoint_interval=2, retain_checkpoints=1
+            ),
+        )
+        service.attach_store(store)
+        rng = np.random.default_rng(5)
+        # Two batches outgrow a quarter of this small graph's base, so the
+        # checkpoint at v2 also starts a new base and frees the log.
+        big = [_batch(*map(tuple, rng.integers(0, 50, size=(80, 2)).tolist()))] * 2
+        for batch in big:
+            service.ingest(batch)
+        service.ingest(_batch((0, 1)))
+        assert not store.checkpoint_in_flight and store.dirty == 1
+        assert [p.name for p in list_checkpoints(store.checkpoint_dir)] == [
+            "checkpoint-000000000002.npz"
+        ]
+        assert [p.name for p in list_graph_bases(store.graph_dir)] == [
+            "graph-000000000002.npz"
+        ]
+        assert [p.name for p in store.wal.segments()] == ["wal-0000000000000003.log"]
+        store.close()
+        recovered = recover(tmp_path, attach=False)
+        assert (recovered.base_version, recovered.graph_batches) == (2, 0)
+        assert recovered.service.graph == service.graph
+
+    def test_checkpoint_bytes_do_not_grow_with_the_edge_count(self, tmp_path):
+        """Graph bytes are written once per base; what every interval
+        writes is the residents. Doubling the graph (a disjoint copy: same
+        residents, same batches) leaves the checkpoint within 10 %."""
+        rng = np.random.default_rng(9)
+        edges = erdos_renyi_graph(200, 1600, rng=rng).tolist()
+        sizes = {}
+        for copies in (1, 2):
+            graph = DynamicDiGraph(
+                (u + 200 * c, v + 200 * c) for c in range(copies) for u, v in edges
+            )
+            service = PPRService(graph, NUMPY_CONFIG, ServeConfig(cache_capacity=16))
+            service.query_many(range(8))
+            root = tmp_path / f"x{copies}"
+            store = StateStore(root, StoreConfig(root=str(root), checkpoint_interval=2))
+            service.attach_store(store)
+            for i in range(6):
+                service.ingest(_batch((i, i + 20), (i + 1, i + 40)))
+            store.close()
+            checkpoints = list_checkpoints(store.checkpoint_dir)
+            bases = list_graph_bases(store.graph_dir)
+            assert [p.name for p in bases] == ["graph-000000000000.npz"]
+            sizes[copies] = (checkpoints[-1].stat().st_size, bases[0].stat().st_size)
+        (state_1, graph_1), (state_2, graph_2) = sizes[1], sizes[2]
+        assert abs(state_2 - state_1) <= 0.10 * state_1
+        assert graph_2 > 1.8 * graph_1
+
+    def test_writer_failure_fences_the_store_at_the_join(self, tmp_path):
+        from repro import chaos
+        from repro.chaos import Fault, FaultKind, FaultPlan
+
+        service = _service()
+        store = StateStore(
+            tmp_path, StoreConfig(root=str(tmp_path), checkpoint_interval=1)
+        )
+        service.attach_store(store)
+        chaos.install(
+            FaultPlan(faults=(Fault("checkpoint.write", FaultKind.ERROR, at=1),))
+        )
+        try:
+            service.ingest(insertions([(0, 7)]))  # acknowledged: the WAL has it
+            with pytest.raises(StoreError, match="checkpoint write failed"):
+                service.ingest(insertions([(1, 8)]))  # surfaces at the join
+        finally:
+            chaos.reset()
+        assert store.failed
+        with pytest.raises(StoreError, match="fenced"):
+            service.ingest(insertions([(2, 9)]))
+        store.close()  # already surfaced: closing does not raise it again
+        assert recover_service(tmp_path, attach=False).graph_version == 1
+
+    def test_close_joins_the_writer_and_raises_an_unseen_failure(self, tmp_path):
+        import threading
+
+        from repro import chaos
+        from repro.chaos import Fault, FaultKind, FaultPlan
+
+        service = _service()
+        store = StateStore(tmp_path, StoreConfig(root=str(tmp_path)))
+        service.attach_store(store)
+        store.checkpoint(service)
+        store.close()
+        assert not store.checkpoint_in_flight
+        assert not [
+            t for t in threading.enumerate() if t.name.startswith("checkpoint-writer")
+        ]
+        chaos.install(
+            FaultPlan(faults=(Fault("checkpoint.rename", FaultKind.ERROR, at=1),))
+        )
+        try:
+            store.checkpoint(service)
+            with pytest.raises(StoreError, match="checkpoint write failed"):
+                store.close()
+        finally:
+            chaos.reset()
+
+    def test_query_time_vertex_registrations_survive_recovery(self, tmp_path):
+        """A never-seen id queried as a source grows the graph with no WAL
+        record; checkpoints that sit on an older base carry it."""
+        reference, persisted = _service(), _service()
+        store = StateStore(
+            tmp_path, StoreConfig(root=str(tmp_path), checkpoint_interval=2)
+        )
+        persisted.attach_store(store)
+        for service in (reference, persisted):
+            service.ingest(insertions([(0, 7)]))
+            service.query(60, 5)  # id 60 is new: capacity grows to 61
+            service.ingest(insertions([(3, 9)]))  # checkpoint at v2
+            service.ingest(insertions([(60, 4)]))
+        store.close()
+        result = recover(tmp_path, attach=True)
+        recovered = result.service
+        assert (result.base_version, result.graph_batches) == (0, 2)
+        assert recovered.store.registered == [(1, 60)]
+        assert recovered.graph.capacity == reference.graph.capacity == 61
+        assert list(recovered.graph.vertices()) == list(reference.graph.vertices())
+        for s in (0, 60):
+            assert recovered.query(s, 10).entries == reference.query(s, 10).entries
+        recovered.store.close()
 
     def test_serve_config_auto_attaches_store(self, tmp_path):
         root = tmp_path / "auto"
@@ -535,10 +746,13 @@ class TestCrashRecovery:
             reference.ingest(batch)
             try:
                 persisted.ingest(batch)
-            except OSError:
+                store.wait()  # the writer's failure surfaces at the join
+            except StoreError as exc:
+                assert isinstance(exc.__cause__, OSError)
                 died_at = persisted.graph_version
                 break  # the process is gone: no close(), no cleanup
         assert died_at == 6
+        assert store.failed
         chaos.reset()
         torn = [p.name for p in (tmp_path / "checkpoints").glob("*.tmp")]
         assert torn == ["checkpoint-000000000006.npz.tmp"]
@@ -563,3 +777,167 @@ class TestCrashRecovery:
         _, version = self._twin_runs(tmp_path)
         recovered = recover_service(tmp_path, config=NUMPY_CONFIG, attach=False)
         assert recovered.graph_version == version
+
+
+# ---------------------------------------------------------------------- #
+# crash points of the off-path checkpoint and the graph base
+# ---------------------------------------------------------------------- #
+
+
+@pytest.fixture(params=["compiled", "numpy"])
+def kernel(request, monkeypatch):
+    """Both push kernels; the recovered service selects from the env too."""
+    from repro import kernels
+
+    if request.param == "compiled" and kernels.load_library()[0] is None:
+        pytest.skip("no C compiler on this host")
+    monkeypatch.setenv("REPRO_KERNEL", request.param)
+    yield request.param
+    kernels.reset()
+
+
+class TestCrashPoints:
+    """Recovered = acknowledged, bit-identical to an uninterrupted twin, at
+    every window the writer thread and the graph base opened.
+
+    Interval 3, batches of 60 inserts over a 250-edge graph: the log
+    outgrows a quarter of the base by v3 and again by v9, so the cadence
+    is v3 (new base), v6 (on base v3), v9 (new base) and the writer's
+    ``checkpoint.rename`` visits are graph-3, checkpoint-3, checkpoint-6,
+    graph-9, checkpoint-9. A fault of kind ERROR kills the writer where a
+    CRASH would kill the process; the store is then abandoned unclosed.
+    """
+
+    SOURCES = [0, 1, 2, 3]
+
+    def _run(self, tmp_path, fault=None, batches=10):
+        from repro import chaos
+        from repro.chaos import Fault, FaultKind, FaultPlan
+
+        reference, persisted = _service(), _service()
+        reference.query_many(self.SOURCES)
+        persisted.query_many(self.SOURCES)
+        store = StateStore(
+            tmp_path, StoreConfig(root=str(tmp_path), checkpoint_interval=3)
+        )
+        persisted.attach_store(store)  # baseline before the plan is armed
+        if fault is not None:
+            site, at = fault
+            chaos.install(FaultPlan(faults=(Fault(site, FaultKind.ERROR, at=at),)))
+        rng = np.random.default_rng(21)
+        for _ in range(batches):
+            pairs = rng.integers(0, 50, size=(60, 2)).tolist()
+            batch = insertions((a, b) for a, b in pairs if a != b)
+            reference.ingest(batch)
+            persisted.ingest(batch)  # acknowledged
+            try:
+                store.wait()
+            except StoreError:
+                break  # the process died in the writer, after this ack
+        chaos.reset()
+        return reference, persisted, store
+
+    def _assert_recovers(self, tmp_path, reference, **expect):
+        result = recover(tmp_path, attach=False)
+        for name, value in expect.items():
+            assert getattr(result, name) == value, name
+        recovered = result.service
+        assert recovered.graph_version == reference.graph_version
+        assert recovered.graph.to_arrays().keys() == reference.graph.to_arrays().keys()
+        for key, value in reference.graph.to_arrays().items():
+            assert np.array_equal(recovered.graph.to_arrays()[key], value)
+        for s in self.SOURCES:
+            assert recovered.query(s, 10).entries == reference.query(s, 10).entries
+        return result
+
+    def test_uninterrupted_cadence_is_as_documented(self, tmp_path, kernel):
+        reference, _, store = self._run(tmp_path)
+        store.close()
+        status = store.status()
+        assert [(c.version, c.base_version) for c in status.checkpoints] == [
+            (6, 3), (9, 9),
+        ]
+        assert status.bases == (3, 9)  # graph bytes: once per base
+        self._assert_recovers(
+            tmp_path, reference,
+            checkpoint_version=9, base_version=9, graph_batches=0, replayed_batches=1,
+        )
+
+    def test_crash_after_the_ack_before_the_writer_wrote_anything(
+        self, tmp_path, kernel
+    ):
+        reference, persisted, store = self._run(tmp_path, ("checkpoint.write", 2))
+        assert persisted.graph_version == 6 and store.failed
+        assert not list(tmp_path.rglob("*.tmp"))
+        self._assert_recovers(
+            tmp_path, reference,
+            checkpoint_version=3, base_version=3, graph_batches=0, replayed_batches=3,
+        )
+
+    def test_crash_at_the_checkpoint_rename(self, tmp_path, kernel):
+        reference, persisted, _ = self._run(tmp_path, ("checkpoint.rename", 3))
+        assert persisted.graph_version == 6
+        assert [p.name for p in tmp_path.rglob("*.tmp")] == [
+            "checkpoint-000000000006.npz.tmp"
+        ]
+        self._assert_recovers(
+            tmp_path, reference,
+            checkpoint_version=3, base_version=3, graph_batches=0, replayed_batches=3,
+        )
+
+    def test_crash_after_the_rename_before_compaction(self, tmp_path, kernel):
+        reference, persisted, store = self._run(tmp_path, ("checkpoint.compact", 3))
+        assert persisted.graph_version == 9
+        # Durable but uncompacted: nothing was pruned or unlinked yet.
+        assert [checkpoint_version_of(p) for p in list_checkpoints(store.checkpoint_dir)] == [3, 6, 9]
+        assert len(list_graph_bases(store.graph_dir)) == 2
+        assert store.wal.segments()[0].name == "wal-0000000000000004.log"
+        self._assert_recovers(
+            tmp_path, reference,
+            checkpoint_version=9, base_version=9, graph_batches=0, replayed_batches=0,
+        )
+
+    @pytest.mark.parametrize(
+        "visit, leftover",
+        [
+            (4, "graph-000000000009.npz.tmp"),  # the new base never got its name
+            (5, "checkpoint-000000000009.npz.tmp"),  # it did; nothing names it yet
+        ],
+    )
+    def test_crash_mid_rebase(self, tmp_path, kernel, visit, leftover):
+        reference, persisted, store = self._run(
+            tmp_path, ("checkpoint.rename", visit)
+        )
+        assert persisted.graph_version == 9
+        assert [p.name for p in tmp_path.rglob("*.tmp")] == [leftover]
+        # The old base is still there, named by both retained checkpoints.
+        assert [c.base_version for c in store.status().checkpoints] == [3, 3]
+        result = self._assert_recovers(
+            tmp_path, reference,
+            checkpoint_version=6, base_version=3, graph_batches=3, replayed_batches=3,
+        )
+        assert "graph base v3 + 3 batches" in result.describe()
+        # The next owner sweeps the tmp and keeps sitting on the proven
+        # base; an unnamed newer base goes at its first compaction.
+        service = recover(tmp_path, attach=True).service
+        assert not list(tmp_path.rglob("*.tmp"))
+        assert service.store.base_version == 3
+        service.store.checkpoint(service)
+        service.store.close()
+        assert 3 in service.store.status().bases
+        self._assert_recovers(tmp_path, reference, checkpoint_version=9)
+
+    @pytest.mark.parametrize("damage", ["checkpoint", "base"])
+    def test_damaged_newest_falls_back_to_the_older_checkpoint_and_its_base(
+        self, tmp_path, kernel, damage
+    ):
+        reference, _, store = self._run(tmp_path)
+        store.close()
+        directory = store.checkpoint_dir if damage == "checkpoint" else store.graph_dir
+        newest = sorted(directory.glob("*.npz"))[-1]
+        newest.write_bytes(newest.read_bytes()[: newest.stat().st_size // 2])
+        # The log was kept back to the older base for exactly this.
+        self._assert_recovers(
+            tmp_path, reference,
+            checkpoint_version=6, base_version=3, graph_batches=3, replayed_batches=4,
+        )

@@ -15,15 +15,24 @@ Round-trip laws the store's crash-recovery guarantee rests on:
    iteration order — hence CSR layout — preserved exactly, and the
    vectorised dump is array-equal to the tuple-building one it replaced;
 5. a full checkpoint of a service rebuilt from random update batches
-   restores states that replay to bit-identical answers.
+   restores states that replay to bit-identical answers;
+6. a persisted service driven by any interleaving of ingests, queries
+   (never-seen ids included), checkpoints, rebases and crashes at every
+   window of the checkpoint writer recovers to its acknowledged version
+   with graph and certified answers bit-identical (a state machine).
 """
 
 from __future__ import annotations
+
+import shutil
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.stateful import RuleBasedStateMachine, invariant, rule
 
 from repro import DynamicDiGraph, PPRState
 from repro.core.state import decode_states, encode_states
@@ -36,6 +45,7 @@ from repro.store.wal import (
     encode_updates,
     scan_segment,
 )
+from tests.conftest import self_contained_checkpoint
 
 N_VERTICES = 12
 
@@ -215,11 +225,10 @@ def test_checkpoint_file_roundtrip_bit_exact(
         checkpoint_summary,
         read_checkpoint,
         restore_service,
-        write_checkpoint,
     )
 
     service = _salted_service(hubs, residents, salt, pending)
-    path = write_checkpoint(tmp_path_factory.mktemp("ckpt"), service)
+    path = self_contained_checkpoint(tmp_path_factory.mktemp("ckpt"), service)
     restored = restore_service(read_checkpoint(path))
 
     assert restored.graph_version == service.graph_version
@@ -249,10 +258,10 @@ def test_checkpoint_file_roundtrip_bit_exact(
 @given(st.data())
 @settings(max_examples=20, deadline=None)
 def test_truncated_checkpoint_is_refused(tmp_path_factory, data):
-    from repro.store.checkpoint import read_checkpoint, write_checkpoint
+    from repro.store.checkpoint import read_checkpoint
 
     service = _salted_service(True, [0, 3], [-0.0, 5e-324], True)
-    path = write_checkpoint(tmp_path_factory.mktemp("ckpt"), service)
+    path = self_contained_checkpoint(tmp_path_factory.mktemp("ckpt"), service)
     blob = path.read_bytes()
     path.write_bytes(blob[: data.draw(st.integers(0, len(blob) - 1))])
     with pytest.raises(StoreError):
@@ -266,11 +275,10 @@ def test_format_2_checkpoint_is_refused(tmp_path):
         checkpoint_summary,
         latest_checkpoint,
         read_checkpoint,
-        write_checkpoint,
     )
 
     service = _salted_service(False, [0], [], False)
-    current = write_checkpoint(tmp_path, service)
+    current = self_contained_checkpoint(tmp_path, service)
     with np.load(current) as data:
         arrays = {key: data[key] for key in data.files}
     state = service.cache.entries()[0].state
@@ -283,7 +291,7 @@ def test_format_2_checkpoint_is_refused(tmp_path):
         resident_p=state.p,
         resident_r=state.r,
     )
-    old = tmp_path / checkpoint_name(7)
+    old = current.with_name(checkpoint_name(7))
     with open(old, "wb") as fh:
         np.savez_compressed(fh, **arrays)
 
@@ -291,7 +299,34 @@ def test_format_2_checkpoint_is_refused(tmp_path):
         read_checkpoint(old)
     assert checkpoint_summary(old) == {"format": 2}
     # Recovery skips it like any damaged candidate and falls back.
-    assert latest_checkpoint(tmp_path).path == current
+    assert latest_checkpoint(current.parent).path == current
+
+
+def test_format_4_checkpoint_is_refused(tmp_path):
+    """A parent-build file: the graph embedded, no base named."""
+    from repro.store.checkpoint import (
+        checkpoint_name,
+        checkpoint_summary,
+        latest_checkpoint,
+        read_checkpoint,
+    )
+
+    service = _salted_service(False, [0], [], False)
+    current = self_contained_checkpoint(tmp_path, service)
+    with np.load(current) as data:
+        arrays = {key: data[key] for key in data.files}
+    del arrays["base_version"], arrays["registered"], arrays["pending_ref"]
+    for key, value in service.graph.to_arrays().items():
+        arrays[f"graph_{key}"] = value
+    arrays.update(format=np.int64(4))
+    old = current.with_name(checkpoint_name(7))
+    with open(old, "wb") as fh:
+        np.savez(fh, **arrays)
+
+    with pytest.raises(StoreError, match="unsupported checkpoint format 4"):
+        read_checkpoint(old)
+    assert checkpoint_summary(old) == {"format": 4}
+    assert latest_checkpoint(current.parent).path == current
 
 
 def test_format_3_checkpoint_is_refused(tmp_path):
@@ -302,22 +337,21 @@ def test_format_3_checkpoint_is_refused(tmp_path):
         checkpoint_summary,
         latest_checkpoint,
         read_checkpoint,
-        write_checkpoint,
     )
 
     service = _salted_service(False, [0], [], False)
-    current = write_checkpoint(tmp_path, service)
+    current = self_contained_checkpoint(tmp_path, service)
     with np.load(current) as data:
         arrays = {key: data[key] for key in data.files}
     arrays.update(format=np.int64(3))
-    old = tmp_path / checkpoint_name(7)
+    old = current.with_name(checkpoint_name(7))
     with open(old, "wb") as fh:
         np.savez(fh, **arrays)
 
     with pytest.raises(StoreError, match="unsupported checkpoint format 3"):
         read_checkpoint(old)
     assert checkpoint_summary(old) == {"format": 3}
-    assert latest_checkpoint(tmp_path).path == current
+    assert latest_checkpoint(current.parent).path == current
 
 
 # ---------------------------------------------------------------------- #
@@ -385,7 +419,6 @@ def test_checkpointed_service_replays_bit_exact(tmp_path_factory, updates):
     from repro.store.checkpoint import (
         read_checkpoint,
         restore_service,
-        write_checkpoint,
     )
 
     tmp_path = tmp_path_factory.mktemp("ckpt")
@@ -397,7 +430,7 @@ def test_checkpointed_service_replays_bit_exact(tmp_path_factory, updates):
     service.query_many([0, 1])
     if updates[:half]:
         service.ingest(updates[:half])
-    path = write_checkpoint(tmp_path, service)
+    path = self_contained_checkpoint(tmp_path, service)
     restored = restore_service(read_checkpoint(path))
 
     tail = updates[half:]
@@ -406,3 +439,171 @@ def test_checkpointed_service_replays_bit_exact(tmp_path_factory, updates):
         restored.ingest(tail)
     for s in (0, 1):
         assert restored.query(s, 5).entries == service.query(s, 5).entries
+
+
+# ---------------------------------------------------------------------- #
+# 6: the durability loop as a state machine
+# ---------------------------------------------------------------------- #
+
+
+class DurableServiceMachine(RuleBasedStateMachine):
+    """One persisted service; every crash is followed by a recovery that
+    must reproduce it, and the recovered service carries on."""
+
+    #: Where the checkpoint writer can die, by chaos site and visit. Visit
+    #: 2 of ``checkpoint.rename`` exists only when the checkpoint starts a
+    #: new base: the base got its name, the checkpoint naming it did not.
+    CRASH_WINDOWS = [
+        None,
+        ("checkpoint.write", 1),
+        ("checkpoint.rename", 1),
+        ("checkpoint.rename", 2),
+        ("checkpoint.compact", 1),
+    ]
+
+    def __init__(self):
+        super().__init__()
+        from repro import (
+            Backend,
+            PPRConfig,
+            PPRService,
+            ServeConfig,
+            StateStore,
+            StoreConfig,
+        )
+
+        self.root = Path(tempfile.mkdtemp(prefix="repro-store-machine-"))
+        base = [(u, (u + 1) % N_VERTICES) for u in range(N_VERTICES)] + [(0, 5), (5, 0)]
+        self.service = PPRService(
+            DynamicDiGraph(base),
+            PPRConfig(epsilon=1e-4, backend=Backend.NUMPY, workers=4),
+            ServeConfig(cache_capacity=4, num_hubs=2),
+        )
+        self.service.query_many([0, 3])
+        self.store_config = StoreConfig(
+            root=str(self.root), checkpoint_interval=3, retain_checkpoints=2
+        )
+        self.service.attach_store(StateStore(self.root, self.store_config))
+
+    def teardown(self):
+        try:
+            if self.service.store is not None:
+                self.service.store.close()
+        finally:
+            shutil.rmtree(self.root, ignore_errors=True)
+
+    def _valid(self, updates):
+        """Drop deletes of edges that are not live at their position."""
+        live = {(u, v): c for u, v, c in self.service.graph.unique_edges()}
+        kept = []
+        for update in updates:
+            key = (update.u, update.v)
+            if update.op is EdgeOp.DELETE:
+                if live.get(key, 0) < 1:
+                    continue
+                live[key] -= 1
+            else:
+                live[key] = live.get(key, 0) + 1
+            kept.append(update)
+        return kept
+
+    @rule(batch=update_batches)
+    def ingest(self, batch):
+        self.service.ingest(self._valid(batch))
+
+    @rule(source=st.integers(0, N_VERTICES + 3))
+    def query(self, source):
+        """Admit (ids >= N_VERTICES also register a vertex) or serve stale.
+
+        ANY consistency on purpose: a refresh push between a checkpoint
+        and a crash is not in the log, so the recovered state converges
+        along a different — equally certified — path and only agrees
+        within the bounds. Without one, recovery is bit-exact.
+        """
+        self.service.query(source, 5, max_staleness=None)
+
+    @rule()
+    def checkpoint(self):
+        self.service.store.checkpoint(self.service)
+
+    @rule(data=st.data())
+    def rebase(self, data):
+        """Log enough for the next checkpoint to start a new base."""
+        store = self.service.store
+        store.wait()
+        while not store.rebase_due:
+            pairs = data.draw(
+                st.lists(
+                    st.tuples(st.integers(0, N_VERTICES - 1), st.integers(0, N_VERTICES - 1)),
+                    min_size=10,
+                    max_size=10,
+                )
+            )
+            self.service.ingest([EdgeUpdate(u, v, EdgeOp.INSERT) for u, v in pairs])
+            store.wait()
+        before = set(store.status().bases)
+        store.checkpoint(self.service)
+        store.wait()
+        assert set(store.status().bases) - before == {self.service.graph_version}
+
+    @rule(window=st.sampled_from(CRASH_WINDOWS))
+    def crash_and_recover(self, window):
+        from repro import chaos
+        from repro.chaos import Fault, FaultKind, FaultPlan
+        from repro.store.recovery import recover
+
+        survivor = self.service  # what the crash destroys, kept as the oracle
+        store = survivor.detach_store()
+        try:
+            store.wait()
+            if window is not None:
+                site, at = window
+                chaos.install(FaultPlan(faults=(Fault(site, FaultKind.ERROR, at=at),)))
+                store.checkpoint(survivor)
+                store.wait()
+        except StoreError:
+            pass  # the writer died there; the store is abandoned unclosed
+        finally:
+            chaos.reset()
+        store.wal.close()
+
+        result = recover(self.root, store_config=self.store_config)
+        recovered = result.service
+        assert recovered.graph_version == survivor.graph_version
+        assert result.replayed_batches <= 3  # the checkpoint interval
+        ours, theirs = recovered.graph.to_arrays(), survivor.graph.to_arrays()
+        for key in ("out_edges", "in_edges"):
+            assert np.array_equal(ours[key], theirs[key])
+        # Residents as of the last checkpoint; the survivor may since have
+        # evicted some (those it would re-admit from scratch).
+        for entry in recovered.cache.entries():
+            twin = survivor.cache.peek(entry.source)
+            if twin is not None:
+                assert_states_bit_identical(entry.state, twin.state)
+                assert entry.pending_seeds == twin.pending_seeds
+                assert entry.version == twin.version
+                assert (
+                    recovered.query(entry.source, 5, max_staleness=None).entries
+                    == survivor.query(entry.source, 5, max_staleness=None).entries
+                )
+        for hub in survivor.hubs:
+            assert recovered.rank_for_hub(hub, 4) == survivor.rank_for_hub(hub, 4)
+        assert not list(self.root.rglob("*.tmp"))  # the new owner swept them
+        self.service = recovered
+
+    @invariant()
+    def log_reaches_back_to_every_retained_base(self):
+        store = self.service.store
+        store.wait()
+        status = store.status()
+        for info in status.checkpoints:
+            assert info.base_version in status.bases
+        seqs = [r.seq for s in status.segments for r in s.records]
+        oldest = min(c.base_version for c in status.checkpoints)
+        assert set(range(oldest + 1, self.service.graph_version + 1)) <= set(seqs)
+
+
+TestDurableService = DurableServiceMachine.TestCase
+TestDurableService.settings = settings(
+    max_examples=20, stateful_step_count=20, deadline=None
+)
