@@ -12,7 +12,12 @@ Three checks, all cheap enough for every CI leg:
    exactly the graceful-fallback behavior the no-compiler CI job
    asserts;
 3. when ``REPRO_KERNEL_EXPECT`` is set (``compiled`` or ``numpy``), the
-   selected backend must match it — CI pins expectations per leg.
+   selected backend must match it — CI pins expectations per leg;
+4. the dispatch counters the service reports (``/v1/stats``): the cold
+   queries of check 2 cost exactly one C call each under the compiled
+   kernel (one per non-empty phase; a from-scratch push has no NEG
+   frontier) and none under numpy, with ``kernel_fallbacks == 0`` on
+   both legs.
 
 Run from the repository root:  PYTHONPATH=src python scripts/kernel_smoke.py
 CI runs this in both backend legs (.github/workflows/ci.yml).
@@ -63,12 +68,27 @@ def main() -> int:
         selected.config.with_(kernel=KernelConfig(mode=KernelMode.NUMPY)),
     )
     sources = range(8)
-    if answers(selected, sources) != answers(oracle, sources):
+    served = answers(selected, sources)
+    counted = selected.metrics().to_dict()
+    if served != answers(oracle, sources):
         print("certified top-k diverged between selected kernel and numpy",
               file=sys.stderr)
         return 1
     print(f"certified top-k identical across {info['backend']}/numpy"
           f" for {len(sources)} sources")
+
+    expected_calls = len(sources) if info["backend"] == "compiled" else 0
+    calls, fallbacks = counted["kernel_calls"], counted["kernel_fallbacks"]
+    print(f"kernel calls: {calls} for {len(sources)} cold pushes"
+          f" ({counted['push_iterations']} iterations), {fallbacks} fallbacks")
+    if (calls, fallbacks) != (expected_calls, 0):
+        print(f"expected {expected_calls} kernel calls and 0 fallbacks",
+              file=sys.stderr)
+        return 1
+    if oracle.metrics().to_dict()["kernel_calls"] != calls:
+        print("the forced-numpy service reached the compiled kernel",
+              file=sys.stderr)
+        return 1
     print("kernel smoke: OK")
     return 0
 

@@ -41,6 +41,8 @@ from __future__ import annotations
 
 from collections.abc import Iterable, Sequence
 
+import numpy as np
+
 from .. import obs
 from ..config import Backend, Phase, PPRConfig
 from ..errors import ConvergenceError
@@ -239,6 +241,8 @@ def parallel_local_push(
         # either way; see repro.kernels).
         from ..kernels import kernel_phase
 
+        if seeds is not None:  # once for both phases
+            seeds = np.fromiter(seeds, dtype=np.int64)
         snapshot = (
             csr if csr is not None else CSRGraph.from_digraph(graph, min_capacity)
         )

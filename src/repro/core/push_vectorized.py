@@ -108,14 +108,21 @@ def _prepare_seeds(
     epsilon: float,
     seeds: Iterable[int] | None,
 ) -> np.ndarray:
-    if seeds is None:
-        candidates = state.active_vertices(epsilon)
-    else:
-        candidates = np.unique(np.fromiter((int(v) for v in seeds), dtype=np.int64))
-    if candidates.size == 0:
-        return candidates.astype(np.int64)
-    mask = _exceeds(state.r[candidates], phase, epsilon)
-    return candidates[mask].astype(np.int64)
+    """The phase's first frontier: seeds that pass ``pushCond``, ascending.
+
+    Seeds arrive in any order, repeated at will (a resident's pending set
+    holds every vertex touched since its last refresh — thousands, of which
+    a handful pass), so the filter runs before the sort-and-dedup. An array
+    is taken as is: :func:`parallel_local_push` converts once for both
+    phases.
+    """
+    scan = seeds is None
+    if scan:
+        seeds = state.active_vertices(epsilon)  # ascending, distinct
+    elif not isinstance(seeds, np.ndarray):
+        seeds = np.fromiter(seeds, dtype=np.int64)
+    passing = seeds[_exceeds(state.r[seeds], phase, epsilon)]
+    return passing if scan else np.unique(passing)
 
 
 def _propagate_chunk(

@@ -14,6 +14,7 @@ for state vectors (service residents and hub vectors alike).
 
 from __future__ import annotations
 
+import math
 from collections.abc import Sequence
 
 import numpy as np
@@ -80,7 +81,8 @@ class PPRState:
 
     def residual_linf(self) -> float:
         """``max_v |r[v]|`` — the convergence measure of the local push."""
-        return float(np.abs(self.r).max()) if len(self.r) else 0.0
+        # Two reductions over r, not a |r| temporary the size of the vector.
+        return max(0.0, float(self.r.max()), -float(self.r.min()))
 
     def residual_l1(self) -> float:
         """``sum_v |r[v]|`` — the quantity Lemma 4 reasons about."""
@@ -94,13 +96,41 @@ class PPRState:
         return np.flatnonzero(np.abs(self.r) > epsilon)
 
     def top_k(self, k: int) -> list[tuple[int, float]]:
-        """The ``k`` vertices with largest estimates, as ``(id, value)``."""
+        """The ``k`` best vertices as ``(id, value)``: largest estimate
+        first, ties broken by ascending vertex id.
+
+        One deterministic order for every tier and process; on a sparse
+        vector the padding is the lowest-numbered zero-estimate ids. The
+        dense vector is never partitioned (``argpartition`` spent over a
+        millisecond on the ties among its tens of thousands of zeros): the
+        ``k``-th largest of ~sqrt(n/k) strided groups' maxima (one
+        vectorised pass) bounds the vector's own ``k``-th largest from
+        below, so everything strictly above that bound either holds
+        the whole answer or — when fewer than ``k`` values clear it — the
+        bound *is* the ``k``-th largest value and its lowest-id ties fill
+        the rest.
+        """
         if k < 1:
             raise ConfigError(f"k must be >= 1, got {k}")
-        k = min(k, len(self.p))
-        idx = np.argpartition(self.p, -k)[-k:]
-        idx = idx[np.argsort(self.p[idx])[::-1]]
-        return [(int(v), float(self.p[v])) for v in idx]
+        p = self.p
+        k = min(k, len(p))
+        size = math.isqrt(len(p) // k)
+        groups = len(p) // size
+        maxima = p[: size * groups].reshape(size, groups).max(axis=0)
+        bound = np.partition(maxima, -k)[-k]
+        idx = np.flatnonzero(p > bound)
+        need = k - len(idx)
+        if need > 0:
+            limit = 4 * k
+            ties = np.flatnonzero(p[:limit] == bound)
+            while len(ties) < need:  # the whole vector holds at least `need`
+                limit *= 8
+                ties = np.flatnonzero(p[:limit] == bound)
+            idx = np.concatenate([idx, ties[:need]])
+        # ids ascend within each part and ties sit below, so a stable sort
+        # by value leaves equal estimates in id order
+        idx = idx[np.argsort(-p[idx], kind="stable")[:k]]
+        return list(zip(idx.tolist(), p[idx].tolist()))
 
     # ------------------------------------------------------------------ #
     # copies / comparison
@@ -166,9 +196,9 @@ def encode_states(states: Sequence[PPRState]) -> dict[str, np.ndarray]:
     pattern** is non-zero — selecting on bits, not on value, keeps
     ``-0.0`` — plus per-vector counts. ``lengths`` records each state's
     *exact* array length, capacity padding included, so a restored state
-    continues the same growth trajectory (array length feeds tie-breaking
-    in ``argpartition`` and the doubling schedule of
-    :meth:`PPRState.ensure_capacity`). Sources are not included.
+    continues the same growth trajectory (the doubling schedule of
+    :meth:`PPRState.ensure_capacity`, and with it the kernel's
+    dense-accumulator crossover). Sources are not included.
     """
     lengths = np.array([len(state.p) for state in states], dtype=np.int64)
     fits_int32 = lengths.max(initial=0) <= np.iinfo(np.int32).max

@@ -131,6 +131,6 @@ def default_config(epsilon: float = 1e-5, alpha: float = 0.15) -> PPRConfig:
     ``n * epsilon`` (Theorem 1's ``K/(n eps)`` term). The paper's default
     epsilon (~1e-7) on million-vertex graphs gives ``n*eps ~ 0.1-4``; the
     analogs are ~100x smaller, so the default scales to 1e-5 to preserve
-    the same work regime (see EXPERIMENTS.md, "parameter scaling").
+    the same work regime (``n * epsilon`` ~ 0.1-4 on every analog).
     """
     return PPRConfig(alpha=alpha, epsilon=epsilon)

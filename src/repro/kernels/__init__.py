@@ -25,6 +25,7 @@ compiled kernel (no compiler, build failure) under ``compiled`` raises
 
 from __future__ import annotations
 
+import threading
 from collections.abc import Iterable
 
 from ..config import KernelConfig, KernelMode, Phase, PPRConfig
@@ -38,6 +39,7 @@ from .compiled import KernelLibrary, compiled_phase, compiled_restore
 
 __all__ = [
     "compiled_restore",
+    "counters",
     "describe",
     "kernel_phase",
     "load_library",
@@ -49,6 +51,10 @@ __all__ = [
 #: (compiler, cache_dir) -> (KernelLibrary | None, reason). Process-wide:
 #: the build is content-addressed, so one entry per toolchain is enough.
 _LIBRARIES: dict[tuple[str | None, str | None], tuple[KernelLibrary | None, str]] = {}
+
+
+_COUNTERS = {"kernel_calls": 0, "kernel_fallbacks": 0, "push_iterations": 0}
+_COUNTERS_LOCK = threading.Lock()
 
 
 def reset() -> None:
@@ -69,23 +75,7 @@ def load_library(
     cached = _LIBRARIES.get(key)
     if cached is not None:
         return cached
-    import os
-
-    overrides = {}
-    if kernel.compiler is not None:
-        overrides["REPRO_KERNEL_CC"] = kernel.compiler
-    if kernel.cache_dir is not None:
-        overrides["REPRO_KERNEL_CACHE"] = kernel.cache_dir
-    saved = {k: os.environ.get(k) for k in overrides}
-    os.environ.update(overrides)
-    try:
-        path, reason = build_library()
-    finally:
-        for k, v in saved.items():
-            if v is None:
-                os.environ.pop(k, None)
-            else:
-                os.environ[k] = v
+    path, reason = build_library(kernel.compiler, kernel.cache_dir)
     library: KernelLibrary | None = None
     if path is not None:
         try:
@@ -140,6 +130,19 @@ def describe(config: PPRConfig | None = None) -> dict[str, str]:
     return {"mode": kernel.mode.value, "backend": backend, "reason": reason}
 
 
+def counters() -> dict[str, int]:
+    """Process-wide dispatch totals, the kernel keys of ``/v1/stats``.
+
+    ``kernel_calls`` counts C calls (one per non-empty compiled phase, so
+    at most two per push), ``kernel_fallbacks`` phases numpy ran although
+    a compiled kernel is selected (a seed id beyond the view's rows, a
+    distributed view), ``push_iterations`` the iterations either kernel
+    ran. Under ``REPRO_KERNEL=numpy`` the first two stay 0.
+    """
+    with _COUNTERS_LOCK:
+        return dict(_COUNTERS)
+
+
 def kernel_phase(
     state: PPRState,
     csr: CSRView,
@@ -150,11 +153,20 @@ def kernel_phase(
 ) -> str:
     """Run one sign phase through the selected kernel; returns the one used."""
     library, _ = selected_library(config.kernel)
+    ran = stats.num_iterations
+    calls = None
     if library is not None and getattr(csr, "prefetch_rows", None) is None:
         arrays = getattr(csr, "kernel_arrays", None)
-        if arrays is not None and compiled_phase(
-            library, state, arrays(), phase, config, seeds, stats
-        ):
-            return "compiled"
-    vectorized_phase(state, csr, phase, config, seeds, stats)
-    return "numpy"
+        if arrays is not None:
+            calls = compiled_phase(
+                library, state, arrays(), phase, config, seeds, stats
+            )
+    if calls is None:
+        if library is not None:  # counted even when numpy then raises
+            with _COUNTERS_LOCK:
+                _COUNTERS["kernel_fallbacks"] += 1
+        vectorized_phase(state, csr, phase, config, seeds, stats)
+    with _COUNTERS_LOCK:
+        _COUNTERS["kernel_calls"] += calls or 0
+        _COUNTERS["push_iterations"] += stats.num_iterations - ran
+    return "numpy" if calls is None else "compiled"

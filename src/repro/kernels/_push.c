@@ -1,7 +1,7 @@
-/* Compiled forward-push kernel: one frontier iteration per call.
+/* Compiled forward-push kernel: one whole sign phase per call.
  *
- * This is the scalar-C twin of repro/core/push_vectorized.py. It must stay
- * BIT-IDENTICAL to the numpy engine, which constrains every line:
+ * This is the scalar-C twin of repro/core/push_vectorized.py::vectorized_phase.
+ * It must stay BIT-IDENTICAL to the numpy engine, which constrains every line:
  *
  *  - increments are computed per edge as (one_minus_alpha * w) / (double)dout
  *    -- two rounding steps in that exact order, like numpy's
@@ -13,30 +13,53 @@
  *    -0.0 residuals to +0.0 -- the full-capacity loop reproduces that);
  *    smaller chunks fold each increment straight into r in edge order,
  *    matching unbuffered np.add.at;
- *  - "before" values are captured at a vertex's first touch within a chunk,
- *    which is the value numpy snapshots for the whole chunk (no add can have
- *    reached the vertex earlier in the same chunk);
+ *  - whether a vertex passed pushCond "before" is captured at its first touch
+ *    within a chunk, which is the value numpy snapshots for the whole chunk
+ *    (no add can have reached the vertex earlier in the same chunk);
+ *  - frontier self-updates are per-vertex `p[f] += alpha * w` (multiply, then
+ *    add) and `r[f] = 0.0` (snapshot variants, before propagation) or
+ *    `r[f] -= w` (eager variants, after it, w being the chunk-wide read);
+ *    frontier ids are unique, so numpy's fancy-indexed `+=` is the same
+ *    per-vertex arithmetic;
  *  - compile with -ffp-contract=off: a fused multiply-add would round once
  *    where numpy rounds twice.
  *
- * The caller (repro/kernels/compiled.py) keeps every side effect that numpy
- * computes with array reductions -- p/r frontier self-updates, residual-mass
- * sums, the second eager pass -- in numpy, so summation order there is
- * untouched. The kernel only propagates increments and emits next-frontier
- * candidates; candidate ORDER may differ from numpy (first-touch vs sorted),
- * which is erased by the caller's np.sort, exactly as in the numpy engine.
+ * One call runs iterations until the frontier is exhausted, the iteration
+ * budget (the caller's max_iterations guard) is spent, or max_rows rows are
+ * written; the caller (repro/kernels/compiled.py) builds one IterationRecord
+ * per row and resumes from the frontier left in place. The caller checks
+ * that every frontier id addresses a row and that p/r cover every row; later
+ * frontiers hold only in-neighbors and reactivated members, so the kernel
+ * indexes unchecked. `residual_pushed` is the one field that is NOT
+ * bit-identical: it is summed here in frontier order where numpy sums
+ * pairwise; it is reported, never compared or fed back. Candidate ORDER
+ * within an iteration differs from numpy (first-touch vs sorted); the
+ * ascending sort that closes every iteration erases it, exactly as np.sort
+ * does in the numpy engine. `enqueue_attempts` -- adds landing on vertices
+ * whose post-chunk value passes -- is the per-vertex touch count summed over
+ * the passing touched vertices, the oracle's `passing_mask[targets].sum()`.
  *
- * Scratch contract: touch_stamp persists across calls (init -1, paired with
- * the monotone token in token_io); dense_acc, enqueued_mask and current_mask
+ * Scratch contract: touch_count, dense_acc, enqueued_mask and current_mask
  * must be all-zero at entry and are re-zeroed before returning (O(touched),
  * not O(capacity)).
  */
 
+#include <math.h>
 #include <stdint.h>
+#include <string.h>
 
-#define REPRO_KERNEL_ABI 2
+#define REPRO_KERNEL_ABI 3
+
+/* Columns of one per-iteration row; keep in lockstep with compiled.py. */
+enum {
+    ROW_FRONTIER, ROW_TRAVERSALS, ROW_ADDS, ROW_ATTEMPTS, ROW_DEDUP,
+    ROW_ENQUEUED, ROW_SECOND_PASS, ROW_WIDTH
+};
 
 int64_t repro_kernel_abi(void) { return REPRO_KERNEL_ABI; }
+
+/* Set in a vertex's touch count when it passed pushCond at its first touch. */
+#define PASSED_BEFORE ((int64_t)1 << 62)
 
 /* The paper's pushCond for both phases: sign=+1 tests v > eps (POS),
  * sign=-1 tests v < -eps (NEG). Multiplying by +-1.0 is exact. */
@@ -44,145 +67,206 @@ static int pushes(double value, double sign, double epsilon) {
     return sign * value > epsilon;
 }
 
-int64_t repro_push_iteration(
+/* Ascending sort of n distinct ids below `bound`: insertion sort for the
+ * short frontiers of a refresh push, LSD byte radix (as many passes as
+ * `bound` has bytes) otherwise. tmp holds n entries. */
+static void sort_ids(int64_t *ids, int64_t n, int64_t bound, int64_t *tmp) {
+    int64_t i, j, shift;
+    if (n <= 32) {
+        for (i = 1; i < n; i++) {
+            int64_t v = ids[i];
+            for (j = i; j > 0 && ids[j - 1] > v; j--) ids[j] = ids[j - 1];
+            ids[j] = v;
+        }
+        return;
+    }
+    for (shift = 0; shift < 64 && ((bound - 1) >> shift) != 0; shift += 16) {
+        int64_t count[256], *src = ids, *dst = tmp, pass;
+        for (pass = 0; pass < 2; pass++) { /* two passes: result back in ids */
+            int64_t s = shift + 8 * pass, total = 0;
+            memset(count, 0, sizeof count);
+            for (i = 0; i < n; i++) count[(src[i] >> s) & 255]++;
+            for (i = 0; i < 256; i++) {
+                int64_t c = count[i];
+                count[i] = total;
+                total += c;
+            }
+            for (i = 0; i < n; i++) dst[count[(src[i] >> s) & 255]++] = src[i];
+            src = dst;
+            dst = (dst == tmp) ? ids : tmp;
+        }
+    }
+}
+
+int64_t repro_push_phase(
+    double *p,
     double *r,
     int64_t rcap,
-    int64_t nrows,
     const int64_t *row_start,
     const int64_t *row_count,
     const uint8_t *row_overlay,
     const int64_t *base_indices,
     const int64_t *overlay_indices,
     const int64_t *dout,
-    const int64_t *frontier,
-    int64_t frontier_len,
+    double alpha,
     double one_minus_alpha,
     double epsilon,
     double sign,
     int64_t eager,
     int64_t local_detect,
-    int64_t chunk_width,
+    int64_t workers,            /* eager chunk width */
     int64_t bincount_threshold,
-    double *weights,        /* [frontier_len] in (snapshot) / out (eager) */
-    int64_t *touch_stamp,   /* [rcap] persistent, init -1 */
-    double *before_val,     /* [rcap] */
+    int64_t budget,             /* iterations this call may run */
+    int64_t max_rows,           /* iterations `rows`/`pushed` can hold */
+    int64_t *frontier,      /* [rcap + 1] in: sorted frontier; out: what is left */
+    int64_t *next,          /* [rcap + 1] (+1: emission stores before it counts) */
+    int64_t *touch_count,   /* [rcap] zeros at entry and exit */
     double *dense_acc,      /* [rcap] all zeros at entry and exit */
     uint8_t *enqueued_mask, /* [rcap] zeros at entry and exit */
     uint8_t *current_mask,  /* [rcap] zeros at entry and exit */
     int64_t *touched_buf,   /* [rcap] */
-    int64_t *out_next,      /* [rcap] next-frontier candidates (unsorted) */
-    int64_t *counters,      /* [4] traversals, adds, attempts, dedup checks */
-    int64_t *token_io       /* [1] persistent monotone chunk token */
+    double *weight,         /* [rcap] the iteration's pushed weights */
+    int64_t *rows,          /* [max_rows][ROW_WIDTH] out */
+    double *pushed,         /* [max_rows] out: sum |w| per iteration */
+    int64_t *frontier_len_io /* [1] */
 ) {
-    int64_t n_out = 0;
     int use_current = (eager != 0) && (local_detect == 0);
     int64_t dense_floor = bincount_threshold > rcap ? bincount_threshold : rcap;
+    int64_t *front = frontier;
+    int64_t frontier_len = *frontier_len_io;
+    int64_t done = 0;
     int64_t start, i, j, k;
 
-    if (chunk_width < 1) chunk_width = 1;
-    if (use_current) {
-        for (i = 0; i < frontier_len; i++) current_mask[frontier[i]] = 1;
-    }
+    if (workers < 1) workers = 1;
+    if (budget > max_rows) budget = max_rows;
 
-    for (start = 0; start < frontier_len; start += chunk_width) {
-        int64_t len = frontier_len - start;
-        const int64_t *chunk = frontier + start;
-        double *w = weights + start;
-        int64_t chunk_edges = 0;
-        int64_t ntouched = 0;
-        int64_t attempts = 0;
-        int64_t tok;
-        int use_dense;
+    while (frontier_len > 0 && done < budget) {
+        int64_t *row = rows + ROW_WIDTH * done;
+        double mass = 0.0;
+        int64_t chunk_width = eager ? workers : frontier_len;
+        int64_t n_out = 0;
 
-        if (len > chunk_width) len = chunk_width;
-        if (eager) { /* chunk-wide simultaneous reads (Algorithm 4) */
-            for (i = 0; i < len; i++) w[i] = r[chunk[i]];
-        }
-        for (i = 0; i < len; i++) {
-            if (chunk[i] < nrows) chunk_edges += row_count[chunk[i]];
-        }
-        if (chunk_edges == 0) continue;
-
-        tok = ++token_io[0];
-        use_dense = chunk_edges > dense_floor;
-        for (i = 0; i < len; i++) {
-            int64_t f = chunk[i];
-            int64_t cnt;
-            const int64_t *idx;
-            double scaled;
-            if (f >= nrows) continue;
-            cnt = row_count[f];
-            if (cnt == 0) continue;
-            idx = (row_overlay[f] ? overlay_indices : base_indices) + row_start[f];
-            scaled = one_minus_alpha * w[i];
-            for (j = 0; j < cnt; j++) {
-                int64_t t = idx[j];
-                double inc = scaled / (double)dout[t];
-                if (touch_stamp[t] != tok) {
-                    touch_stamp[t] = tok;
-                    before_val[t] = r[t];
-                    touched_buf[ntouched++] = t;
-                }
-                if (use_dense) {
-                    dense_acc[t] += inc;
-                } else {
-                    r[t] += inc;
-                }
+        memset(row, 0, ROW_WIDTH * sizeof *row);
+        row[ROW_FRONTIER] = frontier_len;
+        if (!eager) { /* Algorithm 3: snapshot, self-update, then propagate */
+            for (i = 0; i < frontier_len; i++) {
+                int64_t f = front[i];
+                weight[i] = r[f];
+                p[f] += alpha * weight[i];
+                r[f] = 0.0;
             }
         }
-        if (use_dense) {
-            for (i = 0; i < rcap; i++) r[i] += dense_acc[i];
-            for (k = 0; k < ntouched; k++) dense_acc[touched_buf[k]] = 0.0;
+        if (use_current) {
+            for (i = 0; i < frontier_len; i++) current_mask[front[i]] = 1;
         }
-        counters[0] += chunk_edges;
-        counters[1] += chunk_edges;
 
-        /* Attempts: adds landing on vertices whose post-chunk value passes
-         * (the numpy engine's documented accounting approximation). */
-        for (i = 0; i < len; i++) {
-            int64_t f = chunk[i];
-            int64_t cnt;
-            const int64_t *idx;
-            if (f >= nrows) continue;
-            cnt = row_count[f];
-            idx = (row_overlay[f] ? overlay_indices : base_indices) + row_start[f];
-            for (j = 0; j < cnt; j++) {
-                if (pushes(r[idx[j]], sign, epsilon)) attempts++;
+        for (start = 0; start < frontier_len; start += chunk_width) {
+            int64_t len = frontier_len - start;
+            const int64_t *chunk = front + start;
+            double *w = weight + start;
+            int64_t chunk_edges = 0;
+            int64_t ntouched = 0;
+            int64_t attempts = 0;
+            int use_dense;
+
+            if (len > chunk_width) len = chunk_width;
+            if (eager) { /* chunk-wide simultaneous reads (Algorithm 4) */
+                for (i = 0; i < len; i++) w[i] = r[chunk[i]];
             }
-        }
-        counters[2] += attempts;
+            for (i = 0; i < len; i++) chunk_edges += row_count[chunk[i]];
+            if (chunk_edges == 0) continue;
 
-        if (local_detect) {
-            /* Monotonicity within a phase: the threshold crossing is seen
-             * by exactly one chunk, so emissions are disjoint across
-             * chunks and n_out never exceeds rcap. */
+            use_dense = chunk_edges > dense_floor;
+            for (i = 0; i < len; i++) {
+                int64_t f = chunk[i];
+                int64_t cnt = row_count[f];
+                const int64_t *idx =
+                    (row_overlay[f] ? overlay_indices : base_indices) +
+                    row_start[f];
+                double scaled = one_minus_alpha * w[i];
+                for (j = 0; j < cnt; j++) {
+                    int64_t t = idx[j];
+                    double inc = scaled / (double)dout[t];
+                    int64_t touches = touch_count[t];
+                    if (touches == 0) { /* first touch within the chunk */
+                        touched_buf[ntouched++] = t;
+                        if (pushes(r[t], sign, epsilon)) touches = PASSED_BEFORE;
+                    }
+                    touch_count[t] = touches + 1;
+                    if (use_dense) {
+                        dense_acc[t] += inc;
+                    } else {
+                        r[t] += inc;
+                    }
+                }
+            }
+            if (use_dense) {
+                for (i = 0; i < rcap; i++) r[i] += dense_acc[i];
+                for (k = 0; k < ntouched; k++) dense_acc[touched_buf[k]] = 0.0;
+            }
+            row[ROW_TRAVERSALS] += chunk_edges;
+            row[ROW_ADDS] += chunk_edges;
+
             for (k = 0; k < ntouched; k++) {
                 int64_t t = touched_buf[k];
-                if (!pushes(before_val[t], sign, epsilon) &&
-                    pushes(r[t], sign, epsilon)) {
-                    out_next[n_out++] = t;
+                int64_t touches = touch_count[t];
+                int64_t passes = pushes(r[t], sign, epsilon);
+                touch_count[t] = 0;
+                /* About two in three touched vertices pass and one in eight
+                 * crosses: branches on either mispredict, so neither is one
+                 * (measured: 1.77 -> 1.25 ms per cold push). */
+                attempts += (touches & ~PASSED_BEFORE) & -passes;
+                if (local_detect) {
+                    /* Monotonicity within a phase: the threshold crossing
+                     * is seen by exactly one chunk, so emissions are
+                     * disjoint across chunks and n_out never exceeds rcap. */
+                    next[n_out] = t;
+                    n_out += passes & ~(touches >> 62);
+                } else if (passes && !(use_current && current_mask[t]) &&
+                           !enqueued_mask[t]) {
+                    enqueued_mask[t] = 1;
+                    next[n_out++] = t;
                 }
             }
-        } else {
-            counters[3] += attempts;
-            for (k = 0; k < ntouched; k++) {
-                int64_t t = touched_buf[k];
-                if (!pushes(r[t], sign, epsilon)) continue;
-                if (use_current && current_mask[t]) continue;
-                if (enqueued_mask[t]) continue;
-                enqueued_mask[t] = 1;
-                out_next[n_out++] = t;
+            row[ROW_ATTEMPTS] += attempts;
+            if (!local_detect) row[ROW_DEDUP] += attempts;
+        }
+
+        if (use_current) {
+            for (i = 0; i < frontier_len; i++) current_mask[front[i]] = 0;
+        }
+        if (!local_detect) {
+            for (k = 0; k < n_out; k++) enqueued_mask[next[k]] = 0;
+        }
+        if (eager) { /* Algorithm 4 session 2: self-update, second pass */
+            for (i = 0; i < frontier_len; i++) {
+                int64_t f = front[i];
+                p[f] += alpha * weight[i];
+                r[f] -= weight[i];
+                if (pushes(r[f], sign, epsilon)) {
+                    next[n_out++] = f;
+                    row[ROW_SECOND_PASS]++;
+                }
             }
         }
-    }
+        for (i = 0; i < frontier_len; i++) mass += fabs(weight[i]);
+        pushed[done] = mass;
+        row[ROW_ENQUEUED] = n_out;
+        sort_ids(next, n_out, rcap, touched_buf);
 
-    if (use_current) {
-        for (i = 0; i < frontier_len; i++) current_mask[frontier[i]] = 0;
+        done++;
+        frontier_len = n_out;
+        {
+            int64_t *swap = front;
+            front = next;
+            next = swap;
+        }
     }
-    if (!local_detect) {
-        for (k = 0; k < n_out; k++) enqueued_mask[out_next[k]] = 0;
+    if (front != frontier) {
+        memcpy(frontier, front, (size_t)frontier_len * sizeof *front);
     }
-    return n_out;
+    *frontier_len_io = frontier_len;
+    return done;
 }
 
 /* Batch RestoreInvariant (Algorithm 1, k times) for ONE state: the scalar-C

@@ -36,7 +36,7 @@ SOURCE = Path(__file__).with_name("_push.c")
 CFLAGS = ("-O3", "-fPIC", "-shared", "-ffp-contract=off")
 
 #: Bumped when the C signature changes; baked into the cache key.
-ABI_VERSION = 2
+ABI_VERSION = 3
 
 
 class KernelBuildError(RuntimeError):
@@ -44,9 +44,9 @@ class KernelBuildError(RuntimeError):
     :func:`build_library` (callers get ``None`` + reason instead)."""
 
 
-def find_compiler() -> str | None:
+def find_compiler(override: str | None = None) -> str | None:
     """The C compiler to use, or ``None`` when the host has none."""
-    override = os.environ.get("REPRO_KERNEL_CC")
+    override = override or os.environ.get("REPRO_KERNEL_CC")
     if override:
         return shutil.which(override) or (
             override if os.path.exists(override) else None
@@ -58,8 +58,9 @@ def find_compiler() -> str | None:
     return None
 
 
-def cache_dir() -> Path:
-    override = os.environ.get("REPRO_KERNEL_CACHE")
+def resolve_cache_dir(override: str | None = None) -> Path:
+    """The directory built libraries are cached in."""
+    override = override or os.environ.get("REPRO_KERNEL_CACHE")
     if override:
         return Path(override)
     xdg = os.environ.get("XDG_CACHE_HOME")
@@ -76,21 +77,26 @@ def _cache_key(source: bytes, compiler: str) -> str:
     return digest.hexdigest()[:24]
 
 
-def build_library() -> tuple[Path | None, str]:
+def build_library(
+    compiler: str | None = None, cache_dir: str | None = None
+) -> tuple[Path | None, str]:
     """Build (or reuse) the kernel library.
 
-    Returns ``(path, reason)``: ``path`` is the shared library, or ``None``
-    with a human-readable reason (no compiler, compile failure, missing
-    source). Never raises — an unbuildable kernel is a supported
-    configuration, not an error.
+    ``compiler`` / ``cache_dir`` override the environment knobs above for
+    this call only (``KernelConfig`` carries them per service). Returns
+    ``(path, reason)``: ``path`` is the shared library, or ``None`` with a
+    human-readable reason (no compiler, compile failure, missing source).
+    Never raises — an unbuildable kernel is a supported configuration,
+    not an error.
     """
     if not SOURCE.exists():  # pragma: no cover - packaging bug guard
         return None, f"kernel source missing: {SOURCE}"
-    compiler = find_compiler()
+    compiler = find_compiler(compiler)
     if compiler is None:
         return None, "no C compiler on PATH (set REPRO_KERNEL_CC to override)"
     source = SOURCE.read_bytes()
-    target = cache_dir() / f"push-{_cache_key(source, compiler)}.so"
+    library = f"push-{_cache_key(source, compiler)}.so"
+    target = resolve_cache_dir(cache_dir) / library
     if target.exists():
         return target, f"cached ({target})"
     try:

@@ -14,12 +14,12 @@ its hub vectors).
 
 from __future__ import annotations
 
+import itertools
 from collections.abc import Sequence
 
 from ..config import PPRConfig, ServeConfig
 from ..core.push_parallel import parallel_local_push
 from ..core.state import PPRState
-from ..core.stats import PushStats
 from ..graph.delta import CSRView
 from ..graph.digraph import DynamicDiGraph
 
@@ -40,10 +40,10 @@ class AdmissionPool:
     def __init__(self, config: PPRConfig, batch_size: int = 8) -> None:
         self.config = config
         self.batch_size = max(1, batch_size)
-        self._pending: list[int] = []
+        #: Insertion-ordered set: FIFO admission, O(1) membership and removal.
+        self._pending: dict[int, None] = {}
         self.admissions = 0
         self.batches = 0
-        self.push_stats = PushStats()
 
     @classmethod
     def from_config(cls, ppr: PPRConfig, serve: ServeConfig) -> "AdmissionPool":
@@ -60,8 +60,7 @@ class AdmissionPool:
 
     def request(self, source: int) -> None:
         """Queue ``source`` for admission (idempotent while pending)."""
-        if source not in self._pending:
-            self._pending.append(source)
+        self._pending[source] = None
 
     # ------------------------------------------------------------------ #
     # admission
@@ -80,23 +79,23 @@ class AdmissionPool:
         freshly-converged state per source; admitted sources are removed
         from the pending queue.
         """
-        batch = list(sources) if sources is not None else self._pending[: self.batch_size]
+        if sources is None:
+            sources = list(itertools.islice(self._pending, self.batch_size))
         admitted: dict[int, PPRState] = {}
-        for source in batch:
+        for source in sources:
             if not graph.has_vertex(source):
                 graph.add_vertex(source)
+        capacity = graph.capacity  # per batch: no source below grows it
         if snapshot is not None:
-            snapshot.ensure_covers(graph.capacity)
-        for source in batch:
-            state = PPRState.initial(source, graph.capacity)
-            stats = parallel_local_push(
+            snapshot.ensure_covers(capacity)
+        for source in sources:
+            state = PPRState.initial(source, capacity)
+            parallel_local_push(
                 state, graph, self.config, seeds=[source], csr=snapshot
             )
-            self.push_stats.merge(stats)
             admitted[source] = state
             self.admissions += 1
-            if source in self._pending:
-                self._pending.remove(source)
+            self._pending.pop(source, None)
         if admitted:
             self.batches += 1
         return admitted

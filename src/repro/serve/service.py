@@ -73,6 +73,7 @@ from ..graph.workloads import (
     default_config,
     prepare_workload,
 )
+from ..kernels import counters as kernel_counters
 from .cache import ResidentSource, SourceCache
 from .pool import AdmissionPool
 
@@ -235,6 +236,9 @@ class ServiceMetrics:
             "snapshot_rebuilds": self.snapshot_rebuilds,
             "snapshot_delta_applies": self.snapshot_delta_applies,
             "snapshot_consolidations": self.snapshot_consolidations,
+            # kernel_calls / kernel_fallbacks / push_iterations: the
+            # process-wide dispatch totals of repro.kernels.
+            **kernel_counters(),
             "staleness_p50": self.staleness_percentile(50),
             "staleness_p99": self.staleness_percentile(99),
             "latency_p50_s": self.latency_percentile(50),

@@ -149,6 +149,72 @@ class TestSelection:
         assert kernels.load_library(kernel) == (library, reason)
 
 
+class TestBuildOverrides:
+    """Compiler / cache-dir overrides travel as arguments: two services
+    with different ``KernelConfig``s may load concurrently, and handler
+    threads or forked workers never see a half-rewritten environment."""
+
+    def test_concurrent_loads_keep_their_own_overrides(self, monkeypatch, tmp_path):
+        import os
+        import threading
+
+        from repro.kernels import build
+
+        for name in ("REPRO_KERNEL_CC", "REPRO_KERNEL_CACHE"):
+            monkeypatch.delenv(name, raising=False)
+        environ_before = dict(os.environ)
+        barrier = threading.Barrier(2)
+        seen: dict[str, tuple] = {}
+
+        def recording(compiler=None, cache_dir=None):
+            barrier.wait(timeout=10)  # both loads are inside the build at once
+            seen[compiler] = (
+                build.find_compiler(compiler),
+                build.resolve_cache_dir(cache_dir),
+                os.environ.get("REPRO_KERNEL_CC"),
+                os.environ.get("REPRO_KERNEL_CACHE"),
+            )
+            barrier.wait(timeout=10)
+            return None, f"recorded {compiler}"
+
+        monkeypatch.setattr(kernels, "build_library", recording)
+        configs = [
+            KernelConfig(compiler=BOGUS_CC, cache_dir=str(tmp_path / "a")),
+            KernelConfig(compiler="/bin/false", cache_dir=str(tmp_path / "b")),
+        ]
+        results: dict[str, tuple] = {}
+        threads = [
+            threading.Thread(
+                target=lambda c=c: results.__setitem__(
+                    c.compiler, kernels.load_library(c)
+                )
+            )
+            for c in configs
+        ]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=20)
+            assert not thread.is_alive()
+        assert seen[BOGUS_CC] == (None, tmp_path / "a", None, None)
+        assert seen["/bin/false"] == ("/bin/false", tmp_path / "b", None, None)
+        assert results[BOGUS_CC] == (None, f"recorded {BOGUS_CC}")
+        assert results["/bin/false"] == (None, "recorded /bin/false")
+        assert dict(os.environ) == environ_before
+
+    def test_arguments_beat_the_environment(self, monkeypatch, tmp_path):
+        from repro.kernels import build
+
+        monkeypatch.setenv("REPRO_KERNEL_CC", BOGUS_CC)
+        monkeypatch.setenv("REPRO_KERNEL_CACHE", str(tmp_path / "env"))
+        assert build.find_compiler() is None
+        assert build.find_compiler("/bin/false") == "/bin/false"
+        assert build.resolve_cache_dir() == tmp_path / "env"
+        assert build.resolve_cache_dir(str(tmp_path / "arg")) == tmp_path / "arg"
+        path, reason = build.build_library("/bin/false", str(tmp_path / "arg"))
+        assert path is None and "compile failed" in reason
+
+
 class TestDispatch:
     def _converged_states(self, config_a, config_b):
         rng = np.random.default_rng(20170901)
@@ -198,6 +264,57 @@ class TestDispatch:
         )
         assert np.array_equal(compiled.p, oracle.p)
         assert np.array_equal(compiled.r, oracle.r)
+
+
+class TestCounters:
+    """``kernels.counters()`` and its mirror on the stats surface."""
+
+    def _deltas(self, config, pushes=3):
+        rng = np.random.default_rng(20170901)
+        graph = random_graph(rng, n=40, m=260)
+        before = kernels.counters()
+        iterations = 0
+        for source in range(pushes):
+            state = PPRState.initial(source, graph.capacity)
+            iterations += parallel_local_push(state, graph, config).num_iterations
+        after = kernels.counters()
+        return {name: after[name] - before[name] for name in after}, iterations
+
+    @needs_compiled
+    def test_one_call_per_nonempty_phase(self):
+        deltas, iterations = self._deltas(
+            push_config(kernel=KernelConfig(mode=KernelMode.COMPILED))
+        )
+        # From scratch only the POS phase has a frontier: one call a push.
+        assert deltas == {
+            "kernel_calls": 3,
+            "kernel_fallbacks": 0,
+            "push_iterations": iterations,
+        }
+
+    def test_numpy_mode_makes_no_calls_and_no_fallbacks(self):
+        deltas, iterations = self._deltas(
+            push_config(kernel=KernelConfig(mode=KernelMode.NUMPY))
+        )
+        assert deltas == {
+            "kernel_calls": 0,
+            "kernel_fallbacks": 0,
+            "push_iterations": iterations,
+        }
+
+    def test_stats_and_metrics_surfaces_carry_the_counters(self):
+        from repro.api.metrics import render_prometheus
+        from repro.api.requests import Stats
+
+        rng = np.random.default_rng(3)
+        service = PPRService(random_graph(rng, n=40, m=260), push_config())
+        service.gateway.submit(TopKQuery(source=1, k=3, consistency=FRESH))
+        stats = service.gateway.submit(Stats()).stats
+        totals = kernels.counters()
+        for name in ("kernel_calls", "kernel_fallbacks", "push_iterations"):
+            assert stats[name] == totals[name]
+            assert f"repro_{name}_total {totals[name]}" in render_prometheus(stats)
+        assert stats["push_iterations"] > 0
 
 
 class TestServingStack:

@@ -5,10 +5,16 @@ the vectorized numpy engine — not approximate agreement, the same
 doubles. Hypothesis drives random dynamic graphs through both and
 compares raw arrays after every stage:
 
-1. from-scratch convergence on a random graph, every push variant;
+1. from-scratch convergence on a random graph, every push variant and
+   chunk width — states bitwise, every integer ``IterationRecord`` field
+   per iteration, at most one C call per phase;
 2. dynamic-update sequences: apply updates, repair the invariant, push
    with the touched-vertex seeds — estimates *and* residuals must match
    bitwise at every batch boundary;
+2b. the corners of the phase-level kernel: the dense accumulator's
+   ``-0.0`` normalisation, seeds past the view's rows (declined, counted,
+   left to numpy), ``ConvergenceError`` with state and trace exactly as
+   the oracle leaves them;
 3. frontier order-insensitivity: a permuted seed set must not change the
    compiled kernel's result (the frontier is sorted/deduplicated before
    the per-edge loop, so iteration order is canonical);
@@ -25,6 +31,9 @@ compare — the fallback *is* the oracle).
 
 from __future__ import annotations
 
+from contextlib import contextmanager
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -40,8 +49,8 @@ from repro import (
     PushVariant,
     parallel_local_push,
 )
-from repro import kernels
-from repro.config import KernelConfig, KernelMode
+from repro import CSRGraph, ConvergenceError, PushStats, kernels
+from repro.config import KernelConfig, KernelMode, Phase
 from repro.core.hub_index import DynamicHubIndex
 from repro.core.invariant import restore_invariant, restore_states
 
@@ -56,14 +65,17 @@ COMPILED = KernelConfig(mode=KernelMode.COMPILED)
 NUMPY = KernelConfig(mode=KernelMode.NUMPY)
 
 
-def config_for(variant: PushVariant, kernel: KernelConfig) -> PPRConfig:
+def config_for(
+    variant: PushVariant, kernel: KernelConfig, workers: int = 1, **kwargs
+) -> PPRConfig:
     return PPRConfig(
         alpha=0.2,
         epsilon=1e-4,
         variant=variant,
         backend=Backend.NUMPY,
-        workers=1,
+        workers=workers,
         kernel=kernel,
+        **kwargs,
     )
 
 
@@ -106,43 +118,189 @@ def assert_bit_identical(left: PPRState, right: PPRState) -> None:
     np.testing.assert_array_equal(left.r, right.r)
 
 
+def assert_same_trace(compiled, oracle) -> None:
+    """Per iteration: every integer field equal; the drained mass, which
+    the kernel sums in frontier order and numpy pairwise, to rounding."""
+    assert len(compiled.iterations) == len(oracle.iterations)
+    for ours, theirs in zip(compiled.iterations, oracle.iterations):
+        assert ours.residual_pushed == pytest.approx(
+            theirs.residual_pushed, rel=1e-12
+        )
+        assert replace(ours, residual_pushed=0.0) == replace(
+            theirs, residual_pushed=0.0
+        )
+
+
+@contextmanager
+def counted_phase_calls():
+    """The C calls ``repro_push_phase`` receives inside the block, as a list."""
+    library = kernels.load_library()[0]
+    real, calls = library._phase, []
+
+    def counting(*args):
+        calls.append(args)
+        return real(*args)
+
+    library._phase = counting
+    try:
+        yield calls
+    finally:
+        library._phase = real
+
+
 @pytest.mark.parametrize("variant", list(PushVariant))
-@given(edges=graph_edges(), source=st.integers(0, N_VERTICES - 1))
-def test_from_scratch_push_is_bit_identical(variant, edges, source):
-    states = []
+@given(
+    edges=graph_edges(),
+    source=st.integers(0, N_VERTICES - 1),
+    workers=st.sampled_from([1, 3, 64]),
+)
+def test_from_scratch_push_is_bit_identical(variant, edges, source, workers):
+    states, traces = [], []
     for kernel in (COMPILED, NUMPY):
         graph = DynamicDiGraph(edges)
         state = PPRState.initial(source, max(graph.capacity, source + 1))
-        parallel_local_push(state, graph, config_for(variant, kernel))
+        with counted_phase_calls() as calls:
+            traces.append(
+                parallel_local_push(
+                    state, graph, config_for(variant, kernel, workers)
+                )
+            )
         states.append(state)
+        # One call for the POS phase; the NEG phase of a from-scratch push
+        # is empty and must not reach C at all. The oracle run makes none.
+        assert len(calls) == (1 if kernel is COMPILED else 0)
     assert_bit_identical(*states)
+    assert_same_trace(*traces)
 
 
-@pytest.mark.parametrize(
-    "variant", [PushVariant.VANILLA, PushVariant.OPT]
+@pytest.mark.parametrize("variant", list(PushVariant))
+@given(
+    case=dynamic_case(),
+    source=st.integers(0, N_VERTICES - 1),
+    workers=st.sampled_from([1, 3, 64]),
 )
-@given(case=dynamic_case(), source=st.integers(0, N_VERTICES - 1))
-def test_dynamic_updates_stay_bit_identical(variant, case, source):
+def test_dynamic_updates_stay_bit_identical(variant, case, source, workers):
     edges, updates = case
     finals = []
     for kernel in (COMPILED, NUMPY):
-        config = config_for(variant, kernel)
+        config = config_for(variant, kernel, workers)
         graph = DynamicDiGraph(edges)
         state = PPRState.initial(source, max(graph.capacity, source + 1))
-        parallel_local_push(state, graph, config)
-        snapshots = [(state.p.copy(), state.r.copy())]
+        stats = parallel_local_push(state, graph, config)
+        snapshots = [(state.p.copy(), state.r.copy(), stats)]
         for update in updates:
             graph.apply(update)
             state.ensure_capacity(graph.capacity)
             restore_invariant(state, graph, update, config.alpha)
-            parallel_local_push(
-                state, graph, config, seeds=[update.u, state.source]
-            )
-            snapshots.append((state.p.copy(), state.r.copy()))
+            with counted_phase_calls() as calls:
+                stats = parallel_local_push(
+                    state, graph, config, seeds=[update.u, state.source]
+                )
+            assert len(calls) <= 2  # deletions give the NEG phase work
+            snapshots.append((state.p.copy(), state.r.copy(), stats))
         finals.append(snapshots)
-    for (p_a, r_a), (p_b, r_b) in zip(*finals):
-        np.testing.assert_array_equal(p_a, p_b)
-        np.testing.assert_array_equal(r_a, r_b)
+    for (p_a, r_a, stats_a), (p_b, r_b, stats_b) in zip(*finals):
+        assert_same_bits(p_a, p_b)
+        assert_same_bits(r_a, r_b)
+        assert_same_trace(stats_a, stats_b)
+
+
+@pytest.mark.parametrize("variant", list(PushVariant))
+def test_dense_accumulator_normalises_negative_zero(variant):
+    """A chunk with more traversals than max(2048, capacity) takes the
+    ``np.bincount`` branch, whose whole-vector add turns every untouched
+    ``-0.0`` residual into ``+0.0``; sparser chunks leave them alone."""
+    n = 40
+    edges = [(u, v) for u in range(n) for v in range(n) if u != v]
+    edges += [(u, v) for u, v in edges if (u + v) % 3]  # multigraph: 2 600 edges
+    results = []
+    for kernel in (COMPILED, NUMPY):
+        state = PPRState.initial(0, n + 8)
+        state.r[1 : n + 8] = -0.0
+        stats = parallel_local_push(
+            state, DynamicDiGraph(edges), config_for(variant, kernel, workers=64)
+        )
+        results.append((state, stats))
+    (compiled, trace), (oracle, oracle_trace) = results
+    assert max(rec.edge_traversals for rec in trace.iterations) > 2048
+    assert not np.signbit(compiled.r[n:]).any()  # normalised, never touched
+    assert_same_bits(compiled.p, oracle.p)
+    assert_same_bits(compiled.r, oracle.r)
+    assert_same_trace(trace, oracle_trace)
+
+
+def test_seeds_past_the_view_are_declined_and_counted():
+    """A residual on an id the snapshot has no row for: the compiled kernel
+    must not touch the state; numpy runs (and fails) exactly as it does
+    when selected outright, and ``kernel_fallbacks`` says so."""
+    edges = [(0, 1), (1, 2), (2, 0)]
+    outcomes = []
+    for kernel in (COMPILED, NUMPY):
+        graph = DynamicDiGraph(edges)
+        state = PPRState.initial(0, 16)
+        state.r[9] = 0.5
+        before = kernels.counters()
+        with counted_phase_calls() as calls, pytest.raises(IndexError) as caught:
+            parallel_local_push(
+                state, graph, config_for(PushVariant.OPT, kernel), seeds=[0, 9]
+            )
+        after = kernels.counters()
+        outcomes.append((str(caught.value), state))
+        assert calls == []
+        assert after["kernel_fallbacks"] - before["kernel_fallbacks"] == (
+            1 if kernel is COMPILED else 0
+        )
+    assert outcomes[0][0] == outcomes[1][0]
+    assert_bit_identical(outcomes[0][1], outcomes[1][1])
+
+
+@pytest.mark.parametrize("variant", list(PushVariant))
+@pytest.mark.parametrize("max_iterations", [1, 2])
+def test_convergence_error_leaves_the_oracle_state(variant, max_iterations):
+    rng = np.random.default_rng(5)
+    edges = sorted({(int(u), int(v)) for u, v in rng.integers(0, 30, (200, 2)) if u != v})
+    outcomes = []
+    for kernel in (COMPILED, NUMPY):
+        config = config_for(
+            variant, kernel, workers=3, max_iterations=max_iterations
+        )
+        graph = DynamicDiGraph(edges)
+        state = PPRState.initial(0, graph.capacity)
+        stats = PushStats()
+        with pytest.raises(ConvergenceError) as caught:
+            kernels.kernel_phase(
+                state, CSRGraph.from_digraph(graph), Phase.POS, config, [0], stats
+            )
+        assert caught.value.iterations == max_iterations + 1
+        outcomes.append((state, stats, caught.value.residual))
+    (compiled, trace, residual), (oracle, oracle_trace, oracle_residual) = outcomes
+    assert residual == oracle_residual
+    assert_same_bits(compiled.p, oracle.p)
+    assert_same_bits(compiled.r, oracle.r)
+    assert_same_trace(trace, oracle_trace)
+
+
+def test_a_long_phase_resumes_where_the_rows_ran_out(monkeypatch):
+    """More iterations than one call's row table holds: the driver calls
+    again from the frontier the kernel left, and nothing else changes."""
+    from repro.kernels import compiled as driver
+
+    rng = np.random.default_rng(11)
+    edges = sorted({(int(u), int(v)) for u, v in rng.integers(0, 30, (200, 2)) if u != v})
+    results = []
+    for kernel, max_rows in ((COMPILED, 2), (COMPILED, driver._MAX_ROWS), (NUMPY, 2)):
+        monkeypatch.setattr(driver, "_MAX_ROWS", max_rows)
+        state = PPRState.initial(0, 30)
+        with counted_phase_calls() as calls:
+            stats = parallel_local_push(
+                state, DynamicDiGraph(edges), config_for(PushVariant.OPT, kernel, 3)
+            )
+        results.append((state, stats, len(calls)))
+    (resumed, trace, calls), (single, _, one), (oracle, oracle_trace, _) = results
+    assert one == 1 and calls == -(-trace.num_iterations // 2) > 1
+    assert_bit_identical(resumed, single)
+    assert_bit_identical(resumed, oracle)
+    assert_same_trace(trace, oracle_trace)
 
 
 @given(

@@ -108,6 +108,20 @@ class TestAdmissionPool:
         pool.request(3)
         assert pool.pending == [3]
 
+    def test_pending_stays_fifo_through_repeats_and_explicit_admits(self, rng):
+        graph = random_graph(rng)
+        csr = CSRGraph.from_digraph(graph)
+        pool = AdmissionPool(NUMPY_CONFIG, batch_size=2)
+        for s in (4, 1, 3, 1, 4, 0):  # a repeat keeps its first place
+            pool.request(s)
+        assert pool.pending == [4, 1, 3, 0]
+        # An explicit batch may name queued and unqueued sources alike.
+        assert sorted(pool.admit(graph, csr, [3, 2])) == [2, 3]
+        assert pool.pending == [4, 1, 0]
+        assert sorted(pool.admit(graph, csr)) == [1, 4]
+        assert pool.pending == [0]
+        assert (pool.admissions, pool.batches) == (4, 2)
+
     def test_admit_batches_share_snapshot_and_converge(self, rng):
         graph = random_graph(rng)
         csr = CSRGraph.from_digraph(graph)

@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from repro import ConfigError, PPRState
 
@@ -69,6 +71,59 @@ class TestQueries:
         assert len(state.top_k(100)) == 5
         with pytest.raises(ConfigError):
             state.top_k(0)
+
+    @staticmethod
+    def brute_force(p, k):
+        ranked = sorted(range(len(p)), key=lambda v: (-p[v], v))[:k]
+        return [(v, float(p[v])) for v in ranked]
+
+    def test_top_k_breaks_ties_by_vertex_id(self):
+        state = PPRState.initial(0, 8)
+        state.p[:] = [0.2, 0.5, 0.2, 0.0, 0.5, 0.2, 0.0, 0.1]
+        assert state.top_k(4) == [(1, 0.5), (4, 0.5), (0, 0.2), (2, 0.2)]
+        assert state.top_k(5)[-1] == (5, 0.2)
+
+    def test_top_k_pads_with_the_lowest_zero_ids(self):
+        state = PPRState.initial(0, 40_000)
+        state.p[[31_000, 7, 900]] = [0.25, 0.5, 0.25]
+        assert state.top_k(6) == [
+            (7, 0.5), (900, 0.25), (31_000, 0.25), (0, 0.0), (1, 0.0), (2, 0.0)
+        ]
+
+    def test_top_k_ranks_negative_estimates_below_zeros(self):
+        # Deletions can leave small negative estimates behind.
+        state = PPRState.initial(0, 6)
+        state.p[:] = [-0.01, 0.3, 0.0, -0.2, 0.0, -0.01]
+        assert state.top_k(3) == [(1, 0.3), (2, 0.0), (4, 0.0)]
+        assert state.top_k(6) == self.brute_force(state.p, 6)
+        assert state.top_k(99) == self.brute_force(state.p, 6)  # k >= len(p)
+        state.p[:] = -1.0
+        assert state.top_k(2) == [(0, -1.0), (1, -1.0)]
+
+    @given(
+        values=st.lists(
+            st.sampled_from([0.0, 0.0, 0.0, -0.0, 0.25, 0.5, -0.125, 1e-9])
+            | st.floats(-1.0, 1.0),
+            min_size=1,
+            max_size=300,
+        ),
+        k=st.integers(1, 40),
+    )
+    def test_top_k_equals_the_sorted_definition(self, values, k):
+        state = PPRState(0, len(values))
+        state.p[:] = values
+        assert state.top_k(k) == self.brute_force(state.p, k)
+
+    def test_top_k_on_a_serving_sized_sparse_vector(self):
+        # The strided-sample bound is exercised both ways: enough positive
+        # values to clear it, and so few that its zero ties fill the answer.
+        rng = np.random.default_rng(7)
+        for positives in (0, 3, 11, 12, 500, 20_000):
+            state = PPRState(0, 41_600)
+            ids = rng.choice(41_600, positives, replace=False)
+            state.p[ids] = rng.integers(1, 50, positives) / 64.0  # many ties
+            for k in (1, 11, 64):
+                assert state.top_k(k) == self.brute_force(state.p, k)
 
     def test_estimate_sum(self):
         state = PPRState.initial(0, 3)
