@@ -7,6 +7,10 @@ float estimates) to the answer the embedded :class:`repro.api.Client`
 produces for the same snapshot version — the service bootstrap
 (:func:`repro.serve.workload_service`) is deterministic, so two
 processes built from the same arguments must serve the same floats.
+Then the keep-alive leg: 200 FRESH reads on one ``http.client``
+connection, each still that answer, in under two seconds — a response
+that leaves as two segments costs a 40 ms delayed ACK per request
+(8.8 s here), so the stall cannot come back unnoticed.
 Also exercises the 4xx paths: malformed JSON, unknown route, unknown op.
 
 Run from the repository root:  PYTHONPATH=src python scripts/gateway_smoke.py
@@ -22,6 +26,7 @@ import sys
 import time
 import urllib.error
 import urllib.request
+from http.client import HTTPConnection
 from pathlib import Path
 
 REPO = Path(__file__).resolve().parent.parent
@@ -34,6 +39,8 @@ from repro.errors import RequestError, VertexError  # noqa: E402
 DATASET = "youtube"
 PORT = 8711
 K = 5
+KEEPALIVE_READS = 200
+KEEPALIVE_BUDGET_S = 2.0
 
 
 def wait_healthy(base: str, deadline_s: float = 60.0) -> None:
@@ -82,6 +89,28 @@ def main() -> int:
                   file=sys.stderr)
             return 1
         print(f"top-{K} over HTTP is bit-identical to the embedded client: {got}")
+
+        # The keep-alive leg: the same read, many times, one connection.
+        body = json.dumps({"source": prepared.source, "k": K})
+        conn = HTTPConnection("127.0.0.1", PORT, timeout=10)
+        try:
+            start = time.perf_counter()
+            for _ in range(KEEPALIVE_READS):
+                conn.request("POST", "/v1/query", body=body)
+                entries = json.loads(conn.getresponse().read())["entries"]
+                if [(e["vertex"], e["estimate"]) for e in entries] != want:
+                    print("keep-alive answer diverged", file=sys.stderr)
+                    return 1
+            elapsed = time.perf_counter() - start
+        finally:
+            conn.close()
+        print(f"{KEEPALIVE_READS} keep-alive reads in {elapsed:.2f} s"
+              f" ({1e3 * elapsed / KEEPALIVE_READS:.2f} ms each)")
+        if elapsed >= KEEPALIVE_BUDGET_S:
+            print(f"keep-alive reads took {elapsed:.2f} s (budget"
+                  f" {KEEPALIVE_BUDGET_S} s): is every response one send?",
+                  file=sys.stderr)
+            return 1
 
         # Stats and error paths.
         stats = http.stats()

@@ -26,16 +26,21 @@ dataclasses, so the wire protocol is exactly the embedded one — an HTTP
 answer is bit-identical JSON to the embedded client's ``to_dict()`` for
 the same snapshot version (floats serialize via ``repr``, the shortest
 round-trip form). Error codes map onto HTTP statuses (``REQUEST`` → 400,
-``VERTEX``/``EDGE`` → 404, ``CONFLICT`` → 409, …); unknown routes and
-malformed JSON come back as the same structured error envelope.
+``VERTEX``/``EDGE`` → 404, ``CONFLICT`` → 409, …); unknown routes,
+malformed JSON and an unusable ``Content-Length`` come back as the same
+structured error envelope.
 
 The server is a :class:`~http.server.ThreadingHTTPServer`; the gateway's
-internal lock serializes engine access across worker threads.
+internal lock serializes engine access across worker threads. Connections
+are persistent (HTTP/1.1 keep-alive) and every response — headers and
+body — leaves in one ``send`` with Nagle's algorithm off, so a request
+on a warm connection costs the engine's time, not a delayed-ACK timer.
 """
 
 from __future__ import annotations
 
 import json
+import re
 import time
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Any
@@ -98,6 +103,14 @@ class GatewayRequestHandler(BaseHTTPRequestHandler):
 
     server_version = "repro-gateway"
     protocol_version = "HTTP/1.1"
+    #: Headers and body are two writes; unbuffered they are two segments,
+    #: and on a keep-alive connection Nagle holds the second until the
+    #: client's delayed ACK (40 ms). Buffer them and let the one flush per
+    #: request (``handle_one_request``) send both — 64 KiB holds every
+    #: response but a very large batch; ``TCP_NODELAY`` keeps a larger one
+    #: from stalling between its segments.
+    wbufsize = 64 * 1024
+    disable_nagle_algorithm = True
     #: Quiet by default; ``repro serve --verbose`` flips it.
     log_traffic = False
 
@@ -113,17 +126,30 @@ class GatewayRequestHandler(BaseHTTPRequestHandler):
     # plumbing
     # -------------------------------------------------------------- #
 
-    def _send_json(
-        self, status: int, payload: dict[str, Any], trace_id: str | None = None
+    def _send(
+        self,
+        status: int,
+        content_type: str,
+        body: bytes,
+        trace_id: str | None = None,
     ) -> None:
-        body = json.dumps(payload).encode("utf-8")
+        """The one response writer: status line, headers and body."""
         self.send_response(status)
-        self.send_header("Content-Type", "application/json")
+        self.send_header("Content-Type", content_type)
         self.send_header("Content-Length", str(len(body)))
         if trace_id is not None:
             self.send_header("X-Trace-Id", trace_id)
+        if self.close_connection:
+            self.send_header("Connection", "close")
         self.end_headers()
         self.wfile.write(body)
+
+    def _send_json(
+        self, status: int, payload: dict[str, Any], trace_id: str | None = None
+    ) -> None:
+        self._send(
+            status, "application/json", json.dumps(payload).encode("utf-8"), trace_id
+        )
 
     def _send_error_info(self, error: ErrorInfo, status: int | None = None) -> None:
         self._send_json(
@@ -132,7 +158,18 @@ class GatewayRequestHandler(BaseHTTPRequestHandler):
         )
 
     def _read_body(self) -> Any:
-        length = int(self.headers.get("Content-Length", 0) or 0)
+        declared = self.headers.get("Content-Length", "")
+        # Matched, not int()-ed: "abc" would raise out of do_POST, "-1" would
+        # read to EOF, and int() itself refuses a few thousand digits.
+        if not re.fullmatch(r"[0-9]{1,18}", declared):
+            # Where this request's body ends is unknown, so nothing after
+            # it on the connection can be trusted to be a request.
+            self.close_connection = True
+            raise RequestError(
+                "POST needs a Content-Length that is a non-negative integer,"
+                f" got {declared!r}"
+            )
+        length = int(declared)
         raw = self.rfile.read(length) if length else b""
         if not raw:
             raise RequestError("empty request body (want a JSON object)")
@@ -198,6 +235,7 @@ class GatewayRequestHandler(BaseHTTPRequestHandler):
                     raise RequestError("ingest body must be a JSON object")
                 self._send_gateway(IngestBatch.from_dict(payload))
             else:
+                self.close_connection = True  # the body stays unread
                 self._send_error_info(
                     ErrorInfo(
                         code="REQUEST", message=f"unknown route: POST {self.path}"
@@ -291,12 +329,11 @@ class GatewayRequestHandler(BaseHTTPRequestHandler):
                 or ErrorInfo(code="INTERNAL", message="stats unavailable")
             )
             return
-        body = render_prometheus(response.stats).encode("utf-8")
-        self.send_response(200)
-        self.send_header("Content-Type", "text/plain; version=0.0.4")
-        self.send_header("Content-Length", str(len(body)))
-        self.end_headers()
-        self.wfile.write(body)
+        self._send(
+            200,
+            "text/plain; version=0.0.4",
+            render_prometheus(response.stats).encode("utf-8"),
+        )
 
 
 def make_server(

@@ -19,6 +19,7 @@ from collections import OrderedDict
 from dataclasses import dataclass, field
 
 from ..config import ServeConfig
+from ..core.certify import CertifiedEntry
 from ..core.state import PPRState
 from ..errors import ConfigError
 
@@ -38,6 +39,12 @@ class ResidentSource:
     #: touched, however many updates accumulate between pushes.
     pending_seeds: set[int] = field(default_factory=set)
     queries: int = 0
+    #: Certified answers already computed from this state, by ``k``, and
+    #: the ``(graph_version, version)`` they were computed at — they are
+    #: served again only while that stamp still matches (see
+    #: ``PPRService._certified``).
+    memo: dict[int, tuple[CertifiedEntry, ...]] = field(default_factory=dict)
+    memo_stamp: tuple[int, int] | None = None
 
     @property
     def source(self) -> int:

@@ -140,6 +140,9 @@ class ServiceMetrics:
     cache_misses: int = 0
     evictions: int = 0
     resident: int = 0
+    #: Top-k answers served from a resident's memo: ``certified_top_k``
+    #: ran ``top-k queries - answer_memo_hits`` times.
+    answer_memo_hits: int = 0
     snapshot_rebuilds: int = 0
     snapshot_delta_applies: int = 0
     snapshot_consolidations: int = 0
@@ -220,6 +223,7 @@ class ServiceMetrics:
             "hit_rate": self.hit_rate,
             "evictions": self.evictions,
             "resident": self.resident,
+            "answer_memo_hits": self.answer_memo_hits,
             "cold_admissions": self.cold_admissions,
             "admission_batches": self.admission_batches,
             "updates_ingested": self.updates_ingested,
@@ -635,6 +639,10 @@ class PPRService:
         updates = list(updates)
         with obs.span("engine.ingest", updates=len(updates)):
             residents = self.cache.entries()
+            for entry in residents:
+                # Likewise a batch the graph rejects half-way: r is repaired
+                # for the prefix that applied and no version is bumped.
+                entry.memo_stamp = None
             states = [entry.state for entry in residents]
             if self.hub_index is not None:
                 states += self.hub_index.states
@@ -680,6 +688,9 @@ class PPRService:
 
     def _refresh(self, entry: ResidentSource) -> PushStats:
         """Push one resident back to convergence on the current version."""
+        # The versions move only when the push returns; one that raises
+        # (ConvergenceError) has already rewritten p and r.
+        entry.memo_stamp = None
         with obs.span("push.refresh", source=entry.source) as span:
             stats = parallel_local_push(
                 entry.state,
@@ -764,8 +775,7 @@ class PPRService:
         start = clock.now()
         with obs.span("engine.query", source=source, k=k) as span:
             entry, staleness, cold = self._resident(source, max_staleness)
-            with obs.span("topk.certify", source=source, k=k):
-                answer = certified_top_k(entry.state, k)
+            answer = self._certified(entry, k)
             span.set(cold=cold, staleness=staleness)
         entry.queries += 1
         wall = clock.now() - start
@@ -778,6 +788,28 @@ class PPRService:
             cold=cold,
             wall_time=wall,
         )
+
+    def _certified(self, entry: ResidentSource, k: int) -> list[CertifiedEntry]:
+        """``certified_top_k(entry.state, k)``, computed once per state.
+
+        The answer is a function of ``(k, graph_version, entry.version)``:
+        an ingest repairs ``r`` of *every* resident — the certified bound
+        moves even for one served unrefreshed under BOUNDED/ANY — and
+        bumps ``graph_version``; a refresh rewrites ``p`` and ``r`` and
+        bumps ``entry.version``; an admission or a recovery makes a new
+        entry. A hit is a fresh list of the same frozen entries.
+        """
+        stamp = (self.graph_version, entry.version)
+        if entry.memo_stamp != stamp:
+            entry.memo.clear()
+            entry.memo_stamp = stamp
+        answer = entry.memo.get(k)
+        if answer is None:
+            with obs.span("topk.certify", source=entry.source, k=k):
+                answer = entry.memo[k] = tuple(certified_top_k(entry.state, k))
+        else:
+            self._metrics.answer_memo_hits += 1
+        return list(answer)
 
     def _execute_score(
         self,

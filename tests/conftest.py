@@ -2,6 +2,11 @@
 
 from __future__ import annotations
 
+import contextlib
+import json
+import socket
+import threading
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, settings
@@ -70,6 +75,54 @@ def self_contained_checkpoint(root, service):
     from repro.store.checkpoint import capture_checkpoint, write_checkpoint
 
     return write_checkpoint(root, capture_checkpoint(service, None))
+
+
+@contextlib.contextmanager
+def serving(gateway):
+    """The HTTP front-end over ``gateway`` on an ephemeral port, for the
+    length of the block (helper, not a fixture)."""
+    from repro.api import make_server
+
+    server = make_server(gateway, port=0)
+    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    thread.start()
+    try:
+        yield server
+    finally:
+        server.shutdown()
+        server.server_close()
+        thread.join(timeout=5)
+
+
+@pytest.fixture
+def server_sends(monkeypatch):
+    """Every ``send``/``sendall`` a socket in this process makes, as
+    ``(local_port, nbytes)`` in call order: a server's accepted sockets
+    are the ones whose local port is the server's."""
+    calls: list[tuple[int, int]] = []
+    for name in ("send", "sendall"):
+
+        def counting(sock, data, *args, _real=getattr(socket.socket, name)):
+            try:
+                calls.append((sock.getsockname()[1], len(data)))
+            except (OSError, IndexError):  # closed, or not an inet socket
+                pass
+            return _real(sock, data, *args)
+
+        monkeypatch.setattr(socket.socket, name, counting)
+    return calls
+
+
+def exchange(conn, method, route, payload=None):
+    """One request on a persistent ``http.client`` connection: the
+    status, the response object (headers) and the whole body."""
+    body = None if payload is None else json.dumps(payload).encode()
+    conn.request(
+        method, route, body=body,
+        headers={"Content-Type": "application/json"} if body else {},
+    )
+    response = conn.getresponse()
+    return response.status, response, response.read()
 
 
 @pytest.fixture

@@ -375,6 +375,43 @@ class TestClusterStats:
         assert len(section["applied_versions"]) == 2
 
 
+class TestFrontDoorOnBothTiers:
+    """One HTTP handler fronts every gateway: what `tests/test_http.py`
+    pins on the single process holds over replicas and over shards."""
+
+    def test_keepalive_responses_are_one_send_each(self, tier, server_sends):
+        import http.client
+        import json
+
+        from tests.conftest import exchange, serving
+
+        with tier.fleet() as fleet, serving(fleet.gateway) as server:
+            port = server.server_address[1]
+            conn = http.client.HTTPConnection(*server.server_address[:2], timeout=30)
+            read = {"source": tier.source_of(fleet, 0), "k": 3}
+            try:
+                for method, route, payload in [
+                    ("POST", "/v1/query", read),
+                    ("POST", "/v1/query", read),
+                    ("POST", "/v1/ingest", {"updates": [[2, 3]]}),
+                    ("POST", "/v1/query", {"requests": [read, read]}),
+                    ("GET", "/v1/metrics", None),
+                    ("GET", "/v1/stats", None),
+                ]:
+                    before = len(server_sends)
+                    status, _, body = exchange(conn, method, route, payload)
+                    assert status == 200, (route, body)
+                    sent = [n for p, n in server_sends[before:] if p == port]
+                    assert len(sent) == 1, (route, sent)
+            finally:
+                conn.close()
+            # The engine counters every tier's /v1/stats carries: the
+            # write authority's on replicas, the shards' summed (the
+            # second read hit; the batch's twin reads coalesced).
+            hits = json.loads(body)["stats"]["answer_memo_hits"]
+            assert hits >= (1 if tier.name == "shard" else 0)
+
+
 class TestGatewayParity:
     """The cluster front door mirrors Gateway's scheduler bookkeeping."""
 

@@ -9,9 +9,12 @@ route, unknown op, bad field types, version conflicts).
 
 from __future__ import annotations
 
+import http.client
 import json
 import re
+import socket
 import threading
+import time
 import urllib.error
 import urllib.request
 
@@ -22,7 +25,7 @@ from repro import Backend, PPRConfig, PPRService, ServeConfig
 from repro.api import HttpClient, make_server
 from repro.errors import ConflictError, RequestError, VertexError
 
-from tests.conftest import random_graph
+from tests.conftest import exchange, random_graph
 
 NUMPY_CONFIG = PPRConfig(epsilon=1e-6, backend=Backend.NUMPY, workers=4)
 
@@ -177,6 +180,143 @@ class TestErrorPaths:
         server, _, _ = live
         error = raw_post(f"{server.url}/v1/ingest", json.dumps([1, 2]).encode())
         assert isinstance(error, urllib.error.HTTPError) and error.code == 400
+
+
+def raw_bytes(server, request: bytes) -> bytes:
+    """Write raw bytes, read to EOF. Times out if the server neither
+    answers nor closes."""
+    with socket.create_connection(server.server_address[:2], timeout=5) as sock:
+        sock.sendall(request)
+        received = b""
+        while chunk := sock.recv(65536):
+            received += chunk
+    return received
+
+
+def raw_exchange(server, request: bytes) -> tuple[bytes, dict[str, str], bytes]:
+    """:func:`raw_bytes`, split into (status line, headers, body)."""
+    head, _, body = raw_bytes(server, request).partition(b"\r\n\r\n")
+    status, *lines = head.split(b"\r\n")
+    headers = dict(line.decode().split(": ", 1) for line in lines)
+    return status, headers, body
+
+
+class TestBodyFraming:
+    """A POST whose body length is unusable gets the envelope and loses
+    the connection: what follows on it cannot be told from body bytes."""
+
+    @pytest.mark.parametrize(
+        "length", [b"Content-Length: abc\r\n", b"Content-Length: -1\r\n", b""],
+        ids=["not-a-number", "negative", "missing"],
+    )
+    def test_bad_content_length_is_400_and_closes(self, live, length):
+        server, _, _ = live
+        status, headers, body = raw_exchange(
+            server,
+            b"POST /v1/query HTTP/1.1\r\nHost: t\r\n" + length + b'\r\n{"source": 0}',
+        )
+        assert status == b"HTTP/1.1 400 Bad Request"
+        assert headers["Connection"] == "close"
+        assert int(headers["Content-Length"]) == len(body)
+        error = json.loads(body)["error"]
+        assert error["code"] == "REQUEST" and "Content-Length" in error["message"]
+
+    def test_unread_body_of_an_unknown_post_route_is_not_a_request(self, live):
+        server, _, _ = live
+        smuggled = b"GET /v1/healthz HTTP/1.1\r\nHost: t\r\n\r\n"
+        status, headers, body = raw_exchange(
+            server,
+            b"POST /v2/query HTTP/1.1\r\nHost: t\r\nContent-Length: "
+            + str(len(smuggled)).encode() + b"\r\n\r\n" + smuggled,
+        )
+        assert status == b"HTTP/1.1 404 Not Found"
+        assert headers["Connection"] == "close"
+        assert json.loads(body)["error"]["code"] == "REQUEST"  # and nothing after it
+
+
+@pytest.fixture()
+def keepalive(live):
+    """One persistent connection to the ``live`` server."""
+    conn = http.client.HTTPConnection(*live[0].server_address[:2], timeout=10)
+    yield conn
+    conn.close()
+
+
+class TestFrontDoor:
+    """Keep-alive is the supported way in: a response is one segment, so
+    no request waits out the client's delayed ACK (40 ms a request)."""
+
+    def test_every_response_is_one_send(self, live, keepalive, server_sends):
+        port = live[0].server_address[1]
+        exchanges = [
+            ("POST", "/v1/query", {"source": 0, "k": 5}, 200),
+            ("POST", "/v1/ingest", {"updates": [[0, 1]]}, 200),
+            ("POST", "/v1/query",
+             {"requests": [{"source": 0, "k": 3}, {"source": 1, "k": 3}]}, 200),
+            ("GET", "/v1/stats", None, 200),
+            ("GET", "/v1/metrics", None, 200),
+            ("POST", "/v1/query", {"op": "frobnicate"}, 400),
+            ("GET", "/v1/nope", None, 404),
+            ("GET", "/v1/trace/feedface", None, 404),
+            ("GET", "/v1/slow", None, 200),
+            ("GET", "/v1/readyz", None, 200),
+        ]
+        for method, route, payload, want in exchanges:
+            before = len(server_sends)
+            status, response, body = exchange(keepalive, method, route, payload)
+            sent = [n for p, n in server_sends[before:] if p == port]
+            assert status == want, (route, body)
+            assert int(response.getheader("Content-Length")) == len(body)
+            assert len(sent) == 1 and sent[0] > len(body), (route, sent)
+        assert keepalive.sock is not None  # still the connection it opened
+
+    def test_the_stdlib_error_page_is_one_send_too(self, live, server_sends):
+        """``send_error`` writes headers and page separately as well; it
+        never reaches the per-request flush, the one at ``finish`` sends."""
+        server, _, _ = live
+        port = server.server_address[1]
+        status, headers, body = raw_exchange(
+            server, b"BREW /v1/query HTTP/1.1\r\nHost: t\r\n\r\n"
+        )
+        assert status.startswith(b"HTTP/1.1 501")
+        assert int(headers["Content-Length"]) == len(body) > 0
+        assert len([n for p, n in server_sends if p == port]) == 1
+        # A request line too broken to carry a version gets the bare page.
+        del server_sends[:]
+        assert b"Bad request syntax" in raw_bytes(server, b"NOT-HTTP\r\n\r\n")
+        assert len([n for p, n in server_sends if p == port]) == 1
+
+    def test_accepted_sockets_have_nagle_off(self, live, keepalive):
+        server, _, _ = live
+        accepted = []
+        accept = server.get_request
+
+        def recording():
+            pair = accept()
+            accepted.append(pair[0])
+            return pair
+
+        server.get_request = recording
+        assert exchange(keepalive, "GET", "/v1/healthz")[0] == 200
+        assert accepted[0].getsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY)
+
+    def test_a_response_larger_than_the_buffer_arrives_whole(self, keepalive):
+        batch = {"requests": [{"source": s % 16, "k": 40} for s in range(48)]}
+        status, _, body = exchange(keepalive, "POST", "/v1/query", batch)
+        assert status == 200 and len(body) > 64 * 1024
+        responses = json.loads(body)["responses"]
+        assert len(responses) == 48 and all(r["ok"] for r in responses)
+        # ... and the connection is still in step for the next request.
+        assert exchange(keepalive, "GET", "/v1/healthz")[0] == 200
+
+    def test_fifty_requests_on_one_connection_take_no_timer(self, keepalive):
+        read = {"source": 0, "k": 5}
+        exchange(keepalive, "POST", "/v1/query", read)  # admit
+        start = time.perf_counter()
+        for _ in range(50):
+            assert exchange(keepalive, "POST", "/v1/query", read)[0] == 200
+        # 50 x 40 ms = 2 s with the stall; ~20 ms without.
+        assert time.perf_counter() - start < 1.0
 
 
 def raw_get(url: str) -> tuple[int, dict, bytes]:

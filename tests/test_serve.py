@@ -389,6 +389,121 @@ class TestPPRService:
 # ---------------------------------------------------------------------- #
 
 
+class TestAnswerMemo:
+    """A resident keeps the answers certified from its current state: a hit
+    returns what ``certified_top_k`` would, and nothing that rewrites the
+    state leaves one behind. (`tests/test_store_properties.py` runs the
+    same contract under a hypothesis interleaving.)"""
+
+    @pytest.fixture
+    def counted(self, rng, monkeypatch):
+        """(service, calls): ``calls`` grows by one per certify run."""
+        import repro.serve.service as engine
+
+        calls = []
+
+        def counting(state, k):
+            calls.append(k)
+            return certified_top_k(state, k)
+
+        monkeypatch.setattr(engine, "certified_top_k", counting)
+        return _service(random_graph(rng), cache_capacity=4), calls
+
+    @staticmethod
+    def recomputed(service, source, k):
+        return certified_top_k(service.cache.peek(source).state, k)
+
+    def test_certify_runs_once_per_state_and_k(self, counted):
+        from repro.api.metrics import render_prometheus
+
+        service, calls = counted
+        first = service.query(0, k=5)
+        assert service.query(0, k=5).entries == first.entries
+        assert calls == [5]
+        assert service.query(0, k=3).entries == first.entries[:3]  # not k=5's
+        assert service.query(0, k=3).entries == self.recomputed(service, 0, 3)
+        assert calls == [5, 3]
+
+        # RestoreInvariant moves r — the certified bounds — of a resident
+        # that nobody refreshes: the memo goes with the graph version.
+        service.ingest(insertions([(0, 5), (5, 9)]))
+        stale = service.query(0, k=5, max_staleness=None)
+        assert stale.snapshot_version == 0 and stale.entries != first.entries
+        assert stale.entries == self.recomputed(service, 0, 5)
+        assert service.query(0, k=5, max_staleness=None).entries == stale.entries
+        assert calls == [5, 3, 5]
+
+        # ... and with the entry's own version on a refresh.
+        fresh = service.query(0, k=5)
+        assert fresh.snapshot_version == 1
+        assert fresh.entries == self.recomputed(service, 0, 5)
+        assert calls == [5, 3, 5, 5]
+
+        # Eviction drops the entry, memo and all.
+        service.cache.evict(0)
+        assert service.query(0, k=5).cold
+        assert calls == [5, 3, 5, 5, 5]
+
+        stats = service.metrics().to_dict()
+        assert stats["answer_memo_hits"] == 3
+        assert stats["queries"] - stats["answer_memo_hits"] == len(calls)
+        assert "repro_answer_memo_hits_total 3" in render_prometheus(stats)
+
+    def test_a_hit_is_a_fresh_list(self, counted):
+        service, calls = counted
+        first = service.query(0, k=5)
+        kept = list(first.entries)
+        first.entries.clear()
+        again = service.query(0, k=5)
+        assert again.entries == kept and again.entries is not first.entries
+        assert calls == [5]
+
+    def test_query_many_shares_the_memo(self, counted):
+        service, calls = counted
+        answers = service.query_many([0, 1, 0, 1, 0], k=4)
+        assert calls == [4, 4]
+        for answer in answers:
+            assert answer.entries == self.recomputed(service, answer.source, 4)
+
+    def test_a_push_that_raises_leaves_no_memo_behind(self, counted, monkeypatch):
+        """The versions move only when a refresh returns; by then a failed
+        one has rewritten ``p`` and ``r`` under the memo's key."""
+        import repro.serve.service as engine
+        from repro.errors import ConvergenceError
+
+        service, _ = counted
+        service.query(0, k=5)
+        service.ingest(insertions([(0, 5), (5, 9)]))
+        before = service.query(0, k=5, max_staleness=None).entries
+        push = engine.parallel_local_push
+
+        def push_then_fail(*args, **kwargs):
+            push(*args, **kwargs)
+            raise ConvergenceError(1, 0.0)
+
+        monkeypatch.setattr(engine, "parallel_local_push", push_then_fail)
+        with pytest.raises(ConvergenceError):
+            service.query(0, k=5)
+        after = service.query(0, k=5, max_staleness=None).entries
+        assert after != before
+        assert after == self.recomputed(service, 0, 5)
+
+    def test_a_half_applied_batch_leaves_no_memo_behind(self, counted):
+        """A batch the graph rejects repairs ``r`` for the prefix that did
+        apply and bumps no version."""
+        from repro import EdgeError, deletions
+
+        service, _ = counted
+        before = service.query(0, k=5).entries
+        top = before[0].vertex
+        with pytest.raises(EdgeError):
+            service.ingest(insertions([(top, 29)]) + deletions([(28, 28)]))
+        assert service.graph_version == 0
+        after = service.query(0, k=5, max_staleness=None).entries
+        assert after != before
+        assert after == self.recomputed(service, 0, 5)
+
+
 @pytest.mark.parametrize(
     "kwargs",
     [

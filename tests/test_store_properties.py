@@ -19,7 +19,11 @@ Round-trip laws the store's crash-recovery guarantee rests on:
 6. a persisted service driven by any interleaving of ingests, queries
    (never-seen ids included), checkpoints, rebases and crashes at every
    window of the checkpoint writer recovers to its acknowledged version
-   with graph and certified answers bit-identical (a state machine).
+   with graph and certified answers bit-identical (a state machine);
+7. the same machine read at every consistency and ``k``: a served answer
+   is ``certified_top_k`` of the state it came from, and a resident's
+   answer memo is used exactly when entry, graph version, entry version
+   and ``k`` are the ones it was filled at.
 """
 
 from __future__ import annotations
@@ -607,3 +611,152 @@ TestDurableService = DurableServiceMachine.TestCase
 TestDurableService.settings = settings(
     max_examples=20, stateful_step_count=20, deadline=None
 )
+
+
+# ---------------------------------------------------------------------- #
+# 7: the same loop read at every consistency — the answer memo
+# ---------------------------------------------------------------------- #
+
+
+def _answer_bits(entries):
+    """A certified answer, floats as their bit patterns."""
+    return [
+        (e.vertex, e.estimate.hex(), e.lower.hex(), e.upper.hex(), e.position_certified)
+        for e in entries
+    ]
+
+
+class AnswerMemoMachine(DurableServiceMachine):
+    """The durable service again, now read FRESH / BOUNDED / ANY at several
+    ``k``, in batches, around prefetches and evictions.
+
+    Two things must hold whatever the interleaving. *What* is served is
+    ``certified_top_k`` of the state it is served from, bit for bit. And a
+    resident's memo answers exactly when the model below says it may: same
+    entry object (so not across an eviction or a recovery), same graph
+    version (not across an ingest), same entry version (not across a
+    refresh), same ``k``.
+    """
+
+    KS = st.sampled_from([1, 5, 10, None])  # None: one more than there are vertices
+    SOURCES = st.integers(0, N_VERTICES + 3)
+    STALENESS = st.sampled_from([0, 1, 2, None])  # FRESH, BOUNDED(1|2), ANY
+
+    def __init__(self):
+        super().__init__()
+        import repro.serve.service as engine
+
+        self.engine = engine
+        self.certify = engine.certified_top_k
+        self.calls = 0
+
+        def counting(state, k):
+            self.calls += 1
+            return self.certify(state, k)
+
+        engine.certified_top_k = counting
+        self.services = [self.service]
+        warmup = self.service.metrics()  # the base machine's two reads
+        self.uncounted = warmup.queries - warmup.answer_memo_hits
+        #: source -> (entry, (graph version, entry version), ks served there)
+        self.model = {}
+        for source in self.service.resident_sources():  # ... at the default k
+            self._remember(source, self.service.serve.top_k)
+
+    def teardown(self):
+        self.engine.certified_top_k = self.certify
+        super().teardown()
+
+    def _remember(self, source, k):
+        entry = self.service.cache.peek(source)
+        if entry is None:
+            self.model.pop(source, None)
+            return
+        stamp = (self.service.graph_version, entry.version)
+        known = self.model.get(source)
+        seen = known[2] if known and known[0] is entry and known[1] == stamp else set()
+        self.model[source] = (entry, stamp, seen | {k})
+
+    def _k(self, k):
+        return self.service.graph.num_vertices + 1 if k is None else k
+
+    def _read(self, source, k, staleness):
+        service = self.service
+        entry = service.cache.peek(source)
+        known = self.model.get(source)
+        expect_hit = (
+            entry is not None
+            and known is not None
+            and known[0] is entry
+            and known[1] == (service.graph_version, entry.version)
+            and k in known[2]
+            # ... and this read will not refresh it first
+            and (staleness is None or service.graph_version - entry.version <= staleness)
+        )
+        hits = service.metrics().answer_memo_hits
+        served = service.query(source, k, max_staleness=staleness)
+        state = service.cache.peek(source).state
+        assert _answer_bits(served.entries) == _answer_bits(self.certify(state, k))
+        assert service.metrics().answer_memo_hits - hits == int(expect_hit)
+        served.entries.clear()  # ours to wreck: the next hit is a fresh list
+        self._remember(source, k)
+
+    @rule(source=SOURCES)
+    def query(self, source):
+        self._read(source, 5, None)
+
+    @rule(source=SOURCES, k=KS, staleness=STALENESS)
+    def read(self, source, k, staleness):
+        self._read(source, self._k(k), staleness)
+
+    @rule(sources=st.lists(SOURCES, min_size=1, max_size=6), k=KS, staleness=STALENESS)
+    def read_many(self, sources, k, staleness):
+        k = self._k(k)
+        served = self.service.query_many(sources, k, max_staleness=staleness)
+        for source, answer in zip(sources, served):
+            # A batch wider than the cache evicts as it goes; whoever is
+            # still resident is in the state its answer came from.
+            entry = self.service.cache.peek(source)
+            if entry is not None:
+                assert _answer_bits(answer.entries) == _answer_bits(
+                    self.certify(entry.state, k)
+                )
+            self._remember(source, k)
+
+    @rule(source=SOURCES)
+    def prefetch(self, source):
+        self.service.prefetch(source)
+
+    @rule(data=st.data())
+    def evict(self, data):
+        residents = self.service.resident_sources()
+        if residents:
+            self.service.cache.evict(data.draw(st.sampled_from(residents)))
+
+    @rule(window=st.sampled_from(DurableServiceMachine.CRASH_WINDOWS))
+    def crash_and_recover(self, window):
+        # A refresh is not in the log (see the base `query`): have the
+        # checkpoint hold it, so the base rule's bit-identity still applies.
+        self.service.store.checkpoint(self.service)
+        survivor = self.service
+        super().crash_and_recover(window)
+        recovered = self.service
+        self.services.append(recovered)
+        # The base rule read every recovered resident once at k=5: all
+        # first reads, however warm the survivor's memos were.
+        assert recovered.metrics().answer_memo_hits == 0
+        for entry in recovered.cache.entries():
+            if survivor.cache.peek(entry.source) is not None:
+                self._remember(entry.source, 5)
+
+    @invariant()
+    def certify_runs_once_per_miss(self):
+        misses = 0
+        for service in self.services:
+            metrics = service.metrics()
+            misses += metrics.queries - metrics.answer_memo_hits
+        assert misses - self.uncounted == self.calls
+
+
+TestAnswerMemo = AnswerMemoMachine.TestCase
+TestAnswerMemo.settings = TestDurableService.settings
