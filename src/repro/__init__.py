@@ -34,16 +34,12 @@ from .cluster import ClusterGateway, PPRCluster
 from .config import (
     ApiConfig,
     Backend,
-    CatchUpPolicy,
     ClusterConfig,
     ConsistencyLevel,
-    FsyncPolicy,
     PartitionerKind,
     Phase,
-    PlacementPolicy,
     PPRConfig,
     PushVariant,
-    RefreshPolicy,
     ServeConfig,
     ShardConfig,
     StoreConfig,
@@ -133,7 +129,6 @@ __all__ = [
     "BatchStats",
     "CPUCostModel",
     "CSRGraph",
-    "CatchUpPolicy",
     "Client",
     "ClusterConfig",
     "ClusterError",
@@ -155,7 +150,6 @@ __all__ = [
     "EdgeOp",
     "EdgeStream",
     "EdgeUpdate",
-    "FsyncPolicy",
     "GPUCostModel",
     "Gateway",
     "GraphError",
@@ -172,11 +166,9 @@ __all__ = [
     "PPRState",
     "PartitionerKind",
     "Phase",
-    "PlacementPolicy",
     "PushStats",
     "PushVariant",
     "RecoveryResult",
-    "RefreshPolicy",
     "ReproError",
     "RequestError",
     "ResidentSource",

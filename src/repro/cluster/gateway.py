@@ -11,16 +11,15 @@ one core:
   *primary* engine in-process (which owns durability: WAL, checkpoints,
   optimistic-concurrency checks), then ship to every replica as ordered
   WAL-framed deltas over its FIFO pipe;
-* **reads** are load-balanced across replicas per the placement policy —
-  ``HASHED`` keeps each source on one replica so per-source maintenance
-  (lazy refreshes, admissions) partitions across processes; coalesced
+* **reads** are placed by source — source ``s`` is served by replica
+  ``s % replicas`` — so per-source maintenance (lazy refreshes,
+  admissions) partitions across processes; coalesced
   read runs (:mod:`repro.api.scheduling`, shared with the single-process
   scheduler) are split into per-replica chunks that execute
   concurrently;
 * **consistency** rides the channel: a read enqueued behind a delta is
   served at a version covering it, so ``FRESH`` holds without extra
-  round trips (``PIPELINED``) or with an explicit version barrier
-  (``BARRIER``); ``BOUNDED``/``ANY`` are enforced engine-side on the
+  round trips; ``BOUNDED``/``ANY`` are enforced engine-side on the
   replica exactly as in a single process;
 * **failures**: a dead replica (crash, kill, wedge) is detected at the
   next interaction, respawned — recovering from the primary's durable
@@ -64,13 +63,7 @@ from ..api.requests import (
 from ..api.resilience import CircuitBreaker
 from ..api.responses import ApiResponse, HealthResult, ReadyResult, StatsResult
 from ..chaos import FaultKind
-from ..config import (
-    ApiConfig,
-    CatchUpPolicy,
-    ClusterConfig,
-    ConsistencyLevel,
-    PlacementPolicy,
-)
+from ..config import ApiConfig, ClusterConfig, ConsistencyLevel
 from ..errors import ClusterError, StoreError
 from ..graph.shm import SnapshotPublisher
 from ..obs import clock
@@ -303,22 +296,6 @@ class ClusterGateway(WorkerGateway):
             # promise anyone can keep. The typed 503 is the promotion
             # window's only degradation: ANY/BOUNDED reads keep serving.
             raise ClusterError("FRESH reads unavailable: no primary (failover pending)")
-        if self.cluster.catch_up is CatchUpPolicy.BARRIER:
-            self._barrier(index)
-
-    def _barrier(self, index: int) -> None:
-        """Explicit catch-up: wait until the replica acks head version."""
-        handle = self.replicas[index]
-        if handle.applied_version >= self._head:
-            return
-        with obs.span("cluster.barrier", replica=index):
-            # Raw send/await, not a round: a death here is the enclosing
-            # read's death, and that round owns the revive-and-retry.
-            ticket = self.group.send(index, lambda t: (messages.SYNC, t))
-            reply = self.group.await_reply(index, messages.SYNCED, ticket)
-        handle.applied_version = max(handle.applied_version, reply[2])
-        if handle.applied_version < self._head:
-            raise WorkerDied(f"replica {index} failed its barrier")
 
     def _read_one(self, index: int, request: ApiRequest) -> ApiResponse:
         if (
@@ -388,7 +365,7 @@ class ClusterGateway(WorkerGateway):
     def _route(self, index: int) -> int:
         """First replica at or after ``index`` whose breaker admits traffic.
 
-        Walking forward keeps HASHED placement's warm-cache affinity for
+        Walking forward keeps hashed placement's warm-cache affinity for
         healthy replicas while ejecting open-breaker ones from the
         rotation; if every breaker is open the original owner gets the
         request anyway (serving a maybe-failing replica beats failing
@@ -404,25 +381,13 @@ class ClusterGateway(WorkerGateway):
         return index
 
     def _owner(self, source: int) -> int:
-        if self.cluster.placement is PlacementPolicy.HASHED:
-            return source % len(self.replicas)
-        self._rotor = (self._rotor + 1) % len(self.replicas)
-        return self._rotor
+        return source % len(self.replicas)
 
     def _partition(self, sources: Sequence[int]) -> dict[int, list[int]]:
         """Group sources by owning replica, preserving per-chunk order."""
         chunks: dict[int, list[int]] = {}
-        if self.cluster.placement is PlacementPolicy.HASHED:
-            for source in sources:
-                chunks.setdefault(source % len(self.replicas), []).append(source)
-            return chunks
-        # Round-robin: contiguous even slices, deterministic for a trace.
-        n = len(self.replicas)
-        width = max(1, -(-len(sources) // n))
-        for index in range(n):
-            chunk = list(sources[index * width : (index + 1) * width])
-            if chunk:
-                chunks[index] = chunk
+        for source in sources:
+            chunks.setdefault(self._owner(source), []).append(source)
         return chunks
 
     # ------------------------------------------------------------------ #
@@ -764,7 +729,6 @@ class ClusterGateway(WorkerGateway):
             stats["admission"] = self.admission.to_dict()
         stats["cluster"] = {
             "replicas": len(self.replicas),
-            "placement": self.cluster.placement.value,
             "applied_versions": self.replica_versions(),
             "dispatched": [h.dispatched for h in self.replicas],
             "respawns": self.counters["respawns"],
@@ -794,7 +758,6 @@ class ClusterGateway(WorkerGateway):
     def __repr__(self) -> str:
         return (
             f"ClusterGateway(replicas={len(self.replicas)},"
-            f" placement={self.cluster.placement.value},"
             f" primary={self.service!r})"
         )
 

@@ -3,7 +3,7 @@
 One duplex :func:`multiprocessing.Pipe` per replica carries every frame,
 which is what makes the consistency story simple: the channel is FIFO,
 so a read enqueued after a write delta is *guaranteed* to be served at a
-version covering that delta (the ``PIPELINED`` catch-up policy is free).
+version covering that delta (FRESH reads need no catch-up round trip).
 
 Frames are small tagged tuples (``Connection.send`` pickles them), with
 one deliberate exception: write deltas travel as the **WAL record
@@ -18,7 +18,6 @@ Coordinator -> replica::
 
     (APPLY, frame_bytes, trace_ctx)       ordered write delta (WAL frame)
     (REQUESTS, ticket, requests, coalesce) reads to serve (typed ApiRequests)
-    (SYNC, ticket)                        barrier: ack your applied version
     (PROMOTE, ticket, epoch, store_root, store_config)
                                           become primary: own the store,
                                           replay the WAL tail, fence epoch
@@ -30,7 +29,6 @@ Replica -> coordinator::
     (HELLO, graph_version)                spawn handshake
     (APPLIED, seq, spans)                 delta applied through version seq
     (RESPONSES, ticket, responses, graph_version, spans)
-    (SYNCED, ticket, graph_version)
     (PROMOTED, ticket, graph_version, frames, spans)
     (BYE, graph_version)                  clean shutdown acknowledgement
 
@@ -63,12 +61,10 @@ from __future__ import annotations
 #: Coordinator -> replica tags (``REQUESTS`` and ``SHUTDOWN`` are shared
 #: with the shard tier and live in :mod:`repro.workers`).
 APPLY = "apply"
-SYNC = "sync"
 PROMOTE = "promote"
 INGEST = "ingest"
 
 #: Replica -> coordinator tags (``HELLO``, ``RESPONSES`` and ``BYE`` are
 #: shared and live in :mod:`repro.workers`).
 APPLIED = "applied"
-SYNCED = "synced"
 PROMOTED = "promoted"

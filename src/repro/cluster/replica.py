@@ -247,8 +247,6 @@ def replica_main(spec: ReplicaSpec, conn: Connection) -> None:
                         obs.drain(),
                     )
                 )
-            elif tag == messages.SYNC:
-                conn.send((messages.SYNCED, frame[1], service.graph_version))
             elif tag == messages.PROMOTE:
                 _, ticket, new_epoch, store_root, store_config = frame
                 with obs.span(

@@ -155,26 +155,6 @@ class Phase(enum.Enum):
         return residual < -epsilon
 
 
-class FsyncPolicy(enum.Enum):
-    """When the write-ahead log forces its bytes to stable storage.
-
-    ``ALWAYS``
-        ``fsync`` after every appended batch. A crash loses at most the
-        batch being written (detected and truncated as a torn tail).
-    ``ROTATE``
-        ``fsync`` only when a segment is rotated out (every checkpoint)
-        or the log is closed. A crash may lose the tail of the current
-        segment — but never a batch already covered by a checkpoint.
-    ``NEVER``
-        Leave flushing to the OS page cache. Fastest; durability is only
-        as good as the last checkpoint plus whatever the kernel wrote.
-    """
-
-    ALWAYS = "always"
-    ROTATE = "rotate"
-    NEVER = "never"
-
-
 @dataclass(frozen=True)
 class StoreConfig:
     """Configuration of the durable state store (:mod:`repro.store`).
@@ -195,16 +175,16 @@ class StoreConfig:
         How many recent checkpoints to keep; older ones are pruned after
         each new checkpoint (at least 1). The WAL is kept back to the
         oldest graph base a retained checkpoint names.
-    fsync:
-        WAL flush discipline (see :class:`FsyncPolicy`).
 
-    See ``docs/persistence.md`` for formats and the recovery walkthrough.
+    The write-ahead log fsyncs every batch before it is acknowledged; a
+    crash loses at most the batch being written (a torn tail, truncated
+    on recovery). See ``docs/persistence.md`` for formats and the
+    recovery walkthrough.
     """
 
     root: str = "ppr-store"
     checkpoint_interval: int = 10
     retain_checkpoints: int = 2
-    fsync: FsyncPolicy = FsyncPolicy.ALWAYS
 
     def __post_init__(self) -> None:
         if not self.root:
@@ -217,37 +197,17 @@ class StoreConfig:
             raise ConfigError(
                 f"retain_checkpoints must be >= 1, got {self.retain_checkpoints}"
             )
-        if not isinstance(self.fsync, FsyncPolicy):
-            raise ConfigError(f"fsync must be a FsyncPolicy, got {self.fsync!r}")
 
     def with_(self, **changes: Any) -> "StoreConfig":
         """Return a copy with the given fields replaced."""
         return replace(self, **changes)
 
 
-class HubRefresh(enum.Enum):
-    """When the always-resident hub tier re-converges after an ingest.
-
-    ``EAGER``
-        Every ingested batch immediately pushes all hub vectors back to
-        convergence (the pre-existing behaviour) — hub queries are always
-        fresh, ingest pays the hub work whether or not hubs are queried.
-    ``LAZY``
-        Ingest only restores the hub invariants (cheap, O(hubs * batch))
-        and accumulates the touched seeds; the pushes run on the next hub
-        query. Delta-sized batches skip hub work they don't need.
-    """
-
-    EAGER = "eager"
-    LAZY = "lazy"
-
-
 class ConsistencyLevel(enum.Enum):
     """Per-request read consistency of the gateway API (:mod:`repro.api`).
 
-    Replaces the *global* :class:`RefreshPolicy` knob with a per-request
-    contract (``RefreshPolicy`` still controls what ingest does eagerly;
-    consistency controls what a read is allowed to return):
+    Ingest only restores the invariant of resident states; consistency
+    controls what a read is allowed to return before it pays the push:
 
     ``FRESH``
         Refresh-before-read: the answer is ε-approximate on the latest
@@ -397,44 +357,6 @@ class ApiConfig:
         return replace(self, **changes)
 
 
-class PlacementPolicy(enum.Enum):
-    """How the cluster tier routes a read to a replica (:mod:`repro.cluster`).
-
-    ``HASHED``
-        A source is always served by ``source % replicas``. Each replica's
-        resident cache holds a stable partition of the source space, so
-        per-source maintenance (lazy refreshes, cold admissions) runs on
-        exactly one replica — the work partitioning the scale-out exists
-        for.
-    ``ROUND_ROBIN``
-        Reads rotate across replicas regardless of source. Spreads load
-        evenly under skew, at the cost of every replica warming (and
-        refreshing) every hot source.
-    """
-
-    HASHED = "hashed"
-    ROUND_ROBIN = "round_robin"
-
-
-class CatchUpPolicy(enum.Enum):
-    """How a FRESH read treats a replica that may lag the primary.
-
-    ``PIPELINED``
-        Rely on channel ordering: write deltas and reads travel the same
-        FIFO pipe, so by the time a replica serves a read it has applied
-        every delta shipped before it. No extra round trip; reads queue
-        behind in-flight deltas.
-    ``BARRIER``
-        Before dispatching, send an explicit sync and wait for the
-        replica to acknowledge the primary's head version. Costs a round
-        trip but surfaces a wedged replica *before* the read is committed
-        to it.
-    """
-
-    PIPELINED = "pipelined"
-    BARRIER = "barrier"
-
-
 @dataclass(frozen=True)
 class ClusterConfig:
     """Configuration of the replicated serving tier (:mod:`repro.cluster`).
@@ -443,12 +365,12 @@ class ClusterConfig:
     ----------
     replicas:
         Worker processes, each hosting a full replica of the serving
-        engine. Reads are load-balanced across them; writes apply on the
-        primary and ship to every replica as ordered deltas.
-    placement:
-        Read-routing policy (see :class:`PlacementPolicy`).
-    catch_up:
-        FRESH-read catch-up discipline (see :class:`CatchUpPolicy`).
+        engine. A read of source ``s`` is served by replica
+        ``s % replicas``, so each replica's resident cache (and the lazy
+        refreshes and cold admissions it pays for) holds a stable
+        partition of the source space. Writes apply on the primary and
+        ship to every replica as ordered deltas over the same FIFO pipe
+        as its reads, so a FRESH read never overtakes a shipped write.
     max_respawns:
         How many times a crashed replica may be respawned before the
         cluster gives up and raises (guards against a poison batch
@@ -468,8 +390,6 @@ class ClusterConfig:
     """
 
     replicas: int = 2
-    placement: PlacementPolicy = PlacementPolicy.HASHED
-    catch_up: CatchUpPolicy = CatchUpPolicy.PIPELINED
     max_respawns: int = 3
     hedge_reads: bool = False
     breaker_failures: int = 3
@@ -478,14 +398,6 @@ class ClusterConfig:
     def __post_init__(self) -> None:
         if not 1 <= self.replicas <= 64:
             raise ConfigError(f"replicas must be in [1, 64], got {self.replicas}")
-        if not isinstance(self.placement, PlacementPolicy):
-            raise ConfigError(
-                f"placement must be a PlacementPolicy, got {self.placement!r}"
-            )
-        if not isinstance(self.catch_up, CatchUpPolicy):
-            raise ConfigError(
-                f"catch_up must be a CatchUpPolicy, got {self.catch_up!r}"
-            )
         if self.max_respawns < 0:
             raise ConfigError(
                 f"max_respawns must be >= 0, got {self.max_respawns}"
@@ -566,24 +478,6 @@ class ShardConfig:
         return replace(self, **changes)
 
 
-class RefreshPolicy(enum.Enum):
-    """When the serving layer re-converges resident PPR states.
-
-    ``EAGER``
-        Every :meth:`repro.serve.PPRService.ingest` immediately pushes all
-        resident sources back to convergence. Queries are always fresh and
-        cheap, ingest bears the full maintenance cost.
-    ``LAZY``
-        Ingest only restores the invariant (cheap, O(residents * batch));
-        the push for a source is deferred until that source is queried.
-        Amortizes maintenance over the query mix — sources nobody asks
-        about never pay for a push.
-    """
-
-    EAGER = "eager"
-    LAZY = "lazy"
-
-
 @dataclass(frozen=True)
 class ServeConfig:
     """Configuration of the multi-query serving layer (:mod:`repro.serve`).
@@ -597,15 +491,13 @@ class ServeConfig:
     admission_batch:
         Cold sources admitted per vectorized push batch; a batch shares
         one CSR snapshot so admission cost amortizes across sources.
-    refresh:
-        Re-convergence policy for resident states (see
-        :class:`RefreshPolicy`).
+        Resident states are refreshed lazily: ingest only restores their
+        invariant, and a source's push runs when a read of it needs a
+        newer version than the one it converged at.
     num_hubs:
         Size of the always-resident :class:`repro.core.hub_index.DynamicHubIndex`
-        tier maintained alongside the query cache; ``0`` disables it.
-    hub_refresh:
-        When the hub tier re-converges after an ingest (see
-        :class:`HubRefresh`); irrelevant when ``num_hubs`` is 0.
+        tier maintained alongside the query cache; ``0`` disables it. Hub
+        vectors re-converge at every ingest.
     top_k:
         Default ranking depth returned by queries.
     store:
@@ -619,9 +511,7 @@ class ServeConfig:
 
     cache_capacity: int = 64
     admission_batch: int = 8
-    refresh: RefreshPolicy = RefreshPolicy.LAZY
     num_hubs: int = 0
-    hub_refresh: HubRefresh = HubRefresh.EAGER
     top_k: int = 10
     store: "StoreConfig | None" = None
 
@@ -634,14 +524,8 @@ class ServeConfig:
             raise ConfigError(
                 f"admission_batch must be >= 1, got {self.admission_batch}"
             )
-        if not isinstance(self.refresh, RefreshPolicy):
-            raise ConfigError(f"refresh must be a RefreshPolicy, got {self.refresh!r}")
         if self.num_hubs < 0:
             raise ConfigError(f"num_hubs must be >= 0, got {self.num_hubs}")
-        if not isinstance(self.hub_refresh, HubRefresh):
-            raise ConfigError(
-                f"hub_refresh must be a HubRefresh, got {self.hub_refresh!r}"
-            )
         if self.top_k < 1:
             raise ConfigError(f"top_k must be >= 1, got {self.top_k}")
         if self.store is not None and not isinstance(self.store, StoreConfig):

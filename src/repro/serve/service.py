@@ -47,13 +47,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .. import obs
-from ..config import (
-    Backend,
-    HubRefresh,
-    PPRConfig,
-    RefreshPolicy,
-    ServeConfig,
-)
+from ..config import Backend, PPRConfig, ServeConfig
 from ..core.certify import CertifiedEntry, certified_top_k, error_bound
 from ..core.hub_index import DynamicHubIndex
 from ..core.invariant import restore_states
@@ -92,7 +86,7 @@ class ServedQuery:
     #: Graph/snapshot version the answer is ε-approximate on.
     snapshot_version: int
     #: Ingested updates the resident state was behind at query arrival
-    #: (0 for cold admissions and eagerly-refreshed states).
+    #: (0 for cold admissions).
     staleness_updates: int
     #: Whether the source had to be admitted (from-scratch push) to answer.
     cold: bool
@@ -338,7 +332,6 @@ class PPRService:
         #: Attached shared-memory bundle (shm-bootstrapped replicas only):
         #: pins the mapping for as long as this service hands out views.
         self._shm_bundle = None
-        self._hub_pending: set[int] = set()
         self._metrics = ServiceMetrics()
         self._gateway: "Gateway | None" = None
         self.store: "StateStore | None" = None
@@ -412,14 +405,12 @@ class PPRService:
         graph_version: int,
         updates_ingested: int,
         batches_ingested: int,
-        hub_pending: Sequence[int] = (),
     ) -> "PPRService":
         """Rebuild a service from checkpointed state, running no pushes.
 
         The restoration path of :mod:`repro.store`: ``residents`` are
         installed as-is in the given (LRU→MRU) order, ``hub_index`` is
-        adopted without re-convergence (``hub_pending`` restores any
-        deferred lazy-refresh seeds), and the version/staleness
+        adopted without re-convergence, and the version/staleness
         counters resume where the checkpoint left them. Lifetime query
         metrics (hits, admissions, …) restart at zero — they are
         observability, not state.
@@ -428,7 +419,6 @@ class PPRService:
         service = cls(graph, config, serve_inert)
         service.serve = serve
         service.hub_index = hub_index
-        service._hub_pending = set(int(v) for v in hub_pending)
         service.graph_version = graph_version
         service._metrics.updates_ingested = updates_ingested
         service._metrics.batches_ingested = batches_ingested
@@ -617,12 +607,9 @@ class PPRService:
 
         The graph is mutated exactly once per update; the invariant repair
         then fans out to every resident source and every hub vector.
-        Under :attr:`~repro.config.RefreshPolicy.LAZY` resident pushes are
-        deferred to the next query of each source; under ``EAGER`` they
-        run now, sharing one snapshot. The hub tier re-converges according
-        to ``serve.hub_refresh``: eagerly here, or (``LAZY``) deferred to
-        the next hub query with the touched seeds accumulated. Returns the
-        push traces of the pushes that ran.
+        Resident pushes are deferred to the next read of each source that
+        needs them; the hub tier re-converges here, on the new snapshot.
+        Returns the push traces of the hub pushes that ran.
 
         ``snapshot`` may supply a pre-built CSR view of the graph *after*
         this batch (see :meth:`set_snapshot`).
@@ -670,18 +657,10 @@ class PPRService:
 
             traces: dict[int, PushStats] = {}
             if self.hub_index is not None:
-                if self.serve.hub_refresh is HubRefresh.EAGER:
-                    with obs.span("hub.reconverge", touched=len(touched)):
-                        traces.update(
-                            self.hub_index.reconverge(
-                                touched, snapshot=self._snapshot()
-                            )
-                        )
-                else:
-                    self._hub_pending.update(touched_set)
-            if self.serve.refresh is RefreshPolicy.EAGER:
-                for entry in residents:
-                    traces[entry.source] = self._refresh(entry)
+                with obs.span("hub.reconverge", touched=len(touched)):
+                    traces = self.hub_index.reconverge(
+                        touched, snapshot=self._snapshot()
+                    )
             if self.store is not None:
                 self.store.maybe_checkpoint(self)
             return traces
@@ -979,29 +958,10 @@ class PPRService:
         """Hub ids of the always-resident tier ([] when disabled)."""
         return self.hub_index.hubs if self.hub_index is not None else []
 
-    @property
-    def hub_pending_seeds(self) -> set[int]:
-        """Seeds awaiting a deferred hub re-convergence (LAZY hub refresh)."""
-        return set(self._hub_pending)
-
-    def _flush_hubs(self) -> dict[int, PushStats]:
-        """Run any deferred hub re-convergence (LAZY ``hub_refresh``).
-
-        Ingest restored every hub invariant already, so pushing from the
-        accumulated touched seeds brings each hub vector to the same
-        ε-converged state an eager refresh would have reached.
-        """
-        if self.hub_index is None or not self._hub_pending:
-            return {}
-        seeds = sorted(self._hub_pending)
-        self._hub_pending.clear()
-        return self.hub_index.reconverge(seeds, snapshot=self._snapshot())
-
     def hub_scores(self, v: int) -> dict[int, float]:
         """``v``'s contribution to every hub (requires the hub tier)."""
         if self.hub_index is None:
             raise ConfigError("hub tier disabled: set ServeConfig.num_hubs > 0")
-        self._flush_hubs()
         return self.hub_index.hub_scores(v)
 
     def rank_for_hub(self, hub: int, k: int) -> list[CertifiedEntry]:
@@ -1015,7 +975,6 @@ class PPRService:
         """Certified top-k contributors of ``hub`` (requires the hub tier)."""
         if self.hub_index is None:
             raise ConfigError("hub tier disabled: set ServeConfig.num_hubs > 0")
-        self._flush_hubs()
         return self.hub_index.rank_for_hub(hub, self.serve.top_k if k is None else k)
 
     # ------------------------------------------------------------------ #

@@ -26,19 +26,13 @@ crash interleaved with in-flight batches still converge — the gateway
 heals any residual version skew with donor ``TAIL`` frames at spawn.
 
 Recovery of one shard (:func:`recover_shard`) is
-:func:`repro.store.recovery.recover`'s replay loop with two
-shard-specific twists:
-
-* the graph base a checkpoint names is a :class:`ShardGraph` slice,
-  decoded by its own self-describing codec (the ``graph_meta`` JSON
-  carries the shard id and partitioner manifest);
-* WAL replay runs with the refresh policy forced to ``LAZY``: the shard
-  is alone during recovery — no coordinator is relaying frontier
-  exchanges yet — so an ``EAGER`` policy would try remote fetches it
-  cannot complete. Under ``LAZY`` (the default) this is bit-identical to
-  the uninterrupted run; under ``EAGER`` the deferred refreshes happen
-  at the first post-recovery query instead, converging to the same
-  ε-certified answers. See ``docs/sharding.md``.
+:func:`repro.store.recovery.recover`'s replay loop; the graph base a
+checkpoint names is a :class:`ShardGraph` slice, decoded by its own
+self-describing codec (the ``graph_meta`` JSON carries the shard id and
+partitioner manifest). Replayed ingests run no pushes (resident refresh
+is lazy), so a shard recovers alone — no coordinator is relaying
+frontier exchanges yet — bit-identically to the uninterrupted run. See
+``docs/sharding.md``.
 """
 
 from __future__ import annotations
@@ -49,7 +43,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Any
 
-from ..config import RefreshPolicy, StoreConfig
+from ..config import StoreConfig
 from ..errors import StoreError
 from ..store.checkpoint import (
     CHECKPOINT_DIR,
@@ -235,11 +229,8 @@ def recover_shard(
 
     ``root`` is the *per-shard* store root (``shard_store_root(...)``).
     Newest valid checkpoint and the slice base it names, then the shared
-    replay loop (:func:`repro.store.recovery.recover_from`) — with
-    ``serve.refresh`` pinned to ``LAZY`` for the duration of the tail
-    replay (no coordinator is relaying frontier exchanges during
-    recovery; see the module docstring) — then a store reattached
-    without writing a redundant baseline checkpoint.
+    replay loop (:func:`repro.store.recovery.recover_from`), then a store
+    reattached without writing a redundant baseline checkpoint.
     """
     root = Path(root)
     if not root.exists():
@@ -252,14 +243,11 @@ def recover_shard(
             f"no checkpoint under {root} — the shard store never saw an"
             " attach (the WAL alone cannot rebuild the initial slice)"
         )
-
-    def restore_lazy(checkpoint: Checkpoint) -> ShardService:
-        service = restore_shard_service(checkpoint)
-        service.serve = checkpoint.serve.with_(refresh=RefreshPolicy.LAZY)
-        return service
-
     result = recover_from(
-        root, checkpoint, restore_lazy, store_config=store_config, attach=attach
+        root,
+        checkpoint,
+        restore_shard_service,
+        store_config=store_config,
+        attach=attach,
     )
-    result.service.serve = checkpoint.serve
     return ShardRecovery(**vars(result))

@@ -57,14 +57,7 @@ from typing import Any
 import numpy as np
 
 from .. import chaos
-from ..config import (
-    Backend,
-    HubRefresh,
-    PPRConfig,
-    PushVariant,
-    RefreshPolicy,
-    ServeConfig,
-)
+from ..config import Backend, PPRConfig, PushVariant, ServeConfig
 from ..core.hub_index import DynamicHubIndex
 from ..core.state import decode_states, encode_states
 from ..errors import StoreError
@@ -85,7 +78,10 @@ PathLike = str | os.PathLike
 #:    names the base it sits on (``base_version``) instead of embedding
 #:    the ``graph_*`` arrays. Pending seed sets stored once per distinct
 #:    set (``pending_ref`` maps residents to them).
-CHECKPOINT_FORMAT = 5
+#: 6: serve-config block lost ``refresh``/``hub_refresh`` and the
+#:    ``hubs_pending`` member is gone (resident refresh is always lazy,
+#:    hub re-convergence always at ingest).
+CHECKPOINT_FORMAT = 6
 
 #: Subdirectories of a store root.
 CHECKPOINT_DIR = "checkpoints"
@@ -148,9 +144,7 @@ def _serve_config_json(serve: ServeConfig) -> str:
         {
             "cache_capacity": serve.cache_capacity,
             "admission_batch": serve.admission_batch,
-            "refresh": serve.refresh.value,
             "num_hubs": serve.num_hubs,
-            "hub_refresh": serve.hub_refresh.value,
             "top_k": serve.top_k,
         },
         sort_keys=True,
@@ -165,10 +159,7 @@ def _parse_ppr_config(payload: str) -> PPRConfig:
 
 
 def _parse_serve_config(payload: str) -> ServeConfig:
-    data = json.loads(payload)
-    data["refresh"] = RefreshPolicy(data["refresh"])
-    data["hub_refresh"] = HubRefresh(data["hub_refresh"])
-    return ServeConfig(**data)
+    return ServeConfig(**json.loads(payload))
 
 
 def config_fingerprint(config: PPRConfig, serve: ServeConfig) -> str:
@@ -265,10 +256,6 @@ def capture_checkpoint(
     if service.hub_index is not None:
         for key, value in service.hub_index.to_arrays().items():
             arrays[f"hub_{key}"] = value
-    # Deferred lazy hub-refresh seeds (empty under eager refresh): the
-    # hub vectors are checkpointed mid-deferral, so recovery must know
-    # which seeds the next flush has to push from.
-    arrays["hubs_pending"] = np.array(sorted(service.hub_pending_seeds), dtype=np.int64)
     return CheckpointCapture(
         version=version, base_version=base_version, arrays=arrays, graph=graph
     )
@@ -365,7 +352,6 @@ class Checkpoint:
     graph: Any
     residents: list[ResidentSource]
     hub_arrays: dict[str, np.ndarray] | None
-    hub_pending: list[int]
 
     @property
     def num_residents(self) -> int:
@@ -472,7 +458,6 @@ def read_checkpoint(
             graph=decode_graph(_prefixed(base, "graph_")),
             residents=residents,
             hub_arrays=(_prefixed(arrays, "hub_") if int(arrays["has_hubs"]) else None),
-            hub_pending=arrays["hubs_pending"].tolist(),
         )
     except StoreError:
         raise
@@ -577,5 +562,4 @@ def restore_service(checkpoint: Checkpoint) -> PPRService:
         graph_version=checkpoint.version,
         updates_ingested=checkpoint.updates_ingested,
         batches_ingested=checkpoint.batches_ingested,
-        hub_pending=checkpoint.hub_pending,
     )

@@ -153,7 +153,7 @@ class StateStore:
             # This handle is now the directory's one writer: a tmp file
             # here is a dead owner's crash between tmp-write and rename.
             sweep_stale_tmp(directory)
-        self.wal = WriteAheadLog(self.wal_dir, fsync=self.config.fsync)
+        self.wal = WriteAheadLog(self.wal_dir)
         #: Batches logged since the last *durable* checkpoint: what a
         #: drain still has to checkpoint. Recovery seeds it with the
         #: replayed tail so the interval is measured from the last

@@ -22,8 +22,8 @@ frames from a stale epoch so a zombie primary's late writes cannot land
 ``epoch`` plus the payload, so a frame whose length field survived but
 whose body (or seq/epoch) was torn mid-write is rejected. Iteration
 stops at the first torn or corrupt frame — everything before it is
-intact by construction (frames are written with one buffered write and,
-under :attr:`~repro.config.FsyncPolicy.ALWAYS`, one fsync each).
+intact by construction (frames are written with one buffered write and
+one fsync each).
 
 Segments are named ``wal-<first seq>.log``. The store rotates to a fresh
 segment at every checkpoint, so a closed segment's seq range is in the
@@ -46,7 +46,6 @@ from pathlib import Path
 import numpy as np
 
 from .. import chaos, obs
-from ..config import FsyncPolicy
 from ..errors import StoreError
 from ..graph.update import EdgeOp, EdgeUpdate
 
@@ -251,16 +250,11 @@ class WriteAheadLog:
     ----------
     directory:
         Segment directory (created if missing).
-    fsync:
-        Flush discipline per :class:`~repro.config.FsyncPolicy`.
     """
 
-    def __init__(
-        self, directory: PathLike, *, fsync: FsyncPolicy = FsyncPolicy.ALWAYS
-    ) -> None:
+    def __init__(self, directory: PathLike) -> None:
         self.directory = Path(directory)
         self.directory.mkdir(parents=True, exist_ok=True)
-        self.fsync = fsync
         self._fh = None  # current segment file handle
         self._current: Path | None = None
         #: Last seq appended through this handle (None on a fresh one).
@@ -277,8 +271,8 @@ class WriteAheadLog:
 
         The first append after construction or :meth:`rotate` opens a new
         segment named after ``seq``. The frame is written with a single
-        buffered write + flush (+ fsync under ``ALWAYS``), so a crash can
-        tear at most the frame being written.
+        buffered write + flush + fsync, so a crash can tear at most the
+        frame being written.
 
         An I/O failure mid-append (most plausibly the fsync — the chaos
         site ``wal.fsync`` injects exactly that) rolls the frame back:
@@ -305,15 +299,13 @@ class WriteAheadLog:
                         f"segment already exists with live records: {self._current}"
                     )
             self._fh = open(self._current, "ab")
-        fsync = self.fsync is FsyncPolicy.ALWAYS
         offset = self._fh.tell()
-        with obs.span("wal.append", seq=seq, bytes=len(frame), fsync=fsync):
+        with obs.span("wal.append", seq=seq, bytes=len(frame)):
             try:
                 self._fh.write(frame)
                 self._fh.flush()
                 chaos.check("wal.fsync", seq=seq)
-                if fsync:
-                    os.fsync(self._fh.fileno())
+                os.fsync(self._fh.fileno())
             except OSError as exc:
                 self._rollback(offset)
                 raise StoreError(
@@ -340,8 +332,7 @@ class WriteAheadLog:
     def _close_segment(self) -> None:
         if self._fh is not None:
             self._fh.flush()
-            if self.fsync in (FsyncPolicy.ALWAYS, FsyncPolicy.ROTATE):
-                os.fsync(self._fh.fileno())
+            os.fsync(self._fh.fileno())
             self._fh.close()
             self._fh = None
             self._current = None
@@ -444,5 +435,5 @@ class WriteAheadLog:
     def __repr__(self) -> str:
         return (
             f"WriteAheadLog(dir={str(self.directory)!r},"
-            f" segments={len(self.segments())}, fsync={self.fsync.value})"
+            f" segments={len(self.segments())})"
         )

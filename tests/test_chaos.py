@@ -303,7 +303,16 @@ class TestFailover:
             # A zombie coordinator still stamping the old epoch: the
             # replica must refuse the frame, not fork its history.
             handle = gateway.replicas[victim]
+            # Let the victim ack the promoted write first: an ack still in
+            # flight would otherwise land during the wait below.
+            deadline = time.monotonic() + 5.0
+            while (
+                gateway.replica_versions()[victim] < gateway._head
+                and time.monotonic() < deadline
+            ):
+                time.sleep(0.02)
             before = gateway.replica_versions()[victim]
+            assert before == gateway._head
             zombie = pack_record(
                 before + 1, tuple(insertions([(99, 0)])), epoch=0
             )

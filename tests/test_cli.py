@@ -18,6 +18,7 @@ from repro.api import HttpClient
 from repro.cli import build_parser, main
 from repro.core.invariant import check_invariant
 from repro.errors import ReproError
+from repro.store.checkpoint import CHECKPOINT_FORMAT
 from repro.store.recovery import recover
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -125,7 +126,8 @@ class TestStoreCommands:
         assert {"format", "base", "nnz", "density"} <= set(out.split())
         rows = [line.split() for line in out.splitlines() if "checkpoint-0" in line]
         assert rows and all(
-            row[3:5] == ["5", "v0"] and row[6].endswith("%") for row in rows
+            row[3:5] == [str(CHECKPOINT_FORMAT), "v0"] and row[6].endswith("%")
+            for row in rows
         )
         assert "graph-000000000000.npz" in out and "MISSING" not in out
         # slides=4, interval=3: one batch lives in the WAL tail, clean.

@@ -40,14 +40,7 @@ from repro.api.requests import (
     TopKQuery,
 )
 from repro.cluster import PPRCluster, ReplicaSpec
-from repro.config import (
-    CatchUpPolicy,
-    ClusterConfig,
-    PlacementPolicy,
-    ServeConfig,
-    ShardConfig,
-    StoreConfig,
-)
+from repro.config import ClusterConfig, ServeConfig, ShardConfig, StoreConfig
 from repro.errors import ClusterError, ConflictError
 from repro.graph import insertions
 from repro.shard import PPRShards
@@ -242,26 +235,6 @@ class TestReplication:
         assert cluster.gateway.replica_versions() == [3, 3]
         assert cluster.gateway.counters["deltas_shipped"] == 3
 
-    def test_barrier_catch_up_policy(self):
-        service = fresh_service()
-        config = ClusterConfig(replicas=2, catch_up=CatchUpPolicy.BARRIER)
-        with PPRCluster(service, config) as cluster:
-            cluster.api.ingest([(2, 3)])
-            answer = cluster.api.top_k(0, k=3)
-            assert answer.snapshot_version == 1
-            assert cluster.gateway.replica_versions()[0 % 2] == 1
-
-    def test_round_robin_placement_spreads_reads(self):
-        service = fresh_service()
-        config = ClusterConfig(
-            replicas=2, placement=PlacementPolicy.ROUND_ROBIN
-        )
-        with PPRCluster(service, config) as cluster:
-            for _ in range(4):
-                assert cluster.api.top_k(0, k=3).ok
-            dispatched = [h.dispatched for h in cluster.gateway.replicas]
-            assert all(d > 0 for d in dispatched)
-
     def test_empty_ingest_still_ships_so_versions_never_diverge(self, cluster):
         # An empty batch bumps the primary's version; replicas must
         # follow or every later delta looks like a replication gap.
@@ -370,7 +343,7 @@ class TestClusterStats:
         stats = cluster.gateway.submit(Stats())
         section = stats.stats["cluster"]
         assert section["replicas"] == 2
-        assert section["placement"] == "hashed"
+        assert section["dispatched"] == [1, 0]  # source 0 lives on replica 0
         assert section["deltas_shipped"] == 1
         assert len(section["applied_versions"]) == 2
 

@@ -2,9 +2,12 @@
 
 from __future__ import annotations
 
+import dataclasses
+
 import pytest
 
 from repro import Backend, ConfigError, PPRConfig, Phase, PushVariant
+from repro.config import ClusterConfig, ServeConfig, StoreConfig
 
 
 class TestPPRConfig:
@@ -71,3 +74,32 @@ class TestPhase:
         # pushCond is strict: r == epsilon does not activate.
         assert not Phase.POS.exceeds(0.1, 0.1)
         assert not Phase.NEG.exceeds(-0.1, 0.1)
+
+
+class TestServingConfigSurface:
+    """The serving configs' fields, pinned: a new switch — and with it a
+    second arm every tier must keep working — is a visible change here,
+    not a default nobody outside the tests selects."""
+
+    @pytest.mark.parametrize(
+        "cls, names",
+        [
+            (StoreConfig, ("root", "checkpoint_interval", "retain_checkpoints")),
+            (
+                ServeConfig,
+                ("cache_capacity", "admission_batch", "num_hubs", "top_k", "store"),
+            ),
+            (
+                ClusterConfig,
+                (
+                    "replicas",
+                    "max_respawns",
+                    "hedge_reads",
+                    "breaker_failures",
+                    "breaker_cooldown",
+                ),
+            ),
+        ],
+    )
+    def test_fields(self, cls, names):
+        assert tuple(field.name for field in dataclasses.fields(cls)) == names

@@ -17,7 +17,6 @@ from repro import (
     DynamicDiGraph,
     PPRConfig,
     PPRService,
-    RefreshPolicy,
     ServeConfig,
     insertions,
 )
@@ -217,19 +216,6 @@ class TestPPRService:
                 assert served_est[entry.vertex] == pytest.approx(
                     entry.estimate, abs=2 * NUMPY_CONFIG.epsilon
                 )
-
-    def test_eager_refresh_serves_with_zero_staleness(self, rng):
-        graph = random_graph(rng)
-        service = PPRService(
-            graph,
-            NUMPY_CONFIG,
-            ServeConfig(cache_capacity=4, refresh=RefreshPolicy.EAGER),
-        )
-        service.query(0)
-        traces = service.ingest(insertions([(0, 4), (4, 8)]))
-        assert 0 in traces  # the resident push ran at ingest
-        answer = service.query(0)
-        assert answer.staleness_updates == 0
 
     def test_query_many_admits_cold_sources_in_shared_batches(self, rng):
         graph = random_graph(rng)
@@ -509,7 +495,7 @@ class TestAnswerMemo:
     [
         {"cache_capacity": 0},
         {"admission_batch": 0},
-        {"refresh": "lazy"},
+        {"store": "ppr-store"},
         {"num_hubs": -1},
         {"top_k": 0},
     ],
@@ -520,9 +506,9 @@ def test_serve_config_rejects_bad_values(kwargs):
 
 
 def test_serve_config_with_replaces_fields():
-    cfg = ServeConfig().with_(cache_capacity=128, refresh=RefreshPolicy.EAGER)
+    cfg = ServeConfig().with_(cache_capacity=128, top_k=5)
     assert cfg.cache_capacity == 128
-    assert cfg.refresh is RefreshPolicy.EAGER
+    assert cfg.top_k == 5
 
 
 # ---------------------------------------------------------------------- #

@@ -1,4 +1,4 @@
-"""Serving-layer behaviour of delta snapshots and lazy hub refresh.
+"""Serving-layer behaviour of delta snapshots and the hub tier.
 
 The service-level contracts layered on :mod:`repro.graph.delta`:
 
@@ -6,31 +6,20 @@ The service-level contracts layered on :mod:`repro.graph.delta`:
   snapshot metrics) and serves answers bit-identical to a service
   handed a fresh ``CSRGraph.from_digraph`` view every batch;
 * registering new vertices pads the overlay instead of invalidating it;
-* ``ServeConfig.hub_refresh = LAZY`` defers hub re-convergence to the
-  next hub query, stays ε-correct, and survives checkpoint/recovery with
-  its pending seeds intact.
+* the hub tier re-converges on the same ingest without perturbing any
+  resident's answer.
 """
 
 from __future__ import annotations
 
 import numpy as np
-import pytest
 
-from repro.config import (
-    Backend,
-    HubRefresh,
-    PPRConfig,
-    ServeConfig,
-    StoreConfig,
-)
-from repro.errors import ConfigError
+from repro.config import Backend, PPRConfig, ServeConfig
 from repro.graph import DeltaCSRGraph, DynamicDiGraph, SlidingWindow
 from repro.graph.generators import erdos_renyi_graph, rmat_graph
 from repro.graph.update import EdgeOp, EdgeUpdate
 from repro.core.tracker import DynamicPPRTracker
 from repro.serve import PPRService
-from repro.store.recovery import recover
-from repro.store.store import StateStore
 from tests.conftest import ingest_from_rebuild, rebuilt_view_after
 
 NUMPY_CONFIG = PPRConfig(epsilon=1e-5, backend=Backend.NUMPY, workers=4)
@@ -150,49 +139,26 @@ class TestDeltaLineage:
 
 
 # ---------------------------------------------------------------------- #
-# lazy hub refresh
+# the hub tier on the same ingest
 # ---------------------------------------------------------------------- #
 
 
-class TestLazyHubRefresh:
-    SERVE = ServeConfig(num_hubs=3, hub_refresh=HubRefresh.LAZY)
+class TestHubTier:
+    SERVE = ServeConfig(num_hubs=3)
 
-    def test_ingest_defers_hub_pushes(self):
+    def test_ingest_reconverges_every_hub(self):
         service = PPRService(_graph(), NUMPY_CONFIG, self.SERVE)
         traces = service.ingest(_scripted_batches(count=1)[0])
-        assert traces == {}  # no hub pushes ran
-        assert service.hub_pending_seeds  # but the seeds are queued
+        assert set(traces) == set(service.hubs)  # one push per hub vector
+        for state in service.hub_index.states:
+            assert state.residual_linf() <= NUMPY_CONFIG.epsilon
 
-    def test_hub_query_flushes_and_matches_eager_within_epsilon(self):
-        eager = PPRService(
-            _graph(), NUMPY_CONFIG, self.SERVE.with_(hub_refresh=HubRefresh.EAGER)
-        )
-        lazy = PPRService(_graph(), NUMPY_CONFIG, self.SERVE)
-        assert eager.hubs == lazy.hubs
-        for batch in _scripted_batches():
-            eager.ingest(batch)
-            lazy.ingest(batch)
-        for hub in eager.hubs:
-            a = eager.rank_for_hub(hub, 5)
-            b = lazy.rank_for_hub(hub, 5)
-            for ea, eb in zip(a, b):
-                assert ea.vertex == eb.vertex or abs(
-                    ea.estimate - eb.estimate
-                ) <= 2 * NUMPY_CONFIG.epsilon
-        assert not lazy.hub_pending_seeds  # flushed by the queries
+    def test_resident_answers_independent_of_the_hub_tier(self):
+        """Hub vectors share the residents' invariant repair and snapshot;
+        that must not move a single bit of a resident's answer."""
 
-    def test_hub_scores_flush_too(self):
-        service = PPRService(_graph(), NUMPY_CONFIG, self.SERVE)
-        service.ingest(_scripted_batches(count=1)[0])
-        assert service.hub_pending_seeds
-        service.hub_scores(0)
-        assert not service.hub_pending_seeds
-
-    def test_resident_answers_independent_of_hub_refresh(self):
-        def run(hub_refresh):
-            service = PPRService(
-                _graph(), NUMPY_CONFIG, self.SERVE.with_(hub_refresh=hub_refresh)
-            )
+        def run(serve):
+            service = PPRService(_graph(), NUMPY_CONFIG, serve)
             service.query_many([0, 5])
             out = []
             for batch in _scripted_batches():
@@ -203,26 +169,7 @@ class TestLazyHubRefresh:
                     )
             return out
 
-        assert run(HubRefresh.EAGER) == run(HubRefresh.LAZY)
-
-    def test_pending_seeds_survive_checkpoint_recovery(self, tmp_path):
-        reference = PPRService(_graph(), NUMPY_CONFIG, self.SERVE)
-        persisted = PPRService(_graph(), NUMPY_CONFIG, self.SERVE)
-        store = StateStore(
-            tmp_path, StoreConfig(root=str(tmp_path), checkpoint_interval=2)
-        )
-        persisted.attach_store(store)
-        for batch in _scripted_batches(count=5):
-            reference.ingest(batch)
-            persisted.ingest(batch)
-        assert persisted.hub_pending_seeds  # crash mid-deferral
-        store.close()
-        recovered = recover(tmp_path, attach=False).service
-        assert recovered.graph_version == reference.graph_version
-        assert recovered.hub_pending_seeds == reference.hub_pending_seeds
-        # The deferred flush answers bit-identically to the uninterrupted run.
-        for hub in reference.hubs:
-            assert recovered.rank_for_hub(hub, 5) == reference.rank_for_hub(hub, 5)
+        assert run(self.SERVE) == run(ServeConfig())
 
 
 # ---------------------------------------------------------------------- #
@@ -249,17 +196,3 @@ def test_tracker_keeps_overlay_view():
     tracker.apply_batch(_scripted_batches(count=1)[0])
     assert isinstance(tracker._csr, DeltaCSRGraph)
     assert tracker._csr.overlay_rows > 0
-
-
-# ---------------------------------------------------------------------- #
-# config plumbing
-# ---------------------------------------------------------------------- #
-
-
-def test_serve_config_rejects_bad_hub_refresh():
-    with pytest.raises(ConfigError):
-        ServeConfig(hub_refresh="lazy")
-
-
-def test_serve_config_hub_refresh_default():
-    assert ServeConfig().hub_refresh is HubRefresh.EAGER

@@ -46,7 +46,6 @@ from repro.chaos import Fault, FaultKind, FaultPlan
 from repro.config import (
     Backend,
     PPRConfig,
-    RefreshPolicy,
     ServeConfig,
     ShardConfig,
     StoreConfig,
@@ -61,9 +60,10 @@ from repro.shard.partitioner import HashPartitioner
 
 EDGES = [(1, 0), (2, 0), (2, 1), (0, 2), (3, 1), (4, 3), (1, 4), (3, 0)]
 
-#: EAGER refresh: ingest immediately re-pushes resident sources, which
-#: is what drives cross-shard fetches through the coordinator relay.
-SERVE = ServeConfig(refresh=RefreshPolicy.EAGER)
+#: The default serving config: a FRESH read after an ingest refreshes
+#: its source, which is what drives cross-shard fetches through the
+#: coordinator relay.
+SERVE = ServeConfig()
 
 
 def fresh_service() -> PPRService:

@@ -14,7 +14,6 @@ import pytest
 from repro import (
     Backend,
     DynamicDiGraph,
-    FsyncPolicy,
     PPRConfig,
     PPRService,
     ServeConfig,
@@ -200,13 +199,26 @@ class TestWriteAheadLog:
         # A fresh handle cannot bound a newest segment it did not write.
         assert WriteAheadLog(tmp_path).drop_segments_covered_by(10**9) == []
 
-    def test_fsync_policies_accepted(self, tmp_path):
-        for policy in FsyncPolicy:
-            directory = tmp_path / policy.value
-            wal = WriteAheadLog(directory, fsync=policy)
-            wal.append(1, _batch((0, 1)))
-            wal.close()
-            assert [r.seq for r in wal.iter_records()] == [1]
+    def test_every_append_is_fsynced(self, tmp_path, monkeypatch):
+        """An acknowledged batch is on stable storage: one fsync per
+        append, one more when the segment is rotated or closed."""
+        import repro.store.wal as wal_module
+
+        synced: list[int] = []
+        real_fsync = wal_module.os.fsync
+        monkeypatch.setattr(
+            wal_module.os, "fsync", lambda fd: synced.append(fd) or real_fsync(fd)
+        )
+        wal = WriteAheadLog(tmp_path)
+        for seq in (1, 2, 3):
+            wal.append(seq, _batch((0, seq)))
+            assert len(synced) == seq
+        wal.rotate()
+        assert len(synced) == 4
+        wal.append(4, _batch((0, 4)))
+        wal.close()
+        assert len(synced) == 6
+        assert [r.seq for r in wal.iter_records()] == [1, 2, 3, 4]
 
 
 # ---------------------------------------------------------------------- #
