@@ -10,7 +10,12 @@ processes built from the same arguments must serve the same floats.
 Then the keep-alive leg: 200 FRESH reads on one ``http.client``
 connection, each still that answer, in under two seconds — a response
 that leaves as two segments costs a 40 ms delayed ACK per request
-(8.8 s here), so the stall cannot come back unnoticed.
+(8.8 s here), so the stall cannot come back unnoticed. Then the
+concurrent-cold leg: two threads, each on its own keep-alive connection,
+read 64 distinct sources nobody has read — every read a from-scratch
+push the server runs with its gateway lock released, side by side with
+the other thread's — and every answer must be bit-identical to the
+embedded twin's, read one at a time.
 Also exercises the 4xx paths: malformed JSON, unknown route, unknown op.
 
 Run from the repository root:  PYTHONPATH=src python scripts/gateway_smoke.py
@@ -23,6 +28,7 @@ import json
 import os
 import subprocess
 import sys
+import threading
 import time
 import urllib.error
 import urllib.request
@@ -41,6 +47,8 @@ PORT = 8711
 K = 5
 KEEPALIVE_READS = 200
 KEEPALIVE_BUDGET_S = 2.0
+COLD_THREADS = 2
+COLD_READS = 64  # per thread
 
 
 def wait_healthy(base: str, deadline_s: float = 60.0) -> None:
@@ -53,6 +61,52 @@ def wait_healthy(base: str, deadline_s: float = 60.0) -> None:
         except (urllib.error.URLError, ConnectionError):
             time.sleep(0.3)
     raise SystemExit(f"server on {base} never became healthy")
+
+
+def cold_reads_concurrently(service, hot_source: int) -> int:
+    """The concurrent-cold leg; returns 1 on a mismatch (0 when all agree)."""
+    fresh = [v for v in sorted(service.graph.vertices()) if v != hot_source]
+    wanted = COLD_THREADS * COLD_READS
+    cold = fresh[:: max(1, len(fresh) // wanted)][:wanted]
+    got: dict[int, list] = {}
+    errors: list[BaseException] = []
+
+    def reader(sources: list[int]) -> None:
+        conn = HTTPConnection("127.0.0.1", PORT, timeout=30)
+        try:
+            for source in sources:
+                conn.request("POST", "/v1/query", body=json.dumps({"source": source, "k": K}))
+                payload = json.loads(conn.getresponse().read())
+                if not payload.get("cold"):
+                    raise AssertionError(f"source {source} was not a cold read: {payload}")
+                got[source] = [(e["vertex"], e["estimate"]) for e in payload["entries"]]
+        except BaseException as exc:  # reported by the main thread
+            errors.append(exc)
+        finally:
+            conn.close()
+
+    readers = [
+        threading.Thread(target=reader, args=(cold[i::COLD_THREADS],))
+        for i in range(COLD_THREADS)
+    ]
+    start = time.perf_counter()
+    for thread in readers:
+        thread.start()
+    for thread in readers:
+        thread.join()
+    elapsed = time.perf_counter() - start
+    if errors:
+        print(f"concurrent cold reads failed: {errors[0]!r}", file=sys.stderr)
+        return 1
+    for source in cold:  # the twin, one read at a time
+        want = [(e.vertex, e.estimate) for e in service.api.top_k(source, k=K).entries]
+        if got[source] != want:
+            print(f"cold top-{K} of {source} diverged:\n  http     {got[source]}"
+                  f"\n  embedded {want}", file=sys.stderr)
+            return 1
+    print(f"{len(cold)} cold reads on {COLD_THREADS} keep-alive connections in"
+          f" {elapsed:.2f} s, each bit-identical to the embedded twin")
+    return 0
 
 
 def main() -> int:
@@ -112,9 +166,13 @@ def main() -> int:
                   file=sys.stderr)
             return 1
 
+        if cold_reads_concurrently(service, prepared.source):
+            return 1
+
         # Stats and error paths.
         stats = http.stats()
         assert stats["ok"] and stats["stats"]["queries"] >= 1, stats
+        assert stats["stats"]["admission_races"] == 0, stats["stats"]
         try:
             http.query({"op": "bogus"})
             raise SystemExit("unknown op did not fail")

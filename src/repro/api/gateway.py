@@ -18,10 +18,17 @@ responsibilities the engine should not:
   (optimistic concurrency), so external writers can order their writes
   against the versions their reads observed.
 
-One lock serializes execution: the HTTP front-end's worker threads and
-embedded callers share a gateway safely. Consistency levels (FRESH /
-BOUNDED / ANY) are enforced per read via the engine's staleness contract.
-See ``docs/api.md`` for the full protocol.
+One lock orders execution: the HTTP front-end's worker threads and
+embedded callers share a gateway safely. Every request runs under it
+but one: a single top-level top-k read that misses the cache gives it
+up for its from-scratch push and certify, which read only the immutable
+view pinned under the lock, and takes it back to install the result —
+or, if an ingest, a registration or another admission of the source got
+there first, to discard it and answer under the lock (see
+``PPRService._admit_released``). Answers are those of some serial order
+of the requests. Consistency levels (FRESH / BOUNDED / ANY) are
+enforced per read via the engine's staleness contract. See
+``docs/api.md`` for the full protocol.
 """
 
 from __future__ import annotations
@@ -88,6 +95,32 @@ RESPONSE_FOR: dict[type[ApiRequest], type[ApiResponse]] = {
     Health: HealthResult,
     Ready: ReadyResult,
 }
+
+
+class _Release:
+    """Gives the gateway lock up for one block and takes it back.
+
+    Only a top-level top-k read holds one, and only its cold push and
+    certify run inside it (``PPRService._admit_released``). ``waited``
+    sums both acquisitions' waits, so ``queue.wait`` still gets one
+    observation per request.
+    """
+
+    __slots__ = ("lock", "waited")
+
+    def __init__(self, lock: threading.RLock) -> None:
+        self.lock = lock
+        self.waited = 0.0
+
+    def __enter__(self) -> None:
+        self.lock.release()
+
+    def __exit__(self, *exc: object) -> None:
+        queued = clock.now()
+        self.lock.acquire()
+        waited = clock.now() - queued
+        self.waited += waited
+        obs.record_span("queue.wait", start=queued, duration=waited, observe=False)
 
 
 class GatewayFront:
@@ -262,6 +295,13 @@ class Gateway(GatewayFront):
         """Execute one request, raising typed errors (the embedded path)."""
         if not isinstance(request, ApiRequest):
             raise RequestError(f"not an ApiRequest: {request!r}")
+        # A top-level top-k read may give the lock up for a cold push; one
+        # nested in submit_many's schedule, which holds it, may not.
+        release = (
+            _Release(self._lock)
+            if type(request) is TopKQuery and not self._lock._is_owned()
+            else None
+        )
         queued = clock.now()
         with self._lock:
             start = clock.now()
@@ -273,33 +313,43 @@ class Gateway(GatewayFront):
             deadline = getattr(request, "deadline", None)
             if deadline is not None and deadline.expired():
                 raise deadline.to_error()
-            obs.observe("queue.wait", waited)
-            source = getattr(request, "source", None)
-            ctx = obs.trace_of(request)
-            if ctx is None:
-                with obs.measured(f"request.{request.op}", source=source):
-                    return self._dispatch(request, start)
-            with obs.activate(ctx):
-                # The wait was already observed above; record the span
-                # without a second histogram feed.
-                obs.record_span(
-                    "queue.wait", start=queued, duration=waited, observe=False
-                )
-                with obs.span("gateway.execute", op=request.op):
-                    with obs.measured(
-                        f"request.{request.op}",
-                        trace_id=ctx.trace_id,
-                        source=source,
-                    ):
-                        return self._dispatch(request, start)
+            if release is None:
+                obs.observe("queue.wait", waited)
+            else:  # observed once, with the re-acquisition's wait added
+                release.waited = waited
+            try:
+                source = getattr(request, "source", None)
+                ctx = obs.trace_of(request)
+                if ctx is None:
+                    with obs.measured(f"request.{request.op}", source=source):
+                        return self._dispatch(request, start, release)
+                with obs.activate(ctx):
+                    # The wait is observed through the always-on path;
+                    # record the span without a second histogram feed.
+                    obs.record_span(
+                        "queue.wait", start=queued, duration=waited, observe=False
+                    )
+                    with obs.span("gateway.execute", op=request.op):
+                        with obs.measured(
+                            f"request.{request.op}",
+                            trace_id=ctx.trace_id,
+                            source=source,
+                        ):
+                            return self._dispatch(request, start, release)
+            finally:
+                if release is not None:
+                    obs.observe("queue.wait", release.waited)
 
-    def _dispatch(self, request: ApiRequest, start: float) -> ApiResponse:
+    def _dispatch(
+        self, request: ApiRequest, start: float, release: _Release | None
+    ) -> ApiResponse:
         """Route one admitted request to the engine (lock already held)."""
         if isinstance(request, TopKQuery):
             served = self.service._execute_query(
                 request.source,
                 request.k,
                 max_staleness=request.consistency.max_staleness,
+                release=release,
             )
             return self._topk_result(served, request.k)
         if isinstance(request, BatchQuery):

@@ -31,7 +31,9 @@ malformed JSON and an unusable ``Content-Length`` come back as the same
 structured error envelope.
 
 The server is a :class:`~http.server.ThreadingHTTPServer`; the gateway's
-internal lock serializes engine access across worker threads. Connections
+internal lock orders engine access across worker threads, and a cold
+top-k read's push runs with it released, so two connections' cold reads
+use two cores (see :mod:`repro.api.gateway`). Connections
 are persistent (HTTP/1.1 keep-alive) and every response — headers and
 body — leaves in one ``send`` with Nagle's algorithm off, so a request
 on a warm connection costs the engine's time, not a delayed-ACK timer.

@@ -203,7 +203,7 @@ def _pure_phase(
 
 def parallel_local_push(
     state: PPRState,
-    graph: DynamicDiGraph,
+    graph: DynamicDiGraph | None,
     config: PPRConfig,
     *,
     seeds: Iterable[int] | None = None,
@@ -218,9 +218,12 @@ def parallel_local_push(
     (:class:`~repro.graph.delta.DeltaCSRGraph`); both satisfy the narrow
     degree/neighbors-array interface the engine consumes. Seeds restrict
     the initial frontier scan — pass the vertices touched by
-    restore-invariant.
+    restore-invariant. ``graph`` may be ``None`` when ``csr`` is given:
+    the push then reads the snapshot alone, never a graph a writer can
+    mutate under it (a cold read pushing with the gateway lock released).
     """
-    state.ensure_capacity(graph.capacity)
+    if graph is not None:
+        state.ensure_capacity(graph.capacity)
     stats = PushStats()
     with obs.span(
         "push.run",
@@ -233,9 +236,6 @@ def parallel_local_push(
             _pure_phase(state, graph, Phase.NEG, config, seeds, stats)
             span.set(iterations=stats.num_iterations)
             return stats
-        # The snapshot must cover the source id even when the source is an
-        # isolated vertex the graph has not seen yet.
-        min_capacity = max(graph.capacity, state.source + 1)
         # kernel_phase picks the compiled C kernel or the vectorized
         # numpy oracle per REPRO_KERNEL / config.kernel (bit-identical
         # either way; see repro.kernels).
@@ -243,9 +243,12 @@ def parallel_local_push(
 
         if seeds is not None:  # once for both phases
             seeds = np.fromiter(seeds, dtype=np.int64)
-        snapshot = (
-            csr if csr is not None else CSRGraph.from_digraph(graph, min_capacity)
-        )
+        snapshot = csr
+        if snapshot is None:
+            # The snapshot must cover the source id even when the source
+            # is an isolated vertex the graph has not seen yet.
+            min_capacity = max(graph.capacity, state.source + 1)
+            snapshot = CSRGraph.from_digraph(graph, min_capacity)
         state.ensure_capacity(snapshot.num_vertices)
         used = kernel_phase(state, snapshot, Phase.POS, config, seeds, stats)
         kernel_phase(state, snapshot, Phase.NEG, config, seeds, stats)

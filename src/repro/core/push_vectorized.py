@@ -22,6 +22,7 @@ true synchronized-check count used by the cost models.
 
 from __future__ import annotations
 
+import threading
 from collections.abc import Iterable
 
 import numpy as np
@@ -42,18 +43,18 @@ from .stats import IterationRecord, PushStats
 _BINCOUNT_THRESHOLD = 2048
 
 
-class _Scratch:
-    """Process-wide reusable buffers for the push hot path.
+class _Scratch(threading.local):
+    """Per-thread reusable buffers for the push hot path.
 
     The vectorized push used to allocate two capacity-sized arrays per
     propagation chunk (a ``np.bincount`` accumulator and the
     ``passing_mask`` boolean); at delta-sized batches those allocations
     dominated the chunk cost. The mask lives here instead, grown
     monotonically and *cleared by the borrower* (reset exactly the
-    positions it set) so reuse costs O(touched), not O(capacity).
+    positions it set) so reuse costs O(touched), not O(capacity). Each
+    thread borrows its own mask: a cold read pushes with the gateway
+    lock released, beside whatever push holds it.
     """
-
-    __slots__ = ("mask",)
 
     def __init__(self) -> None:
         self.mask = np.zeros(0, dtype=bool)

@@ -114,16 +114,18 @@ class KernelLibrary:
         self._restore = cdll.repro_restore_batch
 
 
-class _Scratch:
-    """Process-wide reusable kernel buffers, grown monotonically.
+class _Scratch(threading.local):
+    """Per-thread reusable kernel buffers, grown monotonically.
 
     The count/mask/accumulator buffers are maintained all-zero by the
     kernel itself (it re-clears exactly the entries it set, O(touched)).
     ``frontier`` carries the frontier in and out (with ``frontier_len``),
     ``rows``/``pushed`` the per-iteration output. ``pointers`` is the
     kernel's trailing argument run, resolved once per growth and not per
-    call. One scratch per process is enough: engines run a push under the
-    service lock, and forked replica/shard workers each get their own copy.
+    call. Every thread gets its own buffers (``threading.local`` runs
+    ``__init__`` once per thread), so pushes on two threads — a cold read
+    the gateway runs with its lock released, beside a locked request —
+    never share scratch while ctypes has the GIL released.
     """
 
     def __init__(self) -> None:
@@ -131,7 +133,6 @@ class _Scratch:
         self.frontier_len = np.zeros(1, dtype=np.int64)
         self.rows = np.zeros((_MAX_ROWS, _ROW_WIDTH), dtype=np.int64)
         self.pushed = np.zeros(_MAX_ROWS, dtype=np.float64)
-        self.lock = threading.Lock()
 
     def ensure(self, rcap: int) -> None:
         if rcap <= self.cap:
@@ -208,40 +209,39 @@ def compiled_phase(
         return None
     variant = config.variant
     scratch = _SCRATCH
-    with scratch.lock:
-        scratch.ensure(len(r))
-        scratch.frontier[: frontier.size] = frontier
-        scratch.frontier_len[0] = frontier.size
-        head = (
-            p.ctypes.data,
-            r.ctypes.data,
-            len(r),
-            *_view_pointers(ka),
-            config.alpha,
-            1.0 - config.alpha,
-            config.epsilon,
-            1.0 if phase is Phase.POS else -1.0,
-            variant.eager,
-            variant.local_duplicate_detection,
-            config.workers,
-            _BINCOUNT_THRESHOLD,
+    scratch.ensure(len(r))
+    scratch.frontier[: frontier.size] = frontier
+    scratch.frontier_len[0] = frontier.size
+    head = (
+        p.ctypes.data,
+        r.ctypes.data,
+        len(r),
+        *_view_pointers(ka),
+        config.alpha,
+        1.0 - config.alpha,
+        config.epsilon,
+        1.0 if phase is Phase.POS else -1.0,
+        variant.eager,
+        variant.local_duplicate_detection,
+        config.workers,
+        _BINCOUNT_THRESHOLD,
+    )
+    rounds = calls = 0
+    while scratch.frontier_len[0]:
+        calls += 1
+        done = lib._phase(
+            *head,
+            config.max_iterations + 1 - rounds,
+            _MAX_ROWS,
+            *scratch.pointers,
         )
-        rounds = calls = 0
-        while scratch.frontier_len[0]:
-            calls += 1
-            done = lib._phase(
-                *head,
-                config.max_iterations + 1 - rounds,
-                _MAX_ROWS,
-                *scratch.pointers,
-            )
-            for row, pushed in zip(
-                scratch.rows[:done].tolist(), scratch.pushed[:done].tolist()
-            ):
-                stats.record(IterationRecord(phase, *row, pushed))
-            rounds += done
-            if rounds > config.max_iterations:
-                raise ConvergenceError(rounds, state.residual_linf())
+        for row, pushed in zip(
+            scratch.rows[:done].tolist(), scratch.pushed[:done].tolist()
+        ):
+            stats.record(IterationRecord(phase, *row, pushed))
+        rounds += done
+        if rounds > config.max_iterations:
+            raise ConvergenceError(rounds, state.residual_linf())
     return calls
 
 

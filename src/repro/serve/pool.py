@@ -68,9 +68,11 @@ class AdmissionPool:
 
     def admit(
         self,
-        graph: DynamicDiGraph,
+        graph: DynamicDiGraph | None,
         snapshot: CSRView | None,
         sources: Sequence[int] | None = None,
+        *,
+        capacity: int = 0,
     ) -> dict[int, PPRState]:
         """Push the given (or all pending) cold sources from scratch.
 
@@ -78,27 +80,41 @@ class AdmissionPool:
         ``graph``; ``None`` only for the pure backend). Returns the
         freshly-converged state per source; admitted sources are removed
         from the pending queue.
+
+        ``graph=None`` pushes the given, already registered ``sources``
+        against ``snapshot`` alone, at the ``capacity`` the caller pinned
+        with it, and leaves queue and counters to :meth:`record`: the
+        batch then reads only an immutable view and writes only its new
+        states, which is how a cold read runs with the gateway lock
+        released (``PPRService._admit_released``).
         """
         if sources is None:
             sources = list(itertools.islice(self._pending, self.batch_size))
+        if graph is not None:
+            for source in sources:
+                if not graph.has_vertex(source):
+                    graph.add_vertex(source)
+            capacity = graph.capacity  # per batch: no source below grows it
+            if snapshot is not None:
+                snapshot.ensure_covers(capacity)
         admitted: dict[int, PPRState] = {}
-        for source in sources:
-            if not graph.has_vertex(source):
-                graph.add_vertex(source)
-        capacity = graph.capacity  # per batch: no source below grows it
-        if snapshot is not None:
-            snapshot.ensure_covers(capacity)
         for source in sources:
             state = PPRState.initial(source, capacity)
             parallel_local_push(
                 state, graph, self.config, seeds=[source], csr=snapshot
             )
             admitted[source] = state
-            self.admissions += 1
+        if graph is not None:
+            self.record(admitted)
+        return admitted
+
+    def record(self, admitted: dict[int, PPRState]) -> None:
+        """Count one admitted batch and drop its sources from the queue."""
+        for source in admitted:
             self._pending.pop(source, None)
+        self.admissions += len(admitted)
         if admitted:
             self.batches += 1
-        return admitted
 
     def drain(
         self, graph: DynamicDiGraph, snapshot: CSRView | None

@@ -41,6 +41,7 @@ walkthrough.
 from __future__ import annotations
 
 from collections.abc import Sequence
+from contextlib import AbstractContextManager
 from dataclasses import dataclass, field, replace
 from typing import TYPE_CHECKING
 
@@ -137,6 +138,10 @@ class ServiceMetrics:
     #: Top-k answers served from a resident's memo: ``certified_top_k``
     #: ran ``top-k queries - answer_memo_hits`` times.
     answer_memo_hits: int = 0
+    #: Cold reads whose lock-released push lost to a concurrent ingest,
+    #: registration or admission of the same source: the state was
+    #: discarded and the read answered under the lock instead.
+    admission_races: int = 0
     snapshot_rebuilds: int = 0
     snapshot_delta_applies: int = 0
     snapshot_consolidations: int = 0
@@ -218,6 +223,7 @@ class ServiceMetrics:
             "evictions": self.evictions,
             "resident": self.resident,
             "answer_memo_hits": self.answer_memo_hits,
+            "admission_races": self.admission_races,
             "cold_admissions": self.cold_admissions,
             "admission_batches": self.admission_batches,
             "updates_ingested": self.updates_ingested,
@@ -711,17 +717,33 @@ class PPRService:
         return result.served
 
     def _resident(
-        self, source: int, max_staleness: int | None
+        self,
+        source: int,
+        max_staleness: int | None,
+        release: AbstractContextManager | None = None,
+        k: int = 0,
     ) -> tuple[ResidentSource, int, bool]:
         """The resident entry serving ``source`` under a staleness contract.
 
         Returns ``(entry, arrival_staleness, cold)``. Cold sources are
         admitted (always fresh); resident ones are refreshed only when
         their version lag exceeds ``max_staleness`` (``None`` = never,
-        the ANY contract).
+        the ANY contract). With ``release`` (the gateway's, for a
+        top-level top-k read) a cold source with no other admission
+        pending is pushed and certified at ``k`` with the lock released
+        (:meth:`_admit_released`).
         """
         entry = self.cache.get(source)
         cold = entry is None
+        if entry is None and release is not None and not self.pool.pending:
+            entry = self._admit_released(source, k, release)
+            if entry is None:
+                # Lost a race, or the view is live: answer under the lock,
+                # as if this read had arrived after whatever it lost to.
+                # The lookup below counts the miss (or hit) again.
+                self.cache.misses -= 1
+                return self._resident(source, max_staleness)
+            return entry, 0, True
         if entry is None:
             staleness = 0
             entry = self._admit(source)
@@ -738,6 +760,7 @@ class PPRService:
         k: int | None = None,
         *,
         max_staleness: int | None = 0,
+        release: AbstractContextManager | None = None,
     ) -> ServedQuery:
         """Answer one top-k query, ε-fresh up to the staleness contract.
 
@@ -748,13 +771,17 @@ class PPRService:
         admission requests, so their from-scratch pushes share one
         snapshot. A looser contract (BOUNDED/ANY) may serve the resident
         state as-is; the answer's ``snapshot_version`` then reports the
-        version it is actually ε-approximate on.
+        version it is actually ε-approximate on. ``release`` lets a cold
+        admission give the gateway lock up (see :meth:`_resident`).
         """
         k = self.serve.top_k if k is None else k
         start = clock.now()
         with obs.span("engine.query", source=source, k=k) as span:
-            entry, staleness, cold = self._resident(source, max_staleness)
-            answer = self._certified(entry, k)
+            entry, staleness, cold = self._resident(source, max_staleness, release, k)
+            if cold and entry.memo:  # certified with its push, lock released
+                answer = list(entry.memo[k])
+            else:
+                answer = self._certified(entry, k)
             span.set(cold=cold, staleness=staleness)
         entry.queries += 1
         wall = clock.now() - start
@@ -923,6 +950,45 @@ class PPRService:
         resident = self.cache.peek(source)
         assert resident is not None  # just installed as MRU
         return resident
+
+    def _admit_released(
+        self, source: int, k: int, release: AbstractContextManager
+    ) -> ResidentSource | None:
+        """Admit ``source`` and certify it at ``k``, the lock released.
+
+        Under the lock: register the source, then pin the view, the
+        capacity and the version (and build the view's kernel arrays,
+        cached on it). Inside ``release``: push ``PPRState.initial``
+        against the pinned view alone — views are immutable, so an
+        ingest or a registration running meanwhile makes a new one —
+        and certify. Back under the lock, the state and its memo entry
+        are installed only if version and capacity have not moved and
+        nobody made ``source`` resident meanwhile; then the answer is
+        the one a serialized read would have got. Otherwise the state is
+        discarded, never merged, and ``None`` sends the read down the
+        locked path once. A live view (the shard tier) or the pure
+        backend returns ``None`` before anything is released.
+        """
+        self._ensure_vertices([source])
+        view = self._snapshot()
+        if not isinstance(view, (CSRGraph, DeltaCSRGraph)):
+            return None
+        view.kernel_arrays()
+        pinned = (self.graph_version, self.graph.capacity)
+        with obs.span("push.admit", source=source, batch=1):
+            with release:
+                admitted = self.pool.admit(None, view, [source], capacity=pinned[1])
+                with obs.span("topk.certify", source=source, k=k):
+                    answer = tuple(certified_top_k(admitted[source], k))
+        if (self.graph_version, self.graph.capacity) != pinned or source in self.cache:
+            self._metrics.admission_races += 1
+            return None
+        self.pool.record(admitted)
+        self._install(admitted)
+        entry = self.cache.peek(source)
+        entry.memo[k] = answer
+        entry.memo_stamp = (self.graph_version, entry.version)
+        return entry
 
     def _install(self, admitted: dict[int, PPRState]) -> None:
         for state in admitted.values():

@@ -94,6 +94,55 @@ def serving(gateway):
         thread.join(timeout=5)
 
 
+#: How long a test waits on another thread before calling it a hang.
+WAIT_S = 20.0
+
+
+class Parked:
+    """Parks the first lock-released push of ``service`` until :meth:`go`
+    (helper, not a fixture).
+
+    The hook sits on the pool's pinned entry point (``admit`` with no
+    graph), which only runs with the gateway lock given up; a service
+    that never releases never parks, and :meth:`read` says so.
+    """
+
+    def __init__(self, service) -> None:
+        self.service = service
+        self.inside = threading.Event()
+        self._go = threading.Event()
+        real = service.pool.admit
+
+        def admit(graph, snapshot, sources=None, **kwargs):
+            if graph is None and not self.inside.is_set():
+                self.inside.set()
+                assert self._go.wait(WAIT_S), "parked push never released"
+            return real(graph, snapshot, sources, **kwargs)
+
+        service.pool.admit = admit
+        self.response = None
+        self._thread: threading.Thread | None = None
+
+    def read(self, source: int, k: int = 5) -> None:
+        """Start a cold read of ``source`` and wait until it is parked."""
+        from repro.api.requests import TopKQuery
+
+        def run():
+            self.response = self.service.gateway.submit(TopKQuery(source=source, k=k))
+
+        self._thread = threading.Thread(target=run)
+        self._thread.start()
+        assert self.inside.wait(WAIT_S), "the cold read never released the lock"
+
+    def go(self):
+        """Let the parked push finish; returns the parked read's response."""
+        self._go.set()
+        self._thread.join(WAIT_S)
+        assert not self._thread.is_alive()
+        del self.service.pool.admit  # the hook: back to the class's method
+        return self.response
+
+
 @pytest.fixture
 def server_sends(monkeypatch):
     """Every ``send``/``sendall`` a socket in this process makes, as

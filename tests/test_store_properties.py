@@ -760,3 +760,78 @@ class AnswerMemoMachine(DurableServiceMachine):
 
 TestAnswerMemo = AnswerMemoMachine.TestCase
 TestAnswerMemo.settings = TestDurableService.settings
+
+
+# ---------------------------------------------------------------------- #
+# 8: the same loop with cold reads parked off the gateway lock
+# ---------------------------------------------------------------------- #
+
+
+class ParkedColdReadMachine(DurableServiceMachine):
+    """The durable service again, with a cold FRESH read parked inside its
+    lock-released push while the main thread ingests, reads the same or
+    another source cold, or evicts a resident.
+
+    Whatever ran meanwhile, the parked read's answer is what the locked
+    path computes now: a from-scratch push of the source against the
+    current view, certified — float for float. And after every step the
+    fresh residents, however they were installed, satisfy Eq. 2 with
+    ``max|R_s| <= eps`` and hold memos equal to their states' certify.
+    """
+
+    DURING = st.sampled_from(["nothing", "ingest", "same", "other", "evict"])
+
+    @rule(
+        source=st.integers(0, N_VERTICES + 3),
+        during=DURING,
+        batch=update_batches,
+        other=st.integers(0, N_VERTICES + 3),
+        data=st.data(),
+    )
+    def parked_read(self, source, during, batch, other, data):
+        from repro.core.certify import certified_top_k
+        from repro.serve.pool import AdmissionPool
+        from tests.conftest import Parked
+
+        service = self.service
+        if service.is_resident(source):
+            return  # a hit never releases the lock
+        parked = Parked(service)
+        parked.read(source)
+        if during == "ingest":
+            service.ingest(self._valid(batch))
+        elif during == "same":
+            service.query(source, 5)
+        elif during == "other":
+            service.query(other, 5)
+        elif during == "evict" and service.resident_sources():
+            service.cache.evict(data.draw(st.sampled_from(service.resident_sources())))
+        answer = parked.go()
+
+        assert answer.ok and answer.snapshot_version == service.graph_version
+        oracle = AdmissionPool(service.config).admit(
+            service.graph, service._snapshot(), [source]
+        )[source]
+        assert _answer_bits(answer.entries) == _answer_bits(certified_top_k(oracle, 5))
+
+    @invariant()
+    def fresh_residents_hold_eq2_and_their_memos(self):
+        from repro.core.certify import certified_top_k
+        from repro.core.invariant import invariant_violation
+
+        service = self.service
+        config = service.config
+        for entry in service.cache.entries():
+            if entry.version != service.graph_version:
+                continue
+            assert entry.state.residual_linf() <= config.epsilon
+            assert invariant_violation(entry.state, service.graph, config.alpha) <= 1e-9
+            if entry.memo_stamp == (service.graph_version, entry.version):
+                for k, answer in entry.memo.items():
+                    assert _answer_bits(answer) == _answer_bits(
+                        certified_top_k(entry.state, k)
+                    )
+
+
+TestParkedColdRead = ParkedColdReadMachine.TestCase
+TestParkedColdRead.settings = TestDurableService.settings
