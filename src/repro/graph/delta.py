@@ -116,6 +116,7 @@ class DeltaCSRGraph:
         "_patched",
         "num_vertices",
         "num_edges",
+        "_entries",
         "_kernel",
     )
 
@@ -126,6 +127,7 @@ class DeltaCSRGraph:
         rows: dict[int, np.ndarray],
         patched: np.ndarray,
         num_edges: int,
+        overlay_entries: int,
     ) -> None:
         if len(dout) < base.num_vertices:
             raise GraphError(
@@ -137,6 +139,7 @@ class DeltaCSRGraph:
         self._patched = patched
         self.num_vertices = len(dout)
         self.num_edges = num_edges
+        self._entries = overlay_entries  # sum of len(row) over rows, carried
         self._kernel: dict | None = None
 
     @classmethod
@@ -148,6 +151,7 @@ class DeltaCSRGraph:
             {},
             np.zeros(base.num_vertices, dtype=bool),
             base.num_edges,
+            0,
         )
 
     # ------------------------------------------------------------------ #
@@ -167,7 +171,9 @@ class DeltaCSRGraph:
         dout[: self.num_vertices] = self.dout
         patched = np.zeros(capacity, dtype=bool)
         patched[: self.num_vertices] = self._patched
-        return DeltaCSRGraph(self.base, dout, dict(self._rows), patched, self.num_edges)
+        return DeltaCSRGraph(
+            self.base, dout, dict(self._rows), patched, self.num_edges, self._entries
+        )
 
     def apply_updates(
         self, graph: DynamicDiGraph, updates: Sequence[EdgeUpdate]
@@ -197,11 +203,14 @@ class DeltaCSRGraph:
             if dels.size:
                 dout -= np.bincount(dels, minlength=cap)
         rows = dict(self._rows)
+        entries = self._entries
         touched = list({u.v for u in updates})
         for v in touched:
+            replaced = len(rows.get(v, _EMPTY_ROW))
             rows[v] = graph.in_row(v)
+            entries += len(rows[v]) - replaced
             patched[v] = True
-        view = DeltaCSRGraph(self.base, dout, rows, patched, graph.num_edges)
+        view = DeltaCSRGraph(self.base, dout, rows, patched, graph.num_edges, entries)
         if self._kernel is not None:
             view._kernel = self._advance_kernel(view, touched)
         return view
@@ -222,11 +231,8 @@ class DeltaCSRGraph:
         n = view.num_vertices
         rows = [view._rows[v] for v in touched]
         lens = np.fromiter(map(len, rows), dtype=np.int64, count=len(rows))
-        added = int(lens.sum())
-        replaced = sum(len(self._rows[v]) for v in touched if v in self._rows)
-        live = ka["overlay_live"] + added - replaced
         buffer = ka["overlay_indices"]
-        if len(buffer) + added > 2 * live:
+        if len(buffer) + int(lens.sum()) > 2 * view.overlay_entries:
             return None
         tables = {}
         for name in ("row_start", "row_count", "row_overlay"):
@@ -242,7 +248,7 @@ class DeltaCSRGraph:
             **tables,
             "base_indices": ka["base_indices"],
             "overlay_indices": np.concatenate([buffer, *rows]),
-            "overlay_live": live,
+            "overlay_live": view.overlay_entries,
             "dout": np.ascontiguousarray(view.dout),
         }
 
@@ -300,6 +306,7 @@ class DeltaCSRGraph:
             dout -= np.bincount(deletes[:, 0], minlength=high)
 
         rows = dict(view._rows)
+        entries = view._entries
         patched = view._patched.copy()
         drop: dict[int, int] = {}
         for v in deletes[:, 1].tolist():
@@ -309,6 +316,7 @@ class DeltaCSRGraph:
             append.setdefault(v, []).append(u)
         for v in drop.keys() | append.keys():
             row = rows[v] if patched[v] else view._base_row(v)
+            entries -= len(rows.get(v, _EMPTY_ROW))
             k = drop.get(v, 0)
             if k:
                 if k > len(row):
@@ -320,9 +328,10 @@ class DeltaCSRGraph:
             if extra:
                 row = np.concatenate([row, np.asarray(extra, dtype=np.int64)])
             rows[v] = row
+            entries += len(row)
             patched[v] = True
         num_edges = self.num_edges + len(inserts) - len(deletes)
-        return DeltaCSRGraph(view.base, dout, rows, patched, num_edges)
+        return DeltaCSRGraph(view.base, dout, rows, patched, num_edges, entries)
 
     # ------------------------------------------------------------------ #
     # reads (the narrow snapshot interface)
@@ -400,8 +409,8 @@ class DeltaCSRGraph:
 
     @property
     def overlay_entries(self) -> int:
-        """Adjacency entries held by the overlay (patched row lengths)."""
-        return sum(len(row) for row in self._rows.values())
+        """Adjacency entries held by the overlay (patched row lengths), O(1)."""
+        return self._entries
 
     @property
     def overlay_rows(self) -> int:

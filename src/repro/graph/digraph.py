@@ -244,6 +244,8 @@ class DynamicDiGraph:
         if not nbrs:
             return np.empty(0, dtype=np.int64)
         ids = np.fromiter(nbrs.keys(), dtype=np.int64, count=len(nbrs))
+        if self._din[u] == len(nbrs):  # no parallel copies to expand
+            return ids
         counts = np.fromiter(nbrs.values(), dtype=np.int64, count=len(nbrs))
         return np.repeat(ids, counts)
 

@@ -48,7 +48,7 @@
 #include <stdint.h>
 #include <string.h>
 
-#define REPRO_KERNEL_ABI 3
+#define REPRO_KERNEL_ABI 4
 
 /* Columns of one per-iteration row; keep in lockstep with compiled.py. */
 enum {
@@ -269,44 +269,50 @@ int64_t repro_push_phase(
     return done;
 }
 
-/* Batch RestoreInvariant (Algorithm 1, k times) for ONE state: the scalar-C
- * twin of repro.core.invariant.restore_invariant looped over a batch whose
- * graph mutations were already applied and recorded (u, v, op, and u's
+/* Batch RestoreInvariant (Algorithm 1, k times) for every state of one
+ * ingest, state s being p[s], r[s], source[s] and row s of delta_out: the
+ * scalar-C twin of repro.core.invariant.restore_invariant looped over a batch
+ * whose graph mutations were already applied and recorded (u, v, op, and u's
  * out-degree right after each update). Updates run sequentially -- a later
  * update of the same u reads the r[u] an earlier one wrote -- and every
  * expression keeps the oracle's operand order, including the `+ indicator`
  * add of 0.0 and the dangling branch (dout_after == 0: Eq. 2 pins r[u]).
- * The caller has already grown p/r to cover every id, replaying the
- * oracle's ensure_capacity sequence. delta_out[j] is the signed residual
- * change of update j (Lemma 3's Delta_s(u) contribution).
+ * The caller has already grown every p/r to cover every id, replaying the
+ * oracle's ensure_capacity sequence. delta_out[s * count + j] is the signed
+ * residual change of update j (Lemma 3's Delta_s(u) contribution).
  */
-void repro_restore_batch(
-    const double *p,
-    double *r,
-    int64_t source,
+void repro_restore_states(
+    double *const *p,
+    double *const *r,
+    const int64_t *source,
+    int64_t n_states,
     double alpha,
     const int64_t *u,
     const int64_t *v,
     const int64_t *op,          /* +1 insert, -1 delete */
     const int64_t *dout_after,
     int64_t count,
-    double *delta_out           /* [count] */
+    double *delta_out           /* [n_states * count] */
 ) {
-    int64_t j;
-    for (j = 0; j < count; j++) {
-        int64_t uu = u[j];
-        double indicator = (uu == source) ? alpha : 0.0;
-        double delta;
-        if (dout_after[j] == 0) {
-            double new_r = (indicator - p[uu]) / alpha;
-            delta = new_r - r[uu];
-            r[uu] = new_r;
-        } else {
-            double numerator =
-                (1.0 - alpha) * p[v[j]] - p[uu] - alpha * r[uu] + indicator;
-            delta = (double)op[j] * numerator / (alpha * (double)dout_after[j]);
-            r[uu] += delta;
+    int64_t s, j;
+    for (s = 0; s < n_states; s++) {
+        const double *ps = p[s];
+        double *rs = r[s];
+        for (j = 0; j < count; j++) {
+            int64_t uu = u[j];
+            double indicator = (uu == source[s]) ? alpha : 0.0;
+            double delta;
+            if (dout_after[j] == 0) {
+                double new_r = (indicator - ps[uu]) / alpha;
+                delta = new_r - rs[uu];
+                rs[uu] = new_r;
+            } else {
+                double numerator =
+                    (1.0 - alpha) * ps[v[j]] - ps[uu] - alpha * rs[uu] + indicator;
+                delta = (double)op[j] * numerator / (alpha * (double)dout_after[j]);
+                rs[uu] += delta;
+            }
+            delta_out[s * count + j] = delta;
         }
-        delta_out[j] = delta;
     }
 }

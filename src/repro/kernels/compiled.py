@@ -13,7 +13,7 @@ are bit-identical to the oracle; see the header comment of ``_push.c`` for
 the full contract (and for ``residual_pushed``, the one field that is not).
 
 :func:`compiled_restore` is the batch ``RestoreInvariant`` twin of
-:func:`repro.core.invariant.restore_invariant`: one call repairs one state
+:func:`repro.core.invariant.restore_invariant`: one call repairs every state
 for a whole applied batch (see :func:`repro.core.invariant.restore_states`).
 """
 
@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import ctypes
 import threading
-from collections.abc import Iterable
+from collections.abc import Iterable, Sequence
 from pathlib import Path
 
 import numpy as np
@@ -77,18 +77,19 @@ _MAX_ROWS = 64
 #: Counters per row, in IterationRecord field order after ``phase``.
 _ROW_WIDTH = 7
 
-#: repro_restore_batch's exact parameter list; keep in lockstep with _push.c.
+#: repro_restore_states's exact parameter list; keep in lockstep with _push.c.
 _RESTORE_ARGTYPES = [
-    _PTR,  # p
-    _PTR,  # r
-    _I64,  # source
+    _PTR,  # p, one pointer per state
+    _PTR,  # r, one pointer per state
+    _PTR,  # source, one per state
+    _I64,  # n_states
     _F64,  # alpha
     _PTR,  # u
     _PTR,  # v
     _PTR,  # op
     _PTR,  # dout_after
     _I64,  # count
-    _PTR,  # delta_out
+    _PTR,  # delta_out, (n_states, count)
 ]
 
 
@@ -100,7 +101,7 @@ class KernelLibrary:
         cdll = ctypes.CDLL(str(path))
         cdll.repro_kernel_abi.restype = _I64
         cdll.repro_kernel_abi.argtypes = []
-        abi = int(cdll.repro_kernel_abi())
+        self.abi = abi = int(cdll.repro_kernel_abi())
         if abi != ABI_VERSION:
             raise OSError(
                 f"kernel ABI mismatch: library {path} is v{abi},"
@@ -109,9 +110,9 @@ class KernelLibrary:
         cdll.repro_push_phase.restype = _I64
         cdll.repro_push_phase.argtypes = _ARGTYPES
         self._phase = cdll.repro_push_phase
-        cdll.repro_restore_batch.restype = None
-        cdll.repro_restore_batch.argtypes = _RESTORE_ARGTYPES
-        self._restore = cdll.repro_restore_batch
+        cdll.repro_restore_states.restype = None
+        cdll.repro_restore_states.argtypes = _RESTORE_ARGTYPES
+        self._restore = cdll.repro_restore_states
 
 
 class _Scratch(threading.local):
@@ -247,35 +248,41 @@ def compiled_phase(
 
 def compiled_restore(
     lib: KernelLibrary,
-    state: PPRState,
+    states: Sequence[PPRState],
     alpha: float,
     batch: np.ndarray,
     cover: int,
     deltas: np.ndarray,
 ) -> None:
-    """Repair ``state`` for one applied batch; per-update Δ lands in ``deltas``.
+    """Repair every state for one applied batch; Δ of state ``i`` lands in
+    ``deltas[i]`` (C-contiguous float64, ``(len(states), k)``).
 
     ``batch`` is a C-contiguous ``(4, k)`` int64 array whose rows are
-    ``u``, ``v``, ``op`` (±1) and ``dout_after``, every id below ``cover``;
-    ``deltas`` is contiguous float64 of length ``k``. ``state`` must
-    already cover ``cover`` ids (the caller replays the oracle's capacity
-    growth); the kernel indexes unchecked, so that is verified here.
+    ``u``, ``v``, ``op`` (±1) and ``dout_after``, every id below ``cover``.
+    Every state must already cover ``cover`` ids (the caller replays the
+    oracle's capacity growth); the kernel indexes unchecked, so that is
+    verified here.
     """
-    for vector in (state.p, state.r):
-        if (
-            vector.dtype != np.float64
-            or not vector.flags.c_contiguous
-            or len(vector) < cover
-        ):
-            raise ValueError(
-                f"state vector (dtype {vector.dtype}, length {len(vector)}) is not"
-                f" a contiguous float64 array covering {cover} ids"
-            )
+    for state in states:
+        for vector in (state.p, state.r):
+            if (
+                vector.dtype != np.float64
+                or not vector.flags.c_contiguous
+                or len(vector) < cover
+            ):
+                raise ValueError(
+                    f"state vector (dtype {vector.dtype}, length {len(vector)})"
+                    f" is not a contiguous float64 array covering {cover} ids"
+                )
+    p = np.array([state.p.ctypes.data for state in states], dtype=np.uintp)
+    r = np.array([state.r.ctypes.data for state in states], dtype=np.uintp)
+    sources = np.array([state.source for state in states], dtype=np.int64)
     u, v, op, dout_after = batch
     lib._restore(
-        state.p.ctypes.data,
-        state.r.ctypes.data,
-        state.source,
+        p.ctypes.data,
+        r.ctypes.data,
+        sources.ctypes.data,
+        len(states),
         alpha,
         u.ctypes.data,
         v.ctypes.data,

@@ -8,9 +8,10 @@ cold source past capacity evicts the least-recently-queried resident
 query popularity is heavy-tailed).
 
 Each resident carries maintenance bookkeeping alongside its state: the
-snapshot version it was last converged at, the seed vertices touched by
-updates since then (the push frontier a lazy refresh starts from), and
-usage counters feeding :class:`repro.serve.service.ServiceMetrics`.
+snapshot version it was last converged at and usage counters feeding
+:class:`repro.serve.service.ServiceMetrics`. Nothing per resident grows
+with the updates ingested: a lazy refresh finds its frontier by scanning
+the residual vector itself (see ``PPRService._refresh``).
 """
 
 from __future__ import annotations
@@ -34,10 +35,6 @@ class ResidentSource:
     #: Count of ingested updates reflected at that convergence (staleness
     #: is measured against the service's running total).
     updates_reflected: int
-    #: Vertices whose residual changed since the last push — the seeds of
-    #: the next lazy refresh. A set: bounded by the distinct vertices
-    #: touched, however many updates accumulate between pushes.
-    pending_seeds: set[int] = field(default_factory=set)
     queries: int = 0
     #: Certified answers already computed from this state, by ``k``, and
     #: the ``(graph_version, version)`` they were computed at — they are
@@ -54,7 +51,6 @@ class ResidentSource:
         """Record a completed push: state is ε-fresh as of ``version``."""
         self.version = version
         self.updates_reflected = updates_reflected
-        self.pending_seeds.clear()
 
 
 class SourceCache:

@@ -20,8 +20,8 @@ state. The service owns
 
 Freshness contract: under the default FRESH consistency every answer is
 ε-approximate on the *latest* graph version — a lazy refresh pushes the
-queried source to convergence before answering, seeded only by the
-vertices updates touched since that source last converged. Per-request
+queried source to convergence before answering, started where a residual
+now exceeds ε (a scan of ``r``, :meth:`PPRService._refresh`). Per-request
 BOUNDED/ANY contracts (``max_staleness``) may serve the resident state
 as-is; the answer's ``snapshot_version`` reports the version it is
 actually ε-approximate on. The recorded *staleness* of a query is how
@@ -647,10 +647,6 @@ class PPRService:
                 kernel=self.config.kernel,
             )
             self._metrics.record_restore(float(np.abs(deltas).sum()))
-            touched = [update.u for update in updates]
-            touched_set = set(touched)
-            for entry in residents:
-                entry.pending_seeds.update(touched_set)
             if self.store is not None:
                 self.store.log_batch(self.graph_version + 1, updates)
             self.graph_version += 1
@@ -663,6 +659,7 @@ class PPRService:
 
             traces: dict[int, PushStats] = {}
             if self.hub_index is not None:
+                touched = [update.u for update in updates]
                 with obs.span("hub.reconverge", touched=len(touched)):
                     traces = self.hub_index.reconverge(
                         touched, snapshot=self._snapshot()
@@ -672,17 +669,19 @@ class PPRService:
             return traces
 
     def _refresh(self, entry: ResidentSource) -> PushStats:
-        """Push one resident back to convergence on the current version."""
+        """Push one resident back to convergence on the current version.
+
+        The first frontier is a scan of ``r`` (``seeds=None``): a converged
+        push leaves ``|r| <= ε`` everywhere and RestoreInvariant writes only
+        an update's ``r[u]``, so it is exactly the touched vertices that
+        pass ``pushCond`` — with no per-resident log of them to keep.
+        """
         # The versions move only when the push returns; one that raises
         # (ConvergenceError) has already rewritten p and r.
         entry.memo_stamp = None
         with obs.span("push.refresh", source=entry.source) as span:
             stats = parallel_local_push(
-                entry.state,
-                self.graph,
-                self.config,
-                seeds=entry.pending_seeds,
-                csr=self._snapshot(),
+                entry.state, self.graph, self.config, csr=self._snapshot()
             )
             span.set(iterations=stats.num_iterations)
         entry.mark_converged(self.graph_version, self._metrics.updates_ingested)

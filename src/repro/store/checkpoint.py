@@ -16,10 +16,10 @@ once per base and rebuilt from the log, not re-dumped every interval:
   every interval, independent of the edge count:
 
   - every resident :class:`~repro.core.state.PPRState` with its
-    bookkeeping (convergence version, staleness counter, pending
-    lazy-push seeds, query count) in LRU→MRU order, the vectors sparse
-    and bit-exact (:func:`~repro.core.state.encode_states`: a checkpoint
-    costs what is non-zero, not ``capacity × residents``);
+    bookkeeping (convergence version, staleness counter, query count)
+    in LRU→MRU order, the vectors sparse and bit-exact
+    (:func:`~repro.core.state.encode_states`: a checkpoint costs what is
+    non-zero, not ``capacity × residents``);
   - the hub index vectors
     (:meth:`~repro.core.hub_index.DynamicHubIndex.to_arrays`, same
     vector codec);
@@ -81,7 +81,9 @@ PathLike = str | os.PathLike
 #: 6: serve-config block lost ``refresh``/``hub_refresh`` and the
 #:    ``hubs_pending`` member is gone (resident refresh is always lazy,
 #:    hub re-convergence always at ingest).
-CHECKPOINT_FORMAT = 6
+#: 7: ``pending_ref``/``pending_lengths``/``pending`` are gone (a lazy
+#:    refresh scans the residual vector for its frontier).
+CHECKPOINT_FORMAT = 7
 
 #: Subdirectories of a store root.
 CHECKPOINT_DIR = "checkpoints"
@@ -231,26 +233,6 @@ def capture_checkpoint(
     ).reshape(-1, 3)
     for key, value in encode_states([e.state for e in residents]).items():
         arrays[f"resident_{key}"] = value
-    # Residents that last converged at the same version carry the same
-    # pending set (every ingest adds its touched vertices to all of them),
-    # so the distinct sets are stored once and each resident names its own.
-    distinct: dict[frozenset[int], int] = {}
-    arrays["pending_ref"] = np.array(
-        [
-            distinct.setdefault(frozenset(e.pending_seeds), len(distinct))
-            for e in residents
-        ],
-        dtype=np.int64,
-    )
-    pending = [
-        np.fromiter(seeds, dtype=np.int64, count=len(seeds)) for seeds in distinct
-    ]
-    arrays["pending_lengths"] = np.array([len(p) for p in pending], dtype=np.int64)
-    # Vertex ids, narrowed like the vector indices of ``encode_states``.
-    narrow = service.graph.capacity <= np.iinfo(np.int32).max
-    arrays["pending"] = (
-        np.concatenate(pending) if pending else np.empty(0, dtype=np.int64)
-    ).astype(np.int32 if narrow else np.int64)
 
     arrays["has_hubs"] = np.int64(service.hub_index is not None)
     if service.hub_index is not None:
@@ -417,27 +399,17 @@ def read_checkpoint(
         states = decode_states(
             arrays["sources"].tolist(), _prefixed(arrays, "resident_")
         )
-        pending_ends = np.cumsum(arrays["pending_lengths"])
-        if pending_ends.size and pending_ends[-1] != len(arrays["pending"]):
-            raise ValueError("pending seed counts do not match the data")
-        pending = np.split(arrays["pending"], pending_ends[:-1])
-        residents: list[ResidentSource] = []
-        for state, meta, ref in zip(
-            states,
-            arrays["resident_meta"].tolist(),
-            arrays["pending_ref"].tolist(),
-            strict=True,
-        ):
-            converged, reflected, queries = meta
-            residents.append(
-                ResidentSource(
-                    state=state,
-                    version=converged,
-                    updates_reflected=reflected,
-                    pending_seeds=set(pending[ref].tolist()),
-                    queries=queries,
-                )
+        residents = [
+            ResidentSource(
+                state=state,
+                version=converged,
+                updates_reflected=reflected,
+                queries=queries,
             )
+            for state, (converged, reflected, queries) in zip(
+                states, arrays["resident_meta"].tolist(), strict=True
+            )
+        ]
         version = int(arrays["graph_version"])
         base_version = int(arrays["base_version"])
         if not 0 <= base_version <= version:

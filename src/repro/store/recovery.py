@@ -16,10 +16,11 @@ properties make that possible:
    checkpoint holds the states at that version verbatim;
 3. the WAL tail past the checkpoint is replayed through the *normal*
    ingest path (:meth:`repro.serve.PPRService.ingest`): the same
-   ``restore_invariant`` arithmetic, hub re-convergence, and pending-seed
-   accounting the uninterrupted run performed;
-4. the push engines canonicalize their inputs (sorted frontiers, sorted
-   unique seeds), so replayed pushes see identical operand orders.
+   ``restore_invariant`` arithmetic and hub re-convergence the
+   uninterrupted run performed;
+4. the push engines canonicalize their inputs (sorted frontiers, a lazy
+   refresh's first one scanned from ``r``), so replayed pushes see
+   identical operand orders.
 
 What bounds each replay: the graph-only stretch by
 :attr:`StateStore.rebase_due <repro.store.store.StateStore.rebase_due>`

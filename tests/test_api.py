@@ -22,6 +22,8 @@ from repro import (
     ConsistencyLevel,
     DynamicDiGraph,
     EdgeError,
+    EdgeOp,
+    EdgeUpdate,
     PPRConfig,
     PPRService,
     RequestError,
@@ -112,6 +114,44 @@ class TestRequestValidation:
             IngestBatch(updates=[(1, 2, "upsert")])
         with pytest.raises(RequestError):
             IngestBatch(updates=[(1,)])
+
+    @pytest.mark.parametrize(
+        "item, expected",
+        [
+            ([3, 4, "delete"], EdgeUpdate(3, 4, EdgeOp.DELETE)),
+            ([0, 0, "insert"], EdgeUpdate(0, 0, EdgeOp.INSERT)),
+            ([True, 2, "insert"], "u must be an integer vertex id, got True"),
+            ([1, False, "delete"], "v must be an integer vertex id, got False"),
+            ([1.0, 2, "insert"], "u must be an integer vertex id, got 1.0"),
+            ([-1, 2, "insert"], "u must be >= 0, got -1"),
+            ([1, -2, "delete"], "v must be >= 0, got -2"),
+            ([1, 2, "upsert"], "bad update op: 'upsert'"),
+            ([1, 2, "INSERT"], "bad update op: 'INSERT'"),
+            ([1, 2, ["insert"]], "bad update op: ['insert']"),
+            ([1, 2, None], "bad update op: None"),
+            ([1, 2, "+"], EdgeUpdate(1, 2, EdgeOp.INSERT)),
+            ([1, 2, -1], EdgeUpdate(1, 2, EdgeOp.DELETE)),
+            ([1, 2], EdgeUpdate(1, 2, EdgeOp.INSERT)),
+            (
+                [1, 2, "insert", 4],
+                "bad update (want [u, v] or [u, v, op]): [1, 2, 'insert', 4]",
+            ),
+            ({"u": 1, "v": 2, "op": "delete"}, EdgeUpdate(1, 2, EdgeOp.DELETE)),
+            ({"u": 1}, "v must be an integer vertex id, got None"),
+            ((1, 2, "delete"), EdgeUpdate(1, 2, EdgeOp.DELETE)),
+        ],
+    )
+    def test_update_parse_outcomes(self, item, expected):
+        """The wire form's exact-type fast path and everything that falls
+        through to the general one parse, or fail, with one behaviour."""
+        if isinstance(expected, str):
+            with pytest.raises(RequestError) as caught:
+                IngestBatch(updates=[item])
+            assert str(caught.value) == expected
+        else:
+            (update,) = IngestBatch(updates=[item]).updates
+            assert update == expected
+            assert type(update.op) is EdgeOp
 
     def test_unknown_op_rejected(self):
         with pytest.raises(RequestError):

@@ -168,7 +168,7 @@ def test_ensure_covers_rejects_small_views():
 def test_dout_validation():
     csr = CSRGraph.from_digraph(small_graph())
     with pytest.raises(GraphError):
-        DeltaCSRGraph(csr, np.zeros(1, dtype=np.int64), {}, np.zeros(1, bool), 0)
+        DeltaCSRGraph(csr, np.zeros(1, dtype=np.int64), {}, np.zeros(1, bool), 0, 0)
 
 
 # ---------------------------------------------------------------------- #

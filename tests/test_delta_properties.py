@@ -16,7 +16,11 @@ The laws the ingest hot path rests on (see ``docs/performance.md``):
 4. the compiled kernel's row layout, derived batch by batch from the
    predecessor view's, resolves every row to the same sequence as the
    from-scratch build — so compiled pushes over it stay bit-identical —
-   and its dead space stays bounded by the live overlay.
+   and its dead space stays bounded by the live overlay;
+5. the overlay entry count every constructor call carries equals the
+   patched rows' total length after every ``apply_updates``,
+   ``with_capacity``, ``apply_edge_delta`` and ``consolidated`` — the
+   O(1) consolidation check decides exactly as a re-sum would.
 """
 
 from __future__ import annotations
@@ -140,12 +144,21 @@ def test_served_answers_bit_identical_to_rebuilt_views(batches, data):
     assert serve(ingest_from_rebuild) == serve(PPRService.ingest)
 
 
+def _fresh_twin(view: DeltaCSRGraph) -> DeltaCSRGraph:
+    """An identical view with no predecessor (no derived kernel arrays)."""
+    return DeltaCSRGraph(
+        view.base,
+        view.dout,
+        view._rows,
+        view._patched,
+        view.num_edges,
+        view.overlay_entries,
+    )
+
+
 def _scratch_kernel_arrays(view: DeltaCSRGraph) -> dict:
     """The layout an identical view with no predecessor builds."""
-    twin = DeltaCSRGraph(
-        view.base, view.dout, view._rows, view._patched, view.num_edges
-    )
-    return twin.kernel_arrays()
+    return _fresh_twin(view).kernel_arrays()
 
 
 def _resolved_rows(arrays: dict) -> list[list[int]]:
@@ -189,11 +202,68 @@ def test_incremental_kernel_arrays_equal_the_from_scratch_build(batches, warm_at
         assert arrays["overlay_live"] == len(scratch["overlay_indices"])
         assert len(arrays["overlay_indices"]) <= 2 * arrays["overlay_live"]
         if compiled:
-            twin = DeltaCSRGraph(
-                view.base, view.dout, view._rows, view._patched, view.num_edges
-            )
+            twin = _fresh_twin(view)
             a, b = PPRState.initial(0, graph.capacity), PPRState.initial(0, graph.capacity)
             parallel_local_push(a, graph, config, seeds=[0], csr=view)
             parallel_local_push(b, graph, config, seeds=[0], csr=twin)
             assert np.array_equal(a.p.view(np.uint64), b.p.view(np.uint64))
             assert np.array_equal(a.r.view(np.uint64), b.r.view(np.uint64))
+
+
+def assert_entries_carried(view: DeltaCSRGraph) -> None:
+    assert view.overlay_entries == sum(len(row) for row in view._rows.values())
+
+
+@given(
+    applied_update_batches(max_batches=10),
+    st.lists(st.sampled_from(["keep", "grow", "consolidate"]), min_size=10, max_size=10),
+)
+@settings(max_examples=40)
+def test_graph_backed_views_carry_their_overlay_entry_count(batches, moves):
+    graph = DynamicDiGraph([(0, 1), (1, 2)])
+    view = DeltaCSRGraph.wrap(CSRGraph.from_digraph(graph))
+    assert_entries_carried(view)
+    for batch, move in zip(batches, moves):
+        for update in batch:
+            graph.apply(update)
+        view = view.apply_updates(graph, batch)
+        assert_entries_carried(view)
+        if move == "grow":
+            view = view.with_capacity(view.num_vertices + 3)
+        elif move == "consolidate":
+            view = view.consolidated()
+        assert_entries_carried(view)
+
+
+@given(
+    st.lists(
+        st.tuples(st.integers(0, N_VERTICES - 1), st.integers(0, N_VERTICES - 1)),
+        min_size=1,
+        max_size=80,
+    ),
+    st.lists(
+        st.tuples(st.integers(0, 8), st.integers(0, 8), st.booleans()),
+        min_size=1,
+        max_size=10,
+    ),
+    st.booleans(),
+)
+@settings(max_examples=40)
+def test_window_views_carry_their_overlay_entry_count(stream, slides, undirected):
+    view = DeltaCSRGraph.wrap(CSRGraph.from_edge_array(np.empty((0, 2)), N_VERTICES))
+    window: list[tuple[int, int]] = []
+    position = 0
+    for inserted, deleted, consolidate in slides:
+        ins = stream[position : position + inserted]
+        position += len(ins)
+        dels = window[: min(deleted, len(window))]
+        window = window[len(dels) :] + ins
+        view = view.apply_edge_delta(
+            np.array(ins, dtype=np.int64).reshape(-1, 2),
+            np.array(dels, dtype=np.int64).reshape(-1, 2),
+            undirected=undirected,
+        )
+        assert_entries_carried(view)
+        if consolidate:
+            view = view.consolidated()
+            assert_entries_carried(view)

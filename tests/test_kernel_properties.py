@@ -19,10 +19,11 @@ compares raw arrays after every stage:
    compiled kernel's result (the frontier is sorted/deduplicated before
    the per-edge loop, so iteration order is canonical);
 4. batch ``RestoreInvariant``: ``restore_states`` under the compiled
-   kernel against the per-update ``restore_invariant`` oracle on random
-   batches — duplicate ``u``, ``u == source``, deleting a vertex's last
-   out-edge, ids past the arrays' capacity, undirected (reversed) pairs,
-   hub vectors — ``p``, ``r``, array *lengths* and the returned Δ.
+   kernel — one C call for 64+ states of different lengths — against the
+   per-update ``restore_invariant`` oracle on random batches — duplicate
+   ``u``, ``u == source``, deleting a vertex's last out-edge, ids past the
+   arrays' capacity, undirected (reversed) pairs, hub vectors — ``p``,
+   ``r``, array *lengths* and the returned Δ.
 
 These run in CI's differential-oracle job with the extension built; on a
 host with no C compiler the whole module skips (there is nothing to
@@ -380,10 +381,12 @@ def restore_case(draw, max_updates=24):
 
 
 def converged_states(graph, sources, config):
-    """One pushed state per source, at *different* array lengths."""
+    """One pushed state per source, at *different* (increasing) array lengths."""
     states = []
-    for extra, source in enumerate(sources):
-        state = PPRState.initial(source, max(graph.capacity, source + 1) + 5 * extra)
+    length = 0
+    for source in sources:
+        length = max(length + 1, graph.capacity, source + 1)
+        state = PPRState.initial(source, length)
         parallel_local_push(state, graph, config)
         states.append(state)
     return states
@@ -397,12 +400,19 @@ def assert_same_bits(left: np.ndarray, right: np.ndarray) -> None:
 
 @given(
     case=restore_case(),
-    sources=st.lists(
-        st.integers(0, N_VERTICES - 1), min_size=1, max_size=3, unique=True
-    ),
+    sources=st.lists(st.integers(0, N_VERTICES - 1), min_size=62, max_size=70),
 )
 def test_batch_restore_matches_the_per_update_oracle(case, sources):
+    """One C call repairs >= 64 states of different lengths at once."""
     edges, updates = case
+    # A vertex no edge names gains and loses one out-edge: the delete runs
+    # with dout_after == 0. It and the batch's first u are sources too.
+    dangling = MAX_NEW_ID + 1
+    updates = updates + [
+        EdgeUpdate(dangling, 0, EdgeOp.INSERT),
+        EdgeUpdate(dangling, 0, EdgeOp.DELETE),
+    ]
+    sources = [*sources, updates[0].u, dangling]
     config = config_for(PushVariant.OPT, NUMPY)
 
     oracle_graph = DynamicDiGraph(edges)
@@ -418,8 +428,10 @@ def test_batch_restore_matches_the_per_update_oracle(case, sources):
     for kernel in (COMPILED, NUMPY):
         graph = DynamicDiGraph(edges)
         states = converged_states(graph, sources, config)
+        assert len({len(state.p) for state in states}) == len(states) >= 64
         deltas = restore_states(graph, states, updates, config.alpha, kernel=kernel)
         assert graph == oracle_graph
+        assert graph.out_degree(dangling) == 0
         assert_same_bits(deltas, oracle_deltas)
         for state, expected in zip(states, oracle_states):
             assert_same_bits(state.p, expected.p)

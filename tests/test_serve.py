@@ -15,10 +15,13 @@ from repro import (
     Backend,
     ConfigError,
     DynamicDiGraph,
+    EdgeOp,
+    EdgeUpdate,
     PPRConfig,
     PPRService,
     ServeConfig,
     insertions,
+    parallel_local_push,
 )
 from repro.core.certify import certified_top_k, topk_matches
 from repro.core.hub_index import DynamicHubIndex
@@ -285,16 +288,42 @@ class TestPPRService:
         assert metrics.cache_misses == 3
         assert metrics.cache_hits == 0
 
-    def test_pending_seeds_bounded_by_distinct_touched_vertices(self, rng):
+    def test_edge_toggles_grow_no_resident_state_and_refresh_like_a_seeded_twin(
+        self, rng
+    ):
+        """Toggling one edge over and over leaves the resident's bookkeeping
+        the size it was, and its next refresh is the push a twin of its
+        state runs seeded with the one vertex the toggles touched."""
         service = _service(random_graph(rng), cache_capacity=4)
         service.query(0)
-        for _ in range(5):  # same endpoints touched over and over
-            service.ingest(insertions([(1, 2)]))
-            service.ingest([])  # empty batches must not grow anything either
         entry = service.cache.peek(0)
-        assert entry.pending_seeds == {1}
-        service.query(0)
-        assert entry.pending_seeds == set()
+
+        def footprint() -> dict:
+            sizes = {
+                name: len(value) if hasattr(value, "__len__") else None
+                for name, value in vars(entry).items()
+            }
+            return sizes | {"p": len(entry.state.p), "r": len(entry.state.r)}
+
+        def toggle(rounds: int) -> None:
+            for _ in range(rounds):
+                service.ingest(insertions([(1, 2)]))
+                service.ingest([EdgeUpdate(1, 2, EdgeOp.DELETE)])
+                service.ingest([])  # empty batches must not grow anything either
+
+        toggle(5)
+        few = footprint()
+        toggle(50)
+        service.ingest(insertions([(1, 2)]))
+        assert footprint() == few
+        twin = entry.state.copy()
+        expected = parallel_local_push(
+            twin, service.graph, NUMPY_CONFIG, seeds=[1], csr=service._snapshot()
+        )
+        assert expected.num_iterations > 0
+        assert service._refresh(entry) == expected
+        for ours, theirs in ((entry.state.p, twin.p), (entry.state.r, twin.r)):
+            assert np.array_equal(ours.view(np.int64), theirs.view(np.int64))
 
     def test_prefetch_rides_next_admission_batch(self, rng):
         service = _service(random_graph(rng), cache_capacity=4, admission_batch=4)

@@ -202,7 +202,7 @@ def _salted_service(hubs: bool, residents: list[int], salt: list[float], pending
     )
     if residents:
         service.query_many(residents)
-    if pending:  # LAZY refresh: the touched vertices stay pending seeds
+    if pending:  # residents left unrefreshed: touched residuals above eps
         service.ingest([EdgeUpdate(1, 7, EdgeOp.INSERT), EdgeUpdate(40, 2, EdgeOp.INSERT)])
     vectors = [e.state for e in service.cache.entries()]
     if service.hub_index is not None:
@@ -239,7 +239,6 @@ def test_checkpoint_file_roundtrip_bit_exact(
     assert restored.resident_sources() == service.resident_sources()  # LRU order
     for clone, entry in zip(restored.cache.entries(), service.cache.entries()):
         assert_states_bit_identical(clone.state, entry.state)
-        assert clone.pending_seeds == entry.pending_seeds
         assert (clone.version, clone.updates_reflected, clone.queries) == (
             entry.version,
             entry.updates_reflected,
@@ -319,7 +318,7 @@ def test_format_4_checkpoint_is_refused(tmp_path):
     current = self_contained_checkpoint(tmp_path, service)
     with np.load(current) as data:
         arrays = {key: data[key] for key in data.files}
-    del arrays["base_version"], arrays["registered"], arrays["pending_ref"]
+    del arrays["base_version"], arrays["registered"]
     for key, value in service.graph.to_arrays().items():
         arrays[f"graph_{key}"] = value
     arrays.update(format=np.int64(4))
@@ -355,6 +354,37 @@ def test_format_3_checkpoint_is_refused(tmp_path):
     with pytest.raises(StoreError, match="unsupported checkpoint format 3"):
         read_checkpoint(old)
     assert checkpoint_summary(old) == {"format": 3}
+    assert latest_checkpoint(current.parent).path == current
+
+
+def test_format_6_checkpoint_is_refused(tmp_path):
+    """A parent-build file: per-resident pending seed sets stored beside
+    the vectors — refused on the format, its members never read."""
+    from repro.store.checkpoint import (
+        checkpoint_name,
+        checkpoint_summary,
+        latest_checkpoint,
+        read_checkpoint,
+    )
+
+    service = _salted_service(False, [0], [], True)
+    current = self_contained_checkpoint(tmp_path, service)
+    with np.load(current) as data:
+        arrays = {key: data[key] for key in data.files}
+    assert not {"pending_ref", "pending_lengths", "pending"} & arrays.keys()
+    arrays.update(
+        format=np.int64(6),
+        pending_ref=np.zeros(1, dtype=np.int64),
+        pending_lengths=np.array([2], dtype=np.int64),
+        pending=np.array([1, 40], dtype=np.int32),
+    )
+    old = current.with_name(checkpoint_name(7))
+    with open(old, "wb") as fh:
+        np.savez(fh, **arrays)
+
+    with pytest.raises(StoreError, match="unsupported checkpoint format 6"):
+        read_checkpoint(old)
+    assert checkpoint_summary(old) == {"format": 6}
     assert latest_checkpoint(current.parent).path == current
 
 
@@ -584,7 +614,6 @@ class DurableServiceMachine(RuleBasedStateMachine):
             twin = survivor.cache.peek(entry.source)
             if twin is not None:
                 assert_states_bit_identical(entry.state, twin.state)
-                assert entry.pending_seeds == twin.pending_seeds
                 assert entry.version == twin.version
                 assert (
                     recovered.query(entry.source, 5, max_staleness=None).entries
