@@ -1,4 +1,4 @@
-"""Ablation benchmarks: the design-choice studies from DESIGN.md.
+"""Ablation benchmarks: the design choices the paper motivates in prose.
 
 Regenerates the three ablation tables (A1 parallel loss, A2 batching,
 A3 frontier generation) plus the accuracy-vs-cost study, and times the

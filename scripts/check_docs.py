@@ -11,6 +11,10 @@ Checks README.md and every docs/*.md file:
   real CLI subcommand, and every file path appearing in a
   ``python -m pytest`` line must exist.
 
+It also checks that every ``*.md`` path a ``.py`` file under ``src/``,
+``scripts/`` or ``benchmarks/`` names exists (at the repository root or
+beside the file).
+
 Run from the repository root:  PYTHONPATH=src python scripts/check_docs.py
 CI runs this after the test suite (.github/workflows/ci.yml).
 """
@@ -27,6 +31,8 @@ REPO = Path(__file__).resolve().parent.parent
 
 LINK_RE = re.compile(r"\[[^\]]*\]\(([^)\s]+)\)")
 FENCE_RE = re.compile(r"^```(\S*)(.*)$")
+MD_PATH_RE = re.compile(r"(?<![\w./-])(\w[\w./-]*\.md)\b")
+SOURCE_DIRS = ("src", "scripts", "benchmarks")
 
 
 def iter_code_blocks(text: str):
@@ -120,8 +126,22 @@ def check_file(path: Path) -> list[str]:
     )
 
 
+def check_md_pointers(path: Path, text: str) -> list[str]:
+    errors = []
+    for lineno, line in enumerate(text.splitlines(), 1):
+        for target in MD_PATH_RE.findall(line):
+            if not ((REPO / target).exists() or (path.parent / target).exists()):
+                where = path.relative_to(REPO)
+                errors.append(f"{where}:{lineno}: missing file {target}")
+    return errors
+
+
 def docs_files() -> list[Path]:
     return [REPO / "README.md"] + sorted((REPO / "docs").glob("*.md"))
+
+
+def source_files() -> list[Path]:
+    return sorted(p for d in SOURCE_DIRS for p in (REPO / d).rglob("*.py"))
 
 
 def main() -> int:
@@ -131,6 +151,14 @@ def main() -> int:
         status = "ok" if not found else f"{len(found)} problem(s)"
         print(f"{path.relative_to(REPO)}: {status}")
         errors.extend(found)
+    found = [
+        error
+        for path in source_files()
+        for error in check_md_pointers(path, path.read_text(encoding="utf-8"))
+    ]
+    status = "ok" if not found else f"{len(found)} problem(s)"
+    print(f"*.md paths named in {'/, '.join(SOURCE_DIRS)}/: {status}")
+    errors.extend(found)
     for error in errors:
         print(f"  {error}", file=sys.stderr)
     return 1 if errors else 0

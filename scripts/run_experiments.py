@@ -1,8 +1,8 @@
 """Full experiment driver: regenerates every figure over all datasets.
 
 Writes each table to ``benchmarks/results/full_figN.txt`` and a combined
-report to ``benchmarks/results/full_report.txt``. This is the run recorded
-in EXPERIMENTS.md, with the ``full`` arguments of the one figure registry
+report to ``benchmarks/results/full_report.txt``. This is the full run,
+with the ``full`` arguments of the one figure registry
 (:data:`repro.bench.figures.FIGURES`); ``repro figure`` and
 ``benchmarks/bench_figures.py`` run its ``reduced`` arguments.
 

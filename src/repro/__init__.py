@@ -36,7 +36,6 @@ from .config import (
     Backend,
     ClusterConfig,
     ConsistencyLevel,
-    PartitionerKind,
     Phase,
     PPRConfig,
     PushVariant,
@@ -65,7 +64,7 @@ from .core.push_parallel import parallel_local_push
 from .core.push_sequential import cpu_base_update, cpu_seq_update, sequential_local_push
 from .core.state import PPRState
 from .core.stats import BatchStats, IterationRecord, PushStats
-from .core.tracker import DynamicPPRTracker, MultiSourceTracker
+from .core.tracker import DynamicPPRTracker
 from .errors import (
     ERROR_CODES,
     BackendError,
@@ -158,13 +157,11 @@ __all__ = [
     "LabeledDiGraph",
     "LigraCostModel",
     "MonteCarloCostModel",
-    "MultiSourceTracker",
     "PPRCluster",
     "PPRConfig",
     "PPRService",
     "PPRShards",
     "PPRState",
-    "PartitionerKind",
     "Phase",
     "PushStats",
     "PushVariant",

@@ -17,10 +17,11 @@ from collections.abc import Sequence
 from typing import TYPE_CHECKING
 
 from .. import obs
-from ..config import ApiConfig, ConsistencyLevel
+from ..config import ApiConfig
 from ..graph.update import EdgeUpdate
 from .gateway import Gateway
 from .requests import (
+    FRESH,
     ApiRequest,
     BatchQuery,
     CheckpointNow,
@@ -95,12 +96,6 @@ class Client:
     def config(self) -> ApiConfig:
         return self.gateway.config
 
-    def _default_consistency(self) -> Consistency:
-        level = self.config.default_consistency
-        if level is ConsistencyLevel.BOUNDED:
-            return Consistency.bounded(self.config.staleness_bound)
-        return Consistency(level)
-
     def _send(self, request: ApiRequest) -> ApiResponse:
         # The embedded front door mints traces exactly like the HTTP one,
         # so embedded and remote callers sample the same way.
@@ -128,7 +123,7 @@ class Client:
             TopKQuery(
                 source=source,
                 k=k,
-                consistency=consistency or self._default_consistency(),
+                consistency=consistency or FRESH,
             )
         )
 
@@ -144,7 +139,7 @@ class Client:
             BatchQuery(
                 sources=tuple(sources),
                 k=k,
-                consistency=consistency or self._default_consistency(),
+                consistency=consistency or FRESH,
             )
         )
 
@@ -160,7 +155,7 @@ class Client:
             ScoreQuery(
                 source=source,
                 target=target,
-                consistency=consistency or self._default_consistency(),
+                consistency=consistency or FRESH,
             )
         )
 

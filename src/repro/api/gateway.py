@@ -197,9 +197,7 @@ class GatewayFront:
                 snapshot_version=self.head_version,
             )
 
-    def submit_many(
-        self, requests: Sequence[ApiRequest], *, coalesce: bool | None = None
-    ) -> list[ApiResponse]:
+    def submit_many(self, requests: Sequence[ApiRequest]) -> list[ApiResponse]:
         """Run a request sequence in order, coalescing reads between writes.
 
         Writes (:attr:`~repro.api.requests.ApiRequest.is_write`) execute
@@ -223,13 +221,9 @@ class GatewayFront:
         :mod:`repro.api.scheduling`, so every gateway plans identical
         steps for identical traffic.
         """
-        if coalesce is None:
-            coalesce = self.config.coalesce_reads
         with self._lock:  # one atomic schedule; RLock keeps submit() happy
             responses: list[ApiResponse | None] = [None] * len(requests)
-            steps = plan_schedule(
-                requests, coalesce=coalesce, max_batch=self.config.max_batch
-            )
+            steps = plan_schedule(requests, max_batch=self.config.max_batch)
             for step in steps:
                 if isinstance(step, ReadRun):
                     self._execute_run(requests, step, responses)

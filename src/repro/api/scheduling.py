@@ -15,7 +15,7 @@ one batched call. This module is that policy:
   failures.
 
 The plan is deterministic: two gateways given the same request sequence
-and the same ``(coalesce, max_batch)`` knobs produce identical steps,
+and the same ``max_batch`` produce identical steps,
 which is what lets the cluster benchmark assert bit-identical answers
 across the single-process and replicated schedulers.
 """
@@ -64,13 +64,13 @@ ScheduleStep = Union[Single, ReadRun]
 
 
 def plan_schedule(
-    requests: Sequence[ApiRequest], *, coalesce: bool, max_batch: int
+    requests: Sequence[ApiRequest], *, max_batch: int
 ) -> list[ScheduleStep]:
     """Plan a request sequence into ordered schedule steps.
 
     Writes (:attr:`~repro.api.requests.ApiRequest.is_write`) and
     non-top-k reads become :class:`Single` steps at their arrival
-    position. With ``coalesce`` on, maximal runs of
+    position. Maximal runs of
     :class:`~repro.api.requests.TopKQuery` sharing ``(k, consistency)``
     become :class:`ReadRun` steps — a run closes once it holds
     ``max_batch`` *unique* sources (duplicates inside the run never
@@ -82,7 +82,7 @@ def plan_schedule(
     i = 0
     while i < len(requests):
         request = requests[i]
-        if coalesce and isinstance(request, TopKQuery):
+        if isinstance(request, TopKQuery):
             group = [i]
             unique: dict[int, None] = {request.source: None}
             j = i + 1

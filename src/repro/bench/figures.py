@@ -2,9 +2,11 @@
 
 Every function regenerates one figure's data as a :class:`FigureResult`
 (headers + rows, printable as an aligned table). Parameters default to a
-fast configuration; EXPERIMENTS.md records a full run. The *shape* of each
-result — orderings, trends, approximate ratios — is what reproduction
-means here; see DESIGN.md §2 for the hardware substitution.
+fast configuration; ``scripts/run_experiments.py`` runs the full one. The
+*shape* of each result — orderings, trends, approximate ratios — is what
+reproduction means here: the paper's multicore CPU and GPU are replaced by
+cost models (:mod:`repro.parallel.cost_model`) over measured operation
+counts.
 """
 
 from __future__ import annotations
@@ -339,7 +341,7 @@ def fig10_scalability(
 
 #: The one registry of Figures 4-10: ``name -> (driver, reduced, full)``.
 #: ``reduced`` is what ``repro figure`` and ``benchmarks/bench_figures.py``
-#: run; ``full`` is the EXPERIMENTS.md run of ``scripts/run_experiments.py``.
+#: run; ``full`` is the all-dataset run of ``scripts/run_experiments.py``.
 #: Each sweep (epsilons, tiers, fractions, core counts) is its driver's
 #: default unless a full run widens it here.
 FIGURES: dict[str, tuple[Callable[..., FigureResult], dict[str, Any], dict[str, Any]]] = {
@@ -374,15 +376,3 @@ def run_figure(
             kwargs["dataset"] = dataset
     return driver(num_slides=num_slides, **kwargs)
 
-
-def all_figures_fast() -> list[FigureResult]:
-    """One fast pass over every figure (used by the smoke test)."""
-    return [
-        fig4_optimizations(datasets=("youtube",), num_slides=1),
-        fig5_throughput(datasets=("youtube",), num_slides=1, batch_fractions=(0.01,)),
-        fig6_epsilon(epsilons=(1e-3, 1e-4), num_slides=1),
-        fig7_source_degree(tiers=(10, 1_000_000), num_slides=1),
-        fig8_batch_size(fractions=(0.01, 0.001), num_slides=1),
-        fig9_resources(fractions=(0.01, 0.001), num_slides=1),
-        fig10_scalability(core_counts=(1, 8, 40), num_slides=1),
-    ]

@@ -70,6 +70,7 @@ import numpy as np
 from .config import Backend
 from .core.certify import certified_top_k, convergence_report
 from .core.tracker import DynamicPPRTracker
+from .errors import ConfigError
 from .graph.datasets import DATASETS
 from .graph.workloads import WorkloadSpec, default_config, prepare_workload
 from .utils.tables import format_table
@@ -761,7 +762,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: Sequence[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except ConfigError as exc:
+        # A flag value a config object refuses is a usage error, reported
+        # like argparse's own: one line, exit status 2.
+        print(f"repro: error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":  # pragma: no cover - exercised via __main__

@@ -70,7 +70,6 @@ from ..obs import clock
 from ..store.wal import pack_record
 from ..workers import (
     RESPONSES,
-    DeadlineExpired,
     WorkerDied,
     WorkerFleet,
     WorkerGateway,
@@ -268,7 +267,7 @@ class ClusterGateway(WorkerGateway):
             self._publisher.close()
 
     # ------------------------------------------------------------------ #
-    # channel policy: acks, barrier, hedging, breakers
+    # channel policy: acks, barrier, breakers
     # ------------------------------------------------------------------ #
 
     def on_frame(self, index: int, frame: tuple) -> bool:
@@ -296,57 +295,6 @@ class ClusterGateway(WorkerGateway):
             # promise anyone can keep. The typed 503 is the promotion
             # window's only degradation: ANY/BOUNDED reads keep serving.
             raise ClusterError("FRESH reads unavailable: no primary (failover pending)")
-
-    def _read_one(self, index: int, request: ApiRequest) -> ApiResponse:
-        if (
-            self.cluster.hedge_reads
-            and not self._is_fresh(request)
-            and len(self.replicas) > 1
-            and isinstance(request, (TopKQuery, ScoreQuery))
-        ):
-            return self._hedged(index, request)
-        return super()._read_one(index, request)
-
-    def _hedged(self, index: int, request: ApiRequest) -> ApiResponse:
-        """Dispatch an idempotent read to two replicas; first answer wins.
-
-        The loser's ticket is abandoned so its late answer is absorbed as
-        bookkeeping. If one of the pair dies the race degrades to a plain
-        await on the survivor; if both die, the normal revive-and-retry
-        path takes over on the owner.
-        """
-        backup = self._route((index + 1) % len(self.replicas))
-        deadline = request.deadline
-        racers: dict[int, int] = {}  # replica index -> ticket
-        for i in dict.fromkeys((index, backup)):
-            try:
-                racers[i] = self.group.send(i, self._read(i, request))
-            except WorkerDied:
-                self.on_outcome(i, False)
-        if racers:
-            self.counters["reads_hedged"] += 1
-            started = list(racers)
-            won: tuple[int, tuple] | None = None
-            expired = False
-            with obs.span("cluster.hedge", owner=index, racers=len(racers)):
-                try:
-                    won = self.group.await_first(racers, RESPONSES, deadline)
-                except DeadlineExpired:
-                    expired = True
-                except WorkerDied:
-                    pass  # every racer died, or the response timeout lapsed
-            for i in started:
-                if expired or i not in racers:  # overdue, or died mid-race
-                    self.on_outcome(i, False)
-            if won is not None:
-                del racers[won[0]]
-            self.group.abandon(racers)  # the loser's — or, failing, everyone's
-            if expired:
-                raise deadline.to_error()
-            if won is not None:
-                self.on_outcome(won[0], True)
-                return accept_responses(self.replicas[won[0]], won[1])[0]
-        return super()._read_one(index, request)
 
     @staticmethod
     def _is_fresh(request: ApiRequest) -> bool:

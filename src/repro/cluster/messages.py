@@ -17,7 +17,7 @@ replaying what the primary logged as ``seq``.
 Coordinator -> replica::
 
     (APPLY, frame_bytes, trace_ctx)       ordered write delta (WAL frame)
-    (REQUESTS, ticket, requests, coalesce) reads to serve (typed ApiRequests)
+    (REQUESTS, ticket, request)           one read to serve (a typed ApiRequest)
     (PROMOTE, ticket, epoch, store_root, store_config)
                                           become primary: own the store,
                                           replay the WAL tail, fence epoch

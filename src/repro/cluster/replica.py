@@ -235,9 +235,9 @@ def replica_main(spec: ReplicaSpec, conn: Connection) -> None:
                         version = apply_record(service, record)
                 conn.send((messages.APPLIED, version, obs.drain()))
             elif tag == REQUESTS:
-                _, ticket, requests, coalesce = frame
+                _, ticket, request = frame
                 chaos.check("replica.serve", ticket=ticket)
-                responses = gateway.submit_many(list(requests), coalesce=coalesce)
+                responses = gateway.submit_many([request])
                 conn.send(
                     (
                         RESPONSES,

@@ -295,16 +295,11 @@ class ApiConfig:
     host / port:
         Bind address of the HTTP front-end (``repro serve``); port ``0``
         asks the OS for an ephemeral port (tests do this).
-    coalesce_reads:
-        Whether :meth:`repro.api.Gateway.submit_many` groups consecutive
-        same-shaped top-k reads between writes into one batched engine
-        call (deduplicating repeated sources); see ``docs/api.md``.
     max_batch:
-        Maximum reads coalesced into one engine batch.
-    default_consistency:
-        Consistency applied when a request does not name one.
-    staleness_bound:
-        Version bound used when ``default_consistency`` is ``BOUNDED``.
+        Maximum reads :meth:`repro.api.Gateway.submit_many` coalesces into
+        one engine batch: it groups consecutive same-shaped top-k reads
+        between writes into one batched call (deduplicating repeated
+        sources); see ``docs/api.md``.
     admission_queue:
         Capacity of the gateway's bounded admission queue; ``0`` (the
         default) disables admission control entirely. When enabled, a
@@ -322,10 +317,7 @@ class ApiConfig:
 
     host: str = "127.0.0.1"
     port: int = 8707
-    coalesce_reads: bool = True
     max_batch: int = 256
-    default_consistency: ConsistencyLevel = ConsistencyLevel.FRESH
-    staleness_bound: int = 0
     admission_queue: int = 0
     obs: ObsConfig = field(default_factory=ObsConfig)
 
@@ -339,15 +331,6 @@ class ApiConfig:
         if self.admission_queue < 0:
             raise ConfigError(
                 f"admission_queue must be >= 0, got {self.admission_queue}"
-            )
-        if not isinstance(self.default_consistency, ConsistencyLevel):
-            raise ConfigError(
-                "default_consistency must be a ConsistencyLevel,"
-                f" got {self.default_consistency!r}"
-            )
-        if self.staleness_bound < 0:
-            raise ConfigError(
-                f"staleness_bound must be >= 0, got {self.staleness_bound}"
             )
         if not isinstance(self.obs, ObsConfig):
             raise ConfigError(f"obs must be an ObsConfig, got {self.obs!r}")
@@ -375,10 +358,6 @@ class ClusterConfig:
         How many times a crashed replica may be respawned before the
         cluster gives up and raises (guards against a poison batch
         crash-looping a worker).
-    hedge_reads:
-        Dispatch idempotent non-FRESH single reads to a second replica
-        as well and take the first answer — latency insurance against a
-        slow or wedged owner, at the cost of duplicated read work.
     breaker_failures / breaker_cooldown:
         Per-replica circuit breaker: consecutive failures before the
         replica is ejected from the read rotation, and denied requests
@@ -391,7 +370,6 @@ class ClusterConfig:
 
     replicas: int = 2
     max_respawns: int = 3
-    hedge_reads: bool = False
     breaker_failures: int = 3
     breaker_cooldown: int = 8
 
@@ -416,25 +394,6 @@ class ClusterConfig:
         return replace(self, **changes)
 
 
-class PartitionerKind(enum.Enum):
-    """Vertex placement strategy of the sharded tier (:mod:`repro.shard`).
-
-    ``HASH``
-        Stateless splitmix64 hash of the vertex id mod the shard count.
-        Balanced to within a few percent even on Zipf-distributed ids,
-        and repartition-free: a vertex's owner never changes as the
-        graph grows.
-    ``DEGREE``
-        Degree-aware greedy placement built from a seed graph (heaviest
-        in-degree vertices assigned first to the least-loaded shard),
-        with the hash rule as fallback for vertices unseen at build
-        time. Still repartition-free — the table is static.
-    """
-
-    HASH = "hash"
-    DEGREE = "degree"
-
-
 @dataclass(frozen=True)
 class ShardConfig:
     """Configuration of the partitioned serving tier (:mod:`repro.shard`).
@@ -447,8 +406,8 @@ class ShardConfig:
         sources, and (when a store is attached) its own WAL segment
         directory and checkpoints. Unlike :class:`ClusterConfig`
         replicas, shards partition writes and memory, not just reads.
-    partitioner:
-        Vertex placement strategy (see :class:`PartitionerKind`).
+        A vertex is placed by a stateless splitmix64 hash of its id mod
+        the shard count, so its owner never changes as the graph grows.
     max_respawns:
         How many times a crashed shard may be respawned before the
         gateway gives up and raises.
@@ -458,16 +417,11 @@ class ShardConfig:
     """
 
     shards: int = 2
-    partitioner: PartitionerKind = PartitionerKind.HASH
     max_respawns: int = 3
 
     def __post_init__(self) -> None:
         if not 1 <= self.shards <= 64:
             raise ConfigError(f"shards must be in [1, 64], got {self.shards}")
-        if not isinstance(self.partitioner, PartitionerKind):
-            raise ConfigError(
-                f"partitioner must be a PartitionerKind, got {self.partitioner!r}"
-            )
         if self.max_respawns < 0:
             raise ConfigError(
                 f"max_respawns must be >= 0, got {self.max_respawns}"

@@ -20,7 +20,7 @@ from .push_parallel import parallel_local_push
 from .push_sequential import sequential_local_push
 from .state import PPRState
 from .stats import BatchStats, IterationRecord, PushStats
-from .tracker import DynamicPPRTracker, MultiSourceTracker
+from .tracker import DynamicPPRTracker
 
 __all__ = [
     "BatchStats",
@@ -33,7 +33,6 @@ __all__ = [
     "select_hubs",
     "DynamicPPRTracker",
     "IterationRecord",
-    "MultiSourceTracker",
     "PPRState",
     "PushStats",
     "check_invariant",

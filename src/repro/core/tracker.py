@@ -4,12 +4,9 @@
 configuration; feed it update batches and it keeps the estimate vector
 ε-approximate, returning the operation trace of every batch. This is the
 object a downstream application uses; everything below it
-(restore-invariant, push engines, CSR snapshots) is plumbing.
-
-:class:`MultiSourceTracker` maintains many personalization sources over a
-single shared graph — the pattern used by PPR-index maintenance systems
-(HubPPR-style hub vectors) and by the theory checks that sum residual
-changes over all sources.
+(restore-invariant, push engines, CSR snapshots) is plumbing. Many
+sources over one shared graph are maintained by
+:class:`repro.core.hub_index.DynamicHubIndex`.
 """
 
 from __future__ import annotations
@@ -20,17 +17,16 @@ from collections.abc import Iterable, Sequence
 import numpy as np
 
 from ..config import Backend, PPRConfig
-from ..errors import ConfigError
 from ..graph.csr import CSRGraph
 from ..graph.delta import CSRView, advance_view
 from ..graph.digraph import DynamicDiGraph
 from ..graph.update import EdgeUpdate
 from .groundtruth import ground_truth_ppr, max_estimate_error
-from .invariant import invariant_violation, restore_batch, restore_states
+from .invariant import invariant_violation, restore_batch
 from .push_parallel import parallel_local_push
 from .push_sequential import sequential_local_push
 from .state import PPRState
-from .stats import BatchStats, PushStats, RestoreStats
+from .stats import BatchStats, RestoreStats
 
 
 class DynamicPPRTracker:
@@ -208,73 +204,3 @@ class DynamicPPRTracker:
             f" m={self.graph.num_edges}, batches={self.batches_processed})"
         )
 
-
-class MultiSourceTracker:
-    """Maintain PPR vectors for several sources over one shared graph.
-
-    Graph mutations are applied once per update; each source's invariant
-    is restored and pushed independently. Useful for hub-vector indexes
-    and for the all-sources residual-change measurements behind Lemma 3.
-    """
-
-    def __init__(
-        self,
-        graph: DynamicDiGraph,
-        sources: Sequence[int],
-        config: PPRConfig | None = None,
-    ) -> None:
-        if not sources:
-            raise ConfigError("at least one source is required")
-        if len(set(sources)) != len(sources):
-            raise ConfigError("sources must be distinct")
-        self.config = config or PPRConfig()
-        self.graph = graph
-        for s in sources:
-            if not graph.has_vertex(s):
-                graph.add_vertex(s)
-        self.states = {s: PPRState.initial(s, graph.capacity) for s in sources}
-        for s, state in self.states.items():
-            parallel_local_push(state, graph, self.config, seeds=[s])
-
-    @property
-    def sources(self) -> list[int]:
-        return list(self.states)
-
-    def estimate(self, source: int, v: int) -> float:
-        return self.states[source].estimate(v)
-
-    def top_k(self, source: int, k: int) -> list[tuple[int, float]]:
-        """The ``k`` highest-PPR vertices of ``source`` as ``(id, value)``."""
-        return self.states[source].top_k(k)
-
-    def apply_batch(
-        self,
-        updates: Sequence[EdgeUpdate],
-        *,
-        snapshot: CSRView | None = None,
-    ) -> dict[int, PushStats]:
-        """Apply a batch to the graph and re-converge every source.
-
-        All per-source pushes share one CSR snapshot; pass ``snapshot``
-        (a view of the graph *after* this batch) to skip the rebuild when
-        an outer layer already maintains one.
-        """
-        restore_states(
-            self.graph,
-            list(self.states.values()),
-            updates,
-            self.config.alpha,
-            kernel=self.config.kernel,
-        )
-        touched = [update.u for update in updates]
-        if snapshot is None and self.config.backend is not Backend.PURE:
-            snapshot = CSRGraph.from_digraph(self.graph)
-        return {
-            s: parallel_local_push(
-                state, self.graph, self.config, seeds=touched, csr=snapshot
-            )
-            for s, state in self.states.items()
-        }
-
-    def __repr__(self) -> str:
-        return f"MultiSourceTracker(sources={len(self.states)}, n={self.graph.num_vertices})"

@@ -19,7 +19,7 @@ execute:
   sparse frontier scan, and flag-based duplicate removal (it cannot use
   eager propagation or local duplicate detection — Section 5.3's point).
 
-Constants are calibrated (see EXPERIMENTS.md) so that the *sequential*
+Constants are calibrated so that the *sequential*
 model reproduces realistic single-core push throughput (~50M edge ops/s)
 and the relative magnitudes of barrier/atomic/launch overheads follow the
 hardware literature. Paper-vs-measured ratios are reported per figure.

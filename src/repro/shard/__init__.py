@@ -20,21 +20,13 @@ from .manifest import (
     shard_store_root,
     write_manifest,
 )
-from .partitioner import (
-    DegreePartitioner,
-    HashPartitioner,
-    Partitioner,
-    build_partitioner,
-    partitioner_from_manifest,
-)
+from .partitioner import HashPartitioner, partitioner_from_manifest
 from .service import ShardService
 from .worker import ShardSpec, build_shard_service, shard_main
 
 __all__ = [
-    "DegreePartitioner",
     "HashPartitioner",
     "PPRShards",
-    "Partitioner",
     "ShardCSRView",
     "ShardGraph",
     "ShardManifest",
@@ -42,7 +34,6 @@ __all__ = [
     "ShardService",
     "ShardSpec",
     "ShardedGateway",
-    "build_partitioner",
     "build_shard_service",
     "partitioner_from_manifest",
     "read_manifest",

@@ -88,11 +88,7 @@ from ..workers import (
 )
 from . import messages
 from .manifest import read_manifest, shard_store_root, write_manifest
-from .partitioner import (
-    Partitioner,
-    build_partitioner,
-    partitioner_from_manifest,
-)
+from .partitioner import HashPartitioner, partitioner_from_manifest
 from .worker import ShardSpec, shard_main
 
 #: Worker-side stores never self-checkpoint: the coordinator drives
@@ -178,7 +174,7 @@ class ShardedGateway(WorkerGateway):
         self._setup(
             shard,
             config,
-            build_partitioner(shard, graph),
+            HashPartitioner(shard.shards),
             ppr,
             serve,
             store_root,
@@ -199,7 +195,7 @@ class ShardedGateway(WorkerGateway):
         self,
         shard: ShardConfig,
         config: ApiConfig | None,
-        partitioner: Partitioner,
+        partitioner: HashPartitioner,
         ppr: PPRConfig,
         serve: ServeConfig,
         store_root: str | None,
@@ -820,7 +816,7 @@ class ShardedGateway(WorkerGateway):
         # their own stores (engine config comes from the checkpoints), so
         # safe NUMPY defaults are all the coordinator needs here.
         self._setup(
-            ShardConfig(shards=manifest.shards, partitioner=partitioner.kind),
+            ShardConfig(shards=manifest.shards),
             config,
             partitioner,
             PPRConfig(backend=Backend.NUMPY),

@@ -43,7 +43,7 @@ import numpy as np
 from ..errors import ClusterError, ConfigError, EdgeError, VertexError
 from ..graph.digraph import adjacency_triples
 from ..graph.update import EdgeOp, EdgeUpdate
-from .partitioner import Partitioner, partitioner_from_manifest
+from .partitioner import HashPartitioner, partitioner_from_manifest
 
 #: ``fetch(owner, ids, weights) -> {id: in_row}`` — resolve remote rows.
 FetchFn = Callable[[int, np.ndarray, np.ndarray], dict[int, np.ndarray]]
@@ -75,7 +75,7 @@ class ShardGraph:
         "_max_vertex",
     )
 
-    def __init__(self, partitioner: Partitioner, shard_id: int) -> None:
+    def __init__(self, partitioner: HashPartitioner, shard_id: int) -> None:
         if not 0 <= shard_id < partitioner.num_shards:
             raise ConfigError(
                 f"shard_id must be in [0, {partitioner.num_shards}), got {shard_id}"
@@ -326,7 +326,7 @@ class ShardGraph:
     def from_full_arrays(
         cls,
         arrays: dict[str, np.ndarray],
-        partitioner: Partitioner,
+        partitioner: HashPartitioner,
         shard_id: int,
     ) -> "ShardGraph":
         """Carve this shard's slice out of a full-graph ``to_arrays()`` dump.
@@ -387,7 +387,7 @@ class ShardGraph:
 
     @classmethod
     def from_arrays(
-        cls, arrays: dict[str, Any], partitioner: Partitioner | None = None
+        cls, arrays: dict[str, Any], partitioner: HashPartitioner | None = None
     ) -> "ShardGraph":
         """Rebuild a shard slice serialized by :meth:`to_arrays`."""
         meta = json.loads(str(np.asarray(arrays["meta"])))

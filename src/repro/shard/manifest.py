@@ -15,7 +15,7 @@ the gateway atomically rewrites ``<root>/manifest.json``::
       "format": 1,
       "version": <graph version of the completed round>,
       "shards": <N>,
-      "partitioner": {...},        # Partitioner.to_manifest()
+      "partitioner": {...},        # HashPartitioner.to_manifest()
       "shard_info": [{"shard": i, "version": v, "checkpoint": name|null}, ...]
     }
 
@@ -53,7 +53,7 @@ from ..store.checkpoint import (
 )
 from ..store.recovery import RecoveryResult, recover_from
 from .graph import ShardGraph
-from .partitioner import Partitioner
+from .partitioner import HashPartitioner
 from .service import ShardService
 
 PathLike = str | os.PathLike
@@ -166,7 +166,7 @@ def read_manifest(root: PathLike) -> ShardManifest:
 
 
 def read_shard_checkpoint(
-    path: PathLike, partitioner: Partitioner | None = None
+    path: PathLike, partitioner: HashPartitioner | None = None
 ) -> Checkpoint:
     """Load and validate one per-shard checkpoint file.
 
@@ -221,7 +221,7 @@ class ShardRecovery(RecoveryResult):
 def recover_shard(
     root: PathLike,
     *,
-    partitioner: Partitioner | None = None,
+    partitioner: HashPartitioner | None = None,
     store_config: StoreConfig | None = None,
     attach: bool = True,
 ) -> ShardRecovery:

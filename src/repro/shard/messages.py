@@ -14,7 +14,7 @@ Coordinator -> shard::
 
     (APPLY,      ticket, frame_bytes, ctx)        # full write batch (WAL frame)
     (VALIDATE,   ticket, frame_bytes)             # simulate batch, no mutation
-    (REQUESTS,   ticket, requests, coalesce)      # typed read requests
+    (REQUESTS,   ticket, request)                 # one typed read request
     (EXCHANGE,   ticket, requester, frame_bytes)  # serve a peer's row fetch
     (FETCHED,    ticket, frame_bytes | None)      # answer to this shard's FETCH
     (REGISTER,   ticket, ids)                     # register vertex ids (no edges)

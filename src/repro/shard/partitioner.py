@@ -3,23 +3,21 @@
 The whole sharded tier hangs off one total function ``owner(v) -> shard``:
 it decides where a vertex's in-adjacency row lives, which shard drives a
 source's push, and where an ingest batch's per-vertex work lands. The
-contract every implementation must honor (property-tested in
+contract it honors (property-tested in
 ``tests/test_shard_properties.py``):
 
 * **deterministic and total** — any ``v >= 0`` maps to exactly one shard
   in ``[0, num_shards)``, the same one on every call in every process;
 * **repartition-free** — the mapping never changes as the graph grows
   (a moved vertex would invalidate every shard's WAL history);
-* **reasonably balanced** — the default hash splits even adversarial
+* **reasonably balanced** — the hash splits even adversarial
   (Zipf-distributed) id sets to within a few percent of even.
 
-``HashPartitioner`` is stateless splitmix64; ``DegreePartitioner`` adds a
-static greedy table built from a seed graph's in-degrees (the frontier
-exchange fetches in-rows, so in-degree mass is what loads a shard), with
-the hash rule as the fallback for ids unseen at build time. Both
-round-trip through the recovery manifest (:mod:`repro.shard.manifest`)
-so a cold-started gateway routes identically to the one that wrote the
-checkpoints.
+``HashPartitioner`` is stateless splitmix64. It round-trips through the
+recovery manifest (:mod:`repro.shard.manifest`) as ``{"kind": "hash",
+"shards": n}`` so a cold-started gateway routes identically to the one
+that wrote the checkpoints; a manifest of any other kind is refused, never
+routed by hash.
 """
 
 from __future__ import annotations
@@ -28,9 +26,7 @@ from typing import Any
 
 import numpy as np
 
-from ..config import PartitionerKind, ShardConfig
 from ..errors import ConfigError
-from ..graph.digraph import DynamicDiGraph
 
 _M64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
@@ -55,10 +51,10 @@ def _splitmix64_array(ids: np.ndarray) -> np.ndarray:
         return z ^ (z >> np.uint64(31))
 
 
-class Partitioner:
-    """Base class: a total, deterministic vertex -> shard mapping."""
+class HashPartitioner:
+    """Stateless splitmix64 placement: ``owner(v) = mix(v) % shards``."""
 
-    kind: PartitionerKind
+    kind = "hash"
 
     def __init__(self, num_shards: int) -> None:
         if num_shards < 1:
@@ -67,136 +63,39 @@ class Partitioner:
 
     def owner(self, v: int) -> int:
         """Owning shard of vertex ``v`` (scalar)."""
-        raise NotImplementedError
+        return int(_splitmix64(v) % self.num_shards)
 
     def owners(self, ids: np.ndarray) -> np.ndarray:
         """Owning shards of an id array (vectorized :meth:`owner`)."""
-        raise NotImplementedError
+        ids = np.asarray(ids, dtype=np.int64)
+        return (_splitmix64_array(ids) % np.uint64(self.num_shards)).astype(np.int64)
 
     def to_manifest(self) -> dict[str, Any]:
         """JSON-safe description that :func:`partitioner_from_manifest`
         rebuilds bit-identically (rides the recovery manifest)."""
-        raise NotImplementedError
+        return {"kind": self.kind, "shards": self.num_shards}
 
     def __repr__(self) -> str:
         return f"{type(self).__name__}(shards={self.num_shards})"
 
 
-class HashPartitioner(Partitioner):
-    """Stateless splitmix64 placement: ``owner(v) = mix(v) % shards``."""
+def partitioner_from_manifest(payload: dict[str, Any]) -> HashPartitioner:
+    """Rebuild a partitioner serialized by :meth:`HashPartitioner.to_manifest`.
 
-    kind = PartitionerKind.HASH
-
-    def owner(self, v: int) -> int:
-        return int(_splitmix64(v) % self.num_shards)
-
-    def owners(self, ids: np.ndarray) -> np.ndarray:
-        ids = np.asarray(ids, dtype=np.int64)
-        return (_splitmix64_array(ids) % np.uint64(self.num_shards)).astype(np.int64)
-
-    def to_manifest(self) -> dict[str, Any]:
-        return {"kind": self.kind.value, "shards": self.num_shards}
-
-
-class DegreePartitioner(Partitioner):
-    """Static degree-aware greedy placement over a seed graph.
-
-    Vertices of the seed graph are assigned heaviest-in-degree first,
-    each to the currently least-loaded shard (load = assigned in-degree
-    mass) — the classic greedy balance heuristic. Ids outside the table
-    fall back to the hash rule, so the mapping stays total and
-    repartition-free as the graph grows past the seed.
+    A manifest of any other kind (a store placed by a table, say) is
+    refused: routing it by hash would send reads to shards that do not
+    hold the vertices.
     """
-
-    kind = PartitionerKind.DEGREE
-
-    def __init__(self, num_shards: int, table: dict[int, int]) -> None:
-        super().__init__(num_shards)
-        for v, shard in table.items():
-            if not 0 <= shard < num_shards:
-                raise ConfigError(
-                    f"degree table maps {v} to shard {shard},"
-                    f" outside [0, {num_shards})"
-                )
-        self._table = dict(table)
-        self._fallback = HashPartitioner(num_shards)
-
-    @classmethod
-    def from_graph(cls, graph: DynamicDiGraph, num_shards: int) -> "DegreePartitioner":
-        """Build the greedy table from ``graph``'s current in-degrees."""
-        weighted = sorted(
-            ((graph.in_degree(v), v) for v in graph.vertices()),
-            key=lambda pair: (-pair[0], pair[1]),
-        )
-        loads = [0] * num_shards
-        table: dict[int, int] = {}
-        for degree, v in weighted:
-            shard = loads.index(min(loads))
-            table[v] = shard
-            # Weight isolated vertices as 1 so they still spread out.
-            loads[shard] += max(degree, 1)
-        return cls(num_shards, table)
-
-    @property
-    def table(self) -> dict[int, int]:
-        return dict(self._table)
-
-    def owner(self, v: int) -> int:
-        shard = self._table.get(v)
-        if shard is not None:
-            return shard
-        return self._fallback.owner(v)
-
-    def owners(self, ids: np.ndarray) -> np.ndarray:
-        ids = np.asarray(ids, dtype=np.int64)
-        out = self._fallback.owners(ids)
-        if self._table:
-            for i, v in enumerate(ids.tolist()):
-                shard = self._table.get(v)
-                if shard is not None:
-                    out[i] = shard
-        return out
-
-    def to_manifest(self) -> dict[str, Any]:
-        items = sorted(self._table.items())
-        return {
-            "kind": self.kind.value,
-            "shards": self.num_shards,
-            "table_keys": [v for v, _ in items],
-            "table_values": [s for _, s in items],
-        }
-
-
-def build_partitioner(
-    config: ShardConfig, graph: DynamicDiGraph | None = None
-) -> Partitioner:
-    """Construct the partitioner a :class:`ShardConfig` asks for.
-
-    ``DEGREE`` needs the seed graph its table is derived from; building
-    one without a graph degenerates to an empty table (= pure hash).
-    """
-    if config.partitioner is PartitionerKind.HASH:
-        return HashPartitioner(config.shards)
-    if graph is None:
-        return DegreePartitioner(config.shards, {})
-    return DegreePartitioner.from_graph(graph, config.shards)
-
-
-def partitioner_from_manifest(payload: dict[str, Any]) -> Partitioner:
-    """Rebuild a partitioner serialized by :meth:`Partitioner.to_manifest`."""
     try:
-        kind = PartitionerKind(payload["kind"])
+        kind = payload["kind"]
         shards = int(payload["shards"])
     except (KeyError, ValueError, TypeError):
         raise ConfigError(
             f"malformed partitioner manifest: {payload!r}"
         ) from None
-    if kind is PartitionerKind.HASH:
-        return HashPartitioner(shards)
-    keys = payload.get("table_keys", [])
-    values = payload.get("table_values", [])
-    if len(keys) != len(values):
-        raise ConfigError("degree table keys/values length mismatch")
-    return DegreePartitioner(
-        shards, {int(v): int(s) for v, s in zip(keys, values)}
-    )
+    if kind != HashPartitioner.kind:
+        raise ConfigError(
+            f"unsupported partitioner kind {kind!r}: only"
+            f" {HashPartitioner.kind!r} placement is supported"
+        )
+    return HashPartitioner(shards)

@@ -69,7 +69,7 @@ class ShardSpec:
     shards: int
     config: PPRConfig
     serve: ServeConfig
-    #: ``Partitioner.to_manifest()`` payload — rebuilt identically here.
+    #: ``HashPartitioner.to_manifest()`` payload — rebuilt identically here.
     partitioner_manifest: dict[str, Any]
     #: Graph version the ``graph_shm`` snapshot is at.
     graph_version: int
@@ -274,8 +274,8 @@ def shard_main(spec: ShardSpec, conn: Connection) -> None:
                     info = (index, ErrorInfo.from_exception(error))
                 conn.send((messages.VALIDATED, ticket, info))
             elif tag == REQUESTS:
-                _, ticket, requests, coalesce = frame
-                responses = gateway.submit_many(list(requests), coalesce=coalesce)
+                _, ticket, request = frame
+                responses = gateway.submit_many([request])
                 conn.send(
                     (
                         RESPONSES,

@@ -53,7 +53,7 @@ if TYPE_CHECKING:
 
 # Frame tags every tier shares (each tier's ``messages.py`` owns the rest).
 HELLO = "hello"  # worker -> coordinator: (HELLO, version), the spawn handshake
-REQUESTS = "requests"  # (REQUESTS, ticket, requests, coalesce)
+REQUESTS = "requests"  # (REQUESTS, ticket, request): one read
 RESPONSES = "responses"  # (RESPONSES, ticket, responses, version, spans)
 SHUTDOWN = "shutdown"  # (SHUTDOWN,): drain and exit
 BYE = "bye"  # (BYE, version): clean shutdown acknowledgement
@@ -103,9 +103,9 @@ class WorkerHandle:
         self.applied_version = -1
         #: Reads/chunks dispatched to this worker (stats surface).
         self.dispatched = 0
-        #: Tickets whose answers nobody awaits anymore (hedged reads that
-        #: lost the race, deadline- or failure-abandoned rounds): their
-        #: late replies are absorbed, not protocol errors.
+        #: Tickets whose answers nobody awaits anymore (deadline- or
+        #: failure-abandoned rounds): their late replies are absorbed, not
+        #: protocol errors.
         self.abandoned: set[int] = set()
         #: Replies that arrived while another worker was being awaited;
         #: taken by the await that wants them.
@@ -335,65 +335,54 @@ class WorkerGroup:
             for index, handle, frame in frames:
                 self._sift(index, handle, frame)
 
-    def await_first(
-        self, tickets: dict[int, int], want: str, deadline: Deadline | None = None
-    ) -> tuple[int, tuple]:
-        """Block until any ``{index: ticket}`` is answered by a ``want`` frame.
+    def await_reply(
+        self, index: int, want: str, ticket: int, deadline: Deadline | None = None
+    ) -> tuple:
+        """Block until slot ``index`` answers ``(want, ticket, ...)``.
 
         While waiting, *every* worker's pipe is polled, not just the
-        awaited ones: frames that are not the answer go to the tier's
+        awaited one: frames that are not the answer go to the tier's
         ``on_frame`` hook the moment they arrive on any pipe (relay
         traffic must be forwarded event-driven — a worker blocked in a
         fetch only progresses when its peer's reply is forwarded), late
         replies to abandoned tickets are dropped, and other workers'
         replies are buffered in their handle's ``pending`` list.
 
-        A worker that dies is removed from ``tickets``; once none is left
-        this raises :class:`WorkerDied` (also when the response timeout
-        lapses). Bounded by the request's own ``deadline`` too: an
-        overdue answer is worthless, so the wait fails fast with
-        :class:`DeadlineExpired`.
+        Raises :class:`WorkerDied` when the worker dies (also when the
+        response timeout lapses). Bounded by the request's own
+        ``deadline`` too: an overdue answer is worthless, so the wait
+        fails fast with :class:`DeadlineExpired`.
         """
-        for index, ticket in tickets.items():
+        with obs.span(f"{self.tier}.await", **{self.noun: index}):
             pending = self.handles[index].pending
             for at, frame in enumerate(pending):
                 if frame[0] == want and frame[1] == ticket:
-                    return index, pending.pop(at)
-        # The handles the tickets were sent to: a slot replaced mid-await
-        # (closed, hence broken) will never answer them.
-        awaited = {index: self.handles[index] for index in tickets}
-        timeout_at = clock.now() + RESPONSE_TIMEOUT_S
-        while True:
-            got: tuple[int, tuple] | None = None
-            for index, handle, frame in self._pump(0.05):
-                if (
-                    got is None
-                    and frame[0] == want
-                    and awaited.get(index) is handle
-                    and tickets[index] == frame[1]
-                ):
-                    got = index, frame
-                else:
-                    self._sift(index, handle, frame)
-            if got is not None:
-                return got
-            for index, handle in list(awaited.items()):
-                if handle.broken or not (handle.alive() or handle.conn.poll(0)):
-                    del awaited[index], tickets[index]
-            if not tickets:
-                raise WorkerDied(f"{self.noun} exited")
-            now = clock.now()
-            if deadline is not None and deadline.expired(now):
-                raise DeadlineExpired()
-            if now > timeout_at:
-                raise WorkerDied(f"{self.noun} timed out")
-
-    def await_reply(
-        self, index: int, want: str, ticket: int, deadline: Deadline | None = None
-    ) -> tuple:
-        """Block until slot ``index`` answers ``(want, ticket, ...)``."""
-        with obs.span(f"{self.tier}.await", **{self.noun: index}):
-            return self.await_first({index: ticket}, want, deadline)[1]
+                    return pending.pop(at)
+            # The handle the ticket was sent to: a slot replaced mid-await
+            # (closed, hence broken) will never answer it.
+            awaited = self.handles[index]
+            timeout_at = clock.now() + RESPONSE_TIMEOUT_S
+            while True:
+                got: tuple | None = None
+                for slot, handle, frame in self._pump(0.05):
+                    if (
+                        got is None
+                        and frame[0] == want
+                        and handle is awaited
+                        and frame[1] == ticket
+                    ):
+                        got = frame
+                    else:
+                        self._sift(slot, handle, frame)
+                if got is not None:
+                    return got
+                if awaited.broken or not (awaited.alive() or awaited.conn.poll(0)):
+                    raise WorkerDied(f"{self.noun} exited")
+                now = clock.now()
+                if deadline is not None and deadline.expired(now):
+                    raise DeadlineExpired()
+                if now > timeout_at:
+                    raise WorkerDied(f"{self.noun} timed out")
 
     # -- one call, one round ------------------------------------------- #
 
@@ -637,7 +626,7 @@ class WorkerGateway(GatewayFront):
             # rides the request as a pickled instance attribute.
             obs.attach(request, obs.current())
             self.group.handles[index].dispatched += 1
-            return (REQUESTS, ticket, (request,), False)
+            return (REQUESTS, ticket, request)
 
         return make_frame
 

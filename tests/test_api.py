@@ -348,7 +348,7 @@ class TestScheduling:
         # One engine, one scheduler: a directly-constructed gateway (the
         # `repro serve` pattern) must be the one the shims route through.
         service = small_service()
-        gateway = Gateway(service, ApiConfig(coalesce_reads=False))
+        gateway = Gateway(service, ApiConfig(max_batch=4))
         assert service.gateway is gateway
         # A second explicit gateway shares the first's lock.
         assert Gateway(service)._lock is gateway._lock
@@ -442,9 +442,9 @@ class TestShimsAndClient:
 
     def test_client_config_applies_before_first_use(self):
         service = small_service()
-        client = Client(service, ApiConfig(coalesce_reads=False))
-        assert client.config.coalesce_reads is False
-        assert service.gateway.config.coalesce_reads is False
+        client = Client(service, ApiConfig(max_batch=4))
+        assert client.config.max_batch == 4
+        assert service.gateway.config.max_batch == 4
 
 
 # ---------------------------------------------------------------------- #

@@ -89,6 +89,23 @@ class TestCommands:
         assert "slide 1" in out
         assert "certified top-5" in out
 
+    @pytest.mark.parametrize(
+        "flag",
+        [
+            ["--cache", "0"],
+            ["--trace-sample", "2"],
+            ["--port", "70000"],
+            ["--replicas", "99"],
+        ],
+        ids=["cache", "trace-sample", "port", "replicas"],
+    )
+    def test_bad_flag_value_is_one_line_and_exit_2(self, capsys, flag):
+        assert main(["serve", "youtube", *flag]) == 2
+        captured = capsys.readouterr()
+        (line,) = captured.err.splitlines()
+        assert line.startswith("repro: error: ")
+        assert "Traceback" not in captured.out + captured.err
+
 
 class TestStoreCommands:
     """The durable-store trio: checkpoint a workload, inspect, recover."""

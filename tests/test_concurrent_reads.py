@@ -315,8 +315,10 @@ def test_counters_of_an_uncontended_run_equal_the_serialized_path(mode):
         _topk(service, s)
     released_calls = _kernel_calls() - calls
     calls = _kernel_calls()
-    # submit_many holds the lock throughout: every read stays locked.
-    twin.gateway.submit_many([TopKQuery(source=s, k=5) for s in trace], coalesce=False)
+    # Holding the gateway lock keeps every nested read on the locked path.
+    with twin.gateway._lock:
+        for s in trace:
+            twin.gateway.submit(TopKQuery(source=s, k=5))
     assert _kernel_calls() - calls == released_calls
     assert _counts(service) == _counts(twin)
     assert service.metrics().admission_races == 0

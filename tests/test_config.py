@@ -7,7 +7,13 @@ import dataclasses
 import pytest
 
 from repro import Backend, ConfigError, PPRConfig, Phase, PushVariant
-from repro.config import ClusterConfig, ServeConfig, StoreConfig
+from repro.config import (
+    ApiConfig,
+    ClusterConfig,
+    ServeConfig,
+    ShardConfig,
+    StoreConfig,
+)
 
 
 class TestPPRConfig:
@@ -94,11 +100,12 @@ class TestServingConfigSurface:
                 (
                     "replicas",
                     "max_respawns",
-                    "hedge_reads",
                     "breaker_failures",
                     "breaker_cooldown",
                 ),
             ),
+            (ApiConfig, ("host", "port", "max_batch", "admission_queue", "obs")),
+            (ShardConfig, ("shards", "max_respawns")),
         ],
     )
     def test_fields(self, cls, names):

@@ -54,3 +54,18 @@ def test_python_code_blocks_execute(checker):
     for path in checker.docs_files():
         errors.extend(checker.check_python_blocks(path, path.read_text(encoding="utf-8")))
     assert errors == []
+
+
+def test_md_paths_named_in_sources_exist(checker):
+    errors = []
+    for path in checker.source_files():
+        errors.extend(checker.check_md_pointers(path, path.read_text(encoding="utf-8")))
+    assert errors == []
+
+
+def test_md_path_check_flags_a_missing_file(checker):
+    path = REPO / "src" / "repro" / "example.py"
+    text = '"""See docs/sharding.md and README.md;\nEXPERIMENTS.md records a run."""\n'
+    assert checker.check_md_pointers(path, text) == [
+        "src/repro/example.py:2: missing file EXPERIMENTS.md"
+    ]

@@ -36,17 +36,17 @@ def write(*edges):
 
 class TestPlanSchedule:
     def test_all_reads_one_run(self):
-        steps = plan_schedule(reads(1, 2, 3), coalesce=True, max_batch=16)
+        steps = plan_schedule(reads(1, 2, 3), max_batch=16)
         assert steps == [ReadRun((0, 1, 2), (1, 2, 3))]
 
     def test_duplicates_dedupe_in_first_occurrence_order(self):
-        steps = plan_schedule(reads(7, 3, 7, 7, 1), coalesce=True, max_batch=16)
+        steps = plan_schedule(reads(7, 3, 7, 7, 1), max_batch=16)
         assert steps == [ReadRun((0, 1, 2, 3, 4), (7, 3, 1))]
         assert steps[0].coalesced == 2
 
     def test_writes_are_barriers(self):
         requests = reads(1, 2) + [write((1, 2))] + reads(2, 3)
-        steps = plan_schedule(requests, coalesce=True, max_batch=16)
+        steps = plan_schedule(requests, max_batch=16)
         assert steps == [
             ReadRun((0, 1), (1, 2)),
             Single(2),
@@ -55,27 +55,27 @@ class TestPlanSchedule:
 
     def test_mixed_k_breaks_a_run(self):
         requests = reads(1, 2) + reads(3, k=9) + reads(4)
-        steps = plan_schedule(requests, coalesce=True, max_batch=16)
+        steps = plan_schedule(requests, max_batch=16)
         assert steps[0] == ReadRun((0, 1), (1, 2))
         # k=9 read cannot join either neighbor run.
         assert Single(2) in steps
 
     def test_mixed_consistency_breaks_a_run(self):
         requests = reads(1, 2) + reads(3, 4, consistency=ANY)
-        steps = plan_schedule(requests, coalesce=True, max_batch=16)
+        steps = plan_schedule(requests, max_batch=16)
         assert steps == [ReadRun((0, 1), (1, 2)), ReadRun((2, 3), (3, 4))]
 
     def test_bounded_consistency_must_match_exactly(self):
         requests = reads(1, 2, consistency=Consistency.bounded(2)) + reads(
             3, consistency=Consistency.bounded(3)
         )
-        steps = plan_schedule(requests, coalesce=True, max_batch=16)
+        steps = plan_schedule(requests, max_batch=16)
         assert steps[0] == ReadRun((0, 1), (1, 2))
         assert steps[1] == Single(2)
 
     def test_max_batch_caps_unique_sources(self):
         steps = plan_schedule(
-            reads(1, 1, 1, 2, 2, 3), coalesce=True, max_batch=2
+            reads(1, 1, 1, 2, 2, 3), max_batch=2
         )
         # The run closes once it holds max_batch unique sources;
         # positions past the cap start the next run.
@@ -85,15 +85,11 @@ class TestPlanSchedule:
         ]
 
     def test_single_read_degenerates(self):
-        assert plan_schedule(reads(1), coalesce=True, max_batch=16) == [Single(0)]
-
-    def test_coalesce_off_is_all_singles(self):
-        steps = plan_schedule(reads(1, 2, 3), coalesce=False, max_batch=16)
-        assert steps == [Single(0), Single(1), Single(2)]
+        assert plan_schedule(reads(1), max_batch=16) == [Single(0)]
 
     def test_non_topk_reads_stay_single(self):
         requests = reads(1, 2) + [Health()] + reads(3, 4)
-        steps = plan_schedule(requests, coalesce=True, max_batch=16)
+        steps = plan_schedule(requests, max_batch=16)
         assert steps == [
             ReadRun((0, 1), (1, 2)),
             Single(2),
@@ -175,17 +171,17 @@ class TestDeadlinePlumbing:
             TopKQuery(source=1, k=5, consistency=FRESH, deadline=tight),
             TopKQuery(source=2, k=5, consistency=FRESH),
         ]
-        (run,) = plan_schedule(requests, coalesce=True, max_batch=8)
+        (run,) = plan_schedule(requests, max_batch=8)
         assert isinstance(run, ReadRun)
         assert run.deadline is tight
 
     def test_run_without_deadlines_carries_none(self):
-        (run,) = plan_schedule(reads(0, 1, 2), coalesce=True, max_batch=8)
+        (run,) = plan_schedule(reads(0, 1, 2), max_batch=8)
         assert isinstance(run, ReadRun)
         assert run.deadline is None
 
     def test_deadline_does_not_change_plan_shape_or_equality(self):
-        plain = plan_schedule(reads(0, 1, 2), coalesce=True, max_batch=8)
+        plain = plan_schedule(reads(0, 1, 2), max_batch=8)
         deadlined = plan_schedule(
             [
                 TopKQuery(
@@ -194,7 +190,6 @@ class TestDeadlinePlumbing:
                 )
                 for s in (0, 1, 2)
             ],
-            coalesce=True,
             max_batch=8,
         )
         # Deadline is compare=False: the plans are equal by shape.
@@ -217,9 +212,7 @@ class TestDeadlinePlumbing:
             ),
             TopKQuery(source=1, k=5, consistency=FRESH, deadline=second_tight),
         ]
-        first, barrier, second = plan_schedule(
-            requests, coalesce=True, max_batch=8
-        )
+        first, barrier, second = plan_schedule(requests, max_batch=8)
         assert isinstance(first, ReadRun) and first.deadline is first_tight
         assert isinstance(barrier, Single)
         assert isinstance(second, ReadRun) and second.deadline is second_tight

@@ -27,7 +27,7 @@ from repro.core.certify import certified_top_k, topk_matches
 from repro.core.hub_index import DynamicHubIndex
 from repro.core.invariant import check_invariant
 from repro.core.state import PPRState
-from repro.core.tracker import DynamicPPRTracker, MultiSourceTracker
+from repro.core.tracker import DynamicPPRTracker
 from repro.graph.csr import CSRGraph
 from repro.graph.stream import SlidingWindow
 from repro.serve import AdmissionPool, ResidentSource, SourceCache
@@ -578,11 +578,11 @@ def test_tracker_apply_batch_accepts_external_snapshot(rng):
 
 def test_multi_source_tracker_top_k_and_snapshot(rng):
     graph = random_graph(rng)
-    tracker = MultiSourceTracker(graph, [0, 1], NUMPY_CONFIG)
+    index = DynamicHubIndex(graph, hubs=[0, 1], config=NUMPY_CONFIG)
     updates = insertions([(1, 8), (8, 0)])
     snapshot_graph = graph.copy()
     snapshot_graph.apply_batch(updates)
-    tracker.apply_batch(updates, snapshot=CSRGraph.from_digraph(snapshot_graph))
-    top = tracker.top_k(0, 3)
+    index.apply_batch(updates, snapshot=CSRGraph.from_digraph(snapshot_graph))
+    top = index.rank_for_hub(0, 3)
     assert len(top) == 3
-    assert top[0][0] == 0  # the source dominates its own PPR vector
+    assert top[0].vertex == 0  # the source dominates its own PPR vector

@@ -316,6 +316,24 @@ class TestDurabilityAndRecovery:
         finally:
             recovered.close()
 
+    def test_a_table_placed_store_is_refused_not_routed_by_hash(self, tmp_path):
+        import json
+
+        with self.make_fleet(tmp_path) as fleet:
+            assert fleet.api.ingest([(5, 0)]).ok
+            assert fleet.gateway.submit(CheckpointNow()).ok
+        path = read_manifest(str(tmp_path)).path
+        payload = json.loads(path.read_text())
+        payload["partitioner"] = {
+            "kind": "degree",
+            "shards": 2,
+            "table_keys": [0, 1, 2],
+            "table_values": [1, 0, 1],
+        }
+        path.write_text(json.dumps(payload))
+        with pytest.raises(ConfigError, match="'degree'"):
+            ShardedGateway.recover(str(tmp_path))
+
 
 class TestChaosSites:
     def test_dropped_exchange_is_a_typed_cluster_error_not_a_hang(self):

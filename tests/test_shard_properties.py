@@ -1,6 +1,6 @@
-"""Property-based tests (hypothesis) for the shard partitioners.
+"""Property-based tests (hypothesis) for the shard partitioner.
 
-The laws every :class:`~repro.shard.partitioner.Partitioner` must honor
+The laws :class:`~repro.shard.partitioner.HashPartitioner` must honor
 for the sharded tier to be correct (see the module docstring there):
 
 1. **total and deterministic** — any vertex id maps to exactly one
@@ -8,7 +8,8 @@ for the sharded tier to be correct (see the module docstring there):
    vectorized ``owners`` agrees bit-for-bit with the scalar ``owner``;
 2. **manifest round-trip** — a partitioner rebuilt from its recovery
    manifest routes identically (a cold-started gateway must route like
-   the one that wrote the checkpoints);
+   the one that wrote the checkpoints), and a manifest of any other
+   placement kind is refused rather than routed by hash;
 3. **balanced under skew** — the stateless hash splits even Zipf-drawn
    (heavy-tailed, duplicate-free) id sets to within a loose bound of
    even, so no shard silently inherits most of the graph;
@@ -19,23 +20,18 @@ for the sharded tier to be correct (see the module docstring there):
 
 from __future__ import annotations
 
+import json
+
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.shard.partitioner import (
-    DegreePartitioner,
-    HashPartitioner,
-    partitioner_from_manifest,
-)
+from repro.errors import ConfigError
+from repro.shard.partitioner import HashPartitioner, partitioner_from_manifest
 
 shard_counts = st.integers(1, 9)
 vertex_ids = st.integers(0, 2**48 - 1)
-
-
-def degree_partitioners(num_shards: int, table_ids: list[int]) -> DegreePartitioner:
-    table = {v: i % num_shards for i, v in enumerate(sorted(set(table_ids)))}
-    return DegreePartitioner(num_shards, table)
 
 
 # ---------------------------------------------------------------------- #
@@ -55,40 +51,50 @@ def test_hash_routing_total_deterministic_and_vectorized(shards, ids):
     assert vectorized.tolist() == scalar
 
 
-@given(
-    shards=shard_counts,
-    table_ids=st.lists(vertex_ids, max_size=32),
-    ids=st.lists(vertex_ids, min_size=1, max_size=64),
-)
-def test_degree_routing_total_deterministic_and_vectorized(shards, table_ids, ids):
-    partitioner = degree_partitioners(shards, table_ids)
-    scalar = [partitioner.owner(v) for v in ids]
-    assert all(0 <= owner < shards for owner in scalar)
-    assert scalar == [partitioner.owner(v) for v in ids]
-    vectorized = partitioner.owners(np.asarray(ids, dtype=np.int64))
-    assert vectorized.tolist() == scalar
-
-
 # ---------------------------------------------------------------------- #
 # 2. manifest round-trip
 # ---------------------------------------------------------------------- #
 
 
-@given(
-    shards=shard_counts,
-    table_ids=st.lists(vertex_ids, max_size=32),
-    ids=st.lists(vertex_ids, min_size=1, max_size=64),
+@given(shards=shard_counts, ids=st.lists(vertex_ids, min_size=1, max_size=64))
+def test_manifest_round_trip_routes_identically(shards, ids):
+    partitioner = HashPartitioner(shards)
+    rebuilt = partitioner_from_manifest(partitioner.to_manifest())
+    assert type(rebuilt) is HashPartitioner
+    assert [rebuilt.owner(v) for v in ids] == [partitioner.owner(v) for v in ids]
+
+
+#: Owners of vertices 0..15 as stores already on disk were placed.
+STORED_OWNERS = {
+    2: [1, 1, 0, 1, 0, 0, 0, 1, 0, 0, 0, 1, 1, 1, 0, 1],
+    3: [1, 2, 1, 0, 1, 2, 2, 0, 1, 1, 1, 0, 0, 1, 2, 2],
+    4: [3, 1, 2, 1, 2, 2, 0, 3, 2, 0, 2, 1, 3, 3, 2, 1],
+}
+
+
+@pytest.mark.parametrize("shards", sorted(STORED_OWNERS))
+def test_stored_hash_manifest_rebuilds_the_same_routing(shards):
+    """The manifest bytes and the placement they name never change, so a
+    shard store written by an earlier build recovers with its routing."""
+    stored = f'{{"kind": "hash", "shards": {shards}}}'
+    assert json.dumps(HashPartitioner(shards).to_manifest(), sort_keys=True) == stored
+    rebuilt = partitioner_from_manifest(json.loads(stored))
+    assert rebuilt.owners(np.arange(16)).tolist() == STORED_OWNERS[shards]
+    assert [rebuilt.owner(v) for v in range(16)] == STORED_OWNERS[shards]
+
+
+@pytest.mark.parametrize(
+    "payload",
+    [
+        {"kind": "degree", "shards": 2, "table_keys": [0, 1], "table_values": [1, 0]},
+        {"kind": "range", "shards": 2},
+    ],
+    ids=["degree", "range"],
 )
-def test_manifest_round_trip_routes_identically(shards, table_ids, ids):
-    for partitioner in (
-        HashPartitioner(shards),
-        degree_partitioners(shards, table_ids),
-    ):
-        rebuilt = partitioner_from_manifest(partitioner.to_manifest())
-        assert type(rebuilt) is type(partitioner)
-        assert [rebuilt.owner(v) for v in ids] == [
-            partitioner.owner(v) for v in ids
-        ]
+def test_other_manifest_kinds_are_refused_by_name(payload):
+    """A table-placed store must never be routed by hash."""
+    with pytest.raises(ConfigError, match=repr(payload["kind"])):
+        partitioner_from_manifest(payload)
 
 
 # ---------------------------------------------------------------------- #
@@ -129,22 +135,18 @@ def test_hash_balance_on_zipf_ids(shards, seed, population):
 
 @given(
     shards=shard_counts,
-    table_ids=st.lists(vertex_ids, max_size=32),
     ids=st.lists(vertex_ids, min_size=1, max_size=48),
     growth=st.lists(vertex_ids, min_size=1, max_size=48),
 )
-def test_ownership_stable_under_vertex_growth(shards, table_ids, ids, growth):
+def test_ownership_stable_under_vertex_growth(shards, ids, growth):
     """New vertices appearing never move existing ones.
 
     Placement is a pure function of the id — there is no dependence on
     the current vertex count, capacity, or insertion order — so the
     owners recorded before growth match the owners after.
     """
-    for partitioner in (
-        HashPartitioner(shards),
-        degree_partitioners(shards, table_ids),
-    ):
-        before = {v: partitioner.owner(v) for v in ids}
-        for v in growth:  # "grow" the universe: route brand-new ids
-            assert 0 <= partitioner.owner(v) < shards
-        assert {v: partitioner.owner(v) for v in ids} == before
+    partitioner = HashPartitioner(shards)
+    before = {v: partitioner.owner(v) for v in ids}
+    for v in growth:  # "grow" the universe: route brand-new ids
+        assert 0 <= partitioner.owner(v) < shards
+    assert {v: partitioner.owner(v) for v in ids} == before

@@ -13,7 +13,6 @@ from repro import (
     DynamicPPRTracker,
     EdgeOp,
     EdgeUpdate,
-    MultiSourceTracker,
     PPRConfig,
     PushVariant,
     ground_truth_ppr,
@@ -146,23 +145,3 @@ class TestSnapshots:
             tracker.set_snapshot(small)
 
 
-class TestMultiSource:
-    def test_all_sources_accurate(self, rng):
-        edges = erdos_renyi_graph(20, 80, rng=rng)
-        g = DynamicDiGraph(map(tuple, edges.tolist()))
-        config = PPRConfig(alpha=0.2, epsilon=1e-4)
-        multi = MultiSourceTracker(g, sources=[0, 3, 7], config=config)
-        multi.apply_batch(insertions([(0, 3), (3, 7), (7, 0)]))
-        for s in multi.sources:
-            truth = ground_truth_ppr(multi.graph, s, 0.2)
-            est = multi.states[s].p[: len(truth)]
-            assert np.abs(est - truth).max() <= 1e-4
-
-    def test_duplicate_sources_rejected(self):
-        g = DynamicDiGraph([(0, 1)])
-        with pytest.raises(ConfigError):
-            MultiSourceTracker(g, sources=[0, 0])
-
-    def test_empty_sources_rejected(self):
-        with pytest.raises(ConfigError):
-            MultiSourceTracker(DynamicDiGraph([(0, 1)]), sources=[])
