@@ -27,7 +27,7 @@ def main() -> None:
     edges = erdos_renyi_graph(60, 400, rng=ensure_rng(29))
     service = PPRService(
         DynamicDiGraph(map(tuple, edges.tolist())),
-        serve=ServeConfig(cache_capacity=16, admission_batch=4, top_k=5),
+        serve=ServeConfig(cache_capacity=16, top_k=5),
     )
     server = make_server(service.gateway, port=0)  # port 0: OS picks one
     threading.Thread(target=server.serve_forever, daemon=True).start()

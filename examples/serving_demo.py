@@ -33,7 +33,7 @@ def main() -> None:
     service = PPRService(
         graph,
         config,
-        ServeConfig(cache_capacity=8, admission_batch=4, num_hubs=4, top_k=5),
+        ServeConfig(cache_capacity=8, num_hubs=4, top_k=5),
     )
     client = service.api  # the typed gateway's embedded client
     print(f"workload: {prepared.describe()}")

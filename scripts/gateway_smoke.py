@@ -15,7 +15,11 @@ concurrent-cold leg: two threads, each on its own keep-alive connection,
 read 64 distinct sources nobody has read — every read a from-scratch
 push the server runs with its gateway lock released, side by side with
 the other thread's — and every answer must be bit-identical to the
-embedded twin's, read one at a time.
+embedded twin's, read one at a time. Then the prefetch leg: one
+``{"op": "prefetch"}`` for 8 sources nobody has read, then a read of
+each — every read a hit on the state the prefetch pushed, bit-identical
+to the twin's, with ``cold_admissions`` up by exactly 8 and
+``admission_races`` still 0.
 Also exercises the 4xx paths: malformed JSON, unknown route, unknown op.
 
 Run from the repository root:  PYTHONPATH=src python scripts/gateway_smoke.py
@@ -49,6 +53,12 @@ KEEPALIVE_READS = 200
 KEEPALIVE_BUDGET_S = 2.0
 COLD_THREADS = 2
 COLD_READS = 64  # per thread
+PREFETCHED = 8
+
+
+def spread(candidates: list[int], wanted: int) -> list[int]:
+    """``wanted`` ids spread evenly over ``candidates``."""
+    return candidates[:: max(1, len(candidates) // wanted)][:wanted]
 
 
 def wait_healthy(base: str, deadline_s: float = 60.0) -> None:
@@ -63,11 +73,8 @@ def wait_healthy(base: str, deadline_s: float = 60.0) -> None:
     raise SystemExit(f"server on {base} never became healthy")
 
 
-def cold_reads_concurrently(service, hot_source: int) -> int:
+def cold_reads_concurrently(service, cold: list[int]) -> int:
     """The concurrent-cold leg; returns 1 on a mismatch (0 when all agree)."""
-    fresh = [v for v in sorted(service.graph.vertices()) if v != hot_source]
-    wanted = COLD_THREADS * COLD_READS
-    cold = fresh[:: max(1, len(fresh) // wanted)][:wanted]
     got: dict[int, list] = {}
     errors: list[BaseException] = []
 
@@ -106,6 +113,36 @@ def cold_reads_concurrently(service, hot_source: int) -> int:
             return 1
     print(f"{len(cold)} cold reads on {COLD_THREADS} keep-alive connections in"
           f" {elapsed:.2f} s, each bit-identical to the embedded twin")
+    return 0
+
+
+def prefetch_then_read(http, service, sources: list[int]) -> int:
+    """The prefetch leg; returns 1 on a failure (0 when all is well)."""
+    before = http.stats()["stats"]
+    ack = http.query({"op": "prefetch", "sources": sources})
+    if ack.get("admitted") != len(sources):
+        print(f"prefetch of {len(sources)} unread sources: {ack}", file=sys.stderr)
+        return 1
+    for source in sources:
+        payload = http.query({"source": source, "k": K})
+        if payload["cold"]:
+            print(f"prefetched source {source} read cold: {payload}", file=sys.stderr)
+            return 1
+        got = [(e["vertex"], e["estimate"]) for e in payload["entries"]]
+        want = [(e.vertex, e.estimate) for e in service.api.top_k(source, k=K).entries]
+        if got != want:
+            print(f"prefetched top-{K} of {source} diverged:\n  http     {got}"
+                  f"\n  embedded {want}", file=sys.stderr)
+            return 1
+    after = http.stats()["stats"]
+    grew = after["cold_admissions"] - before["cold_admissions"]
+    if grew != len(sources) or after["admission_races"] != 0:
+        print(f"prefetch leg: cold_admissions grew by {grew} (want"
+              f" {len(sources)}), admission_races {after['admission_races']}",
+              file=sys.stderr)
+        return 1
+    print(f"prefetch of {len(sources)} sources, then each read warm and"
+          " bit-identical to the embedded twin")
     return 0
 
 
@@ -166,7 +203,13 @@ def main() -> int:
                   file=sys.stderr)
             return 1
 
-        if cold_reads_concurrently(service, prepared.source):
+        unread = [v for v in sorted(service.graph.vertices()) if v != prepared.source]
+        cold = spread(unread, COLD_THREADS * COLD_READS)
+        if cold_reads_concurrently(service, cold):
+            return 1
+        taken = set(cold)
+        unread = [v for v in unread if v not in taken]
+        if prefetch_then_read(http, service, spread(unread, PREFETCHED)):
             return 1
 
         # Stats and error paths.

@@ -134,7 +134,7 @@ class Client:
         *,
         consistency: Consistency | None = None,
     ) -> BatchResult:
-        """Top-k for many sources at once (cold admissions batched)."""
+        """Top-k for many sources at once, answered in order."""
         return self._send(
             BatchQuery(
                 sources=tuple(sources),
@@ -202,7 +202,7 @@ class Client:
         )
 
     def prefetch(self, *sources: int) -> PrefetchResult:
-        """Queue sources for the next batched admission."""
+        """Admit the sources that are not resident, answering no query."""
         return self._send(Prefetch(sources=sources))
 
     def checkpoint_now(self) -> CheckpointResult:

@@ -25,7 +25,7 @@ up for its from-scratch push and certify, which read only the immutable
 view pinned under the lock, and takes it back to install the result —
 or, if an ingest, a registration or another admission of the source got
 there first, to discard it and answer under the lock (see
-``PPRService._admit_released``). Answers are those of some serial order
+``PPRService._admit``). Answers are those of some serial order
 of the requests. Consistency levels (FRESH / BOUNDED / ANY) are
 enforced per read via the engine's staleness contract. See
 ``docs/api.md`` for the full protocol.
@@ -101,7 +101,7 @@ class _Release:
     """Gives the gateway lock up for one block and takes it back.
 
     Only a top-level top-k read holds one, and only its cold push and
-    certify run inside it (``PPRService._admit_released``). ``waited``
+    certify run inside it (``PPRService._admit``). ``waited``
     sums both acquisitions' waits, so ``queue.wait`` still gets one
     observation per request.
     """
@@ -376,11 +376,12 @@ class Gateway(GatewayFront):
         if isinstance(request, IngestBatch):
             return self._execute_ingest(request, start)
         if isinstance(request, Prefetch):
-            for source in request.sources:
-                self.service._execute_prefetch(source)
+            admitted = sum(
+                self.service._execute_prefetch(source) for source in request.sources
+            )
             return PrefetchResult(
                 requested=len(request.sources),
-                pending=len(self.service.pool.pending),
+                admitted=admitted,
                 snapshot_version=self.service.graph_version,
                 wall_time_s=clock.now() - start,
             )

@@ -484,7 +484,7 @@ class IngestBatch(ApiRequest):
 
 @dataclass(frozen=True)
 class Prefetch(ApiRequest):
-    """Queue sources for batched admission without answering queries."""
+    """Admit non-resident sources now, answering no query."""
 
     op: ClassVar[str] = "prefetch"
 

@@ -235,11 +235,12 @@ class PrefetchResult(ApiResponse):
     op: ClassVar[str] = "prefetch"
 
     requested: int = 0
-    #: Sources queued for the next admission batch after this request.
-    pending: int = 0
+    #: Requested sources this request pushed from scratch (the rest were
+    #: resident already, or repeated).
+    admitted: int = 0
 
     def _payload(self) -> dict[str, Any]:
-        return {"requested": self.requested, "pending": self.pending}
+        return {"requested": self.requested, "admitted": self.admitted}
 
 
 @dataclass(frozen=True)

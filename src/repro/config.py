@@ -441,13 +441,10 @@ class ServeConfig:
     cache_capacity:
         Maximum number of resident per-source PPR states. When a cold
         source is admitted past capacity the least-recently-queried
-        resident is evicted.
-    admission_batch:
-        Cold sources admitted per vectorized push batch; a batch shares
-        one CSR snapshot so admission cost amortizes across sources.
-        Resident states are refreshed lazily: ingest only restores their
-        invariant, and a source's push runs when a read of it needs a
-        newer version than the one it converged at.
+        resident is evicted. Resident states are refreshed lazily:
+        ingest only restores their invariant, and a source's push runs
+        when a read of it needs a newer version than the one it
+        converged at.
     num_hubs:
         Size of the always-resident :class:`repro.core.hub_index.DynamicHubIndex`
         tier maintained alongside the query cache; ``0`` disables it. Hub
@@ -464,7 +461,6 @@ class ServeConfig:
     """
 
     cache_capacity: int = 64
-    admission_batch: int = 8
     num_hubs: int = 0
     top_k: int = 10
     store: "StoreConfig | None" = None
@@ -473,10 +469,6 @@ class ServeConfig:
         if self.cache_capacity < 1:
             raise ConfigError(
                 f"cache_capacity must be >= 1, got {self.cache_capacity}"
-            )
-        if self.admission_batch < 1:
-            raise ConfigError(
-                f"admission_batch must be >= 1, got {self.admission_batch}"
             )
         if self.num_hubs < 0:
             raise ConfigError(f"num_hubs must be >= 0, got {self.num_hubs}")

@@ -7,8 +7,8 @@ served from the maintained state (Section 6). This package is that layer:
   CSR snapshots, many sources served ε-fresh;
 * :class:`~repro.serve.cache.SourceCache` — LRU pool of resident
   per-source states;
-* :class:`~repro.serve.pool.AdmissionPool` — batched from-scratch pushes
-  admitting cold sources.
+* :class:`~repro.serve.pool.AdmissionPool` — the from-scratch push that
+  admits a cold source.
 
 See ``docs/serving.md`` for the design; ``perf/`` (``hot_reads`` vs
 ``cold_reads``) measures what serving from maintained state saves.

@@ -13,8 +13,8 @@ state. The service owns
   (O(batch) per ingest, amortized consolidation);
 * a :class:`~repro.serve.cache.SourceCache` of resident per-source states
   with LRU eviction;
-* an :class:`~repro.serve.pool.AdmissionPool` that admits cold sources in
-  batched vectorized pushes;
+* an :class:`~repro.serve.pool.AdmissionPool` that pushes a cold source
+  from scratch when a read or a prefetch names it;
 * optionally a :class:`~repro.core.hub_index.DynamicHubIndex` tier that is
   always resident and re-converged eagerly at ingest.
 
@@ -41,8 +41,8 @@ walkthrough.
 from __future__ import annotations
 
 from collections.abc import Sequence
-from contextlib import AbstractContextManager
-from dataclasses import dataclass, field, replace
+from contextlib import AbstractContextManager, nullcontext
+from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -53,7 +53,6 @@ from ..core.certify import CertifiedEntry, certified_top_k, error_bound
 from ..core.hub_index import DynamicHubIndex
 from ..core.invariant import restore_states
 from ..core.push_parallel import parallel_local_push
-from ..core.state import PPRState
 from ..core.stats import PushStats
 from ..obs import clock
 from ..errors import ConfigError, VertexError
@@ -130,7 +129,6 @@ class ServiceMetrics:
 
     queries: int = 0
     cold_admissions: int = 0
-    admission_batches: int = 0
     cache_hits: int = 0
     cache_misses: int = 0
     evictions: int = 0
@@ -225,7 +223,6 @@ class ServiceMetrics:
             "answer_memo_hits": self.answer_memo_hits,
             "admission_races": self.admission_races,
             "cold_admissions": self.cold_admissions,
-            "admission_batches": self.admission_batches,
             "updates_ingested": self.updates_ingested,
             "batches_ingested": self.batches_ingested,
             "residual_restored": self.residual_restored,
@@ -259,8 +256,7 @@ class ServiceMetrics:
                 f"cache:              {self.cache_hits} hits /"
                 f" {self.cache_misses} misses ({self.hit_rate:.0%} hit rate),"
                 f" {self.evictions} evictions, {self.resident} resident",
-                f"cold admissions:    {self.cold_admissions}"
-                f" in {self.admission_batches} batches",
+                f"cold admissions:    {self.cold_admissions}",
                 f"updates ingested:   {self.updates_ingested}"
                 f" in {self.batches_ingested} batches,"
                 f" {self.snapshot_rebuilds} snapshot rebuilds",
@@ -283,8 +279,8 @@ class PPRService:
         the hub index stay invariant-consistent.
     config:
         Push configuration shared by every resident source and hub.
-        Defaults to the vectorized backend — the serving layer exists to
-        batch work, which is what that backend is for.
+        Defaults to the vectorized backend, the only one the serving
+        layer runs: every push it makes reads a CSR view.
     serve:
         Serving-layer knobs (:class:`repro.config.ServeConfig`). When
         ``serve.store`` is set, a :class:`repro.store.StateStore` is
@@ -320,10 +316,15 @@ class PPRService:
         store: "StateStore | None" = None,
     ) -> None:
         self.config = config or PPRConfig(backend=Backend.NUMPY)
+        if self.config.backend is not Backend.NUMPY:
+            raise ConfigError(
+                "the serving layer requires Backend.NUMPY: every push it"
+                f" makes reads a CSR view (got {self.config.backend.value})"
+            )
         self.serve = serve or ServeConfig()
         self.graph = graph
         self.cache = SourceCache.from_config(self.serve)
-        self.pool = AdmissionPool.from_config(self.config, self.serve)
+        self.pool = AdmissionPool(self.config)
         self.hub_index: DynamicHubIndex | None = None
         if hubs is not None or self.serve.num_hubs > 0:
             self.hub_index = DynamicHubIndex(
@@ -495,15 +496,13 @@ class PPRService:
     # snapshots
     # ------------------------------------------------------------------ #
 
-    def _snapshot(self) -> CSRView | None:
+    def _snapshot(self) -> CSRView:
         """The shared CSR view of the current graph version.
 
         Normally advanced incrementally by :meth:`ingest`
         (:meth:`_advance_snapshot`); the full rebuild here is the cold
         start and the fallback when the version chain was broken.
         """
-        if self.config.backend is Backend.PURE:
-            return None
         if self._csr is None or self._csr_version != self.graph_version:
             with obs.span("snapshot.rebuild", version=self.graph_version):
                 self._csr = DeltaCSRGraph.wrap(CSRGraph.from_digraph(self.graph))
@@ -520,11 +519,7 @@ class PPRService:
         (:func:`~repro.graph.delta.advance_view`). Otherwise the next
         :meth:`_snapshot` rebuilds.
         """
-        if (
-            self.config.backend is Backend.PURE
-            or self._csr is None
-            or self._csr_version != self.graph_version - 1
-        ):
+        if self._csr is None or self._csr_version != self.graph_version - 1:
             return
         with obs.span("snapshot.advance", updates=len(updates)) as span:
             self._csr, consolidated = advance_view(self._csr, self.graph, updates)
@@ -542,12 +537,9 @@ class PPRService:
         order-exact, so a replica pushing on these arrays stays
         bit-identical to one that rebuilt its own snapshot) and the
         consolidated view is kept as this service's snapshot — the work
-        is not thrown away. Returns ``{}`` under the pure backend, which
-        keeps no CSR.
+        is not thrown away.
         """
         view = self._snapshot()
-        if view is None:
-            return {}
         if isinstance(view, DeltaCSRGraph):
             view = view.consolidate()
             self._csr = DeltaCSRGraph.wrap(view)
@@ -720,38 +712,31 @@ class PPRService:
         source: int,
         max_staleness: int | None,
         release: AbstractContextManager | None = None,
-        k: int = 0,
+        k: int | None = None,
     ) -> tuple[ResidentSource, int, bool]:
         """The resident entry serving ``source`` under a staleness contract.
 
         Returns ``(entry, arrival_staleness, cold)``. Cold sources are
-        admitted (always fresh); resident ones are refreshed only when
-        their version lag exceeds ``max_staleness`` (``None`` = never,
-        the ANY contract). With ``release`` (the gateway's, for a
-        top-level top-k read) a cold source with no other admission
-        pending is pushed and certified at ``k`` with the lock released
-        (:meth:`_admit_released`).
+        admitted (always fresh) and certified at ``k`` (see
+        :meth:`_admit`, which ``release`` lets give the gateway lock
+        up); resident ones are refreshed only when their version lag
+        exceeds ``max_staleness`` (``None`` = never, the ANY contract).
         """
         entry = self.cache.get(source)
-        cold = entry is None
-        if entry is None and release is not None and not self.pool.pending:
-            entry = self._admit_released(source, k, release)
-            if entry is None:
-                # Lost a race, or the view is live: answer under the lock,
-                # as if this read had arrived after whatever it lost to.
-                # The lookup below counts the miss (or hit) again.
-                self.cache.misses -= 1
-                return self._resident(source, max_staleness)
-            return entry, 0, True
         if entry is None:
-            staleness = 0
-            entry = self._admit(source)
-        else:
-            staleness = self._metrics.updates_ingested - entry.updates_reflected
-            behind = self.graph_version - entry.version
-            if behind > 0 and max_staleness is not None and behind > max_staleness:
-                self._refresh(entry)
-        return entry, staleness, cold
+            entry = self._admit(source, k, release)
+            if entry is None:
+                # Lost a race: answer under the lock, as if this read had
+                # arrived after whatever it lost to. The lookup below
+                # counts the miss (or hit) again.
+                self.cache.misses -= 1
+                return self._resident(source, max_staleness, k=k)
+            return entry, 0, True
+        staleness = self._metrics.updates_ingested - entry.updates_reflected
+        behind = self.graph_version - entry.version
+        if behind > 0 and max_staleness is not None and behind > max_staleness:
+            self._refresh(entry)
+        return entry, staleness, False
 
     def _execute_query(
         self,
@@ -765,19 +750,18 @@ class PPRService:
 
         Under the default contract (``max_staleness=0``, FRESH) the
         answer is ε-approximate on the *latest* graph version: resident
-        sources are refreshed in place if stale; cold sources are
-        admitted through the pool — together with any other pending
-        admission requests, so their from-scratch pushes share one
-        snapshot. A looser contract (BOUNDED/ANY) may serve the resident
-        state as-is; the answer's ``snapshot_version`` then reports the
-        version it is actually ε-approximate on. ``release`` lets a cold
-        admission give the gateway lock up (see :meth:`_resident`).
+        sources are refreshed in place if stale; a cold source is pushed
+        from scratch and certified by :meth:`_admit`. A looser contract
+        (BOUNDED/ANY) may serve the resident state as-is; the answer's
+        ``snapshot_version`` then reports the version it is actually
+        ε-approximate on. ``release`` lets a cold admission give the
+        gateway lock up (see :meth:`_admit`).
         """
         k = self.serve.top_k if k is None else k
         start = clock.now()
         with obs.span("engine.query", source=source, k=k) as span:
             entry, staleness, cold = self._resident(source, max_staleness, release, k)
-            if cold and entry.memo:  # certified with its push, lock released
+            if cold:  # certified with its push
                 answer = list(entry.memo[k])
             else:
                 answer = self._certified(entry, k)
@@ -876,39 +860,15 @@ class PPRService:
         *,
         max_staleness: int | None = 0,
     ) -> list[ServedQuery]:
-        """Answer a batch of queries, admitting all cold sources together.
+        """Answer a batch of queries: :meth:`_execute_query` per source, in order.
 
-        Cold sources across the whole batch are pushed in admission-pool
-        batches before any answer is produced, so one snapshot serves
-        every from-scratch push; the per-query ``cold`` flag still marks
-        which answers required an admission.
+        A batch answers exactly what the same reads sent one by one
+        would: each cold source is pushed once, when the batch reaches
+        it, against the view every push of this version reads.
         """
-        cold = {s for s in sources if s not in self.cache}
-        for s in dict.fromkeys(sources):
-            if s in cold:
-                self.pool.request(s)
-        if cold or self.pool.pending:
-            # The drain admits *every* pending request, including earlier
-            # prefetches — register all of them before snapshotting.
-            with obs.span("push.admit", pending=len(self.pool.pending)):
-                self._ensure_vertices(self.pool.pending)
-                self._install(self.pool.drain(self.graph, self._snapshot()))
-        answers = []
-        for s in sources:
-            answer = self._execute_query(s, k, max_staleness=max_staleness)
-            if s in cold:
-                # This admission answered its first query: flag it cold,
-                # and reclassify the pre-installed lookup as the miss it
-                # semantically was. (If the entry was already evicted by a
-                # wider-than-cache cold batch, the inner query re-admitted
-                # it and counted the miss itself.)
-                cold.discard(s)
-                if not answer.cold:
-                    self.cache.hits -= 1
-                    self.cache.misses += 1
-                    answer = replace(answer, cold=True)
-            answers.append(answer)
-        return answers
+        return [
+            self._execute_query(s, k, max_staleness=max_staleness) for s in sources
+        ]
 
     def _ensure_vertices(self, sources: Sequence[int]) -> None:
         """Register unknown source ids (new users) before admission.
@@ -933,86 +893,74 @@ class PPRService:
         else:
             self._csr_version = -1
 
-    def _admit(self, source: int) -> ResidentSource:
-        """Admit ``source`` now, batching in other pending requests."""
-        self.pool.request(source)
-        batch = [source] + [s for s in self.pool.pending if s != source]
-        batch = batch[: self.pool.batch_size]
-        with obs.span("push.admit", source=source, batch=len(batch)):
-            self._ensure_vertices(batch)
-            admitted = self.pool.admit(self.graph, self._snapshot(), batch)
-        # Install the queried source last (MRU) so that an admission batch
-        # wider than the cache cannot evict it before it answers.
-        target = admitted.pop(source)
-        self._install(admitted)
-        self._install({source: target})
-        resident = self.cache.peek(source)
-        assert resident is not None  # just installed as MRU
-        return resident
-
-    def _admit_released(
-        self, source: int, k: int, release: AbstractContextManager
+    def _admit(
+        self,
+        source: int,
+        k: int | None = None,
+        release: AbstractContextManager | None = None,
     ) -> ResidentSource | None:
-        """Admit ``source`` and certify it at ``k``, the lock released.
+        """Push ``source`` from scratch, certify it at ``k``, install it.
 
         Under the lock: register the source, then pin the view, the
         capacity and the version (and build the view's kernel arrays,
-        cached on it). Inside ``release``: push ``PPRState.initial``
-        against the pinned view alone — views are immutable, so an
-        ingest or a registration running meanwhile makes a new one —
-        and certify. Back under the lock, the state and its memo entry
-        are installed only if version and capacity have not moved and
-        nobody made ``source`` resident meanwhile; then the answer is
-        the one a serialized read would have got. Otherwise the state is
-        discarded, never merged, and ``None`` sends the read down the
-        locked path once. A live view (the shard tier) or the pure
-        backend returns ``None`` before anything is released.
+        cached on it). The push and the certify read the pinned view
+        alone. With ``release`` (a top-level top-k read) and an
+        immutable view they run inside it, the lock given up — an ingest
+        or a registration running meanwhile makes a new view — and back
+        under the lock the state and its memo entry are installed only
+        if version and capacity have not moved and nobody made
+        ``source`` resident meanwhile; then the answer is the one a
+        serialized read would have got. Otherwise the state is
+        discarded, never merged, counted in ``admission_races``, and
+        ``None`` sends the read down the locked path once. Without
+        ``release`` (a nested read, a prefetch) or on a live view (the
+        shard tier) everything runs under the lock.
         """
         self._ensure_vertices([source])
         view = self._snapshot()
-        if not isinstance(view, (CSRGraph, DeltaCSRGraph)):
-            return None
-        view.kernel_arrays()
+        if isinstance(view, (CSRGraph, DeltaCSRGraph)):
+            view.kernel_arrays()
+        else:
+            release = None
         pinned = (self.graph_version, self.graph.capacity)
-        with obs.span("push.admit", source=source, batch=1):
-            with release:
-                admitted = self.pool.admit(None, view, [source], capacity=pinned[1])
-                with obs.span("topk.certify", source=source, k=k):
-                    answer = tuple(certified_top_k(admitted[source], k))
-        if (self.graph_version, self.graph.capacity) != pinned or source in self.cache:
+        with obs.span("push.admit", source=source):
+            with release or nullcontext():
+                state = self.pool.admit(view, source, pinned[1])
+                if k is not None:
+                    with obs.span("topk.certify", source=source, k=k):
+                        answer = tuple(certified_top_k(state, k))
+        if release is not None and (
+            (self.graph_version, self.graph.capacity) != pinned or source in self.cache
+        ):
             self._metrics.admission_races += 1
             return None
-        self.pool.record(admitted)
-        self._install(admitted)
-        entry = self.cache.peek(source)
-        entry.memo[k] = answer
-        entry.memo_stamp = (self.graph_version, entry.version)
+        self._metrics.cold_admissions += 1
+        entry = ResidentSource(
+            state=state,
+            version=self.graph_version,
+            updates_reflected=self._metrics.updates_ingested,
+        )
+        self.cache.put(entry)
+        if k is not None:
+            entry.memo[k] = answer
+            entry.memo_stamp = (self.graph_version, entry.version)
         return entry
 
-    def _install(self, admitted: dict[int, PPRState]) -> None:
-        for state in admitted.values():
-            self.cache.put(
-                ResidentSource(
-                    state=state,
-                    version=self.graph_version,
-                    updates_reflected=self._metrics.updates_ingested,
-                )
-            )
-
     def prefetch(self, source: int) -> None:
-        """Request admission of ``source`` (compatibility shim)."""
+        """Admit ``source`` ahead of its reads (compatibility shim)."""
         from ..api.requests import Prefetch
 
         self.gateway.execute(Prefetch(sources=(source,)))
 
-    def _execute_prefetch(self, source: int) -> None:
-        """Request admission of ``source`` without answering a query.
+    def _execute_prefetch(self, source: int) -> bool:
+        """Admit ``source`` now if it is not resident, answering nothing.
 
-        The from-scratch push runs with the next admission batch — either
-        a later cold query's or an explicit batch-query drain.
+        Returns whether this call pushed it.
         """
-        if source not in self.cache:
-            self.pool.request(source)
+        if source in self.cache:
+            return False
+        self._admit(source)
+        return True
 
     # ------------------------------------------------------------------ #
     # hub tier passthrough
@@ -1059,8 +1007,6 @@ class PPRService:
         self._metrics.cache_misses = self.cache.misses
         self._metrics.evictions = self.cache.evictions
         self._metrics.resident = len(self.cache)
-        self._metrics.cold_admissions = self.pool.admissions
-        self._metrics.admission_batches = self.pool.batches
         store = self.store
         if store is not None:
             self._metrics.checkpoints_written = store.checkpoints_written
@@ -1088,7 +1034,6 @@ def workload_service(
     epsilon: float = 1e-5,
     workers: int = 40,
     cache_capacity: int = 64,
-    admission_batch: int = 16,
     num_hubs: int = 0,
     top_k: int = 10,
     config: PPRConfig | None = None,
@@ -1108,7 +1053,6 @@ def workload_service(
         cfg,
         ServeConfig(
             cache_capacity=cache_capacity,
-            admission_batch=admission_batch,
             num_hubs=num_hubs,
             top_k=top_k,
         ),

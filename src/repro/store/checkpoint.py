@@ -83,7 +83,10 @@ PathLike = str | os.PathLike
 #:    hub re-convergence always at ingest).
 #: 7: ``pending_ref``/``pending_lengths``/``pending`` are gone (a lazy
 #:    refresh scans the residual vector for its frontier).
-CHECKPOINT_FORMAT = 7
+#: 8: serve-config block lost the cold-admission batch size (a cold
+#:    source is pushed when it is asked for; ``ServeConfig`` has no
+#:    such field).
+CHECKPOINT_FORMAT = 8
 
 #: Subdirectories of a store root.
 CHECKPOINT_DIR = "checkpoints"
@@ -145,7 +148,6 @@ def _serve_config_json(serve: ServeConfig) -> str:
     return json.dumps(
         {
             "cache_capacity": serve.cache_capacity,
-            "admission_batch": serve.admission_batch,
             "num_hubs": serve.num_hubs,
             "top_k": serve.top_k,
         },

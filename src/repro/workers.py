@@ -697,7 +697,7 @@ class WorkerGateway(GatewayFront):
         )
 
     def _execute_prefetch(self, request: Prefetch) -> PrefetchResult:
-        """Queue each source for admission on the worker that owns it.
+        """Admit each source on the worker that owns it.
 
         Admission pushes are the most expensive per-source work in the
         system, so the per-worker chunks go out as one scatter round —
@@ -709,15 +709,15 @@ class WorkerGateway(GatewayFront):
             index: Prefetch(sources=tuple(sources))
             for index, sources in self._partition(request.sources).items()
         }
-        pending = 0
+        admitted = 0
         for response in self._scatter(per_worker, None).values():
             if response.error is not None:
                 raise response.error.to_exception()
             assert isinstance(response, PrefetchResult)
-            pending += response.pending
+            admitted += response.admitted
         return PrefetchResult(
             requested=len(request.sources),
-            pending=pending,
+            admitted=admitted,
             snapshot_version=self._head,
             wall_time_s=clock.now() - start,
         )

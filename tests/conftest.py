@@ -98,13 +98,18 @@ def serving(gateway):
 WAIT_S = 20.0
 
 
+def lock_held(service) -> bool:
+    """Whether the calling thread holds ``service``'s gateway lock."""
+    return service.gateway._lock._is_owned()
+
+
 class Parked:
     """Parks the first lock-released push of ``service`` until :meth:`go`
     (helper, not a fixture).
 
-    The hook sits on the pool's pinned entry point (``admit`` with no
-    graph), which only runs with the gateway lock given up; a service
-    that never releases never parks, and :meth:`read` says so.
+    The hook sits on the pool's ``admit`` and parks only a push that
+    runs with the gateway lock given up; a service that never releases
+    never parks, and :meth:`read` says so.
     """
 
     def __init__(self, service) -> None:
@@ -113,11 +118,11 @@ class Parked:
         self._go = threading.Event()
         real = service.pool.admit
 
-        def admit(graph, snapshot, sources=None, **kwargs):
-            if graph is None and not self.inside.is_set():
+        def admit(view, source, capacity):
+            if not lock_held(service) and not self.inside.is_set():
                 self.inside.set()
                 assert self._go.wait(WAIT_S), "parked push never released"
-            return real(graph, snapshot, sources, **kwargs)
+            return real(view, source, capacity)
 
         service.pool.admit = admit
         self.response = None

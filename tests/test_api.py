@@ -62,7 +62,6 @@ def small_service(rng=None, **serve_kwargs) -> PPRService:
 
     graph = random_graph(rng or np.random.default_rng(7), n=40, m=200)
     serve_kwargs.setdefault("cache_capacity", 16)
-    serve_kwargs.setdefault("admission_batch", 4)
     return PPRService(graph, NUMPY_CONFIG, ServeConfig(**serve_kwargs))
 
 
@@ -426,7 +425,7 @@ class TestShimsAndClient:
     def test_client_prefetch_then_batch_admits_pending(self):
         service = small_service()
         client = service.api
-        assert client.prefetch(3, 4).pending == 2
+        assert client.prefetch(3, 4).admitted == 2
         client.top_k_many([3, 4])
         assert service.is_resident(3) and service.is_resident(4)
 

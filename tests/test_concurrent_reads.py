@@ -2,7 +2,7 @@
 
 A single top-k read that misses the cache pushes and certifies with the
 gateway lock released, against the view it pinned under the lock
-(``PPRService._admit_released``). The contracts:
+(``PPRService._admit``). The contracts:
 
 1. every thread pushes with its own kernel scratch: 2 and 4 threads
    pushing distinct sources against one view produce ``p``, ``r``, array
@@ -41,13 +41,13 @@ from repro import (
     kernels,
     obs,
 )
-from repro.api.requests import Deadline, IngestBatch, TopKQuery
+from repro.api.requests import Deadline, IngestBatch, Prefetch, TopKQuery
 from repro.config import KernelConfig, KernelMode
 from repro.core.push_parallel import parallel_local_push
 from repro.graph.csr import CSRGraph
 from repro.graph.delta import DeltaCSRGraph
 from repro.graph.generators import erdos_renyi_graph
-from tests.conftest import WAIT_S, Parked
+from tests.conftest import WAIT_S, Parked, lock_held
 
 HAVE_COMPILED = kernels.load_library()[0] is not None
 
@@ -334,9 +334,9 @@ def _released(service: PPRService) -> list:
     seen = []
     real = service.pool.admit
 
-    def admit(graph, snapshot, sources=None, **kwargs):
-        seen.append(graph is None)
-        return real(graph, snapshot, sources, **kwargs)
+    def admit(view, source, capacity):
+        seen.append(not lock_held(service))
+        return real(view, source, capacity)
 
     service.pool.admit = admit
     return seen
@@ -350,7 +350,24 @@ def test_hits_and_scheduled_reads_never_release():
     _topk(service, 0)  # a hit: no admission at all
     service.gateway.submit_many([TopKQuery(source=s, k=5) for s in (1, 2)])
     service.query_many([3])
-    assert seen == [True, False, False]
+    assert seen == [True, False, False, False]  # one push per cold source
+
+
+def test_a_cold_read_after_a_prefetch_pushes_only_its_own_source():
+    """A prefetch pushes its sources when it is asked to, so the next cold
+    read still gives the lock up, and pushes nobody's source but its own."""
+    service = _service(KernelMode.NUMPY, capacity=32)
+    prefetched = tuple(range(20))
+    response = service.gateway.submit(Prefetch(sources=prefetched))
+    assert response.ok and response.admitted == 20
+    assert set(service.resident_sources()) == set(prefetched)
+    seen = _released(service)
+    parked = Parked(service)
+    parked.read(40)  # parks: the push runs with the lock released
+    answer = parked.go()
+    assert answer.ok and answer.cold
+    assert seen == [True]
+    assert service.metrics().cold_admissions == 21
 
 
 def test_queue_wait_is_observed_once_per_request():

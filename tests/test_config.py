@@ -93,7 +93,7 @@ class TestServingConfigSurface:
             (StoreConfig, ("root", "checkpoint_interval", "retain_checkpoints")),
             (
                 ServeConfig,
-                ("cache_capacity", "admission_batch", "num_hubs", "top_k", "store"),
+                ("cache_capacity", "num_hubs", "top_k", "store"),
             ),
             (
                 ClusterConfig,

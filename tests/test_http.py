@@ -35,7 +35,7 @@ def live():
     """(server, HttpClient, service) on an ephemeral port; torn down after."""
     graph = random_graph(np.random.default_rng(13), n=40, m=200)
     service = PPRService(
-        graph, NUMPY_CONFIG, ServeConfig(cache_capacity=16, admission_batch=4)
+        graph, NUMPY_CONFIG, ServeConfig(cache_capacity=16)
     )
     server = make_server(service.gateway, port=0)
     thread = threading.Thread(target=server.serve_forever, daemon=True)
@@ -473,7 +473,7 @@ def guarded():
 
     graph = random_graph(np.random.default_rng(7), n=30, m=150)
     service = PPRService(
-        graph, NUMPY_CONFIG, ServeConfig(cache_capacity=8, admission_batch=4)
+        graph, NUMPY_CONFIG, ServeConfig(cache_capacity=8)
     )
     gateway = Gateway(service, ApiConfig(admission_queue=2))
     server = _make_server(gateway, port=0)
@@ -639,7 +639,7 @@ def traced():
 
     graph = random_graph(np.random.default_rng(13), n=40, m=200)
     service = PPRService(
-        graph, NUMPY_CONFIG, ServeConfig(cache_capacity=16, admission_batch=4)
+        graph, NUMPY_CONFIG, ServeConfig(cache_capacity=16)
     )
     gateway = Gateway(
         service,

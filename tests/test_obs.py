@@ -402,7 +402,7 @@ class TestClusterTracePropagation:
 
     def test_replica_spans_fold_into_one_coordinator_trace(self):
         config = ApiConfig(obs=ObsConfig(enabled=True, slowlog_threshold_ms=0.0))
-        service = fresh_service(admission_batch=4)
+        service = fresh_service()
         with PPRCluster(service, ClusterConfig(replicas=2), config) as cluster:
             assert cluster.api.ingest([(2, 3)]).ok
             entry = next(

@@ -23,6 +23,7 @@ from repro import (
     insertions,
     parallel_local_push,
 )
+from repro.api.requests import BatchQuery, Stats, TopKQuery
 from repro.core.certify import certified_top_k, topk_matches
 from repro.core.hub_index import DynamicHubIndex
 from repro.core.invariant import check_invariant
@@ -30,6 +31,7 @@ from repro.core.state import PPRState
 from repro.core.tracker import DynamicPPRTracker
 from repro.graph.csr import CSRGraph
 from repro.graph.stream import SlidingWindow
+from repro.kernels import counters as kernel_counters
 from repro.serve import AdmissionPool, ResidentSource, SourceCache
 
 from tests.conftest import random_graph
@@ -104,46 +106,10 @@ class TestSourceCache:
 
 
 class TestAdmissionPool:
-    def test_request_is_idempotent_while_pending(self):
-        pool = AdmissionPool(NUMPY_CONFIG, batch_size=4)
-        pool.request(3)
-        pool.request(3)
-        assert pool.pending == [3]
-
-    def test_pending_stays_fifo_through_repeats_and_explicit_admits(self, rng):
-        graph = random_graph(rng)
-        csr = CSRGraph.from_digraph(graph)
-        pool = AdmissionPool(NUMPY_CONFIG, batch_size=2)
-        for s in (4, 1, 3, 1, 4, 0):  # a repeat keeps its first place
-            pool.request(s)
-        assert pool.pending == [4, 1, 3, 0]
-        # An explicit batch may name queued and unqueued sources alike.
-        assert sorted(pool.admit(graph, csr, [3, 2])) == [2, 3]
-        assert pool.pending == [4, 1, 0]
-        assert sorted(pool.admit(graph, csr)) == [1, 4]
-        assert pool.pending == [0]
-        assert (pool.admissions, pool.batches) == (4, 2)
-
-    def test_admit_batches_share_snapshot_and_converge(self, rng):
-        graph = random_graph(rng)
-        csr = CSRGraph.from_digraph(graph)
-        pool = AdmissionPool(NUMPY_CONFIG, batch_size=2)
-        for s in (0, 1, 2):
-            pool.request(s)
-        first = pool.admit(graph, csr)
-        assert sorted(first) == [0, 1]
-        assert pool.pending == [2]
-        rest = pool.drain(graph, csr)
-        assert sorted(rest) == [2]
-        assert pool.batches == 2
-        for state in {**first, **rest}.values():
-            assert state.residual_linf() <= NUMPY_CONFIG.epsilon
-
     def test_admitted_state_matches_tracker(self, rng):
         graph = random_graph(rng)
         pool = AdmissionPool(NUMPY_CONFIG)
-        pool.request(5)
-        state = pool.admit(graph.copy(), CSRGraph.from_digraph(graph))[5]
+        state = pool.admit(CSRGraph.from_digraph(graph), 5, graph.capacity)
         tracker = DynamicPPRTracker(graph.copy(), 5, NUMPY_CONFIG)
         assert state.allclose(tracker.state, atol=1e-9)
 
@@ -222,12 +188,11 @@ class TestPPRService:
 
     def test_query_many_admits_cold_sources_in_shared_batches(self, rng):
         graph = random_graph(rng)
-        service = _service(graph, cache_capacity=8, admission_batch=4)
+        service = _service(graph, cache_capacity=8)
         answers = service.query_many([0, 1, 2, 3, 4, 0], k=3)
         assert [a.cold for a in answers] == [True] * 5 + [False]
         metrics = service.metrics()
         assert metrics.cold_admissions == 5
-        assert metrics.admission_batches == 2  # 4 + 1 with batch size 4
         assert metrics.snapshot_rebuilds == 1  # one shared snapshot overall
 
     def test_query_for_unknown_vertex_admits_a_new_user(self, rng):
@@ -259,12 +224,12 @@ class TestPPRService:
         graph = random_graph(rng)
         stale = CSRGraph.from_digraph(graph)
         pool = AdmissionPool(NUMPY_CONFIG)
-        pool.request(graph.capacity + 10)  # grows the graph past the snapshot
+        graph.add_vertex(graph.capacity + 10)  # grows the graph past the snapshot
         with pytest.raises(ConfigError):
-            pool.admit(graph, stale)
+            pool.admit(stale, graph.capacity - 1, graph.capacity)
 
     def test_prefetched_unknown_vertex_survives_query_many_drain(self, rng):
-        """Regression: query_many's drain admits prefetched new-user ids too."""
+        """Regression: a prefetched new-user id is registered and admitted."""
         service = _service(random_graph(rng), cache_capacity=8)
         service.prefetch(500)  # id beyond the graph's capacity
         answers = service.query_many([0], k=2)
@@ -272,9 +237,9 @@ class TestPPRService:
         assert service.is_resident(500)
 
     def test_admission_batch_wider_than_cache_still_answers(self, rng):
-        """Regression: the queried source must not be LRU-evicted by its
-        own admission batch when admission_batch > cache_capacity."""
-        service = _service(random_graph(rng), cache_capacity=2, admission_batch=8)
+        """Regression: the queried source must not be LRU-evicted by the
+        admissions around it when more sources are admitted than fit."""
+        service = _service(random_graph(rng), cache_capacity=2)
         for s in (3, 4, 5, 6, 7, 8):
             service.prefetch(s)
         answer = service.query(0)
@@ -326,10 +291,11 @@ class TestPPRService:
             assert np.array_equal(ours.view(np.int64), theirs.view(np.int64))
 
     def test_prefetch_rides_next_admission_batch(self, rng):
-        service = _service(random_graph(rng), cache_capacity=4, admission_batch=4)
+        service = _service(random_graph(rng), cache_capacity=4)
         service.prefetch(7)
-        assert not service.is_resident(7)
-        service.query(1)  # cold query drains the pending batch too
+        assert service.is_resident(7)  # pushed when it was asked for
+        assert service.metrics().cold_admissions == 1
+        service.query(1)
         assert service.is_resident(7)
         assert not service.query(7).cold
 
@@ -397,6 +363,92 @@ class TestPPRService:
         assert metrics.queries == 2
         assert metrics.staleness_percentile(100) >= 1
         assert "staleness" in metrics.describe()
+
+
+    def test_refuses_the_pure_backend(self, rng):
+        with pytest.raises(ConfigError, match="Backend.NUMPY"):
+            PPRService(random_graph(rng), PPRConfig())
+
+
+# ---------------------------------------------------------------------- #
+# BatchQuery: the reads one by one
+# ---------------------------------------------------------------------- #
+
+#: Process-wide counters (compared as deltas) and wall-clock figures.
+UNCOMPARED_STATS = {
+    "queries_per_second",
+    "latency_p50_s",
+    "latency_p99_s",
+    "latency_p999_s",
+    "kernel_calls",
+    "kernel_fallbacks",
+    "push_iterations",
+    "gateway",
+    "obs",
+}
+
+
+def _served(sources, capacity, *, batched):
+    """Answers, ``/v1/stats`` counters and kernel work of one read sequence.
+
+    Sources 0 and 5 are made resident first and an ingest then leaves
+    them one version behind, so a FRESH read of either is a hit that
+    refreshes.
+    """
+    service = _service(
+        random_graph(np.random.default_rng(5)), cache_capacity=capacity
+    )
+    for s in (0, 5):
+        service.gateway.submit(TopKQuery(source=s, k=4))
+    service.ingest(insertions([(0, 5), (5, 9), (9, 0)]))
+    before = kernel_counters()
+    if batched:
+        batch = service.gateway.submit(BatchQuery(sources=tuple(sources), k=4))
+        assert batch.ok
+        results = batch.results
+    else:
+        results = [service.gateway.submit(TopKQuery(source=s, k=4)) for s in sources]
+    work = {
+        key: value - before[key] for key, value in kernel_counters().items()
+    }
+    stats = service.gateway.submit(Stats()).stats
+    answers = [
+        (r.source, r.entries, r.cold, r.snapshot_version, r.staleness)
+        for r in results
+    ]
+    counted = {k: v for k, v in stats.items() if k not in UNCOMPARED_STATS}
+    return answers, counted, work, service.resident_sources()
+
+
+class TestBatchQueryIsReadsInOrder:
+    def test_cold_sources_wider_than_the_cache_are_each_pushed_once(self, rng):
+        service = _service(random_graph(rng), cache_capacity=2)
+        batch = service.gateway.submit(BatchQuery(sources=(0, 1, 2, 3), k=3))
+        assert batch.ok and [r.cold for r in batch.results] == [True] * 4
+        metrics = service.metrics()
+        assert (metrics.cold_admissions, metrics.evictions) == (4, 2)
+        assert service.resident_sources() == [2, 3]
+
+    @pytest.mark.parametrize("capacity", range(1, 7))
+    @pytest.mark.parametrize(
+        "sources",
+        [
+            (1, 2, 3, 4),
+            (1, 2, 1, 3, 2, 1),
+            (0, 1, 5, 0, 2, 5),
+            (4, 4, 0, 4, 0),
+            (6, 7, 8, 9, 10, 11, 12, 6),
+        ],
+        ids=["distinct", "repeats", "residents", "resident-repeats", "wide"],
+    )
+    def test_batch_answers_what_the_reads_one_by_one_answer(self, capacity, sources):
+        batched = _served(sources, capacity, batched=True)
+        one_by_one = _served(sources, capacity, batched=False)
+        assert batched[0] == one_by_one[0]  # entries bit for bit, cold flags
+        assert batched[1] == one_by_one[1]  # every /v1/stats counter
+        assert batched[2] == one_by_one[2]  # the same kernel work
+        assert batched[3] == one_by_one[3]  # the same residents, in LRU order
+        assert batched[1]["admission_races"] == 0
 
 
 # ---------------------------------------------------------------------- #
@@ -523,7 +575,6 @@ class TestAnswerMemo:
     "kwargs",
     [
         {"cache_capacity": 0},
-        {"admission_batch": 0},
         {"store": "ppr-store"},
         {"num_hubs": -1},
         {"top_k": 0},

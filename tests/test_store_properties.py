@@ -388,6 +388,39 @@ def test_format_6_checkpoint_is_refused(tmp_path):
     assert latest_checkpoint(current.parent).path == current
 
 
+def test_format_7_checkpoint_is_refused(tmp_path):
+    """A parent-build file: its serve-config block still carries
+    ``admission_batch``, which ``ServeConfig`` no longer accepts —
+    refused on the format, the block never parsed."""
+    import json
+
+    from repro.store.checkpoint import (
+        checkpoint_name,
+        checkpoint_summary,
+        latest_checkpoint,
+        read_checkpoint,
+    )
+
+    service = _salted_service(False, [0], [], True)
+    current = self_contained_checkpoint(tmp_path, service)
+    with np.load(current) as data:
+        arrays = {key: data[key] for key in data.files}
+    serve = json.loads(str(arrays["serve_config"]))
+    assert "admission_batch" not in serve
+    serve["admission_batch"] = 8
+    arrays.update(
+        format=np.int64(7), serve_config=np.str_(json.dumps(serve, sort_keys=True))
+    )
+    old = current.with_name(checkpoint_name(7))
+    with open(old, "wb") as fh:
+        np.savez(fh, **arrays)
+
+    with pytest.raises(StoreError, match="unsupported checkpoint format 7"):
+        read_checkpoint(old)
+    assert checkpoint_summary(old) == {"format": 7}
+    assert latest_checkpoint(current.parent).path == current
+
+
 # ---------------------------------------------------------------------- #
 # 4: graph codec preserves structure AND iteration order
 # ---------------------------------------------------------------------- #
@@ -839,8 +872,8 @@ class ParkedColdReadMachine(DurableServiceMachine):
 
         assert answer.ok and answer.snapshot_version == service.graph_version
         oracle = AdmissionPool(service.config).admit(
-            service.graph, service._snapshot(), [source]
-        )[source]
+            service._snapshot(), source, service.graph.capacity
+        )
         assert _answer_bits(answer.entries) == _answer_bits(certified_top_k(oracle, 5))
 
     @invariant()
