@@ -18,9 +18,13 @@ Three checks, all cheap enough for every CI leg:
    kernel (one per non-empty phase; a from-scratch push has no NEG
    frontier) and none under numpy, with ``kernel_fallbacks == 0`` on
    both legs;
-5. a loaded library speaks kernel ABI 4 (one ``repro_restore_states``
-   call repairs every resident), and after one ingest batch the
-   refreshed answers of every resident still agree bit for bit.
+5. a loaded library speaks kernel ABI 5 (one ``repro_graph_apply`` call
+   applies a batch to the graph, one ``repro_restore_states`` call
+   repairs every resident), and after one ingest batch the refreshed
+   answers of every resident still agree bit for bit;
+6. the compiled batch apply leaves the twitter analog's graph exactly
+   as the numpy one does — arrays, dumps and ``dout_after`` records —
+   over 10 sliding-window batches.
 
 Run from the repository root:  PYTHONPATH=src python scripts/kernel_smoke.py
 CI runs this in both backend legs (.github/workflows/ci.yml).
@@ -40,9 +44,10 @@ from repro.api.requests import FRESH, TopKQuery  # noqa: E402
 from repro.config import KernelConfig, KernelMode  # noqa: E402
 from repro.graph.generators import rmat_graph  # noqa: E402
 from repro.graph.update import EdgeOp, EdgeUpdate  # noqa: E402
+from repro.graph.workloads import WorkloadSpec, prepare_workload  # noqa: E402
 
 #: The C signature this script was written against.
-EXPECTED_ABI = 4
+EXPECTED_ABI = 5
 
 
 def answers(service: PPRService, sources: range) -> list[list[tuple]]:
@@ -55,6 +60,36 @@ def answers(service: PPRService, sources: range) -> list[list[tuple]]:
             raise SystemExit(f"query failed: {result}")
         out.append([(e.vertex, e.estimate) for e in result.entries])
     return out
+
+
+def graph_apply_matches(batches: int = 10) -> bool:
+    """Apply 10 twitter-analog window slides with each kernel; the graphs
+    (dumps, slabs, degrees) and ``dout_after`` records must be identical."""
+    prepared = prepare_workload(WorkloadSpec(dataset="twitter"))
+    window = prepared.new_window()
+    slides = [list(window.slide().updates) for _ in range(batches)]
+    graphs, records = [], []
+    for mode in (KernelMode.COMPILED, KernelMode.NUMPY):
+        graph, kernel = prepared.initial_graph(), KernelConfig(mode=mode)
+        records.append([graph.apply_batch(s, kernel=kernel).tolist() for s in slides])
+        graphs.append(graph)
+    compiled, numpy_ = graphs
+    ours, theirs = compiled.to_arrays(), numpy_.to_arrays()
+    same = records[0] == records[1] and all(
+        ours[key].tobytes() == theirs[key].tobytes() for key in theirs
+    )
+    same = same and all(
+        a.tobytes() == b.tobytes()
+        for name in ("_nbr", "_mult", "_table")
+        for a, b in zip(getattr(compiled, name), getattr(numpy_, name))
+    )
+    if not same:
+        print("compiled graph apply diverged from the numpy apply", file=sys.stderr)
+        return False
+    updates = sum(len(s) for s in slides)
+    print(f"graph apply identical across compiled/numpy: {batches} twitter"
+          f" batches, {updates} updates, m={compiled.num_edges}")
+    return True
 
 
 def main() -> int:
@@ -112,6 +147,9 @@ def main() -> int:
         print("refreshed top-k diverged after an ingest", file=sys.stderr)
         return 1
     print(f"refreshed top-k identical after a {len(batch)}-update ingest")
+
+    if library is not None and not graph_apply_matches():
+        return 1
     print("kernel smoke: OK")
     return 0
 

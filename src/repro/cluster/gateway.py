@@ -202,10 +202,9 @@ class ClusterGateway(WorkerGateway):
         """Publish the primary's current snapshot to shared memory (once).
 
         One bundle per graph version, shared by every replica spawned at
-        that version: the order-exact graph arrays, the consolidated CSR
-        of the same version (so workers skip their own O(n + m) rebuild),
-        and the scalar meta that keeps the lazy graph build O(1).
-        Re-publishing the current version returns the existing descriptor
+        that version: the order-exact graph arrays and the consolidated
+        CSR of the same version (so workers skip their own snapshot
+        rebuild). Re-publishing the current version returns the existing descriptor
         without copying anything.
         """
         service = self.service
@@ -214,14 +213,7 @@ class ClusterGateway(WorkerGateway):
             return self._publisher.descriptor(version)
         arrays = dict(service.graph.to_arrays())
         arrays.update(service.shared_snapshot_arrays())
-        return self._publisher.publish(
-            version,
-            arrays,
-            meta={
-                "num_edges": service.graph.num_edges,
-                "max_vertex": service.graph.max_vertex_id,
-            },
-        )
+        return self._publisher.publish(version, arrays)
 
     def _spawn(self, index: int, *, from_store: bool = False) -> WorkerHandle:
         handle, version = self.group.spawn(

@@ -18,9 +18,10 @@ Deleting ``u``'s last out-edge is the one case the formula cannot express
 
 :func:`restore_invariant` is the single-update oracle. Every maintained
 consumer (service residents, hub vectors, trackers) repairs whole batches
-through :func:`restore_states`, which under the compiled kernel mode
-applies the graph mutations in one pass and then repairs every state with
-one call into ``_push.c`` — bit-identical to looping the oracle.
+through :func:`restore_states`: the graph applies the batch atomically and
+records each update's ``dout_after``, then every state is repaired from
+that record — under the compiled kernel mode with one call into
+``_push.c``, bit-identical to looping the oracle.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ import numpy as np
 
 from ..config import KernelConfig
 from ..graph.digraph import DynamicDiGraph
-from ..graph.update import EdgeUpdate
+from ..graph.update import EdgeOp, EdgeUpdate, as_batch
 from .state import PPRState
 
 
@@ -40,16 +41,22 @@ def restore_invariant(
     graph: DynamicDiGraph,
     update: EdgeUpdate,
     alpha: float,
+    dout_after: int | None = None,
+    cover: int | None = None,
 ) -> float:
     """Repair Eq. 2 for one update; ``graph`` must already reflect it.
 
     Returns the signed residual change applied to ``R_s(u)`` (the theory's
-    ``Delta_s(u)`` contribution, tracked by Lemma 3).
+    ``Delta_s(u)`` contribution, tracked by Lemma 3). A batch repair whose
+    graph has moved past ``update`` passes what the graph looked like right
+    after it: ``u``'s out-degree and the id space it needed.
     """
     u, v, op = update.u, update.v, update.op
-    state.ensure_capacity(max(graph.capacity, u + 1, v + 1))
+    if cover is None:
+        cover = max(graph.capacity, u + 1, v + 1)
+    state.ensure_capacity(cover)
     indicator = alpha if u == state.source else 0.0
-    dout = graph.out_degree(u)
+    dout = graph.out_degree(u) if dout_after is None else dout_after
 
     if dout == 0:
         # op must be DELETE (an insertion leaves dout >= 1). Eq. 2 for a
@@ -70,7 +77,7 @@ def restore_invariant(
 def restore_states(
     graph: DynamicDiGraph,
     states: Sequence[PPRState],
-    updates: Iterable[EdgeUpdate],
+    updates: Iterable[EdgeUpdate] | np.ndarray,
     alpha: float,
     *,
     kernel: KernelConfig | None = None,
@@ -78,58 +85,50 @@ def restore_states(
     """Apply a batch to ``graph`` and restore Eq. 2 on every state.
 
     The one batch ``RestoreInvariant`` entry point (Section 3.1: Algorithm
-    1, k times). The graph is mutated exactly once per update however many
-    states share it. Returns the per-update signed residual changes as a
+    1, k times). ``updates`` are update objects or the ``(k, 3)`` array of
+    :func:`~repro.graph.update.as_batch`. The graph applies the whole batch
+    in one call (:meth:`~repro.graph.digraph.DynamicDiGraph.apply_batch`),
+    recording each update's ``dout_after``; the states are then repaired
+    from that record. Returns the per-update signed residual changes as a
     ``(len(states), k)`` array; row ``i`` is what looping
     :func:`restore_invariant` over ``states[i]`` would have returned.
 
     ``kernel`` (``PPRConfig.kernel``; ``None`` defers to ``REPRO_KERNEL``)
-    selects how states are repaired. Compiled: one pass applies the
-    mutations and records ``u, v, op, dout_after`` plus the running
-    capacity requirement, then one call into ``_push.c`` repairs every
-    state. Otherwise the oracle runs per update per state. The two
-    agree bit for bit — values, array lengths, and Δ.
+    selects how the batch is applied and repaired. Compiled: one call
+    into ``_push.c`` applies it, one more repairs every state. Otherwise
+    the oracle runs per update per state. The two agree bit for bit —
+    values, array lengths, and Δ.
 
-    If the graph rejects an update mid-batch, the states are repaired for
-    the prefix that did apply before the error propagates, so Eq. 2 keeps
-    holding against the partially-updated graph.
+    A batch the graph rejects (a delete of an absent edge) raises before
+    anything — graph or state — has changed.
     """
     from ..kernels import compiled_restore, selected_library
 
     library, _ = selected_library(kernel)
+    batch = as_batch(updates)
+    # The id space each update needed: ensure_capacity doubles, so one
+    # jump to the final requirement is not the oracle's growth sequence.
+    # Valid deletes name registered ids, so the running max over every
+    # update's endpoints is the oracle's max(capacity, u + 1, v + 1).
+    need = np.maximum.accumulate(
+        np.maximum(batch[:, :2].max(axis=1, initial=-1) + 1, graph.capacity)
+    )
+    dout_after = graph.apply_batch(batch, kernel=kernel)
+    deltas = np.empty((len(states), len(batch)), dtype=np.float64)
     if library is None:
-        columns = []
-        for update in updates:
-            graph.apply(update)
-            columns.append(
-                [restore_invariant(state, graph, update, alpha) for state in states]
-            )
-        return np.array(columns, dtype=np.float64).reshape(len(columns), len(states)).T
-
-    rows: list[tuple[int, int, int, int]] = []  # (u, v, op, dout_after)
-    # ensure_capacity doubles, so one jump to the final requirement is not
-    # the oracle's growth sequence: replay every requirement that exceeds
-    # the ones before it (the rest are no-ops in the oracle too).
-    growth: list[int] = []
-    required = 0
-    try:
-        for update in updates:
-            graph.apply(update)
-            u, v, op = update
-            rows.append((u, v, op, graph.out_degree(u)))
-            need = max(graph.capacity, u + 1, v + 1)
-            if need > required:
-                required = need
-                growth.append(need)
-    finally:
-        deltas = np.empty((len(states), len(rows)), dtype=np.float64)
-        if rows and states:
-            batch = np.ascontiguousarray(np.array(rows, dtype=np.int64).T)
-            for state in states:
-                if required > len(state.p):
-                    for need in growth:
-                        state.ensure_capacity(need)
-            compiled_restore(library, states, alpha, batch, required, deltas)
+        for j, (u, v, op) in enumerate(batch.tolist()):
+            update = EdgeUpdate(u, v, EdgeOp(op))
+            args = (update, alpha, int(dout_after[j]), int(need[j]))
+            for i, state in enumerate(states):
+                deltas[i, j] = restore_invariant(state, graph, *args)
+        return deltas
+    if len(batch) and states:
+        required = int(need[-1])
+        for state in states:
+            if required > len(state.p):
+                for cover in np.unique(need).tolist():
+                    state.ensure_capacity(cover)
+        compiled_restore(library, states, alpha, batch, dout_after, required, deltas)
     return deltas
 
 
@@ -162,12 +161,12 @@ def restore_batch(
     touched list seeds the push frontier: after a converged previous step
     only vertices whose residual was modified can exceed ``epsilon``.
     """
-    updates = list(updates)
-    deltas = restore_states(graph, [state], updates, alpha, kernel=kernel)[0]
+    batch = as_batch(updates)
+    deltas = restore_states(graph, [state], batch, alpha, kernel=kernel)[0]
     total_change = 0.0
     for delta in deltas.tolist():  # sequential, like the per-update loop
         total_change += abs(delta)
-    return [update.u for update in updates], total_change
+    return batch[:, 0].tolist(), total_change
 
 
 def invariant_violation(

@@ -60,17 +60,8 @@ class CSRGraph:
                 f"capacity {cap} is smaller than the graph's id space {graph.capacity}"
             )
         indptr = np.zeros(cap + 1, dtype=np.int64)
-        din = graph.in_degree_array(cap)
+        din, indices = graph.in_rows(np.arange(cap, dtype=np.int64))
         np.cumsum(din, out=indptr[1:])
-        indices = np.empty(int(indptr[-1]), dtype=np.int64)
-        cursor = indptr[:-1].copy()
-        for u in graph.vertices():
-            pos = cursor[u]
-            for v, count in graph.in_neighbors(u):
-                for _ in range(count):
-                    indices[pos] = v
-                    pos += 1
-            cursor[u] = pos
         return cls(indptr, indices, graph.out_degree_array(cap))
 
     @classmethod
@@ -181,6 +172,16 @@ class CSRGraph:
     def memory_bytes(self) -> int:
         """Approximate resident bytes of the snapshot arrays."""
         return self.indptr.nbytes + self.indices.nbytes + self.dout.nbytes
+
+    def __getstate__(self) -> dict:
+        """The arrays; the kernel layout (and the addresses the compiled
+        kernel cached in it) is rebuilt where the copy is used."""
+        return {name: getattr(self, name) for name in self.__slots__ if name != "_kernel"}
+
+    def __setstate__(self, state: dict) -> None:
+        for name, value in state.items():
+            setattr(self, name, value)
+        self._kernel = None
 
     def __repr__(self) -> str:
         return f"CSRGraph(n={self.num_vertices}, m={self.num_edges})"

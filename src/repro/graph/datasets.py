@@ -148,8 +148,8 @@ def load_dataset(name: str) -> DynamicDiGraph:
     spec = get_spec(name)
     edges = dataset_edges(name)
     if spec.directed:
-        return DynamicDiGraph.from_edges(map(tuple, edges.tolist()))
-    return DynamicDiGraph.from_undirected_edges(map(tuple, edges.tolist()))
+        return DynamicDiGraph.from_edges(edges)
+    return DynamicDiGraph.from_undirected_edges(edges)
 
 
 def top_degree_vertices(edges: np.ndarray, k: int) -> np.ndarray:

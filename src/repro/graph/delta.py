@@ -1,29 +1,26 @@
 """Incremental delta-CSR snapshots: per-batch overlays over a frozen base.
 
-:class:`~repro.graph.csr.CSRGraph` snapshots are immutable, so prior to
-this module every consumer that needed a fresh view after an update batch
-paid a full O(n + m) rebuild — on the serving layer's ingest hot path
-that rebuild, not the push itself, dominated steady-state throughput at
-the paper's small batch sizes. Dynamic-graph systems (LLAMA's delta
-snapshots, GraphOne's hybrid store) solve this with a compact read-
-optimized base plus a small mutable overlay that is periodically
-consolidated; :class:`DeltaCSRGraph` is that discipline for our in-CSR.
+:class:`~repro.graph.csr.CSRGraph` snapshots are immutable; rebuilding one
+per batch costs O(n + m). Dynamic-graph systems (LLAMA's delta snapshots,
+GraphOne's hybrid store) keep a compact read-optimized base plus a small
+overlay that is periodically consolidated; :class:`DeltaCSRGraph` is that
+discipline for our in-CSR.
 
 Representation
 --------------
-* ``base`` — an immutable :class:`CSRGraph` (the last consolidation);
-* ``_rows`` — replacement in-adjacency rows for exactly the vertices
-  whose in-neighborhood changed since ``base`` (a few per batch);
-* ``_patched`` — a dense boolean mask over vertex ids marking which rows
-  are overridden (vectorized membership tests on the hot path);
-* ``dout`` — the *current* dense out-degree array, maintained
-  incrementally per batch.
+A view *is* the flat-row layout the compiled push kernel reads
+(:meth:`DeltaCSRGraph.kernel_arrays`): per vertex id ``row_start``,
+``row_count`` and a ``row_overlay`` flag addressing the row either in the
+frozen ``base``'s indices or in an overlay buffer, plus the *current*
+``dout``. The buffer is append-only and shared along a lineage: a
+successor writes its replacement rows past every row an older view
+addresses, so a view never changes under a consumer that pinned it, and
+a batch costs O(touched rows) plus three O(n) table copies — no per-row
+Python objects. Replaced rows stay behind as dead space until it
+outweighs the live rows; the buffer is then rebuilt compactly.
 
 Every read — :meth:`gather_in_edges`, :meth:`in_neighbors`,
-:meth:`in_degrees` — resolves patched vertices against the overlay and
-everything else against the base, so a view after ``b`` batches costs
-O(sum of touched-vertex degrees) to build instead of O(m), while reads
-stay within a small constant of the frozen CSR.
+:meth:`in_degrees` — resolves rows through those tables, vectorized.
 
 Order exactness
 ---------------
@@ -32,8 +29,8 @@ rebuild it replaces:
 
 * :meth:`apply_updates` re-materializes the rows of batch-touched
   vertices from the live :class:`~repro.graph.digraph.DynamicDiGraph`
-  (:meth:`~repro.graph.digraph.DynamicDiGraph.in_row`), which reproduces
-  the adjacency-dict iteration order
+  (:meth:`~repro.graph.digraph.DynamicDiGraph.in_rows`), which reproduces
+  the graph's dict order
   :meth:`CSRGraph.from_digraph <repro.graph.csr.CSRGraph.from_digraph>`
   would store. Merged neighbor iteration therefore feeds the vectorized
   push the *same float summation order* as a rebuilt snapshot, and
@@ -58,8 +55,8 @@ import numpy as np
 
 from ..errors import ConfigError, GraphError
 from .csr import CSRGraph
-from .digraph import DynamicDiGraph
-from .update import EdgeUpdate
+from .digraph import DynamicDiGraph, flat_ranges, interleave_undirected
+from .update import EdgeUpdate, as_batch
 
 #: Default consolidation trigger: consolidate once the overlay holds more
 #: than this fraction of the base's edges (see ``docs/performance.md``).
@@ -68,29 +65,29 @@ DEFAULT_OVERLAY_THRESHOLD = 0.25
 _EMPTY_ROW = np.empty(0, dtype=np.int64)
 
 
-def interleave_undirected(edges: np.ndarray) -> np.ndarray:
-    """Each edge followed immediately by its reverse (undirected model).
+class _Overlay:
+    """The append-only row buffer a lineage of views shares.
 
-    The one definition of the undirected expansion order shared by
-    :meth:`repro.graph.stream.SlidingWindow.snapshot` and
-    :meth:`DeltaCSRGraph.apply_edge_delta` — it is load-bearing for their
-    bit-exactness contract: per-edge interleaving keeps every window row
-    a stream-ordered subsequence, so slides stay suffix appends and
-    prefix drops.
+    Rows are written past ``fill`` and never moved or overwritten, so
+    every view — two successors of one view included — keeps reading
+    exactly the rows it was built with.
     """
-    both = np.empty((2 * len(edges), 2), dtype=np.int64)
-    both[0::2] = edges
-    both[1::2] = edges[:, ::-1]
-    return both
 
+    __slots__ = ("array", "fill")
 
-def _flat_ranges(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
-    """Concatenate ``[starts[i], starts[i]+counts[i])`` ranges, loop-free."""
-    total = int(counts.sum())
-    if total == 0:
-        return np.empty(0, dtype=np.int64)
-    offsets = np.repeat(np.cumsum(counts) - counts, counts)
-    return np.arange(total, dtype=np.int64) - offsets + np.repeat(starts, counts)
+    def __init__(self, array: np.ndarray) -> None:
+        self.array, self.fill = array, len(array)
+
+    def append(self, flat: np.ndarray) -> int:
+        """Write ``flat`` past the fill (growing by doubling); its offset."""
+        end = self.fill + len(flat)
+        if end > len(self.array):
+            grown = np.empty(max(end, 2 * len(self.array)), dtype=np.int64)
+            grown[: self.fill] = self.array[: self.fill]
+            self.array = grown
+        self.array[self.fill : end] = flat
+        start, self.fill = self.fill, end
+        return start
 
 
 class DeltaCSRGraph:
@@ -105,58 +102,65 @@ class DeltaCSRGraph:
     re-convergence.
 
     Views are persistent (apply methods return a *new* view sharing the
-    base and row arrays), so an in-flight consumer of the previous
-    version is never mutated under its feet.
+    base and the overlay buffer), so an in-flight consumer of the
+    previous version is never mutated under its feet.
     """
 
-    __slots__ = (
-        "base",
-        "dout",
-        "_rows",
-        "_patched",
-        "num_vertices",
-        "num_edges",
-        "_entries",
-        "_kernel",
-    )
+    __slots__ = ("base", "dout", "num_vertices", "num_edges", "_ka", "_overlay",
+                 "_entries", "_rows")
 
     def __init__(
-        self,
-        base: CSRGraph,
-        dout: np.ndarray,
-        rows: dict[int, np.ndarray],
-        patched: np.ndarray,
-        num_edges: int,
-        overlay_entries: int,
+        self, base: CSRGraph, ka: dict, overlay: _Overlay, num_edges: int,
+        entries: int, rows: int,
     ) -> None:
-        if len(dout) < base.num_vertices:
+        if len(ka["dout"]) < base.num_vertices:
             raise GraphError(
-                f"dout covers {len(dout)} ids, base needs {base.num_vertices}"
+                f"dout covers {len(ka['dout'])} ids, base needs {base.num_vertices}"
             )
-        self.base = base
-        self.dout = dout
-        self._rows = rows
-        self._patched = patched
-        self.num_vertices = len(dout)
+        self.base, self.dout, self._ka, self._overlay = base, ka["dout"], ka, overlay
+        self.num_vertices = len(self.dout)
         self.num_edges = num_edges
-        self._entries = overlay_entries  # sum of len(row) over rows, carried
-        self._kernel: dict | None = None
+        self._entries, self._rows = entries, rows  # overlay entries and rows
 
     @classmethod
     def wrap(cls, base: CSRGraph) -> "DeltaCSRGraph":
         """An empty overlay over ``base`` (reads delegate entirely to it)."""
-        return cls(
-            base,
-            base.dout,
-            {},
-            np.zeros(base.num_vertices, dtype=bool),
-            base.num_edges,
-            0,
-        )
+        return cls(base, base.kernel_arrays(), _Overlay(_EMPTY_ROW), base.num_edges, 0, 0)
 
     # ------------------------------------------------------------------ #
     # overlay construction
     # ------------------------------------------------------------------ #
+
+    def _successor(
+        self, ids: np.ndarray, lengths: np.ndarray, flat: np.ndarray,
+        dout: np.ndarray, num_edges: int,
+    ) -> "DeltaCSRGraph":
+        """This view with the rows of ``ids`` replaced (``lengths`` each,
+        concatenated in ``flat``) and the id space ``len(dout)``."""
+        ka, n = self._ka, len(dout)
+        tables = {}
+        for name in ("row_start", "row_count", "row_overlay"):
+            tables[name] = np.zeros(n, dtype=ka[name].dtype)
+            tables[name][: len(ka[name])] = ka[name]
+        start, count, overlay = tables["row_start"], tables["row_count"], tables["row_overlay"]
+        was = overlay[ids].astype(bool)
+        entries = self._entries + len(flat) - int(count[ids][was].sum())
+        rows = self._rows + len(ids) - int(was.sum())
+        buffer = self._overlay
+        overlay[ids] = 0
+        if buffer.fill + len(flat) > 2 * entries:  # dead space outweighs live
+            keep = np.flatnonzero(overlay)
+            live = ka["overlay_indices"][flat_ranges(start[keep], count[keep])]
+            start[keep] = np.cumsum(count[keep]) - count[keep]
+            buffer = _Overlay(np.concatenate([live, flat]))
+            offset = len(live)
+        else:
+            offset = buffer.append(flat)
+        start[ids] = offset + np.cumsum(lengths) - lengths
+        count[ids], overlay[ids] = lengths, 1
+        ka = {"num_rows": n, **tables, "base_indices": ka["base_indices"],
+              "overlay_indices": buffer.array, "dout": dout}
+        return DeltaCSRGraph(self.base, ka, buffer, num_edges, entries, rows)
 
     def with_capacity(self, capacity: int) -> "DeltaCSRGraph":
         """A view whose dense arrays span ``capacity`` vertex ids.
@@ -169,88 +173,23 @@ class DeltaCSRGraph:
             return self
         dout = np.zeros(capacity, dtype=np.int64)
         dout[: self.num_vertices] = self.dout
-        patched = np.zeros(capacity, dtype=bool)
-        patched[: self.num_vertices] = self._patched
-        return DeltaCSRGraph(
-            self.base, dout, dict(self._rows), patched, self.num_edges, self._entries
-        )
+        return self._successor(_EMPTY_ROW, _EMPTY_ROW, _EMPTY_ROW, dout, self.num_edges)
 
     def apply_updates(
-        self, graph: DynamicDiGraph, updates: Sequence[EdgeUpdate]
+        self, graph: DynamicDiGraph, updates: np.ndarray | Sequence[EdgeUpdate]
     ) -> "DeltaCSRGraph":
         """The view after one ingested batch (graph-backed, order-exact).
 
-        ``graph`` must *already reflect* ``updates`` — the serving layer
-        mutates the shared graph once per update and then derives the new
-        snapshot. Cost is O(batch + sum of touched in-degrees + n_copy)
-        where the copies are flat memcpys, never a per-edge Python loop
-        over the whole graph.
+        ``graph`` must *already reflect* ``updates`` (a ``(k, 3)`` batch
+        array or update objects). ``dout`` is copied from the graph and the
+        touched rows come from one
+        :meth:`~repro.graph.digraph.DynamicDiGraph.in_rows` call: O(batch
+        + sum of touched in-degrees) plus flat memcpys of O(n).
         """
-        cap = max(graph.capacity, self.num_vertices)
-        dout = np.zeros(cap, dtype=np.int64)
-        dout[: self.num_vertices] = self.dout
-        patched = np.zeros(cap, dtype=bool)
-        patched[: self.num_vertices] = self._patched
-        if updates:
-            ins = np.fromiter(
-                (u.u for u in updates if u.is_insert), dtype=np.int64
-            )
-            dels = np.fromiter(
-                (u.u for u in updates if u.is_delete), dtype=np.int64
-            )
-            if ins.size:
-                dout += np.bincount(ins, minlength=cap)
-            if dels.size:
-                dout -= np.bincount(dels, minlength=cap)
-        rows = dict(self._rows)
-        entries = self._entries
-        touched = list({u.v for u in updates})
-        for v in touched:
-            replaced = len(rows.get(v, _EMPTY_ROW))
-            rows[v] = graph.in_row(v)
-            entries += len(rows[v]) - replaced
-            patched[v] = True
-        view = DeltaCSRGraph(self.base, dout, rows, patched, graph.num_edges, entries)
-        if self._kernel is not None:
-            view._kernel = self._advance_kernel(view, touched)
-        return view
-
-    def _advance_kernel(self, view: "DeltaCSRGraph", touched: list[int]) -> dict | None:
-        """``view``'s kernel arrays derived from this predecessor's.
-
-        The first compiled read after every batch used to rebuild the
-        layout from scratch — linear in the overlay's rows, which only
-        grow until consolidation. Deriving it costs three flat table
-        copies plus this batch's rows appended to the overlay buffer;
-        the rows they replace stay behind as dead space. Returns ``None``
-        (rebuild lazily, compactly) once dead space outweighs live rows,
-        so an overlay that never consolidates cannot grow the buffer
-        without bound.
-        """
-        ka = self._kernel
-        n = view.num_vertices
-        rows = [view._rows[v] for v in touched]
-        lens = np.fromiter(map(len, rows), dtype=np.int64, count=len(rows))
-        buffer = ka["overlay_indices"]
-        if len(buffer) + int(lens.sum()) > 2 * view.overlay_entries:
-            return None
-        tables = {}
-        for name in ("row_start", "row_count", "row_overlay"):
-            table = np.zeros(n, dtype=ka[name].dtype)
-            table[: len(ka[name])] = ka[name]
-            tables[name] = table
-        ids = np.array(touched, dtype=np.int64)
-        tables["row_start"][ids] = len(buffer) + np.cumsum(lens) - lens
-        tables["row_count"][ids] = lens
-        tables["row_overlay"][ids] = 1
-        return {
-            "num_rows": int(n),
-            **tables,
-            "base_indices": ka["base_indices"],
-            "overlay_indices": np.concatenate([buffer, *rows]),
-            "overlay_live": view.overlay_entries,
-            "dout": np.ascontiguousarray(view.dout),
-        }
+        touched = np.unique(as_batch(updates)[:, 1])
+        lengths, flat = graph.in_rows(touched)
+        dout = graph.out_degree_array(max(graph.capacity, self.num_vertices))
+        return self._successor(touched, lengths, flat, dout, graph.num_edges)
 
     def apply_edge_delta(
         self,
@@ -305,93 +244,63 @@ class DeltaCSRGraph:
         if deletes.size:
             dout -= np.bincount(deletes[:, 0], minlength=high)
 
-        rows = dict(view._rows)
-        entries = view._entries
-        patched = view._patched.copy()
         drop: dict[int, int] = {}
         for v in deletes[:, 1].tolist():
             drop[v] = drop.get(v, 0) + 1
         append: dict[int, list[int]] = {}
         for u, v in inserts.tolist():
             append.setdefault(v, []).append(u)
-        for v in drop.keys() | append.keys():
-            row = rows[v] if patched[v] else view._base_row(v)
-            entries -= len(rows.get(v, _EMPTY_ROW))
-            k = drop.get(v, 0)
-            if k:
-                if k > len(row):
-                    raise GraphError(
-                        f"cannot drop {k} oldest in-edges of {v}: row has {len(row)}"
-                    )
-                row = row[k:]
-            extra = append.get(v)
-            if extra:
-                row = np.concatenate([row, np.asarray(extra, dtype=np.int64)])
-            rows[v] = row
-            entries += len(row)
-            patched[v] = True
+        ids = sorted(drop.keys() | append.keys())
+        rows = []
+        for v in ids:
+            row, k = view.in_neighbors(v), drop.get(v, 0)
+            if k > len(row):
+                raise GraphError(
+                    f"cannot drop {k} oldest in-edges of {v}: row has {len(row)}"
+                )
+            rows.append(np.concatenate([row[k:], np.asarray(append.get(v, ()), dtype=np.int64)]))
+        lengths = np.fromiter(map(len, rows), dtype=np.int64, count=len(rows))
+        flat = np.concatenate(rows) if rows else _EMPTY_ROW
         num_edges = self.num_edges + len(inserts) - len(deletes)
-        return DeltaCSRGraph(view.base, dout, rows, patched, num_edges, entries)
+        return view._successor(np.array(ids, dtype=np.int64), lengths, flat, dout, num_edges)
 
     # ------------------------------------------------------------------ #
     # reads (the narrow snapshot interface)
     # ------------------------------------------------------------------ #
 
-    def _base_row(self, u: int) -> np.ndarray:
-        if u >= self.base.num_vertices:
-            return _EMPTY_ROW
-        return self.base.in_neighbors(u)
-
     def in_neighbors(self, u: int) -> np.ndarray:
         """In-neighbor ids of ``u`` (multiplicities expanded)."""
-        if self._patched[u]:
-            return self._rows[u]
-        return self._base_row(u)
+        ka = self._ka
+        source = ka["overlay_indices" if ka["row_overlay"][u] else "base_indices"]
+        start = ka["row_start"].item(u)
+        return source[start : start + ka["row_count"].item(u)]
 
     def in_degree(self, u: int) -> int:
-        if self._patched[u]:
-            return len(self._rows[u])
-        if u >= self.base.num_vertices:
-            return 0
-        return self.base.in_degree(u)
+        return self._ka["row_count"].item(u)
 
     def in_degrees(self, ids: np.ndarray) -> np.ndarray:
         """In-degrees of ``ids`` (overlay-aware, vectorized)."""
-        counts = np.zeros(len(ids), dtype=np.int64)
-        in_base = ids < self.base.num_vertices
-        fb = ids[in_base]
-        counts[in_base] = self.base.indptr[fb + 1] - self.base.indptr[fb]
-        for i in np.flatnonzero(self._patched[ids]).tolist():
-            counts[i] = len(self._rows[int(ids[i])])
-        return counts
+        return self._ka["row_count"][ids]
 
     def gather_in_edges(self, frontier: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """All in-edges of ``frontier`` vertices as flat arrays.
 
         Same contract (and, for graph-backed overlays, the same edge
-        order) as :meth:`CSRGraph.gather_in_edges`: unpatched rows are
-        gathered from the base in one vectorized copy; patched rows —
-        a handful per batch — are spliced in at their frontier position.
+        order) as :meth:`CSRGraph.gather_in_edges`: base rows and overlay
+        rows are each gathered in one vectorized copy into their frontier
+        positions.
         """
         if not self._rows and self.num_vertices == self.base.num_vertices:
             return self.base.gather_in_edges(frontier)
-        patched = self._patched[frontier]
-        counts = self.in_degrees(frontier)
-        total = int(counts.sum())
-        if total == 0:
-            empty = np.empty(0, dtype=np.int64)
-            return empty, empty
+        ka = self._ka
+        counts = ka["row_count"][frontier]
         dst = np.cumsum(counts) - counts
-        targets = np.empty(total, dtype=np.int64)
-        plain = ~patched & (frontier < self.base.num_vertices)
-        if plain.any():
-            cnts = counts[plain]
-            flat_src = _flat_ranges(self.base.indptr[frontier[plain]], cnts)
-            flat_dst = _flat_ranges(dst[plain], cnts)
-            targets[flat_dst] = self.base.indices[flat_src]
-        for i in np.flatnonzero(patched).tolist():
-            row = self._rows[int(frontier[i])]
-            targets[dst[i] : dst[i] + len(row)] = row
+        targets = np.empty(int(counts.sum()), dtype=np.int64)
+        over = ka["row_overlay"][frontier].astype(bool)
+        for rows, source in ((~over, "base_indices"), (over, "overlay_indices")):
+            if rows.any():
+                cnts, starts = counts[rows], ka["row_start"][frontier[rows]]
+                targets[flat_ranges(dst[rows], cnts)] = ka[source][flat_ranges(starts, cnts)]
         sources = np.repeat(np.arange(len(frontier), dtype=np.int64), counts)
         return sources, targets
 
@@ -415,7 +324,7 @@ class DeltaCSRGraph:
     @property
     def overlay_rows(self) -> int:
         """Number of vertices whose row the overlay overrides."""
-        return len(self._rows)
+        return self._rows
 
     @property
     def overlay_fraction(self) -> float:
@@ -433,92 +342,28 @@ class DeltaCSRGraph:
     def consolidate(self) -> CSRGraph:
         """Merge overlay and base into a fresh frozen :class:`CSRGraph`.
 
-        Pure-numpy O(n + m) merge (flat copies, no per-edge Python loop).
-        *Order-exact*: for graph-backed overlays the result equals
+        Every row gathered in id order — the splice :meth:`gather_in_edges`
+        serves a push with, flat copies and no per-edge Python. *Order-exact*: for graph-backed overlays the result equals
         ``CSRGraph.from_digraph`` of the current graph bit-for-bit, so a
         consolidation never perturbs float summation order relative to a
         full rebuild — checkpointed/recovered runs stay bit-identical.
         """
-        cap = self.num_vertices
-        base = self.base
-        din = np.zeros(cap, dtype=np.int64)
-        base_counts = np.diff(base.indptr)
-        din[: base.num_vertices] = base_counts
-        patched_ids = np.flatnonzero(self._patched)
-        for v in patched_ids.tolist():
-            din[v] = len(self._rows[v])
-        indptr = np.zeros(cap + 1, dtype=np.int64)
-        np.cumsum(din, out=indptr[1:])
-        indices = np.empty(int(indptr[-1]), dtype=np.int64)
-        plain = ~self._patched[: base.num_vertices]
-        plain_ids = np.flatnonzero(plain)
-        if plain_ids.size:
-            cnts = base_counts[plain_ids]
-            flat_src = _flat_ranges(base.indptr[plain_ids], cnts)
-            flat_dst = _flat_ranges(indptr[plain_ids], cnts)
-            indices[flat_dst] = base.indices[flat_src]
-        if patched_ids.size:
-            rows = [self._rows[v] for v in patched_ids.tolist()]
-            flat_dst = _flat_ranges(indptr[patched_ids], din[patched_ids])
-            indices[flat_dst] = np.concatenate(rows)
-        return CSRGraph(indptr, indices, self.dout.copy())
+        ids = np.arange(self.num_vertices, dtype=np.int64)
+        indptr = np.zeros(len(ids) + 1, dtype=np.int64)
+        np.cumsum(self.in_degrees(ids), out=indptr[1:])
+        return CSRGraph(indptr, self.gather_in_edges(ids)[1], self.dout.copy())
 
     def consolidated(self) -> "DeltaCSRGraph":
         """A fresh empty overlay over :meth:`consolidate`'s result."""
         return DeltaCSRGraph.wrap(self.consolidate())
 
     def kernel_arrays(self) -> dict:
-        """The flat-row layout consumed by the compiled push kernel.
-
-        Patched rows are packed into one ``overlay_indices`` buffer and
-        flagged in ``row_overlay``; everything else addresses the frozen
-        base in place. Per-row resolution in the kernel then reads the
-        exact same edge sequence :meth:`gather_in_edges` splices together,
-        keeping float summation order — and therefore every bit of the
-        result — identical. Cached: views are persistent, never mutated.
-        Built here from scratch only for a view whose predecessor had no
-        arrays to derive them from (:meth:`_advance_kernel`).
-        """
-        ka = self._kernel
-        if ka is None:
-            base = self.base
-            n = self.num_vertices
-            bn = base.num_vertices
-            row_start = np.zeros(n, dtype=np.int64)
-            row_count = np.zeros(n, dtype=np.int64)
-            row_overlay = np.zeros(n, dtype=np.uint8)
-            row_start[:bn] = base.indptr[:-1]
-            row_count[:bn] = np.diff(base.indptr)
-            patched_ids = np.flatnonzero(self._patched)
-            if patched_ids.size:
-                rows = [self._rows[int(v)] for v in patched_ids.tolist()]
-                lens = np.fromiter(
-                    (len(row) for row in rows), dtype=np.int64, count=len(rows)
-                )
-                starts = np.zeros(len(rows), dtype=np.int64)
-                np.cumsum(lens[:-1], out=starts[1:])
-                overlay_indices = (
-                    np.concatenate(rows) if rows else np.empty(0, dtype=np.int64)
-                )
-                row_start[patched_ids] = starts
-                row_count[patched_ids] = lens
-                row_overlay[patched_ids] = 1
-            else:
-                overlay_indices = np.empty(0, dtype=np.int64)
-            ka = {
-                "num_rows": int(n),
-                "row_start": row_start,
-                "row_count": row_count,
-                "row_overlay": row_overlay,
-                "base_indices": np.ascontiguousarray(base.indices),
-                "overlay_indices": np.ascontiguousarray(overlay_indices),
-                #: Buffer entries live rows address; :meth:`_advance_kernel`
-                #: appends past them and leaves replaced rows behind.
-                "overlay_live": len(overlay_indices),
-                "dout": np.ascontiguousarray(self.dout),
-            }
-            self._kernel = ka
-        return ka
+        """The flat-row layout consumed by the compiled push kernel — the
+        view's own tables. Per-row resolution in the kernel reads the exact
+        edge sequence :meth:`gather_in_edges` splices together, keeping
+        float summation order, and therefore every bit of the result,
+        identical."""
+        return self._ka
 
     # ------------------------------------------------------------------ #
     # introspection
@@ -526,13 +371,19 @@ class DeltaCSRGraph:
 
     def memory_bytes(self) -> int:
         """Approximate resident bytes (base + overlay arrays)."""
-        overlay = sum(row.nbytes for row in self._rows.values())
-        return (
-            self.base.memory_bytes()
-            + self.dout.nbytes
-            + self._patched.nbytes
-            + overlay
-        )
+        tables = sum(self._ka[name].nbytes for name in ("row_start", "row_count", "row_overlay"))
+        return self.base.memory_bytes() + self.dout.nbytes + tables + 8 * self._entries
+
+    def __getstate__(self) -> dict:
+        """The view's arrays, without the addresses the compiled kernel
+        cached in its layout (:func:`repro.kernels.compiled._view_pointers`)."""
+        state = {name: getattr(self, name) for name in self.__slots__}
+        state["_ka"] = {key: value for key, value in self._ka.items() if key != "pointers"}
+        return state
+
+    def __setstate__(self, state: dict) -> None:
+        for name, value in state.items():
+            setattr(self, name, value)
 
     def __repr__(self) -> str:
         return (
@@ -551,7 +402,7 @@ CSRView = CSRGraph | DeltaCSRGraph
 
 
 def advance_view(
-    view: CSRView, graph: DynamicDiGraph, updates: Sequence[EdgeUpdate]
+    view: CSRView, graph: DynamicDiGraph, updates: np.ndarray | Sequence[EdgeUpdate]
 ) -> tuple[DeltaCSRGraph, bool]:
     """The snapshot lineage step: ``view`` moved past one applied batch.
 

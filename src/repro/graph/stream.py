@@ -212,7 +212,7 @@ class SlidingWindow:
         incrementally, bit-for-bit.
         """
         from .csr import CSRGraph  # local import: csr has no stream dependency
-        from .delta import interleave_undirected
+        from .digraph import interleave_undirected
 
         edges = self.window_edge_array()
         if self.undirected and len(edges):

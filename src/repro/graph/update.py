@@ -9,7 +9,10 @@ from __future__ import annotations
 
 import enum
 from collections.abc import Iterable, Iterator, Sequence
+from itertools import chain
 from typing import NamedTuple
+
+import numpy as np
 
 
 class EdgeOp(enum.IntEnum):
@@ -80,3 +83,17 @@ def count_ops(updates: Sequence[EdgeUpdate]) -> tuple[int, int]:
     """Return ``(n_insertions, n_deletions)`` in ``updates``."""
     ins = sum(1 for u in updates if u.is_insert)
     return ins, len(updates) - ins
+
+
+def as_batch(updates: Iterable[EdgeUpdate] | np.ndarray) -> np.ndarray:
+    """A batch as one C-contiguous ``(k, 3)`` int64 array of ``(u, v, op)`` rows.
+
+    The form every batch consumer takes — the graph's apply, the
+    invariant repair, the overlay and the WAL frame (whose payload is
+    these rows' little-endian bytes). An array passes through uncopied.
+    """
+    if isinstance(updates, np.ndarray):
+        return np.ascontiguousarray(updates, dtype=np.int64).reshape(-1, 3)
+    updates = updates if isinstance(updates, Sequence) else list(updates)
+    flat = np.fromiter(chain.from_iterable(updates), dtype=np.int64, count=3 * len(updates))
+    return flat.reshape(-1, 3)

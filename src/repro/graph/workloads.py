@@ -73,8 +73,8 @@ class PreparedWorkload:
         """The graph holding the initial window contents."""
         initial = self.stream_edges[: self.window_size]
         if self.undirected:
-            return DynamicDiGraph.from_undirected_edges(map(tuple, initial.tolist()))
-        return DynamicDiGraph.from_edges(map(tuple, initial.tolist()))
+            return DynamicDiGraph.from_undirected_edges(initial)
+        return DynamicDiGraph.from_edges(initial)
 
     @property
     def updates_per_slide(self) -> int:

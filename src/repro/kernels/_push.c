@@ -46,9 +46,10 @@
 
 #include <math.h>
 #include <stdint.h>
+#include <stdlib.h>
 #include <string.h>
 
-#define REPRO_KERNEL_ABI 4
+#define REPRO_KERNEL_ABI 5
 
 /* Columns of one per-iteration row; keep in lockstep with compiled.py. */
 enum {
@@ -272,14 +273,15 @@ int64_t repro_push_phase(
 /* Batch RestoreInvariant (Algorithm 1, k times) for every state of one
  * ingest, state s being p[s], r[s], source[s] and row s of delta_out: the
  * scalar-C twin of repro.core.invariant.restore_invariant looped over a batch
- * whose graph mutations were already applied and recorded (u, v, op, and u's
- * out-degree right after each update). Updates run sequentially -- a later
- * update of the same u reads the r[u] an earlier one wrote -- and every
- * expression keeps the oracle's operand order, including the `+ indicator`
- * add of 0.0 and the dangling branch (dout_after == 0: Eq. 2 pins r[u]).
- * The caller has already grown every p/r to cover every id, replaying the
- * oracle's ensure_capacity sequence. delta_out[s * count + j] is the signed
- * residual change of update j (Lemma 3's Delta_s(u) contribution).
+ * already applied to the graph (batch rows u, v, op; dout_after[j] is u's
+ * out-degree right after update j, as repro_graph_apply records it).
+ * Updates run sequentially -- a later update of the same u reads the r[u] an
+ * earlier one wrote -- and every expression keeps the oracle's operand
+ * order, including the `+ indicator` add of 0.0 and the dangling branch
+ * (dout_after == 0: Eq. 2 pins r[u]). The caller has already grown every
+ * p/r to cover every id, replaying the oracle's ensure_capacity sequence.
+ * delta_out[s * count + j] is the signed residual change of update j
+ * (Lemma 3's Delta_s(u) contribution).
  */
 void repro_restore_states(
     double *const *p,
@@ -287,9 +289,7 @@ void repro_restore_states(
     const int64_t *source,
     int64_t n_states,
     double alpha,
-    const int64_t *u,
-    const int64_t *v,
-    const int64_t *op,          /* +1 insert, -1 delete */
+    const int64_t *batch,       /* [count][3]: u, v, op (+1 insert, -1 delete) */
     const int64_t *dout_after,
     int64_t count,
     double *delta_out           /* [n_states * count] */
@@ -299,7 +299,7 @@ void repro_restore_states(
         const double *ps = p[s];
         double *rs = r[s];
         for (j = 0; j < count; j++) {
-            int64_t uu = u[j];
+            int64_t uu = batch[3 * j];
             double indicator = (uu == source[s]) ? alpha : 0.0;
             double delta;
             if (dout_after[j] == 0) {
@@ -307,12 +307,238 @@ void repro_restore_states(
                 delta = new_r - rs[uu];
                 rs[uu] = new_r;
             } else {
-                double numerator =
-                    (1.0 - alpha) * ps[v[j]] - ps[uu] - alpha * rs[uu] + indicator;
-                delta = (double)op[j] * numerator / (alpha * (double)dout_after[j]);
+                double numerator = (1.0 - alpha) * ps[batch[3 * j + 1]] - ps[uu] -
+                                   alpha * rs[uu] + indicator;
+                delta = (double)batch[3 * j + 2] * numerator /
+                        (alpha * (double)dout_after[j]);
                 rs[uu] += delta;
             }
             delta_out[s * count + j] = delta;
         }
     }
+}
+
+/* The graph of record (repro/graph/digraph.py::DynamicDiGraph), one batch
+ * per call. Per vertex id: dout, din, a registration flag; the registration
+ * order; per direction a row table of (start, length, slot) triples over a
+ * neighbour slab and a multiplicity slab, each row in dict order (insertion
+ * order; a neighbour leaves when its multiplicity reaches 0 and is
+ * re-appended when it comes back). A full row moves to the end of its slab
+ * with room for 2 * length + 1 entries. These are the slab operations
+ * DynamicDiGraph._apply_python performs; the two leave identical arrays.
+ */
+
+/* meta slots; keep in lockstep with digraph.py. */
+enum { G_N, G_MAX, G_EDGES, G_TOP, G_LIVE = G_TOP + 2 };
+
+typedef struct {
+    int64_t *table, *nbr, *mult, cap;
+} slab_t;
+
+/* Slab index of x in `row`, -1 if absent (or row outside the id space). */
+static int64_t row_find(const slab_t *s, int64_t id_cap, int64_t row, int64_t x) {
+    const int64_t *t;
+    int64_t i;
+    if (row < 0 || row >= id_cap) return -1;
+    t = s->table + 3 * row;
+    for (i = 0; i < t[1]; i++) {
+        if (s->nbr[t[0] + i] == x) return t[0] + i;
+    }
+    return -1;
+}
+
+/* Slab entries an append to `row` needs at the slab's end (0: fits). */
+static int64_t row_room(const slab_t *s, int64_t row) {
+    const int64_t *t = s->table + 3 * row;
+    return t[1] == t[2] ? 2 * t[1] + 1 : 0;
+}
+
+static void row_append(slab_t *s, int64_t *meta, int side, int64_t row, int64_t x) {
+    int64_t *t = s->table + 3 * row;
+    if (t[1] == t[2]) { /* full: move to the end of the slab */
+        int64_t top = meta[G_TOP + side];
+        memmove(s->nbr + top, s->nbr + t[0], (size_t)t[1] * sizeof *s->nbr);
+        memmove(s->mult + top, s->mult + t[0], (size_t)t[1] * sizeof *s->mult);
+        t[0] = top;
+        t[2] = 2 * t[1] + 1;
+        meta[G_TOP + side] = top + t[2];
+    }
+    s->nbr[t[0] + t[1]] = x;
+    s->mult[t[0] + t[1]] = 1;
+    t[1]++;
+    meta[G_LIVE + side]++;
+}
+
+static void row_remove(slab_t *s, int64_t *meta, int side, int64_t row, int64_t pos) {
+    int64_t *t = s->table + 3 * row;
+    size_t tail = (size_t)(t[0] + t[1] - pos - 1);
+    memmove(s->nbr + pos, s->nbr + pos + 1, tail * sizeof *s->nbr);
+    memmove(s->mult + pos, s->mult + pos + 1, tail * sizeof *s->mult);
+    t[1]--;
+    meta[G_LIVE + side]--;
+}
+
+static void register_vertex(int64_t *meta, uint8_t *registered, int64_t *order,
+                            int64_t u) {
+    if (registered[u]) return;
+    registered[u] = 1;
+    order[meta[G_N]++] = u;
+    if (u > meta[G_MAX]) meta[G_MAX] = u;
+}
+
+/* Simulate the batch in order against the multiplicities it would see,
+ * mutating nothing: an open-addressing table holds each (u, v) pair's
+ * running multiplicity. Returns the first failing index (status[0] = it,
+ * status[1] = the multiplicity there, or -1 for a negative id in an
+ * insert), count when every update is valid, or -2 when out of memory. */
+static int64_t validate(const int64_t *batch, int64_t count, const slab_t *out,
+                        int64_t id_cap, int64_t *status) {
+    int64_t size = 1, mask, j, failed = count;
+    int64_t *keys;
+    uint8_t *used;
+    while (size < 2 * count) size <<= 1;
+    mask = size - 1;
+    keys = malloc((size_t)size * 3 * sizeof *keys);
+    used = calloc((size_t)size, 1);
+    if (keys == NULL || used == NULL) {
+        free(keys);
+        free(used);
+        return -2;
+    }
+    for (j = 0; j < count; j++) {
+        int64_t u = batch[3 * j], v = batch[3 * j + 1], op = batch[3 * j + 2];
+        uint64_t h = (uint64_t)u * 0x9E3779B97F4A7C15ULL ^
+                     (uint64_t)v * 0xC2B2AE3D27D4EB4FULL;
+        int64_t slot, *entry;
+        if (op == 1 && (u < 0 || v < 0)) {
+            status[0] = j;
+            status[1] = -1;
+            failed = j;
+            break;
+        }
+        for (slot = (int64_t)((h ^ (h >> 29)) & (uint64_t)mask);;
+             slot = (slot + 1) & mask) {
+            entry = keys + 3 * slot;
+            if (!used[slot]) {
+                int64_t pos = row_find(out, id_cap, u, v);
+                used[slot] = 1;
+                entry[0] = u;
+                entry[1] = v;
+                entry[2] = pos >= 0 ? out->mult[pos] : 0;
+                break;
+            }
+            if (entry[0] == u && entry[1] == v) break;
+        }
+        if (op == -1 && entry[2] < 1) {
+            status[0] = j;
+            status[1] = entry[2];
+            failed = j;
+            break;
+        }
+        entry[2] += op;
+    }
+    free(keys);
+    free(used);
+    return failed == count ? count : -1;
+}
+
+/* Apply batch rows [begin, count) of (u, v, op); op is +1 or -1 (checked by
+ * the caller, which also sized the per-id arrays for every inserted id and
+ * `order` for every registration the batch can make). Called with
+ * begin == 0, it first validates the whole batch and mutates nothing when
+ * an update is invalid (returns -1, status as validate()). dout_after[j] is
+ * u's out-degree right after update j. Returns count when done, or the
+ * index of the update a slab has no room for: status[0] is the direction
+ * (0 out, 1 in) and status[1] the slab length it needs; the caller grows
+ * that slab and resumes from there. */
+int64_t repro_graph_apply(
+    const int64_t *batch,
+    int64_t count,
+    int64_t begin,
+    int64_t *meta,
+    int64_t id_cap,
+    int64_t *dout,
+    int64_t *din,
+    uint8_t *registered,
+    int64_t *order,
+    int64_t *out_table, int64_t *out_nbr, int64_t *out_mult, int64_t out_cap,
+    int64_t *in_table, int64_t *in_nbr, int64_t *in_mult, int64_t in_cap,
+    int64_t *dout_after,        /* [count] out */
+    int64_t *status             /* [2] out */
+) {
+    slab_t out = {out_table, out_nbr, out_mult, out_cap};
+    slab_t in = {in_table, in_nbr, in_mult, in_cap};
+    int64_t j;
+    if (begin == 0) {
+        int64_t valid = validate(batch, count, &out, id_cap, status);
+        if (valid != count) return valid;
+    }
+    for (j = begin; j < count; j++) {
+        int64_t u = batch[3 * j], v = batch[3 * j + 1], op = batch[3 * j + 2];
+        int64_t pos = row_find(&out, id_cap, u, v);
+        if (pos < 0) { /* a new neighbour: both rows must have room */
+            int64_t need_out = row_room(&out, u), need_in = row_room(&in, v);
+            if (need_out && meta[G_TOP] + need_out > out.cap) {
+                status[0] = 0;
+                status[1] = meta[G_TOP] + need_out;
+                return j;
+            }
+            if (need_in && meta[G_TOP + 1] + need_in > in.cap) {
+                status[0] = 1;
+                status[1] = meta[G_TOP + 1] + need_in;
+                return j;
+            }
+        }
+        if (op == 1) {
+            register_vertex(meta, registered, order, u);
+            register_vertex(meta, registered, order, v);
+        }
+        if (pos < 0) {
+            row_append(&out, meta, 0, u, v);
+            row_append(&in, meta, 1, v, u);
+        } else {
+            int64_t back = row_find(&in, id_cap, v, u);
+            if (op == -1 && out.mult[pos] == 1) {
+                row_remove(&out, meta, 0, u, pos);
+                row_remove(&in, meta, 1, v, back);
+            } else {
+                out.mult[pos] += op;
+                in.mult[back] += op;
+            }
+        }
+        dout[u] += op;
+        din[v] += op;
+        meta[G_EDGES] += op;
+        dout_after[j] = dout[u];
+    }
+    return count;
+}
+
+/* Expanded in-rows of ids[0..n): every row in dict order, each neighbour
+ * repeated by its multiplicity, concatenated into flat. Ids outside
+ * [0, id_cap) have empty rows. Writes at most flat_cap entries (the caller
+ * sizes flat from din) and returns how many the rows hold, -1 if more. */
+int64_t repro_graph_in_rows(
+    const int64_t *ids,
+    int64_t n,
+    int64_t id_cap,
+    const int64_t *table,
+    const int64_t *nbr,
+    const int64_t *mult,
+    int64_t *flat,
+    int64_t flat_cap
+) {
+    int64_t i, k, c, written = 0;
+    for (i = 0; i < n; i++) {
+        const int64_t *t;
+        if (ids[i] < 0 || ids[i] >= id_cap) continue;
+        t = table + 3 * ids[i];
+        for (k = t[0]; k < t[0] + t[1]; k++) {
+            for (c = 0; c < mult[k]; c++) {
+                if (written == flat_cap) return -1;
+                flat[written++] = nbr[k];
+            }
+        }
+    }
+    return written;
 }

@@ -15,6 +15,9 @@ the full contract (and for ``residual_pushed``, the one field that is not).
 :func:`compiled_restore` is the batch ``RestoreInvariant`` twin of
 :func:`repro.core.invariant.restore_invariant`: one call repairs every state
 for a whole applied batch (see :func:`repro.core.invariant.restore_states`).
+:func:`compiled_graph_apply` and :func:`compiled_in_rows` run the graph of
+record's batch apply and row expansion
+(:class:`repro.graph.digraph.DynamicDiGraph`).
 """
 
 from __future__ import annotations
@@ -30,7 +33,7 @@ from ..config import Phase, PPRConfig
 from ..core.push_vectorized import _BINCOUNT_THRESHOLD, _prepare_seeds
 from ..core.state import PPRState
 from ..core.stats import IterationRecord, PushStats
-from ..errors import ConvergenceError
+from ..errors import ConvergenceError, GraphError
 from .build import ABI_VERSION
 
 _I64 = ctypes.c_int64
@@ -84,13 +87,32 @@ _RESTORE_ARGTYPES = [
     _PTR,  # source, one per state
     _I64,  # n_states
     _F64,  # alpha
-    _PTR,  # u
-    _PTR,  # v
-    _PTR,  # op
+    _PTR,  # batch, (count, 3): u, v, op
     _PTR,  # dout_after
     _I64,  # count
     _PTR,  # delta_out, (n_states, count)
 ]
+
+#: repro_graph_apply's exact parameter list; keep in lockstep with _push.c
+#: (everything after ``begin`` is ``DynamicDiGraph._slab_pointers()`` plus
+#: the two output buffers).
+_GRAPH_APPLY_ARGTYPES = [
+    _PTR,  # batch, (count, 3)
+    _I64,  # count
+    _I64,  # begin
+    _PTR,  # meta
+    _I64,  # id_cap
+    _PTR,  # dout
+    _PTR,  # din
+    _PTR,  # registered
+    _PTR,  # order
+    *[_PTR, _PTR, _PTR, _I64] * 2,  # table, nbr, mult, slab length; out, in
+    _PTR,  # dout_after
+    _PTR,  # status
+]
+
+#: repro_graph_in_rows's exact parameter list; keep in lockstep with _push.c.
+_IN_ROWS_ARGTYPES = [_PTR, _I64, _I64, _PTR, _PTR, _PTR, _PTR, _I64]
 
 
 class KernelLibrary:
@@ -113,6 +135,12 @@ class KernelLibrary:
         cdll.repro_restore_states.restype = None
         cdll.repro_restore_states.argtypes = _RESTORE_ARGTYPES
         self._restore = cdll.repro_restore_states
+        cdll.repro_graph_apply.restype = _I64
+        cdll.repro_graph_apply.argtypes = _GRAPH_APPLY_ARGTYPES
+        self._graph_apply = cdll.repro_graph_apply
+        cdll.repro_graph_in_rows.restype = _I64
+        cdll.repro_graph_in_rows.argtypes = _IN_ROWS_ARGTYPES
+        self._graph_in_rows = cdll.repro_graph_in_rows
 
 
 class _Scratch(threading.local):
@@ -251,14 +279,15 @@ def compiled_restore(
     states: Sequence[PPRState],
     alpha: float,
     batch: np.ndarray,
+    dout_after: np.ndarray,
     cover: int,
     deltas: np.ndarray,
 ) -> None:
     """Repair every state for one applied batch; Δ of state ``i`` lands in
     ``deltas[i]`` (C-contiguous float64, ``(len(states), k)``).
 
-    ``batch`` is a C-contiguous ``(4, k)`` int64 array whose rows are
-    ``u``, ``v``, ``op`` (±1) and ``dout_after``, every id below ``cover``.
+    ``batch`` is the C-contiguous ``(k, 3)`` int64 ``(u, v, op)`` array and
+    ``dout_after`` what the graph's apply returned, every id below ``cover``.
     Every state must already cover ``cover`` ids (the caller replays the
     oracle's capacity growth); the kernel indexes unchecked, so that is
     verified here.
@@ -277,17 +306,54 @@ def compiled_restore(
     p = np.array([state.p.ctypes.data for state in states], dtype=np.uintp)
     r = np.array([state.r.ctypes.data for state in states], dtype=np.uintp)
     sources = np.array([state.source for state in states], dtype=np.int64)
-    u, v, op, dout_after = batch
     lib._restore(
         p.ctypes.data,
         r.ctypes.data,
         sources.ctypes.data,
         len(states),
         alpha,
-        u.ctypes.data,
-        v.ctypes.data,
-        op.ctypes.data,
+        batch.ctypes.data,
         dout_after.ctypes.data,
-        batch.shape[1],
+        len(batch),
         deltas.ctypes.data,
     )
+
+
+def compiled_graph_apply(
+    lib: KernelLibrary,
+    pointers: tuple,
+    batch: np.ndarray,
+    begin: int,
+    dout_after: np.ndarray,
+    status: np.ndarray,
+) -> int:
+    """One ``repro_graph_apply`` call over a graph's slab ``pointers``
+    (see :meth:`repro.graph.digraph.DynamicDiGraph.apply_batch` for the
+    protocol: ``len(batch)`` done, ``-1`` rejected, else resume there)."""
+    done = lib._graph_apply(
+        batch.ctypes.data,
+        len(batch),
+        begin,
+        *pointers,
+        dout_after.ctypes.data,
+        status.ctypes.data,
+    )
+    if done == -2:
+        raise MemoryError("repro_graph_apply could not allocate its validation table")
+    return done
+
+
+def compiled_in_rows(
+    lib: KernelLibrary, pointers: tuple, ids: np.ndarray, flat: np.ndarray
+) -> None:
+    """Fill ``flat`` with the expanded in-rows of ``ids`` (C-contiguous
+    int64), a graph's ``_slab_pointers()`` naming the in direction. The
+    kernel writes within ``flat``; rows that do not fill it exactly mean
+    the graph's ``din`` and slabs disagree."""
+    id_cap, in_table, in_nbr, in_mult = pointers[1], *pointers[10:13]
+    written = lib._graph_in_rows(
+        ids.ctypes.data, len(ids), id_cap, in_table, in_nbr, in_mult,
+        flat.ctypes.data, len(flat),
+    )
+    if written != len(flat):
+        raise GraphError(f"in-rows hold {written} entries, din says {len(flat)}")

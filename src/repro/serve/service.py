@@ -60,7 +60,7 @@ from ..graph.csr import CSRGraph
 from ..graph.delta import CSRView, DeltaCSRGraph, advance_view
 from ..graph.digraph import DynamicDiGraph
 from ..graph.stream import WindowSlide
-from ..graph.update import EdgeUpdate
+from ..graph.update import EdgeUpdate, as_batch
 from ..graph.workloads import (
     PreparedWorkload,
     WorkloadSpec,
@@ -454,11 +454,9 @@ class PPRService:
         coordinator — the primary's order-exact
         :meth:`~repro.graph.digraph.DynamicDiGraph.to_arrays` dump, plus
         (when present) the consolidated CSR arrays of the same version.
-        The graph is built *lazily* (scalars from the bundle's meta,
-        adjacency dicts deferred) and the CSR is installed directly over
-        the shared arrays, so bootstrap cost is independent of the graph
-        size: nothing is copied until an ingest or a dict-walking code
-        path actually needs the adjacency. The new service starts at
+        The graph is built straight from the shared arrays (vectorized
+        copies, no per-edge Python) and the CSR is installed directly over
+        them, so the replica rebuilds no snapshot. The new service starts at
         ``graph_version`` with an empty resident cache; passing the
         primary's ``hubs`` rebuilds (and re-converges) the same hub tier.
         Answers are bit-identical to the primary's — the round trip
@@ -472,13 +470,7 @@ class PPRService:
 
         bundle = SharedArrayBundle.attach(descriptor)
         arrays = bundle.arrays()
-        meta = bundle.meta
-        graph = DynamicDiGraph.from_arrays(
-            arrays,
-            lazy=True,
-            num_edges=meta.get("num_edges"),
-            max_vertex=meta.get("max_vertex"),
-        )
+        graph = DynamicDiGraph.from_arrays(arrays)
         service = cls(graph, config, serve, hubs=hubs)
         service.graph_version = graph_version
         if "csr_indptr" in arrays:
@@ -510,7 +502,7 @@ class PPRService:
                 self._metrics.snapshot_rebuilds += 1
         return self._csr
 
-    def _advance_snapshot(self, updates: Sequence[EdgeUpdate]) -> None:
+    def _advance_snapshot(self, batch: np.ndarray) -> None:
         """Derive the new version's view from the previous one, if possible.
 
         The delta hot path: when the cached view covers the *previous*
@@ -521,8 +513,8 @@ class PPRService:
         """
         if self._csr is None or self._csr_version != self.graph_version - 1:
             return
-        with obs.span("snapshot.advance", updates=len(updates)) as span:
-            self._csr, consolidated = advance_view(self._csr, self.graph, updates)
+        with obs.span("snapshot.advance", updates=len(batch)) as span:
+            self._csr, consolidated = advance_view(self._csr, self.graph, batch)
             self._csr_version = self.graph_version
             if consolidated:
                 self._metrics.snapshot_consolidations += 1
@@ -603,8 +595,11 @@ class PPRService:
     ) -> dict[int, PushStats]:
         """Apply one update batch and restore every maintained consumer.
 
-        The graph is mutated exactly once per update; the invariant repair
-        then fans out to every resident source and every hub vector.
+        The graph applies the batch once, atomically; the invariant repair
+        then fans out to every resident source and every hub vector. A
+        batch the graph rejects (e.g. deleting an absent edge) raises
+        :class:`~repro.errors.EdgeError` and changes nothing — graph,
+        states, view, version and log are as they were.
         Resident pushes are deferred to the next read of each source that
         needs them; the hub tier re-converges here, on the new snapshot.
         Returns the push traces of the hub pushes that ran.
@@ -621,37 +616,33 @@ class PPRService:
         also *captures* a checkpoint; the files are written off this
         path and are on disk before the next batch is acknowledged.
         """
-        updates = list(updates)
-        with obs.span("engine.ingest", updates=len(updates)):
-            residents = self.cache.entries()
-            for entry in residents:
-                # Likewise a batch the graph rejects half-way: r is repaired
-                # for the prefix that applied and no version is bumped.
-                entry.memo_stamp = None
-            states = [entry.state for entry in residents]
+        batch = as_batch(updates)
+        with obs.span("engine.ingest", updates=len(batch)):
+            states = [entry.state for entry in self.cache.entries()]
             if self.hub_index is not None:
                 states += self.hub_index.states
+            # A batch the graph rejects raises here, before anything changed.
             deltas = restore_states(
                 self.graph,
                 states,
-                updates,
+                batch,
                 self.config.alpha,
                 kernel=self.config.kernel,
             )
             self._metrics.record_restore(float(np.abs(deltas).sum()))
             if self.store is not None:
-                self.store.log_batch(self.graph_version + 1, updates)
+                self.store.log_batch(self.graph_version + 1, batch)
             self.graph_version += 1
-            self._metrics.updates_ingested += len(updates)
+            self._metrics.updates_ingested += len(batch)
             self._metrics.batches_ingested += 1
             if snapshot is not None:
                 self.set_snapshot(snapshot)
             else:
-                self._advance_snapshot(updates)
+                self._advance_snapshot(batch)
 
             traces: dict[int, PushStats] = {}
             if self.hub_index is not None:
-                touched = [update.u for update in updates]
+                touched = batch[:, 0].tolist()
                 with obs.span("hub.reconverge", touched=len(touched)):
                     traces = self.hub_index.reconverge(
                         touched, snapshot=self._snapshot()

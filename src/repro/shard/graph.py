@@ -36,17 +36,38 @@ from __future__ import annotations
 import json
 import sys
 from collections.abc import Callable, Iterator, Sequence
+from itertools import chain
 from typing import Any
 
 import numpy as np
 
 from ..errors import ClusterError, ConfigError, EdgeError, VertexError
-from ..graph.digraph import adjacency_triples
-from ..graph.update import EdgeOp, EdgeUpdate
+from ..graph.update import EdgeOp, EdgeUpdate, as_batch
 from .partitioner import HashPartitioner, partitioner_from_manifest
 
 #: ``fetch(owner, ids, weights) -> {id: in_row}`` — resolve remote rows.
 FetchFn = Callable[[int, np.ndarray, np.ndarray], dict[int, np.ndarray]]
+
+
+def adjacency_triples(adjacency: dict[int, dict[int, int]]) -> np.ndarray:
+    """``(row, neighbor, multiplicity)`` int64 triples in nested dict order.
+
+    The order-exact dump of one adjacency direction, built by
+    ``np.fromiter`` over chained dict views instead of one Python tuple
+    per distinct edge (a checkpoint pays this on the ingest ack path).
+    """
+    rows = adjacency.values()
+    lens = np.fromiter(map(len, rows), dtype=np.int64, count=len(adjacency))
+    total = int(lens.sum())
+    triples = np.empty((total, 3), dtype=np.int64)
+    triples[:, 0] = np.repeat(
+        np.fromiter(adjacency, dtype=np.int64, count=len(adjacency)), lens
+    )
+    triples[:, 1] = np.fromiter(chain.from_iterable(rows), dtype=np.int64, count=total)
+    triples[:, 2] = np.fromiter(
+        chain.from_iterable(map(dict.values, rows)), dtype=np.int64, count=total
+    )
+    return triples
 
 
 class ShardGraph:
@@ -286,6 +307,21 @@ class ShardGraph:
             self.add_edge(update.u, update.v)
         else:
             self.remove_edge(update.u, update.v)
+
+    def apply_batch(self, updates: np.ndarray, *, kernel=None) -> np.ndarray:
+        """Apply a ``(k, 3)`` batch in order; return each update's
+        ``dout_after`` (the record batch ``RestoreInvariant`` repairs from).
+
+        Not atomic on its own: the coordinator validates every batch
+        across the fleet first (:meth:`validate_batch`). ``kernel`` is
+        accepted for :meth:`DynamicDiGraph.apply_batch
+        <repro.graph.digraph.DynamicDiGraph.apply_batch>` parity.
+        """
+        dout_after = np.empty(len(updates), dtype=np.int64)
+        for j, (u, v, op) in enumerate(as_batch(updates).tolist()):
+            self.apply(EdgeUpdate(u, v, EdgeOp(op)))
+            dout_after[j] = self.out_degree(u)
+        return dout_after
 
     def validate_batch(
         self, updates: Sequence[EdgeUpdate]

@@ -32,6 +32,8 @@ from __future__ import annotations
 
 from collections.abc import Sequence
 
+import numpy as np
+
 from ..config import Backend, PPRConfig, ServeConfig
 from ..core.stats import PushStats
 from ..errors import ClusterError, ConfigError
@@ -102,7 +104,7 @@ class ShardService(PPRService):
     def _snapshot(self) -> ShardCSRView:
         return self.view
 
-    def _advance_snapshot(self, updates: Sequence[EdgeUpdate]) -> bool:
+    def _advance_snapshot(self, batch: np.ndarray) -> bool:
         # The live view covers the new version by construction.
         return True
 

@@ -122,8 +122,7 @@ def recover_from(
                 tail.append(record)
                 break
             register_before(record.seq)
-            for update in record.updates:
-                graph.apply(update)
+            graph.apply_batch(record.updates)
             version = record.seq
         if version < checkpoint.version:
             found = f"seq {tail[0].seq}" if tail else "nothing"

@@ -64,6 +64,8 @@ from .checkpoint import (
 from .wal import SegmentScan, WriteAheadLog
 
 if TYPE_CHECKING:
+    import numpy as np
+
     from ..serve.service import PPRService
 
 PathLike = str | os.PathLike
@@ -209,7 +211,7 @@ class StateStore:
     # the durability loop: ack path
     # ------------------------------------------------------------------ #
 
-    def log_batch(self, seq: int, updates: list[EdgeUpdate]) -> None:
+    def log_batch(self, seq: int, updates: list[EdgeUpdate] | np.ndarray) -> None:
         """Append one ingest batch (producing graph version ``seq``).
 
         Joins a checkpoint still in flight first, so the batch that

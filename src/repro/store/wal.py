@@ -47,7 +47,7 @@ import numpy as np
 
 from .. import chaos, obs
 from ..errors import StoreError
-from ..graph.update import EdgeOp, EdgeUpdate
+from ..graph.update import EdgeOp, EdgeUpdate, as_batch
 
 PathLike = str | os.PathLike
 
@@ -63,14 +63,10 @@ SEGMENT_PREFIX = "wal-"
 SEGMENT_SUFFIX = ".log"
 
 
-def encode_updates(updates: Sequence[EdgeUpdate]) -> bytes:
-    """Encode a batch as little-endian ``(m, 3)`` int64 rows of (u, v, op)."""
-    rows = np.empty((len(updates), 3), dtype="<i8")
-    for i, upd in enumerate(updates):
-        rows[i, 0] = upd.u
-        rows[i, 1] = upd.v
-        rows[i, 2] = int(upd.op)
-    return rows.tobytes()
+def encode_updates(updates: Sequence[EdgeUpdate] | np.ndarray) -> bytes:
+    """Encode a batch as little-endian ``(m, 3)`` int64 rows of (u, v, op):
+    the bytes of its :func:`~repro.graph.update.as_batch` array."""
+    return as_batch(updates).astype("<i8", copy=False).tobytes()
 
 
 _OPS = {int(op): op for op in EdgeOp}
@@ -142,7 +138,9 @@ def unpack_payload(frame: bytes) -> tuple[int, int, bytes]:
     return seq, epoch, payload
 
 
-def pack_record(seq: int, updates: Sequence[EdgeUpdate], *, epoch: int = 0) -> bytes:
+def pack_record(
+    seq: int, updates: Sequence[EdgeUpdate] | np.ndarray, *, epoch: int = 0
+) -> bytes:
     """One complete CRC-framed record (header + payload) as bytes.
 
     The frame the WAL appends to its segments — and, reused verbatim,
@@ -265,7 +263,7 @@ class WriteAheadLog:
     # ------------------------------------------------------------------ #
 
     def append(
-        self, seq: int, updates: Sequence[EdgeUpdate], *, epoch: int = 0
+        self, seq: int, updates: Sequence[EdgeUpdate] | np.ndarray, *, epoch: int = 0
     ) -> Path:
         """Append one batch frame; returns the segment it landed in.
 

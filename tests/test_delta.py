@@ -11,6 +11,7 @@ from repro.config import Backend, PPRConfig, PushVariant
 from repro.core.push_parallel import parallel_local_push
 from repro.core.state import PPRState
 from repro.errors import ConfigError, GraphError
+from repro.graph.delta import _Overlay
 from repro.graph import (
     CSRGraph,
     DeltaCSRGraph,
@@ -131,6 +132,79 @@ def test_views_are_persistent():
     assert_csr_equal(v0.consolidate(), before)
 
 
+def _advancing_lineage(steps: int, seed: int):
+    """``(graph, views, built)``: a lineage over random valid batches where
+    every view also has a sibling derived from the same predecessor, so
+    the shared overlay buffer sees branches, growth and compactions;
+    ``built[i]`` is ``views[i]`` consolidated right when it was made."""
+    rng = np.random.default_rng(seed)
+    graph = DynamicDiGraph(map(tuple, rmat_graph(64, 400, rng=seed).tolist()))
+    view = DeltaCSRGraph.wrap(CSRGraph.from_digraph(graph))
+    views, built = [view], [view.consolidate()]
+    for _ in range(steps):
+        live = graph.edge_array()
+        drop = live[rng.choice(len(live), size=min(6, len(live)), replace=False)]
+        batch = insertions(map(tuple, rng.integers(0, 70, size=(6, 2)).tolist()))
+        batch += deletions(map(tuple, drop.tolist()))
+        sibling_graph = graph.copy()
+        extra = insertions([(int(rng.integers(0, 64)), int(rng.integers(0, 64)))])
+        sibling_graph.apply_batch(batch + extra)
+        views.append(view.apply_updates(sibling_graph, batch + extra))
+        graph.apply_batch(batch)
+        view = view.apply_updates(graph, batch)
+        views.append(view)
+        built += [views[-2].consolidate(), view.consolidate()]
+    return graph, views, built
+
+
+def test_pinned_views_survive_successors_branches_and_compaction():
+    """Every view keeps resolving the rows it was built with while later
+    views append to, grow and compact the overlay buffer they share."""
+    graph, views, built = _advancing_lineage(40, seed=3)
+    assert views[-1]._overlay is not views[1]._overlay  # it did compact
+    for view, csr in zip(views, built):
+        assert_csr_equal(view.consolidate(), csr)
+    assert_csr_equal(views[-1].consolidate(), CSRGraph.from_digraph(graph))
+
+
+def test_pinned_views_read_stably_while_the_lineage_advances():
+    """Readers resolve pinned views (``gather_in_edges``, no lock) while the
+    lineage keeps appending to the buffer those views live in."""
+    import sys
+    import threading
+
+    graph, views, _ = _advancing_lineage(3, seed=9)
+    pinned = views[-2:]
+    frontier = np.arange(graph.capacity, dtype=np.int64)
+    expected = [view.gather_in_edges(frontier)[1] for view in pinned]
+    stop, mismatches = threading.Event(), []
+
+    def read() -> None:
+        while not stop.is_set():
+            for view, targets in zip(pinned, expected):
+                if not np.array_equal(view.gather_in_edges(frontier)[1], targets):
+                    mismatches.append(view)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    readers = [threading.Thread(target=read) for _ in range(4)]
+    try:
+        for reader in readers:
+            reader.start()
+        view, rng = views[-1], np.random.default_rng(1)
+        for _ in range(60):
+            batch = insertions(map(tuple, rng.integers(0, 64, size=(8, 2)).tolist()))
+            graph.apply_batch(batch)
+            view = view.apply_updates(graph, batch)
+    finally:
+        stop.set()
+        for reader in readers:
+            reader.join(timeout=10)
+        sys.setswitchinterval(interval)
+    assert not any(reader.is_alive() for reader in readers)
+    assert mismatches == []
+
+
 def test_gather_in_edges_mixed_base_and_overlay():
     edges = rmat_graph(256, 2000, rng=7)
     g = DynamicDiGraph(map(tuple, edges.tolist()))
@@ -167,8 +241,9 @@ def test_ensure_covers_rejects_small_views():
 
 def test_dout_validation():
     csr = CSRGraph.from_digraph(small_graph())
+    short = {**csr.kernel_arrays(), "dout": np.zeros(1, dtype=np.int64)}
     with pytest.raises(GraphError):
-        DeltaCSRGraph(csr, np.zeros(1, dtype=np.int64), {}, np.zeros(1, bool), 0, 0)
+        DeltaCSRGraph(csr, short, _Overlay(np.empty(0, dtype=np.int64)), 0, 0, 0)
 
 
 # ---------------------------------------------------------------------- #
@@ -199,29 +274,23 @@ def test_consolidated_resets_overlay():
     assert_csr_equal(fresh.base, CSRGraph.from_digraph(g))
 
 
-def test_kernel_arrays_derive_from_the_predecessor_and_stay_bounded():
-    """A view whose predecessor built its kernel layout derives its own
-    at apply time (no from-scratch rebuild on the next compiled read),
-    and an overlay that never consolidates — one edge toggled forever —
-    cannot grow the buffer: dead rows are compacted away."""
+def test_the_overlay_buffer_stays_bounded():
+    """Every view is its kernel layout, derived from its predecessor's at
+    apply time, and an overlay that never consolidates — one edge toggled
+    forever — cannot grow its buffer: dead rows are compacted away."""
     g = small_graph()
     view = DeltaCSRGraph.wrap(CSRGraph.from_digraph(g))
-    assert apply_and_advance(g, view, insertions([(3, 2)]))._kernel is None
-    view.kernel_arrays()  # what the first compiled read does
-    derived = 0
     for step in range(40):
         batch = insertions([(2, 1)]) if step % 2 == 0 else deletions([(2, 1)])
         view = apply_and_advance(g, view, batch)
-        derived += view._kernel is not None
         arrays = view.kernel_arrays()
         start, count = arrays["row_start"][1], arrays["row_count"][1]
         assert arrays["row_overlay"][1] == 1
         assert arrays["overlay_indices"][start : start + count].tolist() == (
             g.in_row(1).tolist()
         )
-        assert arrays["overlay_live"] == view.overlay_entries <= 4
-        assert len(arrays["overlay_indices"]) <= 2 * arrays["overlay_live"]
-    assert 10 <= derived < 40  # derived most steps, rebuilt compactly on some
+        assert view.overlay_entries <= 4
+        assert view._overlay.fill <= 2 * view.overlay_entries
 
 
 def test_memory_bytes_counts_overlay():
@@ -341,6 +410,31 @@ def test_overlay_view_pickles():
     s2, t2 = view.gather_in_edges(frontier)
     assert np.array_equal(s1, s2)
     assert np.array_equal(t1, t2)
+
+
+def test_pickled_graphs_and_views_do_not_carry_kernel_addresses():
+    """A copy pickled after compiled calls cached array addresses must not
+    reuse them: they point into the original process's arrays."""
+    import repro.kernels
+    from repro.config import KernelConfig, KernelMode
+
+    g = DynamicDiGraph(map(tuple, rmat_graph(200, 2000, rng=4).tolist()))
+    view = DeltaCSRGraph.wrap(CSRGraph.from_digraph(g))
+    view = apply_and_advance(g, view, insertions([(1, 2), (3, 4)]))
+    mode = KernelMode.COMPILED if repro.kernels.load_library()[0] else KernelMode.NUMPY
+    config = PPRConfig(backend=Backend.NUMPY, epsilon=1e-6, kernel=KernelConfig(mode=mode))
+    state = PPRState.initial(0, g.capacity)
+    parallel_local_push(state, None, config, csr=view)
+    g.apply_batch(insertions([(5, 6)]), kernel=config.kernel)
+    g2, view2 = pickle.loads(pickle.dumps((g, view)))
+    assert g2._pointers is None and "pointers" not in view2.kernel_arrays()
+    assert "pointers" not in view2.base.kernel_arrays()
+    twin = PPRState.initial(0, g.capacity)
+    parallel_local_push(twin, None, config, csr=view2)
+    assert np.array_equal(twin.p, state.p) and np.array_equal(twin.r, state.r)
+    g2.apply_batch(insertions([(6, 7)]), kernel=config.kernel)
+    g.apply_batch(insertions([(6, 7)]), kernel=config.kernel)
+    assert g2.to_arrays()["in_edges"].tobytes() == g.to_arrays()["in_edges"].tobytes()
 
 
 def test_repr_mentions_overlay():

@@ -13,12 +13,13 @@ The laws the ingest hot path rests on (see ``docs/performance.md``):
 3. a :class:`~repro.serve.PPRService` advancing its delta lineage
    answers every ``certified_top_k`` query **bit-identically** to one
    handed a fresh ``CSRGraph.from_digraph`` view every batch;
-4. the compiled kernel's row layout, derived batch by batch from the
-   predecessor view's, resolves every row to the same sequence as the
-   from-scratch build — so compiled pushes over it stay bit-identical —
-   and its dead space stays bounded by the live overlay;
-5. the overlay entry count every constructor call carries equals the
-   patched rows' total length after every ``apply_updates``,
+4. the compiled kernel's row layout — the view's own tables, derived
+   batch by batch from the predecessor's — resolves every row to the same
+   sequence as a view wrapped around a rebuilt ``CSRGraph.from_digraph``
+   — so compiled pushes over it stay bit-identical — and the dead space
+   of its append-only buffer stays bounded by the live overlay;
+5. the overlay entry and row counts every view carries equal the
+   overlay rows' total length and number after every ``apply_updates``,
    ``with_capacity``, ``apply_edge_delta`` and ``consolidated`` — the
    O(1) consolidation check decides exactly as a re-sum would.
 """
@@ -144,21 +145,9 @@ def test_served_answers_bit_identical_to_rebuilt_views(batches, data):
     assert serve(ingest_from_rebuild) == serve(PPRService.ingest)
 
 
-def _fresh_twin(view: DeltaCSRGraph) -> DeltaCSRGraph:
-    """An identical view with no predecessor (no derived kernel arrays)."""
-    return DeltaCSRGraph(
-        view.base,
-        view.dout,
-        view._rows,
-        view._patched,
-        view.num_edges,
-        view.overlay_entries,
-    )
-
-
-def _scratch_kernel_arrays(view: DeltaCSRGraph) -> dict:
-    """The layout an identical view with no predecessor builds."""
-    return _fresh_twin(view).kernel_arrays()
+def _rebuilt(graph: DynamicDiGraph) -> DeltaCSRGraph:
+    """A view with no lineage: an empty overlay over a full rebuild."""
+    return DeltaCSRGraph.wrap(CSRGraph.from_digraph(graph))
 
 
 def _resolved_rows(arrays: dict) -> list[list[int]]:
@@ -170,9 +159,9 @@ def _resolved_rows(arrays: dict) -> list[list[int]]:
     return rows
 
 
-@given(applied_update_batches(max_batches=12, max_batch=6), st.integers(0, 3))
+@given(applied_update_batches(max_batches=12, max_batch=6))
 @settings(max_examples=40, deadline=None)
-def test_incremental_kernel_arrays_equal_the_from_scratch_build(batches, warm_at):
+def test_incremental_kernel_arrays_equal_the_from_scratch_build(batches):
     from repro import kernels
     from repro.config import KernelConfig, KernelMode
     from repro.core.push_parallel import parallel_local_push
@@ -186,23 +175,18 @@ def test_incremental_kernel_arrays_equal_the_from_scratch_build(batches, warm_at
         kernel=KernelConfig(mode=KernelMode.COMPILED) if compiled else None,
     )
     graph = DynamicDiGraph([(0, 1), (1, 2), (2, 0), (3, 0)])
-    view = DeltaCSRGraph.wrap(CSRGraph.from_digraph(graph))
-    for step, batch in enumerate(batches):
-        if step == warm_at:
-            view.kernel_arrays()  # from here on successors derive theirs
+    view = _rebuilt(graph)
+    for batch in batches:
         for update in batch:
             graph.apply(update)
         view = view.apply_updates(graph, batch)
-        if view._kernel is None:
-            continue  # no predecessor arrays, or dead space outweighed live
-        arrays, scratch = view.kernel_arrays(), _scratch_kernel_arrays(view)
+        arrays, scratch = view.kernel_arrays(), _rebuilt(graph).kernel_arrays()
         assert arrays["num_rows"] == scratch["num_rows"] == graph.capacity
         assert _resolved_rows(arrays) == _resolved_rows(scratch)
         assert np.array_equal(arrays["dout"], scratch["dout"])
-        assert arrays["overlay_live"] == len(scratch["overlay_indices"])
-        assert len(arrays["overlay_indices"]) <= 2 * arrays["overlay_live"]
+        assert view._overlay.fill <= 2 * view.overlay_entries
         if compiled:
-            twin = _fresh_twin(view)
+            twin = _rebuilt(graph)
             a, b = PPRState.initial(0, graph.capacity), PPRState.initial(0, graph.capacity)
             parallel_local_push(a, graph, config, seeds=[0], csr=view)
             parallel_local_push(b, graph, config, seeds=[0], csr=twin)
@@ -211,7 +195,10 @@ def test_incremental_kernel_arrays_equal_the_from_scratch_build(batches, warm_at
 
 
 def assert_entries_carried(view: DeltaCSRGraph) -> None:
-    assert view.overlay_entries == sum(len(row) for row in view._rows.values())
+    arrays = view.kernel_arrays()
+    overlay = arrays["row_overlay"].astype(bool)
+    assert view.overlay_entries == int(arrays["row_count"][overlay].sum())
+    assert view.overlay_rows == int(overlay.sum())
 
 
 @given(

@@ -110,8 +110,8 @@ class TestUpdates:
 
     def test_apply_batch(self):
         g = DynamicDiGraph()
-        n = g.apply_batch(insertions([(0, 1), (1, 2)]) + deletions([(0, 1)]))
-        assert n == 3
+        dout_after = g.apply_batch(insertions([(0, 1), (1, 2)]) + deletions([(0, 1)]))
+        assert dout_after.tolist() == [1, 1, 0]
         assert g.num_edges == 1
 
     def test_batch_respects_order(self):
@@ -119,6 +119,7 @@ class TestUpdates:
         # Deleting before inserting must fail: order matters.
         with pytest.raises(EdgeError):
             g.apply_batch(deletions([(0, 1)]) + insertions([(0, 1)]))
+        assert g.num_vertices == 0 and g.num_edges == 0
 
 
 class TestConstructionAndCopy:

@@ -446,12 +446,17 @@ class TestBatchRestoreSelection:
             pytest.param(KernelConfig(mode=KernelMode.COMPILED), marks=needs_compiled),
         ],
     )
-    def test_rejected_update_leaves_the_applied_prefix_repaired(self, kernel):
+    def test_a_rejected_batch_changes_nothing(self, kernel):
         graph = DynamicDiGraph(self.EDGES)
         state = PPRState.initial(0, graph.capacity)
         parallel_local_push(state, graph, push_config())
+        arrays = graph.to_arrays()
+        p, r = state.p.tobytes(), state.r.tobytes()
         bad = self.BATCH[:2] + [EdgeUpdate(1, 3, EdgeOp.DELETE)] + self.BATCH[2:]
-        with pytest.raises(EdgeError):
+        with pytest.raises(EdgeError, match="cannot delete 1 copies of 1->3"):
             restore_batch(graph, state, bad, 0.2, kernel=kernel)
-        assert graph.has_edge(0, 3) and graph.has_edge(3, 0)  # prefix only
+        assert not graph.has_edge(0, 3)  # the valid prefix did not apply
+        for key, value in graph.to_arrays().items():
+            assert value.tobytes() == arrays[key].tobytes()
+        assert (state.p.tobytes(), state.r.tobytes()) == (p, r)
         assert invariant.check_invariant(state, graph, 0.2)

@@ -555,19 +555,24 @@ class TestAnswerMemo:
         assert after != before
         assert after == self.recomputed(service, 0, 5)
 
-    def test_a_half_applied_batch_leaves_no_memo_behind(self, counted):
-        """A batch the graph rejects repairs ``r`` for the prefix that did
-        apply and bumps no version."""
+    def test_a_rejected_batch_keeps_the_state_and_its_memo(self, counted):
+        """A batch the graph rejects changes nothing: no version, no ``p``
+        or ``r`` bit, and the memo still answers — with what a fresh
+        certify of the untouched state returns."""
         from repro import EdgeError, deletions
 
-        service, _ = counted
+        service, calls = counted
         before = service.query(0, k=5).entries
+        state = service.cache.peek(0).state
+        p, r = state.p.tobytes(), state.r.tobytes()
         top = before[0].vertex
         with pytest.raises(EdgeError):
             service.ingest(insertions([(top, 29)]) + deletions([(28, 28)]))
         assert service.graph_version == 0
+        assert (state.p.tobytes(), state.r.tobytes()) == (p, r)
         after = service.query(0, k=5, max_staleness=None).entries
-        assert after != before
+        assert after == before
+        assert calls == [5]  # served from the memo
         assert after == self.recomputed(service, 0, 5)
 
 

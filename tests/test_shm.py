@@ -12,10 +12,10 @@ The lifecycle contracts the zero-copy bootstrap path depends on:
    no ``repro-shm-*`` segment behind, including segments whose creator
    pid is gone (the SIGKILL backstop).
 
-Plus the lazy-bootstrap contract of
-:meth:`~repro.graph.digraph.DynamicDiGraph.from_arrays`: a replica built
-from a shared snapshot answers reads without ever materializing its
-adjacency dicts, and materializes them order-exactly on the first write.
+Plus the bootstrap contract of
+:meth:`~repro.graph.digraph.DynamicDiGraph.from_arrays`: a replica builds
+its graph from a shared snapshot with array copies alone — no per-edge
+Python — order-exactly, and serves reads and writes from it.
 """
 
 from __future__ import annotations
@@ -40,10 +40,10 @@ from repro.graph import (
     insertions,
     sweep_stale,
 )
-from repro.graph.digraph import _LazyArraysGraph
 from repro.graph.shm import SEGMENT_PREFIX
 from repro.shard import PPRShards
 from tests.conftest import random_graph
+from tests.dict_digraph import DictDiGraph
 
 EDGES = [(1, 0), (2, 0), (2, 1), (0, 2), (3, 1), (4, 3), (1, 4), (3, 0)]
 
@@ -240,47 +240,51 @@ class TestSweepStale:
         bundle.close()
 
 
-class TestLazyBootstrap:
-    def test_lazy_graph_matches_eager_after_materialization(self, rng):
-        graph = random_graph(rng)
-        arrays = graph.to_arrays()
-        lazy = DynamicDiGraph.from_arrays(arrays, lazy=True)
-        assert isinstance(lazy, _LazyArraysGraph)
-        assert not lazy.is_materialized()
-        eager = DynamicDiGraph.from_arrays(arrays)
-        assert eager.is_materialized()
-        assert lazy == eager  # forces materialization
-        assert lazy.is_materialized()
-        # Order-exact: adjacency iteration order must match, not just sets.
-        assert list(lazy._out) == list(eager._out)
-        assert [list(row) for row in lazy._out.values()] == [
-            list(row) for row in eager._out.values()
-        ]
+def _no_per_edge_python(monkeypatch):
+    """Make every per-update graph method raise: a bootstrap that still
+    walks edges one by one fails instead of passing slowly."""
 
-    def test_scalars_and_membership_do_not_materialize(self, graph_arrays):
+    def boom(*args, **kwargs):
+        raise AssertionError("bootstrap ran per-edge Python")
+
+    for name in ("add_edge", "add_vertex", "apply", "apply_batch"):
+        monkeypatch.setattr(DynamicDiGraph, name, boom)
+
+
+class TestArrayBootstrap:
+    def test_from_arrays_is_order_exact_with_the_dict_oracle(self, rng, monkeypatch):
+        arrays = random_graph(rng).to_arrays()
+        oracle = DictDiGraph.from_arrays(arrays)
+        _no_per_edge_python(monkeypatch)
+        graph = DynamicDiGraph.from_arrays(arrays)
+        monkeypatch.undo()
+        graph.check_consistency()
+        for key, value in oracle.to_arrays().items():
+            assert graph.to_arrays()[key].tobytes() == value.tobytes()
+        for v in oracle.vertices():
+            assert np.array_equal(graph.in_row(v), oracle.in_row(v))
+
+    def test_scalars_and_membership_come_from_the_arrays(
+        self, graph_arrays, monkeypatch
+    ):
         graph = DynamicDiGraph(EDGES)
-        lazy = DynamicDiGraph.from_arrays(graph_arrays, lazy=True)
-        assert lazy.num_vertices == graph.num_vertices
-        assert lazy.num_edges == graph.num_edges
-        assert lazy.max_vertex_id == graph.max_vertex_id
-        assert lazy.capacity == graph.capacity
-        assert lazy.has_vertex(0) and not lazy.has_vertex(99)
-        assert 0 in lazy and 99 not in lazy
-        assert len(lazy) == graph.num_vertices
-        assert not lazy.is_materialized()
+        _no_per_edge_python(monkeypatch)
+        rebuilt = DynamicDiGraph.from_arrays(graph_arrays)
+        assert rebuilt.num_vertices == graph.num_vertices
+        assert rebuilt.num_edges == graph.num_edges
+        assert rebuilt.max_vertex_id == graph.max_vertex_id
+        assert rebuilt.capacity == graph.capacity
+        assert rebuilt.has_vertex(0) and not rebuilt.has_vertex(99)
+        assert 0 in rebuilt and 99 not in rebuilt
+        assert len(rebuilt) == graph.num_vertices
 
-    def test_service_reads_stay_lazy_writes_materialize(self):
+    def test_service_bootstraps_without_per_edge_python(self, monkeypatch):
         primary = PPRService(DynamicDiGraph(EDGES))
         arrays = dict(primary.graph.to_arrays())
         arrays.update(primary.shared_snapshot_arrays())
-        bundle = SharedArrayBundle.create(
-            arrays,
-            meta={
-                "num_edges": primary.graph.num_edges,
-                "max_vertex": primary.graph.max_vertex_id,
-            },
-        )
+        bundle = SharedArrayBundle.create(arrays)
         try:
+            _no_per_edge_python(monkeypatch)
             replica = PPRService.from_shared_snapshot(bundle.descriptor)
             for source in (0, 1, 3):
                 ours = replica.gateway.submit(
@@ -293,9 +297,8 @@ class TestLazyBootstrap:
                 assert [(e.vertex, e.estimate) for e in ours.entries] == [
                     (e.vertex, e.estimate) for e in theirs.entries
                 ]
-            assert not replica.graph.is_materialized()
+            monkeypatch.undo()
             replica.ingest(insertions([(4, 0)]))
-            assert replica.graph.is_materialized()
             primary.ingest(insertions([(4, 0)]))
             ours = replica.query(0, k=4)
             theirs = primary.query(0, k=4)

@@ -694,6 +694,43 @@ class TestCrashRecovery:
         assert recovered.graph.has_edge(1, 8)
         assert not recovered.graph.has_edge(45, 46)
 
+    def test_a_rejected_batch_changes_nothing_and_recovers_exactly(self, tmp_path):
+        """A batch rejected half-way applies none of its prefix: the graph
+        dump, every resident's ``p``/``r`` and the cached view's ``dout``
+        keep their pre-batch bytes, and after one more acknowledged batch a
+        service recovered from the abandoned store answers like the live one."""
+        from repro import EdgeError, deletions
+        from repro.serve import workload_service
+
+        service, _ = workload_service("youtube", cache_capacity=4)
+        service.query_many([3, 0])
+        store = StateStore(
+            tmp_path, StoreConfig(root=str(tmp_path), checkpoint_interval=100)
+        )
+        service.attach_store(store)
+        graph = service.graph
+        b = next(v for v in range(graph.capacity) if v != 3 and not graph.has_edge(3, v))
+        dump = {key: value.tobytes() for key, value in graph.to_arrays().items()}
+        states = {
+            s: (service.cache.peek(s).state.p.tobytes(), service.cache.peek(s).state.r.tobytes())
+            for s in service.resident_sources()
+        }
+        dout = service._snapshot().dout.copy()
+        with pytest.raises(EdgeError):
+            service.ingest(insertions([(3, b)]) + deletions([(1, 99999)]))
+        assert {key: value.tobytes() for key, value in graph.to_arrays().items()} == dump
+        for s, (p, r) in states.items():
+            state = service.cache.peek(s).state
+            assert (state.p.tobytes(), state.r.tobytes()) == (p, r)
+        assert np.array_equal(service._snapshot().dout, dout)
+        service.ingest(insertions([(0, 2)]))
+        assert service._snapshot().dout[3] == graph.out_degree(3)
+        live = [service.query(s, 5).entries for s in (3, 0)]
+        store.wait()
+        recovered = recover(tmp_path, attach=False).service  # the store is abandoned
+        assert [recovered.query(s, 5).entries for s in (3, 0)] == live
+        store.close()
+
     def test_ingest_works_after_recovering_fully_torn_segment(self, tmp_path):
         """A crash tearing the *first* frame of a fresh segment leaves an
         empty file behind after truncation; the recovered service must be

@@ -50,6 +50,7 @@ from repro.store.wal import (
     scan_segment,
 )
 from tests.conftest import self_contained_checkpoint
+from tests.dict_digraph import DictDiGraph
 
 N_VERTICES = 12
 
@@ -444,8 +445,8 @@ def test_graph_codec_roundtrip_preserves_csr_layout(updates):
         assert np.array_equal(a.dout, b.dout)
 
 
-def _reference_to_arrays(graph: DynamicDiGraph) -> dict[str, np.ndarray]:
-    """The tuple-building dump ``DynamicDiGraph.to_arrays`` used to be."""
+def _reference_to_arrays(graph: DictDiGraph) -> dict[str, np.ndarray]:
+    """The tuple-building dump of the dict-of-dicts oracle's adjacency."""
     out_rows = [
         (u, v, c) for u, nbrs in graph._out.items() for v, c in nbrs.items()
     ]
@@ -461,12 +462,13 @@ def _reference_to_arrays(graph: DynamicDiGraph) -> dict[str, np.ndarray]:
 
 @given(st.one_of(st.just([]), applied_update_sequences()))
 def test_vectorised_graph_dump_equals_the_tuple_reference(updates):
-    graph = DynamicDiGraph()
-    graph.add_vertex(3)  # an isolated vertex: a row with no triples
-    for update in updates:  # a multigraph: parallel edges, emptied rows
-        graph.apply(update)
+    graph, oracle = DynamicDiGraph(), DictDiGraph()
+    for g in (graph, oracle):
+        g.add_vertex(3)  # an isolated vertex: a row with no triples
+        for update in updates:  # a multigraph: parallel edges, emptied rows
+            g.apply(update)
     arrays = graph.to_arrays()
-    reference = _reference_to_arrays(graph)
+    reference = _reference_to_arrays(oracle)
     assert arrays.keys() == reference.keys()
     for key, expected in reference.items():
         assert arrays[key].dtype == expected.dtype
