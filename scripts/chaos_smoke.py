@@ -14,6 +14,10 @@ the failover subsystem's acceptance bar end to end:
 - post-heal, a FRESH top-k for a source untouched during the run is
   **bit-identical** to an embedded twin fed the same writes at the
   same version;
+- a SIGKILLed non-primary replica is respawned from the store by the
+  next reads placed on it, which answer bit-identically to the twin at
+  the head version (every acked write survived), with exactly one
+  respawn counted on ``/v1/stats``;
 - SIGTERM drains gracefully: in-flight work finishes, the store
   checkpoints, replicas join, and the process exits 0.
 
@@ -59,6 +63,21 @@ def wait_healthy(base: str, deadline_s: float = 90.0) -> None:
         except (urllib.error.URLError, ConnectionError):
             time.sleep(0.3)
     raise SystemExit(f"server on {base} never became healthy")
+
+
+def worker_pids(server_pid: int) -> list[int]:
+    """The server's forked workers, oldest first: its children running
+    its own command line (the resource tracker runs another)."""
+    cmdline = Path(f"/proc/{server_pid}/cmdline").read_bytes()
+    found = []
+    for stat in Path("/proc").glob("[0-9]*/stat"):
+        try:
+            fields = stat.read_text().rpartition(")")[2].split()
+            if int(fields[1]) == server_pid and (stat.parent / "cmdline").read_bytes() == cmdline:
+                found.append((int(fields[19]), int(stat.parent.name)))
+        except (OSError, ValueError, IndexError):
+            continue  # exited while we looked
+    return [pid for _, pid in sorted(found)]
 
 
 def main() -> int:
@@ -144,6 +163,32 @@ def main() -> int:
                   file=sys.stderr)
             return 1
         print(f"post-heal top-{K} bit-identical to the embedded twin: {got}")
+
+        # Respawn: SIGKILL the replica that is not the primary. Reads
+        # placed on it (source % replicas) revive it from the store.
+        assert stats["respawns"] == 0, stats  # both replicas are the originals
+        primary = int(str(ready["primary"]).rpartition("-")[2])
+        victim_index = 1 - primary
+        victim = worker_pids(server.pid)[victim_index]
+        os.kill(victim, signal.SIGKILL)
+        probes = [s for s in range(20, 30) if s % 2 == victim_index][:3]
+        for source in probes:  # never read before: from scratch on both arms
+            answer = http.query({"source": source, "k": K})
+            embedded = service.api.top_k(source, k=K)
+            got = [(e["vertex"], e["estimate"]) for e in answer["entries"]]
+            want = [(e.vertex, e.estimate) for e in embedded.entries]
+            assert answer["snapshot_version"] == embedded.snapshot_version, answer
+            if got != want:
+                print(f"post-respawn mismatch for {source}:\n"
+                      f"  http     {got}\n  embedded {want}", file=sys.stderr)
+                return 1
+        stats = http.stats()["stats"]["cluster"]
+        assert stats["respawns"] == 1, stats
+        assert victim not in worker_pids(server.pid)
+        print(
+            f"replica-{victim_index} (pid {victim}) SIGKILLed: 1 respawn,"
+            f" {len(probes)} reads at v{len(WRITES)} bit-identical"
+        )
 
         # Graceful shutdown: SIGTERM must drain, checkpoint, and exit 0.
         server.send_signal(signal.SIGTERM)

@@ -15,6 +15,8 @@ batch's trace from ``GET /v1/trace/<id>`` and asserts:
 * every non-root ``parent_id`` resolves within the trace — the tree has
   no orphans;
 * the spans convert to a loadable Chrome ``trace_event`` document;
+* the server's ``--trace-export`` sink, converted by ``repro trace
+  export --trace-id``, holds every span of the trace;
 * ``GET /v1/slow`` answers.
 
 Run from the repository root:  PYTHONPATH=src python scripts/obs_smoke.py
@@ -27,6 +29,7 @@ import json
 import os
 import subprocess
 import sys
+import tempfile
 import time
 import urllib.error
 import urllib.request
@@ -90,11 +93,13 @@ def main() -> int:
     print(f"kernel backend: {info['backend']} ({info['reason']})")
     env = dict(os.environ)
     env["PYTHONPATH"] = str(REPO / "src") + os.pathsep + env.get("PYTHONPATH", "")
+    tmp = tempfile.TemporaryDirectory(prefix="repro-obs-smoke-")
+    sink, exported = Path(tmp.name) / "spans.jsonl", Path(tmp.name) / "trace.json"
     server = subprocess.Popen(
         [
             sys.executable, "-m", "repro", "serve", DATASET,
             "--port", str(PORT), "--replicas", "2",
-            "--trace", "--trace-sample", "1.0",
+            "--trace", "--trace-sample", "1.0", "--trace-export", str(sink),
         ],
         env=env,
         cwd=REPO,
@@ -153,6 +158,20 @@ def main() -> int:
         assert document["traceEvents"], "chrome export produced no events"
         assert json.loads(json.dumps(document)) == document
 
+        # The JSONL sink, converted by the CLI, holds the same spans.
+        subprocess.run(
+            [
+                sys.executable, "-m", "repro", "trace", "export",
+                "--input", str(sink), "--out", str(exported),
+                "--trace-id", trace_id,
+            ],
+            env=env, cwd=REPO, check=True,
+        )
+        events = json.loads(exported.read_text())["traceEvents"]
+        assert {e["args"]["span_id"] for e in events} == ids, (
+            f"sink export of {trace_id}: {sorted(e['name'] for e in events)}"
+        )
+
         slow = http.slow(threshold_ms=0.0)
         assert isinstance(slow, list)
 
@@ -170,6 +189,7 @@ def main() -> int:
             server.wait(timeout=10)
         except subprocess.TimeoutExpired:
             server.kill()
+        tmp.cleanup()
 
 
 if __name__ == "__main__":

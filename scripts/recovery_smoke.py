@@ -16,6 +16,12 @@ then asserts, with the real CLI:
   whole WAL tail) with top-k answers **bit-identical** to an embedded
   twin fed the same reads and writes.
 
+A second leg runs ``repro serve --shards 2 --store`` through three acked
+writes and a SIGTERM drain, whose checkpoint round leaves
+``manifest.json`` and one store per shard: ``store-inspect`` must read
+that root shard by shard, and ``store-recover`` must refuse it by name
+(exit 2), since it recovers single-process stores only.
+
 Run from the repository root:  PYTHONPATH=src python scripts/recovery_smoke.py
 CI runs this in the smoke job (.github/workflows/ci.yml).
 """
@@ -24,6 +30,7 @@ from __future__ import annotations
 
 import os
 import re
+import signal
 import subprocess
 import sys
 import tempfile
@@ -47,9 +54,23 @@ INTERVAL = 10
 BATCHES = 2 * INTERVAL
 
 
+def listen(server: subprocess.Popen) -> HttpClient | None:
+    """A client for the server once it prints its address."""
+    for line in server.stdout:
+        match = re.search(r"listening on (http://[\d.]+:\d+)", line)
+        if match:
+            return HttpClient(match.group(1))
+    return None
+
+
 def main() -> int:
     env = dict(os.environ)
     env["PYTHONPATH"] = str(REPO / "src") + os.pathsep + env.get("PYTHONPATH", "")
+    code = live_leg(env)
+    return code or sharded_leg(env)
+
+
+def live_leg(env: dict[str, str]) -> int:
     tmp = tempfile.TemporaryDirectory(prefix="repro-recovery-smoke-")
     store = Path(tmp.name) / "store"
     plan_path = Path(tmp.name) / "plan.json"
@@ -69,16 +90,10 @@ def main() -> int:
         text=True,
     )
     try:
-        base = None
-        for line in server.stdout:
-            match = re.search(r"listening on (http://[\d.]+:\d+)", line)
-            if match:
-                base = match.group(1)
-                break
-        if base is None:
+        http = listen(server)
+        if http is None:
             print("server never listened", file=sys.stderr)
             return 1
-        http = HttpClient(base)
 
         # The embedded twin: same deterministic bootstrap, same history.
         twin, _ = workload_service(DATASET)
@@ -130,6 +145,58 @@ def main() -> int:
         want = f"recovered v{INTERVAL} -> v{BATCHES} ({INTERVAL} batches"
         assert want in recover.stdout, recover.stdout
         print("recovery smoke (live leg): OK")
+        return 0
+    finally:
+        if server.poll() is None:
+            server.kill()
+            server.wait()
+        tmp.cleanup()
+
+
+def sharded_leg(env: dict[str, str]) -> int:
+    tmp = tempfile.TemporaryDirectory(prefix="repro-recovery-smoke-")
+    store = Path(tmp.name) / "store"
+    server = subprocess.Popen(
+        [
+            sys.executable, "-u", "-m", "repro", "serve", DATASET, "--port", "0",
+            "--shards", "2", "--store", str(store),
+        ],
+        env=env,
+        cwd=REPO,
+        stdout=subprocess.PIPE,
+        stderr=subprocess.STDOUT,
+        text=True,
+    )
+    try:
+        http = listen(server)
+        if http is None:
+            print("sharded server never listened", file=sys.stderr)
+            return 1
+        for index in range(3):
+            assert http.ingest([[20_000 + index, index]])["ok"]
+        server.send_signal(signal.SIGTERM)
+        output, _ = server.communicate(timeout=60)
+        assert server.returncode == 0, output
+        assert "checkpointed all shards at v3" in output, output
+
+        def cli(*args: str) -> subprocess.CompletedProcess:
+            return subprocess.run(
+                [sys.executable, "-m", "repro", *args, "--root", str(store)],
+                env=env, cwd=REPO, capture_output=True, text=True,
+            )
+
+        inspect = cli("store-inspect")
+        assert inspect.returncode == 0, inspect.stderr
+        assert f"sharded store {store}: 2 shards, manifest v3" in inspect.stdout
+        for shard in ("shard-00", "shard-01"):
+            assert f"Checkpoints — {store / shard}" in inspect.stdout, inspect.stdout
+        refused = cli("store-recover")
+        assert refused.returncode == 2, refused
+        assert refused.stderr.startswith("repro: error: "), refused.stderr
+        assert "sharded store root (2 shards, manifest v3)" in refused.stderr
+        print(inspect.stdout.splitlines()[0])
+        print(refused.stderr.strip())
+        print("recovery smoke (sharded root): OK")
         return 0
     finally:
         if server.poll() is None:

@@ -9,7 +9,10 @@ version — partitioning the graph across shard processes must never
 change an answer, only who owns the rows. Also checks the shard-aware
 operational surfaces: per-shard ``/v1/readyz`` payloads, the
 ``stats["shard"]`` section, and the ``repro_shard_*`` Prometheus
-samples on ``/v1/metrics``.
+samples on ``/v1/metrics``. Last, after three acked writes it SIGKILLs
+one shard worker: the next reads must answer bit-identically to the
+embedded twin at the writes' version, and ``stats["shard"]`` must count
+exactly one respawn.
 
 Run from the repository root:  PYTHONPATH=src python scripts/shard_smoke.py
 CI runs this after the test suite (.github/workflows/ci.yml).
@@ -19,6 +22,7 @@ from __future__ import annotations
 
 import json
 import os
+import signal
 import subprocess
 import sys
 import time
@@ -36,6 +40,8 @@ DATASET = "youtube"
 PORT = 8713
 SHARDS = 2
 K = 5
+WRITES = [(20_000 + i, i) for i in range(3)]
+PROBES = (11, 12, 13, 14)
 
 
 def wait_healthy(base: str, deadline_s: float = 90.0) -> None:
@@ -48,6 +54,21 @@ def wait_healthy(base: str, deadline_s: float = 90.0) -> None:
         except (urllib.error.URLError, ConnectionError):
             time.sleep(0.3)
     raise SystemExit(f"server on {base} never became healthy")
+
+
+def worker_pids(server_pid: int) -> list[int]:
+    """The server's forked workers, oldest first: its children running
+    its own command line (the resource tracker runs another)."""
+    cmdline = Path(f"/proc/{server_pid}/cmdline").read_bytes()
+    found = []
+    for stat in Path("/proc").glob("[0-9]*/stat"):
+        try:
+            fields = stat.read_text().rpartition(")")[2].split()
+            if int(fields[1]) == server_pid and (stat.parent / "cmdline").read_bytes() == cmdline:
+                found.append((int(fields[19]), int(stat.parent.name)))
+        except (OSError, ValueError, IndexError):
+            continue  # exited while we looked
+    return [pid for _, pid in sorted(found)]
 
 
 def main() -> int:
@@ -124,6 +145,33 @@ def main() -> int:
         ):
             assert family in metrics, f"missing {family!r} in /v1/metrics"
         print("per-shard Prometheus families exported on /v1/metrics")
+
+        # Respawn: acked writes, then SIGKILL one shard worker. The next
+        # reads revive it from the seed snapshot and heal it to the head
+        # from the coordinator's frame history.
+        for edge in WRITES:
+            assert http.ingest([list(edge)])["ok"], edge
+            service.api.ingest([edge])
+        victim = worker_pids(server.pid)[0]
+        os.kill(victim, signal.SIGKILL)
+        for source in PROBES:  # never read before: from scratch on both arms
+            answer = http.query({"source": source, "k": K})
+            embedded = service.api.top_k(source, k=K)
+            got = [(e["vertex"], e["estimate"]) for e in answer["entries"]]
+            want = [(e.vertex, e.estimate) for e in embedded.entries]
+            assert answer["snapshot_version"] == embedded.snapshot_version, answer
+            if got != want:
+                print(f"post-respawn top-{K} mismatch for {source}:\n"
+                      f"  sharded  {got}\n  embedded {want}", file=sys.stderr)
+                return 1
+        section = http.stats()["stats"]["shard"]
+        assert section["respawns"] == 1, section
+        assert section["applied_versions"] == [len(WRITES)] * SHARDS, section
+        assert victim not in worker_pids(server.pid)
+        print(
+            f"shard worker {victim} SIGKILLed after {len(WRITES)} acked writes:"
+            f" 1 respawn, {len(PROBES)} reads at v{len(WRITES)} bit-identical"
+        )
         print("shard smoke: OK")
         return 0
     finally:

@@ -33,7 +33,7 @@ from .admission import (
 )
 from .client import Client
 from .gateway import Gateway
-from .http import GatewayHTTPServer, HttpClient, make_server, serve_http
+from .http import GatewayHTTPServer, HttpClient, make_server
 from .metrics import render_prometheus
 from .requests import (
     ANY,
@@ -115,6 +115,5 @@ __all__ = [
     "priority_of",
     "render_prometheus",
     "request_from_dict",
-    "serve_http",
     "shed_threshold",
 ]

@@ -354,19 +354,6 @@ def make_server(
     )
 
 
-def serve_http(
-    gateway: Gateway, host: str | None = None, port: int | None = None
-) -> None:
-    """Run the HTTP front-end until interrupted (the ``repro serve`` loop)."""
-    server = make_server(gateway, host, port)
-    try:
-        server.serve_forever()
-    except KeyboardInterrupt:  # pragma: no cover - interactive shutdown
-        pass
-    finally:
-        server.server_close()
-
-
 #: Error codes safe to retry on an idempotent request: transient serving
 #: conditions (failover window, queue spike, missed deadline), never a
 #: problem with the request itself.

@@ -64,6 +64,7 @@ from __future__ import annotations
 import argparse
 import sys
 from collections.abc import Sequence
+from pathlib import Path
 
 import numpy as np
 
@@ -166,8 +167,6 @@ def _topk_lines(service, sources: Sequence[int], k: int) -> list[str]:
 
 
 def _cmd_store_checkpoint(args: argparse.Namespace) -> int:
-    from pathlib import Path
-
     from .config import StoreConfig
     from .serve import workload_service
     from .store.store import StateStore
@@ -215,9 +214,41 @@ def _cmd_store_checkpoint(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_store_inspect(args: argparse.Namespace) -> int:
-    from pathlib import Path
+def _shard_manifest(root: str):
+    """The decoded ``manifest.json`` of a sharded store root, else ``None``."""
+    from .shard.manifest import MANIFEST_NAME, read_manifest
 
+    return read_manifest(root) if (Path(root) / MANIFEST_NAME).exists() else None
+
+
+def _cmd_store_inspect(args: argparse.Namespace) -> int:
+    from .errors import StoreError
+    from .shard.manifest import shard_store_root
+
+    root = Path(args.root)
+    if not root.exists():
+        print(f"store directory not found: {root}", file=sys.stderr)
+        return 1
+    try:
+        manifest = _shard_manifest(args.root)
+    except StoreError as exc:
+        print(exc, file=sys.stderr)
+        return 1
+    if manifest is None:
+        _print_store(root)
+        return 0
+    print(
+        f"sharded store {root}: {manifest.shards} shards,"
+        f" manifest v{manifest.version}"
+    )
+    for shard in range(manifest.shards):
+        print()
+        _print_store(shard_store_root(root, shard))
+    return 0
+
+
+def _print_store(root: Path) -> None:
+    """The checkpoint, graph-base and WAL-segment tables of one store."""
     from .errors import StoreError
     from .store.checkpoint import (
         checkpoint_summary,
@@ -228,10 +259,6 @@ def _cmd_store_inspect(args: argparse.Namespace) -> int:
     )
     from .store.wal import SEGMENT_PREFIX, SEGMENT_SUFFIX, scan_segment
 
-    root = Path(args.root)
-    if not root.exists():
-        print(f"store directory not found: {root}", file=sys.stderr)
-        return 1
     bases = {graph_base_version(p): p for p in list_graph_bases(root / "graph")}
     checkpoint_rows = []
     for p in list_checkpoints(root / "checkpoints"):
@@ -287,16 +314,20 @@ def _cmd_store_inspect(args: argparse.Namespace) -> int:
             title="WAL segments",
         )
     )
-    return 0
 
 
 def _cmd_store_recover(args: argparse.Namespace) -> int:
-    from pathlib import Path
-
     from .errors import StoreError
     from .store.recovery import recover
 
     try:
+        manifest = _shard_manifest(args.root)
+        if manifest is not None:
+            raise ConfigError(
+                f"{args.root} is a sharded store root ({manifest.shards} shards,"
+                f" manifest v{manifest.version}); store-recover recovers a"
+                " single-process store only"
+            )
         result = recover(args.root, attach=False)
     except StoreError as exc:
         print(f"recovery failed: {exc}", file=sys.stderr)
@@ -564,8 +595,6 @@ def _cmd_load_bench(args: argparse.Namespace) -> int:
 
 
 def _cmd_trace(args: argparse.Namespace) -> int:
-    from pathlib import Path
-
     from .obs.export import export_chrome_trace, read_jsonl
 
     if not Path(args.input).exists():

@@ -117,15 +117,6 @@ def apply_record(service: PPRService, record: WalRecord) -> int:
     return service.graph_version
 
 
-def apply_delta(service: PPRService, frame: bytes) -> int:
-    """Apply one WAL-framed write delta; returns the replica's new version.
-
-    CRC-verified by :func:`~repro.store.wal.unpack_record` — a replica
-    must not apply a delta the channel damaged.
-    """
-    return apply_record(service, unpack_record(frame))
-
-
 def promote(
     service: PPRService,
     *,

@@ -120,9 +120,9 @@ class DynamicPPRTracker:
     def set_snapshot(self, csr: CSRView) -> None:
         """Install an externally-built CSR snapshot of the *current* graph.
 
-        The sliding-window benchmark harness builds snapshots directly
-        from its window edge arrays (pure numpy, much faster than walking
-        the dict graph); it must call this after every batch.
+        A caller that shares one snapshot across many trackers installs
+        it here after every batch instead of each tracker advancing its
+        own view.
         """
         csr.ensure_covers(self.graph.capacity)
         self._csr = csr
@@ -153,9 +153,9 @@ class DynamicPPRTracker:
         wall time). The estimate is ε-approximate on return.
 
         ``snapshot`` may supply a CSR view of the graph *after* this
-        batch, built externally (e.g. :meth:`repro.graph.stream.SlidingWindow.snapshot`
-        or a serving layer sharing one snapshot across many trackers);
-        when given, the tracker installs it instead of rebuilding its own.
+        batch, built externally (e.g. by a serving layer sharing one
+        snapshot across many trackers); when given, the tracker installs
+        it instead of advancing its own.
         """
         start = clock.now()
         touched, change = restore_batch(
@@ -176,10 +176,6 @@ class DynamicPPRTracker:
         self.batches_processed += 1
         self.updates_processed += len(updates)
         return batch
-
-    def apply_update(self, update: EdgeUpdate) -> BatchStats:
-        """Single-update convenience wrapper over :meth:`apply_batch`."""
-        return self.apply_batch([update])
 
     # ------------------------------------------------------------------ #
     # verification

@@ -24,23 +24,15 @@ Every read — :meth:`gather_in_edges`, :meth:`in_neighbors`,
 
 Order exactness
 ---------------
-The overlay is built two ways, each *bit-compatible* with the full
-rebuild it replaces:
-
-* :meth:`apply_updates` re-materializes the rows of batch-touched
-  vertices from the live :class:`~repro.graph.digraph.DynamicDiGraph`
-  (:meth:`~repro.graph.digraph.DynamicDiGraph.in_rows`), which reproduces
-  the graph's dict order
-  :meth:`CSRGraph.from_digraph <repro.graph.csr.CSRGraph.from_digraph>`
-  would store. Merged neighbor iteration therefore feeds the vectorized
-  push the *same float summation order* as a rebuilt snapshot, and
-  :meth:`consolidate` produces arrays equal to ``from_digraph`` —
-  checkpointed rebuilds stay bit-identical (``docs/performance.md``).
-* :meth:`apply_edge_delta` maintains sliding-window order (rows are
-  window-edge subsequences): a slide appends the inserted sources and
-  drops the deleted (oldest) ones, which are always a row prefix. This
-  is the :meth:`repro.graph.stream.SlidingWindow.delta_snapshot` mode,
-  bit-compatible with ``CSRGraph.from_edge_array`` over the window.
+:meth:`apply_updates` re-materializes the rows of batch-touched vertices
+from the live :class:`~repro.graph.digraph.DynamicDiGraph`
+(:meth:`~repro.graph.digraph.DynamicDiGraph.in_rows`), which reproduces
+the graph's dict order
+:meth:`CSRGraph.from_digraph <repro.graph.csr.CSRGraph.from_digraph>`
+would store. Merged neighbor iteration therefore feeds the vectorized
+push the *same float summation order* as a rebuilt snapshot, and
+:meth:`consolidate` produces arrays equal to ``from_digraph`` —
+checkpointed rebuilds stay bit-identical (``docs/performance.md``).
 
 Once the overlay footprint exceeds ``threshold * m`` the view is
 consolidated into a fresh frozen base (amortized O(m) numpy merge, no
@@ -55,7 +47,7 @@ import numpy as np
 
 from ..errors import ConfigError, GraphError
 from .csr import CSRGraph
-from .digraph import DynamicDiGraph, flat_ranges, interleave_undirected
+from .digraph import DynamicDiGraph, flat_ranges
 from .update import EdgeUpdate, as_batch
 
 #: Default consolidation trigger: consolidate once the overlay holds more
@@ -190,79 +182,6 @@ class DeltaCSRGraph:
         lengths, flat = graph.in_rows(touched)
         dout = graph.out_degree_array(max(graph.capacity, self.num_vertices))
         return self._successor(touched, lengths, flat, dout, graph.num_edges)
-
-    def apply_edge_delta(
-        self,
-        insert_edges: np.ndarray,
-        delete_edges: np.ndarray,
-        *,
-        capacity: int | None = None,
-        undirected: bool = False,
-    ) -> "DeltaCSRGraph":
-        """The view after one window slide (edge-array-backed).
-
-        Maintains :meth:`CSRGraph.from_edge_array` window order without a
-        backing graph: inserted edges append their source to the target's
-        row; deleted edges are the *oldest* window edges, so their
-        contributions are a prefix of each touched row and are dropped
-        from the front. ``undirected`` expands every edge into both
-        directions, interleaved per edge — matching
-        :meth:`repro.graph.stream.SlidingWindow.snapshot`.
-        """
-        insert_edges = np.asarray(insert_edges, dtype=np.int64).reshape(-1, 2)
-        delete_edges = np.asarray(delete_edges, dtype=np.int64).reshape(-1, 2)
-        high = self.num_vertices
-        if insert_edges.size:
-            high = max(high, int(insert_edges.max()) + 1)
-        if capacity is not None:
-            if capacity < high:
-                raise GraphError(
-                    f"capacity {capacity} is smaller than the id space {high}"
-                )
-            high = capacity
-        view = self.with_capacity(high)
-
-        inserts = (
-            interleave_undirected(insert_edges)
-            if undirected and insert_edges.size
-            else insert_edges
-        )
-        deletes = (
-            interleave_undirected(delete_edges)
-            if undirected and delete_edges.size
-            else delete_edges
-        )
-
-        if deletes.size and int(deletes.max()) >= high:
-            raise GraphError(
-                f"delete edges reference id {int(deletes.max())}"
-                f" outside the view's id space {high}"
-            )
-        dout = view.dout.copy()
-        if inserts.size:
-            dout += np.bincount(inserts[:, 0], minlength=high)
-        if deletes.size:
-            dout -= np.bincount(deletes[:, 0], minlength=high)
-
-        drop: dict[int, int] = {}
-        for v in deletes[:, 1].tolist():
-            drop[v] = drop.get(v, 0) + 1
-        append: dict[int, list[int]] = {}
-        for u, v in inserts.tolist():
-            append.setdefault(v, []).append(u)
-        ids = sorted(drop.keys() | append.keys())
-        rows = []
-        for v in ids:
-            row, k = view.in_neighbors(v), drop.get(v, 0)
-            if k > len(row):
-                raise GraphError(
-                    f"cannot drop {k} oldest in-edges of {v}: row has {len(row)}"
-                )
-            rows.append(np.concatenate([row[k:], np.asarray(append.get(v, ()), dtype=np.int64)]))
-        lengths = np.fromiter(map(len, rows), dtype=np.int64, count=len(rows))
-        flat = np.concatenate(rows) if rows else _EMPTY_ROW
-        num_edges = self.num_edges + len(inserts) - len(deletes)
-        return view._successor(np.array(ids, dtype=np.int64), lengths, flat, dout, num_edges)
 
     # ------------------------------------------------------------------ #
     # reads (the narrow snapshot interface)

@@ -49,13 +49,10 @@ def flat_ranges(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
 def interleave_undirected(edges: np.ndarray) -> np.ndarray:
     """Each edge followed immediately by its reverse (undirected model).
 
-    The one definition of the undirected expansion order, shared by
-    :meth:`DynamicDiGraph.from_undirected_edges`,
-    :meth:`repro.graph.stream.SlidingWindow.snapshot` and
-    :meth:`repro.graph.delta.DeltaCSRGraph.apply_edge_delta` — load-bearing
-    for their bit-exactness: per-edge interleaving keeps every window row a
-    stream-ordered subsequence, so slides stay suffix appends and prefix
-    drops.
+    The order :meth:`DynamicDiGraph.from_undirected_edges` registers an
+    undirected edge list in, the same order
+    :class:`repro.graph.stream.SlidingWindow` expands each undirected
+    stream edge into two directed updates.
     """
     both = np.empty((2 * len(edges), 2), dtype=np.int64)
     both[0::2] = edges
@@ -569,15 +566,6 @@ class DynamicDiGraph:
         out, inn = (np.asarray(arrays[key], np.int64).reshape(-1, 3).T
                     for key in ("out_edges", "in_edges"))
         g._adopt(np.asarray(arrays["vertices"], dtype=np.int64), out, inn)
-        return g
-
-    def to_networkx(self):  # pragma: no cover - thin convenience wrapper
-        """Convert to a ``networkx.MultiDiGraph`` (requires networkx)."""
-        import networkx as nx
-
-        g = nx.MultiDiGraph()
-        g.add_nodes_from(self.vertices())
-        g.add_edges_from(self.edges())
         return g
 
     # ------------------------------------------------------------------ #

@@ -136,10 +136,6 @@ class SlidingWindow:
         self._delete_cursor = 0  # index into the stream of the oldest window edge
         self._all_edges = edges
         self._step = 0
-        # Incremental snapshot state (see delta_snapshot): the maintained
-        # view plus the [delete_cursor, position) stream range it covers.
-        self._delta: "DeltaCSRGraph | None" = None
-        self._delta_range = (0, 0)
 
     @staticmethod
     def batch_for_fraction(window_size: int, fraction: float) -> int:
@@ -152,10 +148,6 @@ class SlidingWindow:
     def initial_edges(self) -> np.ndarray:
         """The window contents before any slide (first 10% of the stream)."""
         return self._initial
-
-    def initial_updates(self) -> list[EdgeUpdate]:
-        """The initial window as insertion updates (with undirected expansion)."""
-        return self._expand(self._initial, EdgeOp.INSERT)
 
     @property
     def num_slides_available(self) -> int:
@@ -193,82 +185,6 @@ class SlidingWindow:
             if self._stream.remaining < self.batch_size:
                 return
             yield self.slide()
-
-    def window_edge_array(self) -> np.ndarray:
-        """Current window contents as an edge array (for CSR snapshots)."""
-        return self._all_edges[self._delete_cursor : self._stream.position]
-
-    def snapshot(self, capacity: int | None = None) -> "CSRGraph":
-        """A CSR snapshot of the current window, built in pure numpy.
-
-        The shared-snapshot hook of the serving layer
-        (:class:`repro.serve.PPRService`) and the benchmark harness: one
-        snapshot per slide serves every resident source, instead of each
-        consumer walking the dict graph independently. Undirected streams
-        expand each window edge into both directions *interleaved per
-        edge*, matching :meth:`initial_updates` / :meth:`slide` semantics
-        — and making every slide a row-suffix append / row-prefix drop,
-        which is what lets :meth:`delta_snapshot` maintain the same view
-        incrementally, bit-for-bit.
-        """
-        from .csr import CSRGraph  # local import: csr has no stream dependency
-        from .digraph import interleave_undirected
-
-        edges = self.window_edge_array()
-        if self.undirected and len(edges):
-            edges = interleave_undirected(edges)
-        return CSRGraph.from_edge_array(edges, capacity=capacity)
-
-    def delta_snapshot(
-        self,
-        capacity: int | None = None,
-        *,
-        overlay_threshold: float | None = None,
-    ) -> "DeltaCSRGraph":
-        """The current window as an incrementally-maintained delta view.
-
-        First call builds a full :meth:`snapshot` base; every later call
-        layers only the stream edges that entered/left the window since —
-        O(batch) per slide instead of O(window) — and consolidates into a
-        fresh base once the overlay exceeds ``overlay_threshold``
-        (default :data:`repro.graph.delta.DEFAULT_OVERLAY_THRESHOLD`).
-        The view is bit-identical to :meth:`snapshot` at every step:
-        window rows are stream-ordered, a slide only appends inserted
-        sources and drops the (oldest) deleted prefix.
-        """
-        from .delta import DEFAULT_OVERLAY_THRESHOLD, DeltaCSRGraph
-
-        if overlay_threshold is None:
-            overlay_threshold = DEFAULT_OVERLAY_THRESHOLD
-        lo, hi = self._delete_cursor, self._stream.position
-        d0, p0 = self._delta_range
-        if self._delta is not None and (d0, p0) == (lo, hi):
-            if capacity is not None and capacity > self._delta.num_vertices:
-                self._delta = self._delta.with_capacity(capacity)
-            return self._delta
-        # Incremental continuation needs the covered range [d0, p0) to be
-        # a *superset-compatible prefix* of the current window [lo, hi):
-        # it must not have moved backwards (reset()), and the delete
-        # cursor must not have passed the covered position — if the
-        # window slid more than a full window-length since the last call,
-        # the view would be asked to drop edges it never held. Any broken
-        # chain falls back to one full rebuild.
-        broken = d0 > lo or p0 > hi or lo > p0
-        if self._delta is None or broken:
-            self._delta = DeltaCSRGraph.wrap(self.snapshot(capacity))
-        else:
-            view = self._delta.apply_edge_delta(
-                self._all_edges[p0:hi],
-                self._all_edges[d0:lo],
-                undirected=self.undirected,
-            )
-            if view.should_consolidate(overlay_threshold):
-                view = view.consolidated()
-            self._delta = view
-        if capacity is not None and capacity > self._delta.num_vertices:
-            self._delta = self._delta.with_capacity(capacity)
-        self._delta_range = (lo, hi)
-        return self._delta
 
     def __repr__(self) -> str:
         return (

@@ -8,8 +8,7 @@ against spans timestamped on the coordinator when a trace is stitched
 together across the pipes.
 
 Everything in this library that measures a duration (:mod:`repro.obs`
-spans, :class:`repro.utils.timer.Timer`, the gateways, the serving
-engine, the benchmarks) imports :func:`now` from here, so there is
+spans, the gateways, the serving engine, the benchmarks) imports :func:`now` from here, so there is
 exactly one time source to reason about and serve/bench timings are
 directly comparable.
 """

@@ -2,9 +2,8 @@
 
 Wall-time measurements feeding these reports must read :func:`now` —
 re-exported from :mod:`repro.obs.clock`, the single monotonic source
-shared by tracer spans, the latency histograms, and
-:class:`repro.utils.timer.Timer` — so profiling numbers are directly
-comparable to bench and serve timings.
+shared by tracer spans and the latency histograms — so profiling
+numbers are directly comparable to bench and serve timings.
 """
 
 from __future__ import annotations

@@ -544,12 +544,10 @@ class PPRService:
     def set_snapshot(self, csr: CSRView) -> None:
         """Install an externally-built snapshot of the *current* version.
 
-        The sliding-window harness builds snapshots straight from its
-        window edge arrays (:meth:`repro.graph.stream.SlidingWindow.snapshot`
-        or, incrementally,
-        :meth:`~repro.graph.stream.SlidingWindow.delta_snapshot`);
-        installing them here spares the service its own O(n + m) rebuild.
-        Accepts a frozen :class:`~repro.graph.csr.CSRGraph` or a
+        A worker attaching a shared-memory bootstrap installs the
+        coordinator's CSR arrays here, sparing the service its own
+        O(n + m) rebuild. Accepts a frozen
+        :class:`~repro.graph.csr.CSRGraph` or a
         :class:`~repro.graph.delta.DeltaCSRGraph` overlay view.
         """
         csr.ensure_covers(self.graph.capacity)

@@ -338,10 +338,6 @@ class Checkpoint:
     hub_arrays: dict[str, np.ndarray] | None
 
     @property
-    def num_residents(self) -> int:
-        return len(self.residents)
-
-    @property
     def num_hubs(self) -> int:
         return len(self.hub_arrays["hubs"]) if self.hub_arrays else 0
 

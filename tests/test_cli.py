@@ -198,6 +198,48 @@ class TestStoreCommands:
         assert main(["store-recover", "--root", str(tmp_path)]) == 1
         assert "recovery failed" in capsys.readouterr().err
 
+    @staticmethod
+    def _sharded_store(root: Path) -> None:
+        """A 2-shard store: three acked ingests, then a checkpoint round."""
+        from repro import DynamicDiGraph
+        from repro.api.requests import CheckpointNow
+        from repro.config import ShardConfig, StoreConfig
+        from repro.shard import PPRShards
+
+        edges = [(1, 0), (2, 0), (2, 1), (0, 2), (3, 1), (4, 3), (1, 4), (3, 0)]
+        with PPRShards(
+            DynamicDiGraph(edges),
+            ShardConfig(shards=2),
+            store_root=str(root),
+            store_config=StoreConfig(root=str(root), checkpoint_interval=2),
+        ) as fleet:
+            for edge in [(5, 0), (6, 1), (0, 3)]:
+                assert fleet.api.ingest([edge]).ok
+            assert fleet.gateway.submit(CheckpointNow()).ok
+        assert sorted(p.name for p in root.iterdir()) == [
+            "manifest.json", "shard-00", "shard-01",
+        ]
+
+    def test_inspect_reads_a_sharded_root_shard_by_shard(self, capsys, tmp_path):
+        self._sharded_store(tmp_path)
+        assert main(["store-inspect", "--root", str(tmp_path)]) == 0
+        out = capsys.readouterr().out
+        assert f"sharded store {tmp_path}: 2 shards, manifest v3" in out
+        for shard in ("shard-00", "shard-01"):
+            assert f"Checkpoints — {tmp_path / shard}" in out
+        assert out.count("checkpoint-000000000003") == 2
+        assert out.count("graph-000000000000.npz") == 2
+        assert "(none)" not in out
+
+    def test_recover_refuses_a_sharded_root_by_name(self, capsys, tmp_path):
+        self._sharded_store(tmp_path)
+        assert main(["store-recover", "--root", str(tmp_path), "--verify"]) == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert err == [
+            f"repro: error: {tmp_path} is a sharded store root (2 shards,"
+            " manifest v3); store-recover recovers a single-process store only"
+        ]
+
     def test_store_checkpoint_requires_root(self):
         with pytest.raises(SystemExit):
             build_parser().parse_args(["store-checkpoint", "youtube"])

@@ -16,8 +16,6 @@ from repro.graph import (
     CSRGraph,
     DeltaCSRGraph,
     DynamicDiGraph,
-    SlidingWindow,
-    random_permutation_stream,
 )
 from repro.graph.generators import rmat_graph
 from repro.graph.update import EdgeOp, EdgeUpdate, deletions, insertions
@@ -299,78 +297,6 @@ def test_memory_bytes_counts_overlay():
     base_bytes = view.memory_bytes()
     view = apply_and_advance(g, view, insertions([(0, 2)]))
     assert view.memory_bytes() > base_bytes
-
-
-# ---------------------------------------------------------------------- #
-# window (edge-array) mode
-# ---------------------------------------------------------------------- #
-
-
-@pytest.mark.parametrize("undirected", [False, True])
-def test_window_delta_snapshot_matches_full_rebuild(undirected):
-    edges = random_permutation_stream(rmat_graph(256, 2500, rng=3), rng=1)
-    cap = int(edges.max()) + 1
-    live = SlidingWindow(edges, batch_size=21, undirected=undirected)
-    full = SlidingWindow(edges, batch_size=21, undirected=undirected)
-    assert_csr_equal(
-        live.delta_snapshot(cap).consolidate(), full.snapshot(cap)
-    )
-    for _ in range(12):
-        live.slide()
-        full.slide()
-        view = live.delta_snapshot(cap, overlay_threshold=0.2)
-        assert_csr_equal(view.consolidate(), full.snapshot(cap))
-
-
-def test_window_delta_snapshot_reuses_the_view():
-    edges = random_permutation_stream(rmat_graph(128, 1200, rng=4), rng=2)
-    window = SlidingWindow(edges, batch_size=5)
-    first = window.delta_snapshot()
-    again = window.delta_snapshot()
-    assert again is first  # no slide in between: same maintained view
-    window.slide()
-    advanced = window.delta_snapshot(overlay_threshold=1e9)
-    assert advanced is not first
-    assert advanced.overlay_rows > 0
-
-
-@pytest.mark.parametrize("undirected", [False, True])
-def test_window_delta_snapshot_rebuilds_after_skipped_slides(undirected):
-    """Sliding past a full window-length between calls breaks the
-    incremental chain; the next call must fall back to a rebuild, not
-    ask the stale view to drop edges it never held."""
-    edges = random_permutation_stream(rmat_graph(128, 1500, rng=6), rng=5)
-    window = SlidingWindow(edges, batch_size=40, undirected=undirected)
-    cap = int(edges.max()) + 1
-    window.delta_snapshot(cap)
-    for _ in range(5):  # 5 * 40 > window_size of 150: chain broken
-        window.slide()
-    view = window.delta_snapshot(cap)
-    assert_csr_equal(view.consolidate(), window.snapshot(cap))
-    # And the chain re-forms incrementally afterwards.
-    window.slide()
-    again = window.delta_snapshot(cap)
-    assert_csr_equal(again.consolidate(), window.snapshot(cap))
-
-
-def test_apply_edge_delta_rejects_overdrop():
-    g = DynamicDiGraph([(0, 1)])
-    view = DeltaCSRGraph.wrap(CSRGraph.from_digraph(g))
-    with pytest.raises(GraphError):
-        view.apply_edge_delta(
-            np.empty((0, 2), dtype=np.int64),
-            np.array([[0, 1], [2, 1]], dtype=np.int64),
-        )
-
-
-def test_apply_edge_delta_rejects_too_small_capacity():
-    view = DeltaCSRGraph.wrap(CSRGraph.from_digraph(DynamicDiGraph([(0, 1)])))
-    with pytest.raises(GraphError):
-        view.apply_edge_delta(
-            np.array([[5, 6]], dtype=np.int64),
-            np.empty((0, 2), dtype=np.int64),
-            capacity=3,
-        )
 
 
 # ---------------------------------------------------------------------- #

@@ -14,8 +14,8 @@ Contracts under test:
 4. **fault tolerance** — a replica SIGKILLed mid-request still yields a
    complete trace: the crash is an event, the respawn a span, and the
    retried execution arrives from the new worker process;
-5. **one clock** — spans, ``Timer``, and ``repro.parallel.metrics`` all
-   read the same monotonic source, so their numbers are comparable.
+5. **one clock** — spans and ``repro.parallel.metrics`` both read the
+   same monotonic source, so their numbers are comparable.
 """
 
 from __future__ import annotations
@@ -337,17 +337,12 @@ class TestExport:
 
 class TestOneClock:
     def test_single_monotonic_source(self):
-        # Satellite of the ISSUE: bench and serve timings must come off
-        # the same clock so they are directly comparable.
+        # Bench and serve timings must come off the same clock so they
+        # are directly comparable.
         from repro.parallel import metrics
-        from repro.utils.timer import Timer
 
         assert clock.now is time.perf_counter
         assert metrics.now is clock.now
-        timer = Timer()
-        with timer:
-            pass
-        assert timer.elapsed >= 0.0
 
     def test_span_timestamps_come_from_the_shared_clock(self):
         enable()

@@ -15,7 +15,8 @@ from __future__ import annotations
 import numpy as np
 
 from repro.config import Backend, PPRConfig, ServeConfig
-from repro.graph import DeltaCSRGraph, DynamicDiGraph, SlidingWindow
+from repro.graph import CSRGraph, DeltaCSRGraph, DynamicDiGraph, SlidingWindow
+from repro.graph.delta import advance_view
 from repro.graph.generators import erdos_renyi_graph, rmat_graph
 from repro.graph.update import EdgeOp, EdgeUpdate
 from repro.core.tracker import DynamicPPRTracker
@@ -122,15 +123,16 @@ class TestDeltaLineage:
         edges = rmat_graph(64, 500, rng=5)
         window = SlidingWindow(edges, batch_size=6)
         graph = DynamicDiGraph(map(tuple, window.initial_edges.tolist()))
+        twin = graph.copy()
+        view = CSRGraph.from_digraph(twin)
         service = PPRService(graph, NUMPY_CONFIG)
         source = int(window.initial_edges[0, 0])
         service.query(source)
         for _ in range(3):
             slide = window.slide()
-            service.ingest(
-                list(slide.updates),
-                snapshot=window.delta_snapshot(service.graph.capacity),
-            )
+            twin.apply_batch(slide.updates)
+            view, _ = advance_view(view, twin, slide.updates)
+            service.ingest(list(slide.updates), snapshot=view)
             assert service.snapshot_version == service.graph_version
             service.query(source)
         # The externally-maintained view spares the service every rebuild

@@ -8,7 +8,6 @@ import pytest
 from repro.errors import ConfigError
 from repro.utils.rng import ensure_rng
 from repro.utils.tables import format_table
-from repro.utils.timer import Timer
 from repro.utils.validation import (
     check_fraction,
     check_non_negative,
@@ -48,20 +47,6 @@ class TestTables:
     def test_row_width_mismatch(self):
         with pytest.raises(ValueError):
             format_table(["a"], [[1, 2]])
-
-
-class TestTimer:
-    def test_accumulates(self):
-        t = Timer()
-        with t:
-            pass
-        with t:
-            pass
-        assert len(t.laps) == 2
-        assert t.elapsed >= 0
-        assert t.mean == pytest.approx(t.elapsed / 2)
-        t.reset()
-        assert t.elapsed == 0 and not t.laps
 
 
 class TestValidation:
