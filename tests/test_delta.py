@@ -11,11 +11,13 @@ from repro.config import Backend, PPRConfig, PushVariant
 from repro.core.push_parallel import parallel_local_push
 from repro.core.state import PPRState
 from repro.errors import ConfigError, GraphError
-from repro.graph.delta import _Overlay
+from repro.graph.delta import _Overlay, advance_view
 from repro.graph import (
     CSRGraph,
     DeltaCSRGraph,
     DynamicDiGraph,
+    SlidingWindow,
+    random_permutation_stream,
 )
 from repro.graph.generators import rmat_graph
 from repro.graph.update import EdgeOp, EdgeUpdate, deletions, insertions
@@ -297,6 +299,78 @@ def test_memory_bytes_counts_overlay():
     base_bytes = view.memory_bytes()
     view = apply_and_advance(g, view, insertions([(0, 2)]))
     assert view.memory_bytes() > base_bytes
+
+
+# ---------------------------------------------------------------------- #
+# the sliding-window workload through advance_view
+# ---------------------------------------------------------------------- #
+
+
+def window_graph(edges: np.ndarray, undirected: bool) -> DynamicDiGraph:
+    pairs = map(tuple, edges.tolist())
+    if undirected:
+        return DynamicDiGraph.from_undirected_edges(pairs)
+    return DynamicDiGraph(pairs)
+
+
+def slide_and_advance(
+    window: SlidingWindow, graph: DynamicDiGraph, view, slides: int = 1
+) -> tuple[DeltaCSRGraph, bool]:
+    """Apply ``slides`` window slides to ``graph`` as one batch and move
+    ``view`` past it, as an ingest does."""
+    updates = [u for _ in range(slides) for u in window.slide().updates]
+    graph.apply_batch(updates)
+    return advance_view(view, graph, updates)
+
+
+@pytest.mark.parametrize("undirected", [False, True])
+def test_window_delta_snapshot_matches_full_rebuild(undirected):
+    edges = random_permutation_stream(rmat_graph(256, 2500, rng=3), rng=1)
+    window = SlidingWindow(edges, batch_size=5, undirected=undirected)
+    graph = window_graph(window.initial_edges, undirected)
+    view = CSRGraph.from_digraph(graph)
+    consolidations = 0
+    for step in range(1, 13):
+        view, consolidated = slide_and_advance(window, graph, view)
+        consolidations += consolidated
+        assert_csr_equal(view.consolidate(), CSRGraph.from_digraph(graph))
+        lo = step * window.batch_size
+        contents = window_graph(edges[lo : lo + window.window_size], undirected)
+        assert sorted(graph.edges()) == sorted(contents.edges())
+    assert 0 < consolidations < 12  # both the overlay and the rebuild ran
+
+
+def test_window_delta_snapshot_reuses_the_view():
+    """One slide layers an overlay on the same frozen base; the view it
+    advanced from is left as it was."""
+    edges = random_permutation_stream(rmat_graph(128, 1200, rng=4), rng=2)
+    window = SlidingWindow(edges, batch_size=5)
+    graph = window_graph(window.initial_edges, undirected=False)
+    first = DeltaCSRGraph.wrap(CSRGraph.from_digraph(graph))
+    before = first.consolidate()
+    advanced, consolidated = slide_and_advance(window, graph, first)
+    assert not consolidated
+    assert advanced is not first
+    assert advanced.base is first.base
+    assert advanced.overlay_rows > 0
+    assert_csr_equal(first.consolidate(), before)
+
+
+@pytest.mark.parametrize("undirected", [False, True])
+def test_window_delta_snapshot_rebuilds_after_skipped_slides(undirected):
+    """A batch that slides past a full window-length deletes every edge
+    the view held, some inserted in the same batch; the view consolidates
+    into a fresh base equal to a rebuild, and the chain goes on from it."""
+    edges = random_permutation_stream(rmat_graph(128, 1500, rng=6), rng=5)
+    window = SlidingWindow(edges, batch_size=40, undirected=undirected)
+    graph = window_graph(window.initial_edges, undirected)
+    view = CSRGraph.from_digraph(graph)
+    # 5 * 40 > window_size of 150: the chain is broken
+    view, consolidated = slide_and_advance(window, graph, view, slides=5)
+    assert consolidated and view.overlay_rows == 0
+    assert_csr_equal(view.consolidate(), CSRGraph.from_digraph(graph))
+    again, _ = slide_and_advance(window, graph, view)
+    assert_csr_equal(again.consolidate(), CSRGraph.from_digraph(graph))
 
 
 # ---------------------------------------------------------------------- #

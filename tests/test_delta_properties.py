@@ -7,17 +7,21 @@ The laws the ingest hot path rests on (see ``docs/performance.md``):
    reads and its consolidation — equals ``CSRGraph.from_digraph`` of the
    live graph **array-for-array** (order-exact, hence bit-exact float
    summation in the vectorized push);
-2. a :class:`~repro.serve.PPRService` advancing its delta lineage
+2. the sliding-window workload — each slide applied to the graph and the
+   view moved past it by :func:`~repro.graph.delta.advance_view` —
+   equals the ``CSRGraph.from_digraph`` rebuild at every slide;
+3. a :class:`~repro.serve.PPRService` advancing its delta lineage
    answers every ``certified_top_k`` query **bit-identically** to one
    handed a fresh ``CSRGraph.from_digraph`` view every batch;
-3. the compiled kernel's row layout — the view's own tables, derived
+4. the compiled kernel's row layout — the view's own tables, derived
    batch by batch from the predecessor's — resolves every row to the same
    sequence as a view wrapped around a rebuilt ``CSRGraph.from_digraph``
    — so compiled pushes over it stay bit-identical — and the dead space
    of its append-only buffer stays bounded by the live overlay;
-4. the overlay entry and row counts every view carries equal the
+5. the overlay entry and row counts every view carries equal the
    overlay rows' total length and number after every ``apply_updates``,
-   ``with_capacity`` and ``consolidated`` — the
+   ``with_capacity`` and ``consolidated``, on random batches and on a
+   window's FIFO slides — the
    O(1) consolidation check decides exactly as a re-sum would.
 """
 
@@ -32,8 +36,10 @@ from repro.graph import (
     CSRGraph,
     DeltaCSRGraph,
     DynamicDiGraph,
+    SlidingWindow,
 )
-from repro.graph.update import EdgeOp, EdgeUpdate
+from repro.graph.delta import advance_view
+from repro.graph.update import EdgeOp, EdgeUpdate, deletions, insertions
 from repro.serve import PPRService
 from tests.conftest import ingest_from_rebuild
 
@@ -95,6 +101,31 @@ def test_delta_overlay_equals_rebuild_before_and_after_consolidation(batches):
         consolidated = view.consolidate()
         assert_csr_equal(consolidated, ref)
         assert_csr_equal(view.consolidated().consolidate(), ref)
+
+
+@given(
+    batch_size=st.integers(1, 30),
+    num_slides=st.integers(1, 8),
+    undirected=st.booleans(),
+    seed=st.integers(0, 10),
+)
+@settings(max_examples=20, deadline=None)
+def test_window_delta_snapshot_equals_rebuild(
+    batch_size, num_slides, undirected, seed
+):
+    rng = np.random.default_rng(seed)
+    edges = rng.integers(0, 40, size=(400, 2)).astype(np.int64)
+    window = SlidingWindow(edges, batch_size=batch_size, undirected=undirected)
+    pairs = map(tuple, window.initial_edges.tolist())
+    if undirected:
+        graph = DynamicDiGraph.from_undirected_edges(pairs)
+    else:
+        graph = DynamicDiGraph(pairs)
+    view = CSRGraph.from_digraph(graph)
+    for slide in window.slides(num_slides):
+        graph.apply_batch(slide.updates)
+        view, _ = advance_view(view, graph, slide.updates)
+        assert_csr_equal(view.consolidate(), CSRGraph.from_digraph(graph))
 
 
 @given(applied_update_batches(max_batches=4, max_batch=6), st.data())
@@ -194,3 +225,41 @@ def test_graph_backed_views_carry_their_overlay_entry_count(batches, moves):
         elif move == "consolidate":
             view = view.consolidated()
         assert_entries_carried(view)
+
+
+@given(
+    st.lists(
+        st.tuples(st.integers(0, N_VERTICES - 1), st.integers(0, N_VERTICES - 1)),
+        min_size=1,
+        max_size=80,
+    ),
+    st.lists(
+        st.tuples(st.integers(0, 8), st.integers(0, 8), st.booleans()),
+        min_size=1,
+        max_size=10,
+    ),
+    st.booleans(),
+)
+@settings(max_examples=40)
+def test_window_views_carry_their_overlay_entry_count(stream, slides, undirected):
+    """Slides of a FIFO window: each inserts the next stream edges and
+    deletes the oldest ones still in the window."""
+    graph = DynamicDiGraph()
+    view = DeltaCSRGraph.wrap(CSRGraph.from_digraph(graph))
+    window: list[tuple[int, int]] = []
+    position = 0
+    for inserted, deleted, consolidate in slides:
+        ins = stream[position : position + inserted]
+        position += len(ins)
+        dels = window[: min(deleted, len(window))]
+        window = window[len(dels) :] + ins
+        if undirected:
+            ins = [e for u, v in ins for e in ((u, v), (v, u))]
+            dels = [e for u, v in dels for e in ((u, v), (v, u))]
+        batch = insertions(ins) + deletions(dels)
+        graph.apply_batch(batch)
+        view = view.apply_updates(graph, batch)
+        assert_entries_carried(view)
+        if consolidate:
+            view = view.consolidated()
+            assert_entries_carried(view)

@@ -1,4 +1,4 @@
-"""Loading a graph from an edge array (``DynamicDiGraph.from_edge_array``)."""
+"""Tests for graph persistence."""
 
 from __future__ import annotations
 
@@ -6,6 +6,99 @@ import numpy as np
 import pytest
 
 from repro import DynamicDiGraph, GraphError
+from repro.graph.io import (
+    load_edge_list,
+    load_graph,
+    load_npz,
+    save_edge_list,
+    save_npz,
+)
+
+
+@pytest.fixture
+def edges():
+    return np.array([[0, 1], [1, 2], [2, 0]], dtype=np.int64)
+
+
+class TestEdgeList:
+    def test_roundtrip(self, edges, tmp_path):
+        path = tmp_path / "g.txt"
+        save_edge_list(edges, path, comment="test graph\nline two")
+        loaded = load_edge_list(path)
+        assert np.array_equal(loaded, edges)
+        text = path.read_text()
+        assert text.startswith("# test graph")
+
+    def test_snap_style_comments_skipped(self, tmp_path):
+        path = tmp_path / "snap.txt"
+        path.write_text("# Directed graph\n% another comment\n\n0 1\n1\t2\n")
+        loaded = load_edge_list(path)
+        assert loaded.tolist() == [[0, 1], [1, 2]]
+
+    def test_malformed_line(self, tmp_path):
+        path = tmp_path / "bad.txt"
+        path.write_text("0\n")
+        with pytest.raises(GraphError):
+            load_edge_list(path)
+
+    def test_missing_file(self, tmp_path):
+        with pytest.raises(GraphError):
+            load_edge_list(tmp_path / "nope.txt")
+
+    def test_bad_shape(self, tmp_path):
+        with pytest.raises(GraphError):
+            save_edge_list(np.zeros((2, 3), dtype=np.int64), tmp_path / "x.txt")
+
+    def test_explicit_num_nodes_header(self, edges, tmp_path):
+        """Trailing isolated vertices are only countable by the caller."""
+        path = tmp_path / "g.txt"
+        save_edge_list(edges, path, num_nodes=10)
+        assert "# Nodes: 10 Edges: 3" in path.read_text()
+
+    def test_inferred_num_nodes_header(self, edges, tmp_path):
+        path = tmp_path / "g.txt"
+        save_edge_list(edges, path)
+        assert "# Nodes: 3 Edges: 3" in path.read_text()
+
+    def test_fast_path_matches_fallback_on_large_list(self, tmp_path):
+        rng = np.random.default_rng(5)
+        edges = rng.integers(0, 500, size=(2000, 2)).astype(np.int64)
+        path = tmp_path / "big.txt"
+        save_edge_list(edges, path, comment="header\nlines")
+        assert np.array_equal(load_edge_list(path), edges)
+
+    def test_empty_edge_list(self, tmp_path):
+        path = tmp_path / "empty.txt"
+        path.write_text("# only comments\n")
+        assert load_edge_list(path).shape == (0, 2)
+
+
+class TestNpz:
+    def test_roundtrip(self, edges, tmp_path):
+        path = tmp_path / "g.npz"
+        save_npz(edges, path)
+        assert np.array_equal(load_npz(path), edges)
+
+    def test_missing_key(self, tmp_path):
+        path = tmp_path / "other.npz"
+        np.savez(path, stuff=np.zeros(3))
+        with pytest.raises(GraphError):
+            load_npz(path)
+
+    def test_missing_file(self, tmp_path):
+        with pytest.raises(GraphError):
+            load_npz(tmp_path / "nope.npz")
+
+
+class TestLoadGraph:
+    def test_dispatch_by_extension(self, edges, tmp_path):
+        txt = tmp_path / "g.txt"
+        npz = tmp_path / "g.npz"
+        save_edge_list(edges, txt)
+        save_npz(edges, npz)
+        expected = DynamicDiGraph(map(tuple, edges.tolist()))
+        assert load_graph(txt) == expected
+        assert load_graph(npz) == expected
 
 
 class TestFromEdgeArray:

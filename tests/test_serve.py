@@ -601,6 +601,28 @@ def test_serve_config_with_replaces_fields():
 # ---------------------------------------------------------------------- #
 
 
+def test_sliding_window_snapshot_matches_digraph_rebuild(rng):
+    """The snapshot a service advances over window slides equals a
+    rebuild of a graph that replayed the same slides."""
+    edges = rng.integers(0, 25, size=(300, 2))
+    edges = edges[edges[:, 0] != edges[:, 1]]
+    window = SlidingWindow(edges, batch_size=8)
+    graph = DynamicDiGraph(map(tuple, window.initial_edges.tolist()))
+    service = _service(graph.copy(), cache_capacity=4)
+    service.query(int(edges[0, 0]))
+    for _ in range(3):
+        slide = window.slide()
+        graph.apply_batch(slide.updates)
+        service.ingest(slide)
+    hook = service._snapshot()
+    rebuilt = CSRGraph.from_digraph(graph)
+    assert service.metrics().snapshot_rebuilds == 1  # advanced, not rebuilt
+    assert hook.num_edges == rebuilt.num_edges
+    np.testing.assert_array_equal(hook.dout[: graph.capacity], rebuilt.dout)
+    for v in range(graph.capacity):
+        assert sorted(hook.in_neighbors(v)) == sorted(rebuilt.in_neighbors(v))
+
+
 def test_tracker_apply_batch_accepts_external_snapshot(rng):
     graph = random_graph(rng)
     with_hook = DynamicPPRTracker(graph.copy(), 0, NUMPY_CONFIG)
