@@ -414,6 +414,10 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         num_hubs=args.hubs,
         top_k=args.k,
     )
+    # The banner is all the server needs of the workload: dropping it frees
+    # the dataset edges (and every forked worker is spared them).
+    workload = prepared.describe()
+    del prepared
     if args.store is not None and args.shards == 0:
         store = StateStore(args.store, StoreConfig(root=args.store))
         service.attach_store(store)
@@ -485,7 +489,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         sig: signal.signal(sig, _request_stop)
         for sig in (signal.SIGTERM, signal.SIGINT)
     }
-    print(f"workload: {prepared.describe()}")
+    print(f"workload: {workload}")
     print(f"service:  {service}")
     print(f"kernel:   {kernel_info['backend']} ({kernel_info['reason']})")
     if cluster is not None:

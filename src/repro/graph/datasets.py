@@ -113,12 +113,11 @@ DATASETS: dict[str, DatasetSpec] = {
 }
 
 
-@lru_cache(maxsize=None)
-def dataset_edges(name: str) -> np.ndarray:
-    """Deterministic ``(m, 2)`` edge array for dataset ``name``.
+def build_dataset_edges(name: str) -> np.ndarray:
+    """Deterministic ``(m, 2)`` edge array for dataset ``name``, built afresh.
 
-    Cached: generating the Twitter analog takes a couple of seconds and is
-    reused by every benchmark.
+    Generation takes about 0.8 s for the Twitter analog and 0.15 s for
+    the others (2 vCPUs); :func:`dataset_edges` caches the result.
     """
     spec = get_spec(name)
     edges = rmat_graph(spec.num_vertices, spec.num_edges, rng=spec.seed)
@@ -132,6 +131,12 @@ def dataset_edges(name: str) -> np.ndarray:
         edges = np.column_stack([lo, hi])[np.sort(first)]
     edges.setflags(write=False)
     return edges
+
+
+@lru_cache(maxsize=None)
+def dataset_edges(name: str) -> np.ndarray:
+    """:func:`build_dataset_edges`, cached: every benchmark reuses one array."""
+    return build_dataset_edges(name)
 
 
 def get_spec(name: str) -> DatasetSpec:

@@ -19,16 +19,30 @@ from ..errors import ConfigError
 from ..utils.rng import RngLike, ensure_rng
 
 
-def _dedupe(edges: np.ndarray, *, remove_self_loops: bool) -> np.ndarray:
-    """Drop self loops and duplicate edges, preserving first occurrence order."""
-    if edges.size == 0:
-        return edges.reshape(0, 2)
-    if remove_self_loops:
-        edges = edges[edges[:, 0] != edges[:, 1]]
-    # np.unique sorts; keep generation order for streaming realism.
-    keys = edges[:, 0].astype(np.int64) * (edges.max() + 1) + edges[:, 1]
-    _, first = np.unique(keys, return_index=True)
-    return edges[np.sort(first)]
+#: Doubles drawn per ``Generator.random(out=...)`` call. PCG64 fills
+#: consecutive chunks with the same doubles one ``random(count)`` call
+#: returns, so the chunk size changes memory, never the edges.
+_DRAW_CHUNK = 1 << 16
+
+
+def _first_distinct(src: np.ndarray, dst: np.ndarray, num_vertices: int) -> np.ndarray:
+    """Sorted indices of each distinct non-loop ``(src, dst)`` pair's first occurrence."""
+    keys = src.astype(np.int64)
+    keys *= num_vertices
+    keys += dst
+    keys[src == dst] = -1  # self loops share one sentinel key that sorts first
+    # Stable: each run of equal keys starts at its earliest index, the
+    # occurrence np.unique(return_index=True) keeps for any injective key.
+    order = np.argsort(keys, kind="stable")
+    keys.sort()
+    first = np.empty(len(keys), dtype=bool)
+    first[:1] = True
+    np.not_equal(keys[1:], keys[:-1], out=first[1:])
+    first[: np.searchsorted(keys, 0)] = False
+    del keys
+    kept = order[first]
+    kept.sort()
+    return kept
 
 
 def rmat_graph(
@@ -39,18 +53,23 @@ def rmat_graph(
     b: float = 0.19,
     c: float = 0.19,
     rng: RngLike = None,
-    remove_self_loops: bool = True,
-    deduplicate: bool = True,
 ) -> np.ndarray:
     """Recursive-MATrix (R-MAT) generator (Chakrabarti et al.).
 
     Produces power-law in/out degree distributions similar to web and
     social graphs. ``a + b + c`` must be < 1; ``d = 1 - a - b - c``.
-    ``num_vertices`` is rounded up to the next power of two internally and
-    ids are then permuted into ``[0, num_vertices)``.
+    Ids are drawn over ``2**ceil(log2(num_vertices))``, folded into
+    ``[0, num_vertices)`` mod ``num_vertices`` and then relabelled by a
+    random permutation, so high-degree ids are scattered.
 
-    With deduplication the returned edge count can be slightly below
-    ``num_edges``; we oversample 5% to compensate and trim.
+    Self loops and duplicate edges are dropped, keeping each edge's first
+    occurrence in draw order. Every round oversamples the shortfall by
+    50% (plus 32) until ``num_edges`` distinct edges accumulate.
+
+    Ids live in int32 columns (int64 past ``2**31``) and the draws go
+    through one reused 64 Ki-double buffer, so the peak is about 40 bytes
+    per requested edge; the ``(m, 2)`` int64 result is built once, at
+    the end.
     """
     if num_vertices < 2:
         raise ConfigError(f"num_vertices must be >= 2, got {num_vertices}")
@@ -60,6 +79,7 @@ def rmat_graph(
         raise ConfigError(f"invalid R-MAT parameters a={a} b={b} c={c}")
     gen = ensure_rng(rng)
     scale = int(np.ceil(np.log2(num_vertices)))
+    id_dtype = np.int32 if scale < 31 else np.int64
     # Each bit of the id is drawn independently per edge — standard R-MAT
     # with per-level probability noise folded out (deterministic quadrants).
     p_right = b + (1.0 - a - b - c)  # P(dst bit = 1)
@@ -69,42 +89,46 @@ def rmat_graph(
             c / (a + c) if a + c > 0 else 0.0,  # src bit | dst=0
         ]
     )
-    # Map the 2^scale id space down to [0, num_vertices) with a random
-    # permutation so high-degree ids are scattered.
     perm = gen.permutation(num_vertices)
+    draws = np.empty(_DRAW_CHUNK, dtype=np.float64)
 
-    def sample_edges(count: int) -> np.ndarray:
-        src = np.zeros(count, dtype=np.int64)
-        dst = np.zeros(count, dtype=np.int64)
+    def sample_ids(count: int) -> tuple[np.ndarray, np.ndarray]:
+        """``count`` folded (src, dst) id columns, before the permutation."""
+        src = np.zeros(count, dtype=id_dtype)
+        dst = np.zeros(count, dtype=id_dtype)
         for level in range(scale):
-            dst_bit = gen.random(count) < p_right
-            cond = np.where(dst_bit, p_down_given[0], p_down_given[1])
-            src_bit = gen.random(count) < cond
-            src |= src_bit.astype(np.int64) << level
-            dst |= dst_bit.astype(np.int64) << level
-        return np.column_stack([perm[src % num_vertices], perm[dst % num_vertices]])
-
-    if not deduplicate:
-        edges = sample_edges(int(num_edges * 1.2) + 16)
-        if remove_self_loops:
-            edges = edges[edges[:, 0] != edges[:, 1]]
-        while len(edges) < num_edges:  # pragma: no cover - rare top-up
-            extra = sample_edges(num_edges)
-            if remove_self_loops:
-                extra = extra[extra[:, 0] != extra[:, 1]]
-            edges = np.vstack([edges, extra])
-        return edges[:num_edges]
+            # Per level: every dst draw, then every src draw.
+            for lo in range(0, count, _DRAW_CHUNK):
+                chunk = gen.random(out=draws[: min(_DRAW_CHUNK, count - lo)])
+                col = dst[lo : lo + len(chunk)]
+                col |= (chunk < p_right).astype(id_dtype) << level
+            for lo in range(0, count, _DRAW_CHUNK):
+                chunk = gen.random(out=draws[: min(_DRAW_CHUNK, count - lo)])
+                col = src[lo : lo + len(chunk)]
+                dst_bit = (dst[lo : lo + len(chunk)] >> level) & 1
+                p_down = np.where(dst_bit, p_down_given[0], p_down_given[1])
+                col |= (chunk < p_down).astype(id_dtype) << level
+        np.remainder(src, num_vertices, out=src)
+        np.remainder(dst, num_vertices, out=dst)
+        return src, dst
 
     # Dedup collapses repeated quadrant picks (common on skewed graphs):
     # oversample iteratively until enough distinct edges accumulate.
-    edges = np.empty((0, 2), dtype=np.int64)
+    src = dst = np.empty(0, dtype=id_dtype)
     shortfall = num_edges
     for _ in range(64):
-        batch = sample_edges(int(shortfall * 1.5) + 32)
-        edges = _dedupe(np.vstack([edges, batch]), remove_self_loops=remove_self_loops)
-        shortfall = num_edges - len(edges)
+        new_src, new_dst = sample_ids(int(shortfall * 1.5) + 32)
+        src, dst = np.concatenate([src, new_src]), np.concatenate([dst, new_dst])
+        del new_src, new_dst
+        kept = _first_distinct(src, dst, num_vertices)[:num_edges]
+        src, dst = src[kept], dst[kept]
+        del kept
+        shortfall = num_edges - len(src)
         if shortfall <= 0:
-            return edges[:num_edges]
+            edges = np.empty((num_edges, 2), dtype=np.int64)
+            edges[:, 0] = perm[src]
+            edges[:, 1] = perm[dst]
+            return edges
     raise ConfigError(
         f"could not draw {num_edges} distinct R-MAT edges over {num_vertices}"
         " vertices; the graph is too dense for these skew parameters"

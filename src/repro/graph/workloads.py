@@ -1,9 +1,10 @@
 """Sliding-window benchmark workloads (the paper's Section 5.1 setup).
 
 A :class:`WorkloadSpec` names a dataset analog and the stream parameters;
-:func:`prepare_workload` materializes the timestamped stream once (cached)
-and hands out fresh :class:`SlidingWindow`/graph pairs so every approach
-replays *exactly the same* update sequence.
+:func:`prepare_workload` materializes a workload once (cached) and hands
+out fresh :class:`SlidingWindow`/graph pairs so every approach
+replays *exactly the same* update sequence; :func:`build_workload` is the
+same workload built afresh and cached nowhere.
 
 Source-vertex selection follows Table 2: a random vertex among the top-K
 out-degrees. On the scaled analogs, K = 10 stays 10 ("top-10"), K = 1000
@@ -14,15 +15,15 @@ random vertex — the same qualitative tiers as the paper.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
 from ..config import PPRConfig
 from ..errors import ConfigError
-from .datasets import dataset_edges, get_spec
+from .datasets import build_dataset_edges, dataset_edges, get_spec
 from .digraph import DynamicDiGraph
-from .stream import SlidingWindow, random_permutation_stream
+from .stream import SlidingWindow
 from ..utils.rng import ensure_rng
 
 
@@ -51,14 +52,26 @@ class WorkloadSpec:
 
 @dataclass
 class PreparedWorkload:
-    """A materialized stream plus factory methods for fresh replays."""
+    """A dataset analog, its arrival order, and factories for fresh replays.
+
+    Stream row ``i`` is ``edges[order[i]]``. The initial window and the
+    source are gathered through ``order[:window_size]`` alone; the full
+    permuted stream is built on the first :meth:`new_window` call, so a
+    server that only serves the initial window never holds it.
+    """
 
     spec: WorkloadSpec
-    stream_edges: np.ndarray = field(repr=False)
+    edges: np.ndarray = field(repr=False)
+    order: np.ndarray = field(repr=False)
     undirected: bool = False
     window_size: int = 0
     batch_size: int = 0
     source: int = 0
+
+    @cached_property
+    def stream_edges(self) -> np.ndarray:
+        """The timestamp-ordered stream: the edges in arrival order."""
+        return self.edges[self.order]
 
     def new_window(self) -> SlidingWindow:
         """A fresh sliding window positioned after initialization."""
@@ -69,9 +82,13 @@ class PreparedWorkload:
             undirected=self.undirected,
         )
 
+    def initial_edges(self) -> np.ndarray:
+        """The initial window contents: the first ``window_size`` arrivals."""
+        return self.edges[self.order[: self.window_size]]
+
     def initial_graph(self) -> DynamicDiGraph:
         """The graph holding the initial window contents."""
-        initial = self.stream_edges[: self.window_size]
+        initial = self.initial_edges()
         if self.undirected:
             return DynamicDiGraph.from_undirected_edges(initial)
         return DynamicDiGraph.from_edges(initial)
@@ -90,16 +107,24 @@ class PreparedWorkload:
         )
 
 
-@lru_cache(maxsize=32)
-def _prepared_cache(spec: WorkloadSpec) -> PreparedWorkload:
+def _prepare(spec: WorkloadSpec, edges: np.ndarray) -> PreparedWorkload:
     dataset = get_spec(spec.dataset)
     rng = ensure_rng(spec.seed)
-    edges = random_permutation_stream(dataset_edges(spec.dataset), rng)
+    # Random timestamps: a random permutation of the edge rows.
+    order = rng.permutation(len(edges))
     window_size = int(len(edges) * spec.window_fraction)
     batch_size = SlidingWindow.batch_for_fraction(window_size, spec.batch_fraction)
+    prepared = PreparedWorkload(
+        spec=spec,
+        edges=edges,
+        order=order,
+        undirected=not dataset.directed,
+        window_size=window_size,
+        batch_size=batch_size,
+    )
 
     # Source: random among the top-K out-degree vertices of the initial window.
-    initial = edges[:window_size]
+    initial = prepared.initial_edges()
     dout = np.bincount(initial[:, 0], minlength=dataset.num_vertices)
     if not dataset.directed:
         dout = dout + np.bincount(
@@ -107,21 +132,27 @@ def _prepared_cache(spec: WorkloadSpec) -> PreparedWorkload:
         )  # both directions exist
     k = min(spec.source_top_k, int((dout > 0).sum()))
     top = np.argsort(dout)[::-1][:k]
-    source = int(top[rng.integers(0, len(top))])
-
-    return PreparedWorkload(
-        spec=spec,
-        stream_edges=edges,
-        undirected=not dataset.directed,
-        window_size=window_size,
-        batch_size=batch_size,
-        source=source,
-    )
+    prepared.source = int(top[rng.integers(0, len(top))])
+    return prepared
 
 
+def build_workload(spec: WorkloadSpec) -> PreparedWorkload:
+    """Materialize ``spec`` afresh, caching nothing.
+
+    For a process that serves the initial window and then drops the
+    workload: what it returns is the only reference to the dataset edges.
+    """
+    return _prepare(spec, build_dataset_edges(spec.dataset))
+
+
+@lru_cache(maxsize=32)
 def prepare_workload(spec: WorkloadSpec) -> PreparedWorkload:
-    """Materialize (or fetch the cached) workload for ``spec``."""
-    return _prepared_cache(spec)
+    """Materialize (or fetch the cached) workload for ``spec``.
+
+    Benchmarks replay one workload many times, so this keeps the dataset
+    edges and, once a window has been asked for, the stream alive.
+    """
+    return _prepare(spec, dataset_edges(spec.dataset))
 
 
 def default_config(epsilon: float = 1e-5, alpha: float = 0.15) -> PPRConfig:

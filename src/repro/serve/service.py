@@ -64,8 +64,8 @@ from ..graph.update import EdgeUpdate, as_batch
 from ..graph.workloads import (
     PreparedWorkload,
     WorkloadSpec,
+    build_workload,
     default_config,
-    prepare_workload,
 )
 from ..kernels import counters as kernel_counters
 from .cache import ResidentSource, SourceCache
@@ -1032,8 +1032,13 @@ def workload_service(
     Same spec, same service, bit-for-bit — two processes building from
     the same arguments serve identical certified answers, which is the
     property the gateway CI smoke asserts across the HTTP boundary.
+
+    The workload is built uncached (:func:`build_workload`): the returned
+    one is the only reference to the dataset edges, so a caller that
+    drops it holds nothing of stream length — the service keeps only the
+    initial-window graph.
     """
-    prepared = prepare_workload(WorkloadSpec(dataset=dataset))
+    prepared = build_workload(WorkloadSpec(dataset=dataset))
     cfg = config or default_config(epsilon=epsilon).with_(
         backend=Backend.NUMPY, workers=workers
     )

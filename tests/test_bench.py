@@ -7,6 +7,7 @@ benchmarks use.
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
 from repro import ConfigError
@@ -15,8 +16,10 @@ from repro.bench.figures import (
     fig10_scalability,
 )
 from repro.bench.harness import Approach, run_approach, speedup_table
+from repro.graph.datasets import dataset_edges
 from repro.graph.workloads import (
     WorkloadSpec,
+    build_workload,
     default_config,
     prepare_workload,
 )
@@ -53,6 +56,26 @@ class TestWorkloadSpec:
         w1, w2 = prepared.new_window(), prepared.new_window()
         s1, s2 = w1.slide(), w2.slide()
         assert s1.updates == s2.updates
+
+    def test_uncached_build_is_the_same_workload(self):
+        cached = prepare_workload(WorkloadSpec(dataset="youtube"))
+        fresh = build_workload(WorkloadSpec(dataset="youtube"))
+        assert fresh is not cached
+        assert fresh.edges is not dataset_edges("youtube")
+        assert fresh.describe() == cached.describe()
+        assert fresh.initial_graph() == cached.initial_graph()
+        assert np.array_equal(fresh.stream_edges, cached.stream_edges)
+
+    def test_stream_built_on_first_window_only(self):
+        prepared = build_workload(WorkloadSpec(dataset="youtube"))
+        prepared.initial_graph()
+        assert "stream_edges" not in vars(prepared)
+        window = prepared.new_window()
+        stream = vars(prepared)["stream_edges"]
+        assert np.array_equal(stream, prepared.edges[prepared.order])
+        assert np.array_equal(window.initial_edges, prepared.initial_edges())
+        prepared.new_window()
+        assert vars(prepared)["stream_edges"] is stream
 
     def test_updates_per_slide_counts_directions(self):
         prepared = prepare_workload(WorkloadSpec(dataset="youtube"))

@@ -8,6 +8,11 @@ computations on the same graph.
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -648,3 +653,49 @@ def test_multi_source_tracker_top_k_and_snapshot(rng):
     top = index.rank_for_hub(0, 3)
     assert len(top) == 3
     assert top[0].vertex == 0  # the source dominates its own PPR vector
+
+
+#: What ``repro serve`` does with the workload ``workload_service`` hands
+#: it (keep the banner, drop the rest), then every ndarray that a
+#: gc-tracked object references, and their bases. Run in a fresh
+#: interpreter: any earlier cached ``dataset_edges`` call would pin one.
+SERVE_HANDOFF = """
+import gc
+import numpy as np
+from repro.serve import workload_service
+
+service, prepared = workload_service("youtube")
+rows = len(prepared.edges)
+banner = prepared.describe()
+del prepared
+gc.collect()
+
+seen = {}
+for obj in gc.get_objects():
+    for ref in gc.get_referents(obj):
+        while isinstance(ref, np.ndarray) and id(ref) not in seen:
+            seen[id(ref)] = ref
+            ref = ref.base
+pinned = sorted({a.shape for a in seen.values() if a.ndim and a.shape[0] == rows})
+assert service.graph.num_edges > 0
+print(rows, pinned)
+"""
+
+
+def test_serving_setup_pins_nothing_of_stream_length():
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(src)] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else [])
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", SERVE_HANDOFF],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    rows, pinned = proc.stdout.split(" ", 1)
+    assert int(rows) > 10_000  # the youtube analog's stream
+    assert pinned.strip() == "[]"
